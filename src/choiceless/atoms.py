@@ -7,6 +7,12 @@ universe of pair atoms whose automorphisms are (base permutation, one
 bit per level) presentations, and a lazily grown homogeneous structure
 carrying a linear order plus a family of irreflexive relations.
 
+Each universe is one structure class.  It owns everything that differs
+between universes: fresh atoms and `materialise`, the extension test,
+one step of a lifted automorphism, the 1-types over a support (list,
+realisation, restriction, image under an automorphism), the canonical
+order of a support, and the JSON of its atoms and of itself.
+
 A group element is never written out in full.  A finite injective map
 (`PartialAutomorphism`) plus an extension test (`extendable`) stands in
 for it, and `extend_fixing` lifts such a map to a lazily evaluated
@@ -15,14 +21,21 @@ total automorphism of the materialised universe.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 PURE_SET = "pure_set"
 DENSE_ORDER = "dense_order"
 PAIR_MODEL = "pair_model"
 CATEGORICAL = "categorical"
+
+DEFAULT_PAIR_LEVEL_BOUND = 3
+# most 1-types one support may carry; the homogeneous structure has
+# 6,146 over two atoms and about 2^51 over three
+TYPE_BUDGET = 2 ** 16
 
 
 class StructureMismatch(ValueError):
@@ -35,6 +48,10 @@ class UnsatisfiableType(ValueError):
 
 class LevelBudgetExceeded(RuntimeError):
     """Pair-model operation would materialise atoms above the level budget."""
+
+
+class TypeBudgetExceeded(RuntimeError):
+    """Enumerating the 1-types over a support would exceed TYPE_BUDGET."""
 
 
 class MissingImage(KeyError):
@@ -78,16 +95,7 @@ class Atom:
         return self.payload
 
     def __repr__(self):
-        if self.world == DENSE_ORDER:
-            return f"a({self.payload})"
-        if self.world == PAIR_MODEL:
-            if isinstance(self.payload, int):
-                return f"b{self.payload}"
-            lvl, (x, y), eps = self.payload
-            return f"({lvl},<{x!r},{y!r}>,{eps})"
-        if self.world == CATEGORICAL:
-            return f"n{self.payload}"
-        return f"u{self.payload}"
+        return UNIVERSES[self.world].payload_repr(self.payload)
 
 
 def _pair_key(atom: Atom):
@@ -97,37 +105,114 @@ def _pair_key(atom: Atom):
     return (lvl, _pair_key(x), _pair_key(y), eps)
 
 
+def _fraction_json(q: Fraction) -> str:
+    return f"{q.numerator}/{q.denominator}"
+
+
 def atom_to_json(atom: Atom) -> dict:
-    if atom.world == PURE_SET:
-        return {"world": "pure", "id": atom.payload}
-    if atom.world == DENSE_ORDER:
-        q = atom.payload
-        return {"world": "dense", "q": f"{q.numerator}/{q.denominator}"}
-    if atom.world == CATEGORICAL:
-        return {"world": "cat", "node": atom.payload}
-    if isinstance(atom.payload, int):
-        return {"world": "pairs", "base": atom.payload}
-    lvl, (x, y), eps = atom.payload
-    return {
-        "world": "pairs",
-        "level": lvl,
-        "pair": [atom_to_json(x), atom_to_json(y)],
-        "bit": eps,
-    }
+    return UNIVERSES[atom.world].payload_to_json(atom.payload)
 
 
 def atom_from_json(data: dict) -> Atom:
-    w = data["world"]
-    if w == "pure":
-        return Atom(PURE_SET, data["id"])
-    if w == "dense":
-        return Atom(DENSE_ORDER, Fraction(data["q"]))
-    if w == "cat":
-        return Atom(CATEGORICAL, data["node"])
-    if "base" in data:
-        return Atom(PAIR_MODEL, data["base"])
-    x, y = (atom_from_json(d) for d in data["pair"])
-    return Atom(PAIR_MODEL, (data["level"], (x, y), data["bit"]))
+    return _BY_ATOM_TAG[data["world"]].payload_from_json(data)
+
+
+def structure_from_json(data: dict) -> "AtomStructure":
+    if data["kind"] not in _BY_JSON_TAG:
+        raise ValueError(f"unknown structure kind {data['kind']!r}")
+    return _BY_JSON_TAG[data["kind"]].from_json(data)
+
+
+# ---------------------------------------------------------------------------
+# 1-types
+
+
+class OneType:
+    """One orbit of the pointwise stabiliser of a support, as a
+    descriptor.  Distinct types over the same support have disjoint
+    realizer sets, and together they cover all atoms."""
+
+    __slots__ = ("world", "support", "desc", "witness")
+
+    def __init__(self, world, support, desc, witness: Optional[Atom] = None):
+        self.world = world
+        self.support = tuple(support)
+        self.desc = desc
+        self.witness = witness  # pair model only; not part of identity
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, OneType)
+            and self.world == other.world
+            and self.support == other.support
+            and self.desc == other.desc
+        )
+
+    def __hash__(self):
+        return hash((self.world, self.support, self.desc))
+
+    def __repr__(self):
+        return f"OneType({self.desc})"
+
+    def holds(self, structure: "AtomStructure", atom: Atom) -> bool:
+        structure.check_owns(atom)
+        return structure.realises(self, atom)
+
+
+# categorical 1-type formulas: ("eq", e), ("lt", e), ("rel", n, i, (e0..en-1))
+# where the relation formula asserts the n+1-ary fact with x inserted at
+# slot i among the parameters.
+
+
+def f_eq(e: Atom):
+    return ("eq", e)
+
+
+def f_lt(e: Atom):
+    return ("lt", e)
+
+
+def f_rel(insert_at: int, params: Sequence[Atom]):
+    params = tuple(params)
+    if not 0 <= insert_at <= len(params):
+        raise ValueError("insertion slot out of range")
+    return ("rel", len(params), insert_at, params)
+
+
+@lru_cache(maxsize=None)
+def _cat_rel_formulas(n: int) -> Tuple[tuple, ...]:
+    """Local relation formulas over n parameters, in frozen order: a
+    duplicate-free parameter sequence plus an insertion slot for x."""
+    out = []
+    for m in range(n + 1):
+        for seq in itertools.permutations(range(n), m):
+            for i in range(m + 1):
+                out.append(("rel", m, i, seq))
+    out.sort(key=lambda f: (f[1], f[3], f[2]))
+    return tuple(out)
+
+
+def _instantiate(local, E: Sequence[Atom]):
+    _, m, i, seq = local
+    return ("rel", m, i, tuple(E[j] for j in seq))
+
+
+def _unused_ints(used: set, count: int) -> List[int]:
+    """The `count` smallest naturals outside `used`."""
+    return list(itertools.islice((i for i in itertools.count() if i not in used), count))
+
+
+def _complete_cycle(atom: Atom, mapping: Dict[Atom, Atom]) -> Atom:
+    """Image of `atom` under the permutation completing the injective
+    `mapping`: close the chain ending at `atom` back onto its head; fixes
+    atoms untouched by the map, keeps the completion injective."""
+    if atom not in set(mapping.values()):
+        return atom
+    inverse = {b: a for a, b in mapping.items()}
+    head = atom
+    while head in inverse:
+        head = inverse[head]
+    return head
 
 
 # ---------------------------------------------------------------------------
@@ -135,14 +220,21 @@ def atom_from_json(data: dict) -> Atom:
 
 
 class AtomStructure:
-    """Base class: a finite materialised fragment of a countable universe."""
+    """Base class: a finite materialised fragment of a countable universe.
+
+    The 1-type methods here serve the universes whose types over a
+    support E are ("eq", j) for the atom E[j] plus descriptors of the
+    atoms outside E that depend only on E; such type lists are cached
+    per support."""
 
     kind: str = ""
-    _uid_counter = itertools.count()
+    atom_tag: str = ""  # "world" of the atom JSON
+    atom_key: str = ""  # the payload's field in the atom JSON
+    json_tag: str = ""  # "kind" of the structure JSON
+    repr_format: str = ""
 
     def __init__(self):
-        # distinguishes structures for cache keys even after id() reuse
-        self._uid = next(AtomStructure._uid_counter)
+        self._types: Dict[tuple, List[OneType]] = {}
 
     def __contains__(self, atom: Atom) -> bool:
         raise NotImplementedError
@@ -158,6 +250,112 @@ class AtomStructure:
             if a not in self:
                 raise StructureMismatch(f"{a!r} is not materialised")
 
+    # -- atoms --------------------------------------------------------------
+
+    def fresh(self, count: int = 1, avoid: Iterable[Atom] = ()) -> List[Atom]:
+        """Newly materialised atoms, none of them in `avoid`."""
+        raise NotImplementedError
+
+    def materialise(self, atom: Atom) -> Atom:
+        """Register an atom built outside the structure."""
+        return self.atom(atom.payload)
+
+    def _probe_pool(self) -> List[Atom]:
+        return self.atoms()
+
+    def probe_atoms(self, count: int, avoid: Iterable[Atom]) -> List[Atom]:
+        """Probe atoms outside `avoid`: the materialised pool first, in
+        canonical order, then freshly materialised ones.  Keeps engines
+        inside a scripted table's pool whenever it is big enough."""
+        avoid = set(avoid)
+        out = [a for a in self._probe_pool() if a not in avoid][:count]
+        if len(out) < count:
+            out += self.fresh(count - len(out), avoid=avoid | set(out))
+        return out
+
+    def sorted_by_order(self, atoms: Iterable[Atom]) -> List[Atom]:
+        """The atoms in the universe's canonical order."""
+        return sorted(atoms, key=Atom.sort_key)
+
+    # -- automorphisms ------------------------------------------------------
+
+    def is_extendable(self, mapping: Dict[Atom, Atom]) -> bool:
+        """Does the finite injective map of owned atoms extend to an
+        automorphism of the (idealised, countable) structure?"""
+        raise NotImplementedError
+
+    def lift_state(self, mapping: Dict[Atom, Atom]):
+        """Bookkeeping a lift of the extendable `mapping` carries."""
+        return None
+
+    def lift_image(self, lift: "LiftedAutomorphism", atom: Atom) -> Atom:
+        """Image of an atom outside the lift's domain, consistent with one
+        extension of the recorded pairs."""
+        raise NotImplementedError
+
+    # -- 1-types ------------------------------------------------------------
+
+    def types(
+        self, E: Tuple[Atom, ...], level_bound: int = DEFAULT_PAIR_LEVEL_BOUND
+    ) -> List[OneType]:
+        """The realized 1-types over the sorted support E, in canonical
+        order."""
+        key = tuple(a.payload for a in E)
+        out = self._types.get(key)
+        if out is None:
+            out = self._types[key] = self._type_list(E)
+        return out
+
+    def type_of(self, atom: Atom, E: Tuple[Atom, ...]) -> OneType:
+        """The 1-type over E of an atom outside E."""
+        raise NotImplementedError
+
+    def realises(self, t: OneType, atom: Atom) -> bool:
+        E = t.support
+        if t.desc[0] == "eq":
+            return atom == E[t.desc[1]]
+        return atom not in E and self.type_of(atom, E) == t
+
+    def restrict(self, t: OneType, sub: Tuple[Atom, ...]) -> OneType:
+        """The 1-type over the sorted sub-support induced by `t`."""
+        sub_index = {e: j for j, e in enumerate(sub)}
+        if t.desc[0] == "eq":
+            e = t.support[t.desc[1]]
+            if e in sub_index:
+                return OneType(self.kind, sub, ("eq", sub_index[e]), witness=e)
+            return self.type_of(e, sub)
+        return self._restrict_outside(t, sub, sub_index)
+
+    def permute_desc(self, desc, perm: Dict[int, int]):
+        """A descriptor with its support indices renamed by `perm`."""
+        if desc[0] == "eq":
+            return ("eq", perm[desc[1]])
+        return desc
+
+    def image_types(self, S, pi: "LiftedAutomorphism", new_support) -> List[OneType]:
+        """The types over `new_support` that the subset S selects once
+        moved by `pi`, which has already been applied to S's support."""
+        new_index = {e: k for k, e in enumerate(new_support)}
+        perm = {j: new_index[pi.pairs[e]] for j, e in enumerate(S.support)}
+        return [
+            OneType(self.kind, new_support, self.permute_desc(t.desc, perm))
+            for t in S.selected
+        ]
+
+    # -- JSON ---------------------------------------------------------------
+
+    @classmethod
+    def payload_repr(cls, payload) -> str:
+        return cls.repr_format.format(payload)
+
+    @classmethod
+    def payload_to_json(cls, payload) -> dict:
+        return {"world": cls.atom_tag, cls.atom_key: payload}
+
+    @classmethod
+    def payload_from_json(cls, data: dict) -> Atom:
+        return Atom(cls.kind, data[cls.atom_key])
+
     def to_json(self) -> dict:
         raise NotImplementedError
 
@@ -166,6 +364,9 @@ class PureSetStructure(AtomStructure):
     """Countable bare set; every permutation is an automorphism."""
 
     kind = PURE_SET
+    atom_tag = json_tag = "pure"
+    atom_key = "id"
+    repr_format = "u{}"
 
     def __init__(self, size: int = 0):
         super().__init__()
@@ -176,15 +377,8 @@ class PureSetStructure(AtomStructure):
         return Atom(PURE_SET, i)
 
     def fresh(self, count: int = 1, avoid: Iterable[Atom] = ()) -> List[Atom]:
-        used = set(self._ids) | {a.payload for a in avoid}
-        out = []
-        i = 0
-        while len(out) < count:
-            if i not in used:
-                out.append(self.atom(i))
-                used.add(i)
-            i += 1
-        return out
+        used = self._ids | {a.payload for a in avoid}
+        return [self.atom(i) for i in _unused_ints(used, count)]
 
     def __contains__(self, atom):
         return atom.world == PURE_SET and atom.payload in self._ids
@@ -192,14 +386,39 @@ class PureSetStructure(AtomStructure):
     def atoms(self):
         return [Atom(PURE_SET, i) for i in sorted(self._ids)]
 
+    def is_extendable(self, mapping):
+        return True
+
+    def lift_image(self, lift, atom):
+        return _complete_cycle(atom, lift.pairs)
+
+    def _type_list(self, E):
+        out = [OneType(PURE_SET, E, ("eq", j)) for j in range(len(E))]
+        out.append(OneType(PURE_SET, E, ("free",)))
+        return out
+
+    def type_of(self, atom, E):
+        return OneType(PURE_SET, E, ("free",))
+
+    def _restrict_outside(self, t, sub, sub_index):
+        return OneType(PURE_SET, sub, ("free",))
+
     def to_json(self):
         return {"kind": "pure", "atoms": sorted(self._ids)}
+
+    @classmethod
+    def from_json(cls, data: dict) -> "PureSetStructure":
+        s = cls()
+        s._ids.update(data["atoms"])
+        return s
 
 
 class DenseOrderStructure(AtomStructure):
     """Points of a dense linear order without endpoints (exact rationals)."""
 
     kind = DENSE_ORDER
+    atom_tag = json_tag = "dense"
+    repr_format = "a({})"
 
     def __init__(self, positions: Iterable = ()):
         super().__init__()
@@ -224,11 +443,84 @@ class DenseOrderStructure(AtomStructure):
     def atoms(self):
         return [Atom(DENSE_ORDER, q) for q in sorted(self._positions)]
 
+    def is_extendable(self, mapping):
+        srcs = sorted(mapping, key=lambda a: a.payload)
+        imgs = [mapping[a].payload for a in srcs]
+        return all(p < q for p, q in zip(imgs, imgs[1:]))
+
+    def lift_image(self, lift, atom):
+        # piecewise linear through the recorded pairs, a translation
+        # beyond the outermost ones
+        nodes = sorted((a.payload, b.payload) for a, b in lift.pairs.items())
+        q = atom.payload
+        if not nodes:
+            return self.atom(q)
+        k = bisect.bisect([x for x, _ in nodes], q)
+        if k == 0 or k == len(nodes):
+            x0, y0 = nodes[0] if k == 0 else nodes[-1]
+            return self.atom(q + (y0 - x0))
+        (x0, y0), (x1, y1) = nodes[k - 1], nodes[k]
+        return self.atom(y0 + (q - x0) * (y1 - y0) / (x1 - x0))
+
+    def _type_list(self, E):
+        # geometric left-to-right order: gap 0, e0, gap 1, e1, ..., gap n
+        out = [OneType(DENSE_ORDER, E, ("gap", 0))]
+        for j in range(len(E)):
+            out.append(OneType(DENSE_ORDER, E, ("eq", j)))
+            out.append(OneType(DENSE_ORDER, E, ("gap", j + 1)))
+        return out
+
+    def type_of(self, atom, E):
+        below = sum(1 for x in E if x.payload < atom.payload)
+        return OneType(DENSE_ORDER, E, ("gap", below))
+
+    def _restrict_outside(self, t, sub, sub_index):
+        left = t.support[: t.desc[1]]
+        return OneType(DENSE_ORDER, sub, ("gap", sum(1 for x in sub if x in left)))
+
+    @staticmethod
+    def payload_to_json(payload) -> dict:
+        return {"world": "dense", "q": _fraction_json(payload)}
+
+    @staticmethod
+    def payload_from_json(data: dict) -> Atom:
+        return Atom(DENSE_ORDER, Fraction(data["q"]))
+
     def to_json(self):
-        return {
-            "kind": "dense",
-            "atoms": [f"{q.numerator}/{q.denominator}" for q in sorted(self._positions)],
-        }
+        return {"kind": "dense", "atoms": [_fraction_json(q) for q in sorted(self._positions)]}
+
+    @classmethod
+    def from_json(cls, data: dict) -> "DenseOrderStructure":
+        return cls(Fraction(q) for q in data["atoms"])
+
+
+def pair_orbit_descriptor(atom: Atom, fixed: Sequence[Atom]):
+    """Canonical descriptor of an atom's orbit under the automorphisms
+    fixing `fixed` pointwise.  Base atoms outside the pinned closure
+    become numbered slots; bits at levels not pinned by `fixed` are
+    recorded relative to the first occurrence of that level."""
+    pinned = PairStructure.pinned_levels(fixed)
+    bases = PairStructure.fixed_bases(fixed)
+    slots: Dict[Atom, int] = {}
+    flips: Dict[int, int] = {}
+
+    def go(a: Atom):
+        if a.level == 0:
+            if a in bases:
+                return ("fix", a.payload)
+            if a not in slots:
+                slots[a] = len(slots)
+            return ("slot", slots[a])
+        lvl, (x, y), eps = a.payload
+        if lvl in pinned:
+            bd = ("bit", eps)
+        else:
+            if lvl not in flips:
+                flips[lvl] = eps
+            bd = ("rel", eps ^ flips[lvl])
+        return ("nd", lvl, bd, go(x), go(y))
+
+    return go(atom)
 
 
 class PairStructure(AtomStructure):
@@ -240,9 +532,15 @@ class PairStructure(AtomStructure):
     the level-0 atoms together with one bit per level >= 1: the
     permutation acts inside the payload and the level's bit is XORed
     onto the atom's own bit.
+
+    A 1-type here is the orbit descriptor of a materialised witness atom,
+    and the type list over a support is the set of orbits the
+    materialised universe realises.  It grows with every new atom, so
+    unlike the other universes the list is recomputed on each call.
     """
 
     kind = PAIR_MODEL
+    atom_tag = json_tag = "pairs"
 
     def __init__(self, base_size: int = 0, level_budget: int = 8):
         super().__init__()
@@ -253,17 +551,11 @@ class PairStructure(AtomStructure):
         self._payloads.add(i)
         return Atom(PAIR_MODEL, i)
 
-    def fresh_base(self, count: int = 1, avoid: Iterable[Atom] = ()) -> List[Atom]:
+    def fresh(self, count: int = 1, avoid: Iterable[Atom] = ()) -> List[Atom]:
+        """Fresh level-0 atoms."""
         used = {p for p in self._payloads if isinstance(p, int)}
         used |= {a.payload for a in avoid if isinstance(a.payload, int)}
-        out = []
-        i = 0
-        while len(out) < count:
-            if i not in used:
-                out.append(self.base_atom(i))
-                used.add(i)
-            i += 1
-        return out
+        return [self.base_atom(i) for i in _unused_ints(used, count)]
 
     def pair_atom(self, level: int, x: Atom, y: Atom, bit: int) -> Atom:
         self.check_owns(x, y)
@@ -294,6 +586,9 @@ class PairStructure(AtomStructure):
         out.sort(key=_pair_key)
         return out
 
+    def _probe_pool(self):
+        return [a for a in self.atoms() if a.level == 0]
+
     @staticmethod
     def hereditary_atoms(atom: Atom) -> List[Atom]:
         """The atom together with every component below it."""
@@ -307,45 +602,121 @@ class PairStructure(AtomStructure):
     @staticmethod
     def pinned_levels(fixed: Iterable[Atom]) -> set:
         """Levels whose bit any automorphism fixing `fixed` must leave at 0."""
-        levels = set()
-        for a in fixed:
-            for h in PairStructure.hereditary_atoms(a):
-                if not isinstance(h.payload, int):
-                    levels.add(h.payload[0])
-        return levels
+        below = (h for a in fixed for h in PairStructure.hereditary_atoms(a))
+        return {h.payload[0] for h in below if not isinstance(h.payload, int)}
 
     @staticmethod
     def fixed_bases(fixed: Iterable[Atom]) -> set:
         """Level-0 atoms pinned pointwise by fixing `fixed`."""
-        bases = set()
-        for a in fixed:
-            for h in PairStructure.hereditary_atoms(a):
-                if isinstance(h.payload, int):
-                    bases.add(h)
-        return bases
+        below = (h for a in fixed for h in PairStructure.hereditary_atoms(a))
+        return {h for h in below if isinstance(h.payload, int)}
+
+    @staticmethod
+    def presentation(mapping: Dict[Atom, Atom]):
+        """Find (base permutation fragment, bit per level) consistent with
+        the map, or None.  Constraints propagate down through payload
+        pairs."""
+        g0: Dict[Atom, Atom] = {}
+        bits: Dict[int, int] = {}
+        stack = list(mapping.items())
+        while stack:
+            a, b = stack.pop()
+            if a.level != b.level:
+                return None
+            if a.level == 0:
+                if g0.get(a, b) != b:
+                    return None
+                g0[a] = b
+            else:
+                _, (x, y), ea = a.payload
+                _, (x2, y2), eb = b.payload
+                want = ea ^ eb
+                if bits.get(a.level, want) != want:
+                    return None
+                bits[a.level] = want
+                stack.append((x, x2))
+                stack.append((y, y2))
+        if len(set(g0.values())) != len(g0):
+            return None
+        return g0, bits
+
+    def is_extendable(self, mapping):
+        return self.presentation(mapping) is not None
+
+    def lift_state(self, mapping):
+        solved = self.presentation(mapping)
+        if solved is None:
+            raise ValueError("map admits no pair-model presentation")
+        return solved
+
+    def lift_image(self, lift, atom):
+        g0, bits = lift.state
+        if atom.level == 0:
+            if atom not in g0:
+                g0[atom] = _complete_cycle(atom, g0)
+            return self.base_atom(g0[atom].payload)
+        lvl, (x, y), eps = atom.payload
+        ix, iy = lift.apply(x), lift.apply(y)
+        return self.pair_atom(lvl, ix, iy, eps ^ bits.get(lvl, 0))
+
+    def types(self, E, level_bound=DEFAULT_PAIR_LEVEL_BOUND):
+        seen: Dict[tuple, OneType] = {}
+        for atom in self.atoms():
+            if atom.level > level_bound:
+                raise LevelBudgetExceeded(
+                    f"atom of level {atom.level} exceeds the type bound {level_bound}"
+                )
+            desc = pair_orbit_descriptor(atom, E)
+            if desc not in seen:
+                seen[desc] = OneType(PAIR_MODEL, E, desc, witness=atom)
+        return [seen[d] for d in sorted(seen)]
+
+    def realises(self, t, atom):
+        return pair_orbit_descriptor(atom, t.support) == t.desc
+
+    def restrict(self, t, sub):
+        return OneType(PAIR_MODEL, sub, pair_orbit_descriptor(t.witness, sub), t.witness)
+
+    def image_types(self, S, pi, new_support):
+        # a type is selected iff the recorded preimage of its witness is in S
+        preimage = {b: a for a, b in pi.pairs.items()}
+        return [
+            t
+            for t in self.types(new_support)
+            if t.witness in preimage and S.contains(preimage[t.witness])
+        ]
+
+    @staticmethod
+    def payload_repr(payload) -> str:
+        if isinstance(payload, int):
+            return f"b{payload}"
+        lvl, (x, y), eps = payload
+        return f"({lvl},<{x!r},{y!r}>,{eps})"
+
+    @staticmethod
+    def payload_to_json(payload) -> dict:
+        if isinstance(payload, int):
+            return {"world": "pairs", "base": payload}
+        lvl, (x, y), eps = payload
+        pair = [atom_to_json(x), atom_to_json(y)]
+        return {"world": "pairs", "level": lvl, "pair": pair, "bit": eps}
+
+    @staticmethod
+    def payload_from_json(data: dict) -> Atom:
+        if "base" in data:
+            return Atom(PAIR_MODEL, data["base"])
+        x, y = (atom_from_json(d) for d in data["pair"])
+        return Atom(PAIR_MODEL, (data["level"], (x, y), data["bit"]))
 
     def to_json(self):
         return {"kind": "pairs", "atoms": [atom_to_json(a) for a in self.atoms()]}
 
-
-# categorical 1-type formulas: ("eq", e), ("lt", e), ("rel", n, i, (e0..en-1))
-# where the relation formula asserts the n+1-ary fact with x inserted at
-# slot i among the parameters.
-
-
-def f_eq(e: Atom):
-    return ("eq", e)
-
-
-def f_lt(e: Atom):
-    return ("lt", e)
-
-
-def f_rel(insert_at: int, params: Sequence[Atom]):
-    params = tuple(params)
-    if not 0 <= insert_at <= len(params):
-        raise ValueError("insertion slot out of range")
-    return ("rel", len(params), insert_at, params)
+    @classmethod
+    def from_json(cls, data: dict) -> "PairStructure":
+        s = cls()
+        for a in data["atoms"]:
+            s.materialise(atom_from_json(a))
+        return s
 
 
 class CategoricalStructure(AtomStructure):
@@ -355,6 +726,10 @@ class CategoricalStructure(AtomStructure):
     the relation facts that were requested for it."""
 
     kind = CATEGORICAL
+    atom_tag = "cat"
+    atom_key = "node"
+    json_tag = "categorical"
+    repr_format = "n{}"
 
     def __init__(self):
         super().__init__()
@@ -372,8 +747,22 @@ class CategoricalStructure(AtomStructure):
         self._pos[nid] = position
         return Atom(CATEGORICAL, nid)
 
-    def fresh(self, count: int = 1) -> List[Atom]:
+    def _realize(self, position: Fraction, rels) -> Atom:
+        """A new node at `position` carrying exactly the relation formulas
+        `rels`, whose parameters must be pairwise distinct."""
+        atom = self._new_node(position)
+        for _, n, i, params in rels:
+            self.declare_rel(params[:i] + (atom,) + params[i:])
+        return atom
+
+    def fresh(self, count: int = 1, avoid: Iterable[Atom] = ()) -> List[Atom]:
+        """New nodes above all others, with no relation facts."""
         return [fresh_realizer(self, []) for _ in range(count)]
+
+    def materialise(self, atom: Atom) -> Atom:
+        """A node id does not carry its position: only owned nodes pass."""
+        self.check_owns(atom)
+        return atom
 
     def __contains__(self, atom):
         return atom.world == CATEGORICAL and atom.payload in self._pos
@@ -409,6 +798,18 @@ class CategoricalStructure(AtomStructure):
         nid = atom.payload
         return sorted(f for f in self._rfacts if nid in f[1])
 
+    def rel_formulas(self, atom: Atom, over: Iterable[Atom]) -> list:
+        """The relation formulas the atom satisfies with all parameters
+        among `over`, in the order of `rfacts_touching`."""
+        nid = atom.payload
+        over_ids = {a.payload for a in over}
+        out = []
+        for n, ids in self.rfacts_touching(atom):
+            if all(i == nid or i in over_ids for i in ids):
+                params = tuple(Atom(CATEGORICAL, i) for i in ids if i != nid)
+                out.append(f_rel(ids.index(nid), params))
+        return out
+
     def formula_holds(self, formula, atom: Atom) -> bool:
         tag = formula[0]
         if tag == "eq":
@@ -418,10 +819,6 @@ class CategoricalStructure(AtomStructure):
         _, n, i, params = formula
         args = params[:i] + (atom,) + params[i:]
         return self.rel_holds(args)
-
-    def _gap_position(self, uppers: Sequence[Atom]) -> Fraction:
-        hi = min((self.position(u) for u in uppers), default=None)
-        return self._free_position(None, hi)
 
     def _free_position(self, lo: Optional[Fraction], hi: Optional[Fraction]) -> Fraction:
         """An unoccupied position strictly between the bounds."""
@@ -435,15 +832,120 @@ class CategoricalStructure(AtomStructure):
             below.append(lo)
         return (max(below) + hi) / 2 if below else hi - 1
 
+    # -- automorphisms ------------------------------------------------------
+
+    def is_extendable(self, mapping):
+        # order, relation facts, and their negations on the domain
+        for a, b in itertools.combinations(mapping, 2):
+            if self.lt(a, b) != self.lt(mapping[a], mapping[b]):
+                return False
+        image = {a.payload: b.payload for a, b in mapping.items()}
+        inverse = {b: a for a, b in image.items()}
+        for n, ids in self._rfacts:
+            for m in (image, inverse):
+                if all(i in m for i in ids) and (n, tuple(m[i] for i in ids)) not in self._rfacts:
+                    return False
+        return True
+
+    def lift_image(self, lift, atom):
+        # the image must realise, over the images, exactly the atomic type
+        # the atom realises over the current domain (back-and-forth step)
+        dom = dict(lift.pairs)
+        below = [dom[a] for a in dom if self.lt(a, atom)]
+        above = [dom[a] for a in dom if self.lt(atom, a)]
+        lo = max((self.position(b) for b in below), default=None)
+        hi = min((self.position(b) for b in above), default=None)
+        want = {
+            f_rel(i, tuple(dom[p] for p in params))
+            for _, _, i, params in self.rel_formulas(atom, dom)
+        }
+        images = set(dom.values())
+        for cand in self.atoms():
+            q = self.position(cand)
+            in_cut = (lo is None or q > lo) and (hi is None or q < hi)
+            if in_cut and cand not in images and set(self.rel_formulas(cand, images)) == want:
+                return cand
+        # no materialised node fits: realise the type freshly at an
+        # unoccupied position strictly inside the cut (lo, hi), since a
+        # rejected candidate may occupy any fixed point there.  Every point
+        # of the cut has the same order type over the images, so the
+        # back-and-forth step stays sound.
+        return self._realize(self._free_position(lo, hi), want)
+
+    # -- 1-types and JSON ---------------------------------------------------
+
+    def _type_list(self, E):
+        n = len(E)
+        formulas = _cat_rel_formulas(n)
+        count = n + (n + 1) * 2 ** len(formulas)
+        if count > TYPE_BUDGET:
+            raise TypeBudgetExceeded(
+                f"{count} types over a {n}-atom support exceed the budget {TYPE_BUDGET}"
+            )
+        out = [OneType(CATEGORICAL, E, ("eq", j), witness=E[j]) for j in range(n)]
+        for gap in range(n + 1):
+            for mask in range(1 << len(formulas)):
+                rels = frozenset(f for k, f in enumerate(formulas) if mask >> k & 1)
+                out.append(OneType(CATEGORICAL, E, ("typ", gap, rels)))
+        return out
+
+    def type_of(self, atom, E):
+        below = sum(1 for x in E if self.lt(x, atom))
+        rels = frozenset(
+            f
+            for f in _cat_rel_formulas(len(E))
+            if self.formula_holds(_instantiate(f, E), atom)
+        )
+        return OneType(CATEGORICAL, E, ("typ", below, rels))
+
+    def _restrict_outside(self, t, sub, sub_index):
+        _, gap, rels = t.desc
+        E = t.support
+        keep = set(E[:gap])
+        below = sum(1 for x in sub if x in keep)
+        local = []
+        for _, m, i, seq in rels:
+            params = [E[j] for j in seq]
+            if all(p in sub_index for p in params):
+                local.append(("rel", m, i, tuple(sub_index[p] for p in params)))
+        return OneType(CATEGORICAL, sub, ("typ", below, frozenset(local)))
+
+    def permute_desc(self, desc, perm):
+        if desc[0] == "eq":
+            return super().permute_desc(desc, perm)
+        _, gap, rels = desc
+        mapped = frozenset(
+            ("rel", m, i, tuple(perm[j] for j in seq)) for _, m, i, seq in rels
+        )
+        return ("typ", gap, mapped)
+
     def to_json(self):
         return {
             "kind": "categorical",
             "nodes": [
-                {"node": i, "pos": f"{q.numerator}/{q.denominator}"}
-                for i, q in sorted(self._pos.items())
+                {"node": i, "pos": _fraction_json(q)} for i, q in sorted(self._pos.items())
             ],
             "rfacts": sorted([n, list(ids)] for n, ids in self._rfacts),
         }
+
+    @classmethod
+    def from_json(cls, data: dict) -> "CategoricalStructure":
+        s = cls()
+        for node in data["nodes"]:
+            s._pos[node["node"]] = Fraction(node["pos"])
+        s._next = max(s._pos, default=-1) + 1
+        for n, ids in data["rfacts"]:
+            s._rfacts.add((n, tuple(ids)))
+        return s
+
+
+# the one world -> class table; the JSON tags index into it
+UNIVERSES = {
+    cls.kind: cls
+    for cls in (PureSetStructure, DenseOrderStructure, PairStructure, CategoricalStructure)
+}
+_BY_ATOM_TAG = {cls.atom_tag: cls for cls in UNIVERSES.values()}
+_BY_JSON_TAG = {cls.json_tag: cls for cls in UNIVERSES.values()}
 
 
 def fresh_realizer(structure: CategoricalStructure, formulas) -> Atom:
@@ -461,8 +963,7 @@ def fresh_realizer(structure: CategoricalStructure, formulas) -> Atom:
     uppers = [f[1] for f in formulas if f[0] == "lt"]
     rels = [f for f in formulas if f[0] == "rel"]
     for f in formulas:
-        for p in _formula_params(f):
-            structure.check_owns(p)
+        structure.check_owns(*((f[1],) if f[0] in ("eq", "lt") else f[3]))
     if eqs:
         target = eqs[0][1]
         for f in formulas:
@@ -472,41 +973,8 @@ def fresh_realizer(structure: CategoricalStructure, formulas) -> Atom:
     for _, n, i, params in rels:
         if len(set(params)) != len(params):
             raise UnsatisfiableType("relation parameters must be pairwise distinct")
-    atom = structure._new_node(structure._gap_position(uppers))
-    for _, n, i, params in rels:
-        structure.declare_rel(params[:i] + (atom,) + params[i:])
-    return atom
-
-
-def _formula_params(formula) -> Tuple[Atom, ...]:
-    if formula[0] in ("eq", "lt"):
-        return (formula[1],)
-    return formula[3]
-
-
-def structure_from_json(data: dict) -> AtomStructure:
-    kind = data["kind"]
-    if kind == "pure":
-        s = PureSetStructure()
-        for i in data["atoms"]:
-            s.atom(i)
-        return s
-    if kind == "dense":
-        return DenseOrderStructure(Fraction(q) for q in data["atoms"])
-    if kind == "pairs":
-        s = PairStructure()
-        for a in data["atoms"]:
-            s.materialise(atom_from_json(a))
-        return s
-    if kind == "categorical":
-        s = CategoricalStructure()
-        for node in data["nodes"]:
-            s._pos[node["node"]] = Fraction(node["pos"])
-        s._next = max(s._pos, default=-1) + 1
-        for n, ids in data["rfacts"]:
-            s._rfacts.add((n, tuple(ids)))
-        return s
-    raise ValueError(f"unknown structure kind {kind!r}")
+    hi = min((structure.position(u) for u in uppers), default=None)
+    return structure._realize(structure._free_position(None, hi), rels)
 
 
 # ---------------------------------------------------------------------------
@@ -558,34 +1026,6 @@ class PartialAutomorphism:
         return f"PartialAutomorphism({inner})"
 
 
-def _solve_pair_presentation(mapping: Dict[Atom, Atom]):
-    """Find (base permutation fragment, bit per level) consistent with the
-    map, or None.  Constraints propagate down through payload pairs."""
-    g0: Dict[Atom, Atom] = {}
-    bits: Dict[int, int] = {}
-    stack = list(mapping.items())
-    while stack:
-        a, b = stack.pop()
-        if a.level != b.level:
-            return None
-        if a.level == 0:
-            if g0.get(a, b) != b:
-                return None
-            g0[a] = b
-        else:
-            _, (x, y), ea = a.payload
-            _, (x2, y2), eb = b.payload
-            want = ea ^ eb
-            if bits.get(a.level, want) != want:
-                return None
-            bits[a.level] = want
-            stack.append((x, x2))
-            stack.append((y, y2))
-    if len(set(g0.values())) != len(g0):
-        return None
-    return g0, bits
-
-
 def extendable(structure: AtomStructure, pa: PartialAutomorphism) -> bool:
     """Does the finite map extend to an automorphism of the (idealised,
     countable) structure?  Decided locally, per universe."""
@@ -594,33 +1034,7 @@ def extendable(structure: AtomStructure, pa: PartialAutomorphism) -> bool:
     mapping = pa.pairs
     if len(set(mapping.values())) != len(mapping):
         return False
-    if structure.kind == PURE_SET:
-        return True
-    if structure.kind == DENSE_ORDER:
-        srcs = sorted(mapping, key=lambda a: a.payload)
-        imgs = [mapping[a].payload for a in srcs]
-        return all(p < q for p, q in zip(imgs, imgs[1:]))
-    if structure.kind == PAIR_MODEL:
-        return _solve_pair_presentation(mapping) is not None
-    # categorical: order, relation facts, and their negations on the domain
-    assert isinstance(structure, CategoricalStructure)
-    for a, b in itertools.combinations(mapping, 2):
-        if structure.lt(a, b) != structure.lt(mapping[a], mapping[b]):
-            return False
-    dom_ids = {a.payload: a for a in mapping}
-    img_ids = {mapping[a].payload for a in mapping}
-    for n, ids in structure._rfacts:
-        if all(i in dom_ids for i in ids):
-            image = tuple(mapping[dom_ids[i]].payload for i in ids)
-            if (n, image) not in structure._rfacts:
-                return False
-    inverse = {mapping[a].payload: a.payload for a in mapping}
-    for n, ids in structure._rfacts:
-        if all(i in img_ids for i in ids):
-            pre = tuple(inverse[i] for i in ids)
-            if (n, pre) not in structure._rfacts:
-                return False
-    return True
+    return structure.is_extendable(mapping)
 
 
 class LiftedAutomorphism(PartialAutomorphism):
@@ -634,128 +1048,14 @@ class LiftedAutomorphism(PartialAutomorphism):
         self.structure = structure
         if self.world is None:
             self.world = structure.kind
-        if structure.kind == PAIR_MODEL:
-            solved = _solve_pair_presentation(self.pairs)
-            if solved is None:
-                raise ValueError("map admits no pair-model presentation")
-            self._g0, self._bits = solved
+        self.state = structure.lift_state(self.pairs)
 
     def apply(self, atom: Atom) -> Atom:
         if atom in self.pairs:
             return self.pairs[atom]
         self.structure.check_owns(atom)
-        kind = self.structure.kind
-        if kind == PURE_SET:
-            image = self._complete_cycle(atom, self.pairs)
-            self.pairs[atom] = image
-            return image
-        if kind == DENSE_ORDER:
-            image = self.structure.atom(self._interpolate(atom.payload))
-            self.pairs[atom] = image
-            return image
-        if kind == PAIR_MODEL:
-            image = self._apply_pair(atom)
-            self.pairs[atom] = image
-            return image
-        image = self._apply_categorical(atom)
-        self.pairs[atom] = image
+        image = self.pairs[atom] = self.structure.lift_image(self, atom)
         return image
-
-    @staticmethod
-    def _complete_cycle(atom: Atom, mapping: Dict[Atom, Atom]) -> Atom:
-        # close the chain ending at `atom` back onto its head; fixes atoms
-        # untouched by the map, keeps the completion injective
-        image_set = set(mapping.values())
-        if atom not in image_set:
-            return atom
-        inverse = {b: a for a, b in mapping.items()}
-        head = atom
-        while head in inverse:
-            head = inverse[head]
-        return head
-
-    def _interpolate(self, q: Fraction) -> Fraction:
-        nodes = sorted((a.payload, b.payload) for a, b in self.pairs.items())
-        if not nodes:
-            return q
-        xs = [x for x, _ in nodes]
-        if q <= xs[0]:
-            return q + (nodes[0][1] - nodes[0][0])
-        if q >= xs[-1]:
-            return q + (nodes[-1][1] - nodes[-1][0])
-        for (x0, y0), (x1, y1) in zip(nodes, nodes[1:]):
-            if x0 <= q <= x1:
-                return y0 + (q - x0) * (y1 - y0) / (x1 - x0)
-        raise AssertionError("unreachable")
-
-    def _apply_pair(self, atom: Atom) -> Atom:
-        if atom.level == 0:
-            if atom in self._g0:
-                image = self._g0[atom]
-            else:
-                image = self._complete_cycle(atom, self._g0)
-                self._g0[atom] = image
-            if not isinstance(self.structure, PairStructure):
-                raise StructureMismatch("pair-model lift needs a PairStructure")
-            return self.structure.base_atom(image.payload)
-        lvl, (x, y), eps = atom.payload
-        ix, iy = self.apply(x), self.apply(y)
-        return self.structure.pair_atom(lvl, ix, iy, eps ^ self._bits.get(lvl, 0))
-
-    def _apply_categorical(self, atom: Atom) -> Atom:
-        s = self.structure
-        assert isinstance(s, CategoricalStructure)
-        # target must realise, over the images, exactly the atomic type the
-        # source realises over the current domain (back-and-forth step)
-        dom = dict(self.pairs)
-        below = [dom[a] for a in dom if s.lt(a, atom)]
-        above = [dom[a] for a in dom if s.lt(atom, a)]
-        lo = max((s.position(b) for b in below), default=None)
-        hi = min((s.position(b) for b in above), default=None)
-        dom_ids = {a.payload: a for a in dom}
-        want = set()
-        for n, ids in s.rfacts_touching(atom):
-            if all(i == atom.payload or i in dom_ids for i in ids):
-                want.add(
-                    (
-                        n,
-                        tuple(
-                            None if i == atom.payload else dom[dom_ids[i]].payload
-                            for i in ids
-                        ),
-                    )
-                )
-        img_ids = {dom[a].payload for a in dom}
-        for cand in s.atoms():
-            if cand in dom.values():
-                continue
-            q = s.position(cand)
-            if lo is not None and q <= lo:
-                continue
-            if hi is not None and q >= hi:
-                continue
-            have = set()
-            ok = True
-            for n, ids in s.rfacts_touching(cand):
-                if all(i == cand.payload or i in img_ids for i in ids):
-                    have.add(
-                        (n, tuple(None if i == cand.payload else i for i in ids))
-                    )
-            ok = have == want
-            if ok:
-                return cand
-        # no materialised node fits: realise the type freshly at an
-        # unoccupied position strictly inside the cut (lo, hi), since a
-        # rejected candidate may occupy any fixed point there.  Every point
-        # of the cut has the same order type over the images, so the
-        # back-and-forth step stays sound.
-        fresh = s._new_node(s._free_position(lo, hi))
-        for n, holes in want:
-            args = tuple(
-                fresh if i is None else Atom(CATEGORICAL, i) for i in holes
-            )
-            s.declare_rel(args)
-        return fresh
 
 
 def extend_fixing(

@@ -11,7 +11,19 @@ import sys
 from typing import List, Optional
 
 from . import cardtable, labchecks, oracles
-from .refute import BudgetExhausted, verify_witness_json, witness_to_json
+from .atoms import DenseOrderStructure, PureSetStructure
+from .refute import (
+    BudgetExhausted,
+    OracleAnswerError,
+    extract_fin_to_atom_mostowski,
+    extract_from_partition_injection,
+    extract_from_surplus,
+    extract_seqstar_to_seq,
+    refute_unordered_to_ordered_pairmodel,
+    verify_witness_json,
+    witness_to_json,
+)
+from .symsets import count_least_supported, count_supported
 
 USAGE_ERROR = 2
 
@@ -64,9 +76,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_refute(args) -> int:
-    from . import refute as rf
-    from .refute import OracleAnswerError
-
     engine = args.engine
     if engine not in oracles.REFUTE_ORACLES:
         print(f"unknown engine {engine!r}; have {sorted(oracles.REFUTE_ORACLES)}", file=sys.stderr)
@@ -98,7 +107,7 @@ def cmd_refute(args) -> int:
         if engine_fn is not None:
             witness = engine_fn(oracle)
         else:
-            witness = rf.refute_unordered_to_ordered_pairmodel(oracle, budget=args.budget)
+            witness = refute_unordered_to_ordered_pairmodel(oracle, budget=args.budget)
     except OracleAnswerError as exc:
         check = {
             "id": f"refute-{engine}-{args.oracle}",
@@ -125,14 +134,6 @@ def cmd_refute(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    from .atoms import DenseOrderStructure
-    from .refute import (
-        extract_fin_to_atom_mostowski,
-        extract_from_partition_injection,
-        extract_from_surplus,
-        extract_seqstar_to_seq,
-    )
-
     engine, name, T = args.engine, args.oracle, args.stream_length
     if engine not in oracles.EXTRACT_ORACLES:
         print(f"unknown engine {engine!r}; have {sorted(oracles.EXTRACT_ORACLES)}", file=sys.stderr)
@@ -229,9 +230,6 @@ def cmd_verify_witness(args) -> int:
 
 
 def cmd_count_supports(args) -> int:
-    from .atoms import DenseOrderStructure, PureSetStructure
-    from .symsets import count_least_supported, count_supported
-
     if args.model == "mostowski":
         s = DenseOrderStructure()
         E = [s.atom(i) for i in range(args.n)]

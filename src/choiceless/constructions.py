@@ -21,13 +21,14 @@ from .atoms import (
     DenseOrderStructure,
     PairStructure,
     StructureMismatch,
+    _instantiate,
     atom_from_json,
     atom_to_json,
 )
 from .symsets import (
     SupportedSubset,
-    _instantiate,
     least_support,
+    restrict_type,
     sort_support,
     types_over,
 )
@@ -442,8 +443,6 @@ def class_rank(S: SupportedSubset) -> Tuple[int, Tuple[Atom, ...]]:
     vectors below S that it supports are the constant-per-merge-group bit
     patterns, and alternating over sub-supports isolates the ones whose
     least support is the whole set."""
-    from .symsets import restrict_type
-
     S0 = S.canonical()
     E = S0.support
     v = S0.bits_int()

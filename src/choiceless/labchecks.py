@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 from math import ceil, log2
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -21,7 +22,7 @@ from .atoms import (
     PairStructure,
     PureSetStructure,
     extend_fixing,
-    f_rel,
+    f_lt,
     fresh_realizer,
 )
 from .constructions import (
@@ -185,8 +186,6 @@ def random_dense_automorphism(
 ):
     """A random order automorphism fixing `fixed` pointwise and assigning
     fresh random rational images, above the fixed block, to `moved`."""
-    from fractions import Fraction
-
     top = max([a.payload for a in fixed], default=Fraction(0))
     values = sorted(
         top + Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 997)) for _ in moved
@@ -204,18 +203,8 @@ def random_dense_automorphism(
 
 def same_type_realizer(structure: CategoricalStructure, atom: Atom, over: Sequence[Atom]) -> Atom:
     """A fresh atom realising the same 1-type as `atom` over `over`."""
-    from .atoms import f_lt
-
-    from .atoms import CATEGORICAL
-
     formulas = [f_lt(u) for u in over if structure.lt(atom, u)]
-    over_ids = {u.payload for u in over}
-    for n, ids in structure.rfacts_touching(atom):
-        if all(i == atom.payload or i in over_ids for i in ids):
-            slot = ids.index(atom.payload)
-            params = tuple(Atom(CATEGORICAL, i) for i in ids if i != atom.payload)
-            formulas.append(f_rel(slot, params))
-    return fresh_realizer(structure, formulas)
+    return fresh_realizer(structure, formulas + structure.rel_formulas(atom, over))
 
 
 def check_injections(seed: int = 0, probes: int = 100) -> List[dict]:

@@ -9,11 +9,19 @@ table revealed lazily.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from .atoms import Atom, DenseOrderStructure, PairStructure, PureSetStructure
+from .atoms import (
+    Atom,
+    DenseOrderStructure,
+    PairStructure,
+    PureSetStructure,
+    atom_from_json,
+    structure_from_json,
+)
 from .constructions import (
     AtomsDom,
     FinDom,
@@ -27,15 +35,15 @@ from .constructions import (
     SeqStarDom,
     SubsetDom,
     UnordPairsDom,
+    atoms_of,
+    hf_from_json,
     hftuple,
 )
-from .refute import InjectionOracle
-from .symsets import SupportedSubset
+from .refute import InjectionOracle, oracle_from_table
+from .symsets import SupportedSubset, types_over
 
 
 def _seqs_up_to(atoms: Sequence[Atom], max_len: int) -> List[HFTuple]:
-    import itertools
-
     out = [hftuple(())]
     for k in range(1, max_len + 1):
         out.extend(hftuple(p) for p in itertools.permutations(atoms, k))
@@ -43,8 +51,6 @@ def _seqs_up_to(atoms: Sequence[Atom], max_len: int) -> List[HFTuple]:
 
 
 def _tuples_up_to(atoms: Sequence[Atom], max_len: int) -> List[HFTuple]:
-    import itertools
-
     out = [hftuple(())]
     for k in range(1, max_len + 1):
         out.extend(hftuple(p) for p in itertools.product(atoms, repeat=k))
@@ -52,8 +58,6 @@ def _tuples_up_to(atoms: Sequence[Atom], max_len: int) -> List[HFTuple]:
 
 
 def _subsets_over(structure, supports: Sequence[Sequence[Atom]]) -> List[SupportedSubset]:
-    from .symsets import types_over
-
     out = []
     for sup in supports:
         n_types = len(types_over(structure, sup))
@@ -140,14 +144,14 @@ def unordered_to_ordered_oracle(name: str, structure: PairStructure, support: Se
             a, b = sorted(x, key=lambda at: at.payload)
             return hftuple(a, b)
     elif name == "const-pair":
-        z = structure.fresh_base(2, avoid=E)
+        z = structure.fresh(2, avoid=E)
         fn = lambda x: hftuple(z[0], z[1])
     elif name == "decorated":
         def fn(x):
             a, b = sorted(x, key=lambda at: at.payload)
             return hftuple(structure.pair_atom(1, a, b, 0), a)
     elif name == "stray-per-pair":
-        strays = structure.fresh_base(64, avoid=E)
+        strays = structure.fresh(64, avoid=E)
         state = {"n": 0}
 
         def fn(x):
@@ -155,7 +159,7 @@ def unordered_to_ordered_oracle(name: str, structure: PairStructure, support: Se
             a = min(x, key=lambda at: at.payload)
             return hftuple(strays[state["n"] % 64], a)
     elif name == "random":
-        pool = structure.fresh_base(3, avoid=E)
+        pool = structure.fresh(3, avoid=E)
 
         def fn(x):
             a, b = sorted(x, key=lambda at: at.payload)
@@ -290,7 +294,7 @@ def build_refute_oracle(
         return structure, support, builder(name, structure, support, rng)
     if engine == "unordered-to-ordered":
         structure = PairStructure(0)
-        support = tuple(structure.fresh_base(support_size))
+        support = tuple(structure.fresh(support_size))
         return structure, support, unordered_to_ordered_oracle(name, structure, support, rng)
     raise KeyError(engine)
 
@@ -298,26 +302,17 @@ def build_refute_oracle(
 def scripted_refute_oracle(engine: str, data: dict):
     """Oracle backed by a table file: {"structure": ..., "support": [...],
     "table": [[query, answer], ...]} with the usual JSON encodings."""
-    from .atoms import atom_from_json, structure_from_json
-    from .constructions import hf_from_json
-    from .refute import oracle_from_table
-
     structure = structure_from_json(data["structure"])
     support = tuple(atom_from_json(a) for a in data.get("support", []))
     table = {
         hf_from_json(x, structure): hf_from_json(y, structure)
         for x, y in data["table"]
     }
-    from .constructions import atoms_of
-
     for value in list(table) + list(table.values()):
         if isinstance(value, SupportedSubset):
             continue
         for atom in atoms_of(value):
-            if hasattr(structure, "materialise"):
-                structure.materialise(atom)
-            elif hasattr(structure, "atom"):
-                structure.atom(atom.payload)
+            structure.materialise(atom)
     dom, cod = ENGINE_DOMAINS[engine]()
     oracle = oracle_from_table(
         table, dom, cod, support=support, structure=structure, name="scripted"

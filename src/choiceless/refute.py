@@ -20,9 +20,13 @@ from .atoms import (
     MissingImage,
     PairStructure,
     PartialAutomorphism,
+    atom_from_json,
+    atom_to_json,
     extend_fixing,
     extendable,
+    structure_from_json,
 )
+from .cardtable import ramsey_upper
 from .constructions import (
     Domain,
     HFSet,
@@ -219,23 +223,6 @@ def seq_count(n: int) -> int:
     return sum(factorial(n) // factorial(n - k) for k in range(n + 1))
 
 
-def _acquire(structure: AtomStructure, count: int, avoid) -> List[Atom]:
-    """Probe atoms outside `avoid`: the materialised pool first, in
-    canonical order, then freshly materialised ones.  Keeps engines inside
-    a scripted table's pool whenever it is big enough."""
-    avoid = set(avoid)
-    pool = structure.atoms()
-    if structure.kind == "pair_model":
-        pool = [a for a in pool if a.level == 0]
-    out = [a for a in pool if a not in avoid][:count]
-    if len(out) < count:
-        if structure.kind == "pair_model":
-            out += structure.fresh_base(count - len(out), avoid=avoid | set(out))
-        else:
-            out += structure.fresh(count - len(out), avoid=avoid | set(out))
-    return out
-
-
 def all_seqs(items: Sequence) -> List[tuple]:
     out = []
     for k in range(len(items) + 1):
@@ -261,7 +248,7 @@ def refute_fin_to_seq_fraenkel(oracle: InjectionOracle):
     used: Set[Atom] = set(E)
     bound = seq_count(len(E)) + 1
     for _ in range(bound):
-        a0, a1 = _acquire(s, 2, used)
+        a0, a1 = s.probe_atoms(2, used)
         used |= {a0, a1}
         x = hfset(E + [a0, a1])
         y = oracle.query(x)
@@ -274,7 +261,7 @@ def refute_fin_to_seq_fraenkel(oracle: InjectionOracle):
             target = outside[0]
             constraints = {a0: a1, a1: a0}
             if target not in (a0, a1):
-                (z,) = _acquire(s, 1, used | atoms_of(y))
+                (z,) = s.probe_atoms(1, used | atoms_of(y))
                 used.add(z)
                 constraints.update({target: z, z: target})
             pi = extend_fixing(s, E, constraints)
@@ -297,7 +284,7 @@ def refute_fin_to_seqstar_fraenkel(oracle: InjectionOracle):
 
     def probe():
         nonlocal used
-        p = _acquire(s, 2, used)
+        p = s.probe_atoms(2, used)
         used |= set(p)
         x = hfset(p)
         return p, x, oracle.query(x)
@@ -306,7 +293,7 @@ def refute_fin_to_seqstar_fraenkel(oracle: InjectionOracle):
         target = next(a for a in y if a not in E)
         constraints = {pair[0]: pair[1], pair[1]: pair[0]}
         if target not in pair:
-            (z,) = _acquire(s, 1, used | atoms_of(y))
+            (z,) = s.probe_atoms(1, used | atoms_of(y))
             constraints.update({target: z, z: target})
         pi = extend_fixing(s, E, constraints)
         act(pi, x), act(pi, y)
@@ -358,7 +345,7 @@ def refute_seq_to_power_fraenkel(oracle: InjectionOracle):
         escape = [a for a in least_support(y) if a not in E]
         if escape:
             target = escape[0]
-            (z,) = _acquire(s, 1, used | set(y.support) | {target})
+            (z,) = s.probe_atoms(1, used | set(y.support) | {target})
             used.add(z)
             pi = extend_fixing(s, E, {target: z, z: target})
             act(pi, x), act(pi, y)
@@ -387,7 +374,7 @@ def refute_nat_to_power_fraenkel(oracle: InjectionOracle):
         escape = [a for a in least_support(y) if a not in E]
         if escape:
             target = escape[0]
-            (z,) = _acquire(s, 1, used | set(y.support) | {target})
+            (z,) = s.probe_atoms(1, used | set(y.support) | {target})
             pi = extend_fixing(s, E, {target: z, z: target})
             act(pi, y)
             return _checked(EquivarianceBreak(pi.snapshot(), E, n), oracle)
@@ -600,8 +587,6 @@ def refute_unordered_to_ordered_pairmodel(
     atoms by a bit flip at their level with structured fallbacks.  With a
     sample smaller than the coloring guarantee the engine may report
     budget exhaustion, never a wrong witness."""
-    from .cardtable import ramsey_upper
-
     s = oracle.structure
     if not isinstance(s, PairStructure):
         raise ValueError("this engine runs over the pair model")
@@ -612,7 +597,7 @@ def refute_unordered_to_ordered_pairmodel(
     r = k + 4
     needed = ramsey_upper(r * r)
     avoid = set(E) | PairStructure.fixed_bases(E)
-    sample = _acquire(s, min(budget, needed), avoid)
+    sample = s.probe_atoms(min(budget, needed), avoid)
     sample.sort(key=lambda a: a.payload)
     pinned = PairStructure.pinned_levels(E)
 
@@ -655,7 +640,7 @@ def refute_unordered_to_ordered_pairmodel(
         if k + 2 in colours:
             t = y.items[colours.index(k + 2)]
             keep = set(E) | {xA, xB}
-            (z,) = _acquire(s, 1, avoid | set(sample) | atoms_of(y))
+            (z,) = s.probe_atoms(1, avoid | set(sample) | atoms_of(y))
             pi = extend_fixing(s, list(keep), {t: z, z: t})
             if pi is not None:
                 act(pi, x), act(pi, y)
@@ -676,7 +661,7 @@ def refute_unordered_to_ordered_pairmodel(
                 if b.level == 0 and b not in avoid and b not in (xA, xB)
             ]
             if strays:
-                (z,) = _acquire(s, 1, avoid | set(sample) | atoms_of(y))
+                (z,) = s.probe_atoms(1, avoid | set(sample) | atoms_of(y))
                 pi = extend_fixing(s, list(set(E) | {xA, xB}), {strays[0]: z, z: strays[0]})
                 if pi is not None and oracle_key(act(pi, y)) != oracle_key(y):
                     return _checked(EquivarianceBreak(pi.snapshot(), E, x), oracle)
@@ -715,8 +700,6 @@ def refute_unordered_to_ordered_pairmodel(
 
 
 def witness_to_json(witness, engine: str, oracle: InjectionOracle) -> dict:
-    from .atoms import atom_to_json
-
     out = {
         "version": 1,
         "engine": engine,
@@ -745,8 +728,6 @@ def witness_to_json(witness, engine: str, oracle: InjectionOracle) -> dict:
 
 
 def witness_from_json(data: dict):
-    from .atoms import atom_from_json, structure_from_json
-
     structure = structure_from_json(data["structure"])
     support = tuple(atom_from_json(a) for a in data["support"])
     transcript = [
@@ -805,9 +786,10 @@ def disjointify_finite(m: Iterable, ps: Sequence[Iterable]) -> DisjointClasses:
     sigs = sorted(by_sig)
     classes = [frozenset(by_sig[sig]) for sig in sigs]
     for p in ps:
-        assert all(c <= p or not c & p for c in classes)
-    if ps and all(ps):
-        assert len(classes) >= ceil(log2(len(ps) + 1))
+        if any(c & p and not c <= p for c in classes):
+            raise RuntimeError(f"a class straddles the listed subset {set(p)}")
+    if ps and all(ps) and len(classes) < ceil(log2(len(ps) + 1)):
+        raise RuntimeError(f"{len(ps)} distinct nonempty subsets left only {len(classes)} classes")
     return DisjointClasses(classes, sigs)
 
 
@@ -823,7 +805,8 @@ def surjection_to_power_injection(g: Dict, onto: Optional[Iterable] = None) -> D
         for combo in itertools.combinations(xs, k):
             X = frozenset(combo)
             table[X] = frozenset(y for y, v in g.items() if v in X)
-    assert len(set(table.values())) == len(table)
+    if len(set(table.values())) != len(table):
+        raise RuntimeError("preimage map is not injective")
     return table
 
 

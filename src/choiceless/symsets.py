@@ -10,152 +10,25 @@ vector, a canonical rank, and a decidable equality.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .atoms import (
-    CATEGORICAL,
-    DENSE_ORDER,
-    PAIR_MODEL,
+    DEFAULT_PAIR_LEVEL_BOUND,
     PURE_SET,
     Atom,
     AtomStructure,
-    CategoricalStructure,
-    LevelBudgetExceeded,
     LiftedAutomorphism,
-    PairStructure,
+    OneType,
     StructureMismatch,
     atom_from_json,
     atom_to_json,
 )
 
-DEFAULT_PAIR_LEVEL_BOUND = 3
-
 
 def sort_support(structure: AtomStructure, atoms: Iterable[Atom]) -> Tuple[Atom, ...]:
     atoms = list(dict.fromkeys(atoms))
     structure.check_owns(*atoms)
-    if structure.kind == CATEGORICAL:
-        return tuple(structure.sorted_by_order(atoms))
-    return tuple(sorted(atoms, key=lambda a: a.sort_key()))
-
-
-class OneType:
-    """One orbit of the pointwise stabiliser of a support, as a
-    descriptor.  Distinct types over the same support have disjoint
-    realizer sets, and together they cover all atoms."""
-
-    __slots__ = ("world", "support", "desc", "witness")
-
-    def __init__(self, world, support, desc, witness: Optional[Atom] = None):
-        self.world = world
-        self.support = tuple(support)
-        self.desc = desc
-        self.witness = witness  # pair model only; not part of identity
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, OneType)
-            and self.world == other.world
-            and self.support == other.support
-            and self.desc == other.desc
-        )
-
-    def __hash__(self):
-        return hash((self.world, self.support, self.desc))
-
-    def __repr__(self):
-        return f"OneType({self.desc})"
-
-    def holds(self, structure: AtomStructure, atom: Atom) -> bool:
-        structure.check_owns(atom)
-        E = self.support
-        if self.world == PURE_SET:
-            if self.desc[0] == "eq":
-                return atom == E[self.desc[1]]
-            return atom not in E
-        if self.world == DENSE_ORDER:
-            if self.desc[0] == "eq":
-                return atom == E[self.desc[1]]
-            if atom in E:
-                return False
-            below = sum(1 for e in E if e.payload < atom.payload)
-            return below == self.desc[1]
-        if self.world == PAIR_MODEL:
-            return pair_orbit_descriptor(atom, E) == self.desc
-        assert isinstance(structure, CategoricalStructure)
-        if self.desc[0] == "eq":
-            return atom == E[self.desc[1]]
-        if atom in E:
-            return False
-        _, gap, rels = self.desc
-        below = sum(1 for e in E if structure.lt(e, atom))
-        if below != gap:
-            return False
-        for f in _cat_rel_formulas(len(E)):
-            holds = structure.formula_holds(_instantiate(f, E), atom)
-            if holds != (f in rels):
-                return False
-        return True
-
-
-# -- categorical formula plumbing -------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _cat_rel_formulas(n: int) -> Tuple[tuple, ...]:
-    """Local relation formulas over n parameters, in frozen order: a
-    duplicate-free parameter sequence plus an insertion slot for x."""
-    out = []
-    for m in range(n + 1):
-        for seq in itertools.permutations(range(n), m):
-            for i in range(m + 1):
-                out.append(("rel", m, i, seq))
-    out.sort(key=lambda f: (f[1], f[3], f[2]))
-    return tuple(out)
-
-
-def _instantiate(local, E: Sequence[Atom]):
-    _, m, i, seq = local
-    return ("rel", m, i, tuple(E[j] for j in seq))
-
-
-def pair_orbit_descriptor(atom: Atom, fixed: Sequence[Atom]):
-    """Canonical descriptor of an atom's orbit under the automorphisms
-    fixing `fixed` pointwise.  Base atoms outside the pinned closure
-    become numbered slots; bits at levels not pinned by `fixed` are
-    recorded relative to the first occurrence of that level."""
-    pinned = PairStructure.pinned_levels(fixed)
-    bases = PairStructure.fixed_bases(fixed)
-    slots: Dict[Atom, int] = {}
-    flips: Dict[int, int] = {}
-
-    def go(a: Atom):
-        if a.level == 0:
-            if a in bases:
-                return ("fix", a.payload)
-            if a not in slots:
-                slots[a] = len(slots)
-            return ("slot", slots[a])
-        lvl, (x, y), eps = a.payload
-        if lvl in pinned:
-            bd = ("bit", eps)
-        else:
-            if lvl not in flips:
-                flips[lvl] = eps
-            bd = ("rel", eps ^ flips[lvl])
-        return ("nd", lvl, bd, go(x), go(y))
-
-    return go(atom)
-
-
-# -- type enumeration --------------------------------------------------------
-
-
-# type lists for the bare set, the dense order and the homogeneous
-# structure depend only on the support (fresh atoms never change the
-# facts among existing ones), so they are cached per structure
-_TYPES_CACHE: Dict[tuple, List["OneType"]] = {}
+    return tuple(structure.sorted_by_order(atoms))
 
 
 def types_over(
@@ -169,60 +42,7 @@ def types_over(
     consistent combination of equality slot, order gap and relation
     facts; for the pair model it enumerates the orbits realized by the
     materialised universe up to the level bound."""
-    E = sort_support(structure, support)
-    if structure.kind != PAIR_MODEL:
-        cache_key = (structure._uid, structure.kind, tuple(a.payload for a in E))
-        hit = _TYPES_CACHE.get(cache_key)
-        if hit is not None:
-            return hit
-        out = _compute_types(structure, E)
-        _TYPES_CACHE[cache_key] = out
-        return out
-    return _compute_types(structure, E, pair_level_bound)
-
-
-def _compute_types(
-    structure: AtomStructure,
-    E: Tuple[Atom, ...],
-    pair_level_bound: int = DEFAULT_PAIR_LEVEL_BOUND,
-) -> List[OneType]:
-    n = len(E)
-    kind = structure.kind
-    out: List[OneType] = []
-    if kind == PURE_SET:
-        for j in range(n):
-            out.append(OneType(kind, E, ("eq", j)))
-        out.append(OneType(kind, E, ("free",)))
-        return out
-    if kind == DENSE_ORDER:
-        # geometric left-to-right order: gap 0, e0, gap 1, e1, ..., gap n
-        out.append(OneType(kind, E, ("gap", 0)))
-        for j in range(n):
-            out.append(OneType(kind, E, ("eq", j)))
-            out.append(OneType(kind, E, ("gap", j + 1)))
-        return out
-    if kind == CATEGORICAL:
-        for j in range(n):
-            out.append(OneType(kind, E, ("eq", j), witness=E[j]))
-        formulas = _cat_rel_formulas(n)
-        for gap in range(n + 1):
-            for mask in range(1 << len(formulas)):
-                rels = frozenset(
-                    f for k, f in enumerate(formulas) if mask >> k & 1
-                )
-                out.append(OneType(kind, E, ("typ", gap, rels)))
-        return out
-    assert kind == PAIR_MODEL
-    seen: Dict[tuple, OneType] = {}
-    for atom in structure.atoms():
-        if atom.level > pair_level_bound:
-            raise LevelBudgetExceeded(
-                f"atom of level {atom.level} exceeds the type bound {pair_level_bound}"
-            )
-        desc = pair_orbit_descriptor(atom, E)
-        if desc not in seen:
-            seen[desc] = OneType(kind, E, desc, witness=atom)
-    return [seen[d] for d in sorted(seen)]
+    return structure.types(sort_support(structure, support), pair_level_bound)
 
 
 def count_supported(structure: AtomStructure, support: Iterable[Atom]) -> int:
@@ -398,24 +218,8 @@ class SupportedSubset:
 
     def apply(self, pi: LiftedAutomorphism) -> "SupportedSubset":
         s = self.structure
-        imgs = {e: pi.apply(e) for e in self.support}
-        new_support = sort_support(s, imgs.values())
-        if s.kind == PAIR_MODEL:
-            chosen = []
-            for t in types_over(s, new_support):
-                w = t.witness
-                # selected iff the preimage orbit was selected; probe via witness
-                pre = _preimage(pi, w)
-                if pre is not None and self.contains(pre):
-                    chosen.append(t)
-            return SupportedSubset(s, new_support, chosen)
-        # order (and id-order for the bare set) may be rearranged: track indices
-        old_index = {e: k for k, e in enumerate(self.support)}
-        perm = {old_index[e]: new_support.index(imgs[e]) for e in self.support}
-        chosen = [
-            _map_type_desc(s, t, perm, new_support) for t in self.selected
-        ]
-        return SupportedSubset(s, new_support, chosen)
+        new_support = sort_support(s, [pi.apply(e) for e in self.support])
+        return SupportedSubset(s, new_support, s.image_types(self, pi, new_support))
 
     def to_json(self) -> dict:
         return {
@@ -432,78 +236,9 @@ class SupportedSubset:
         return SupportedSubset.from_bits(structure, support, data["bits"])
 
 
-def _representative(structure, t: OneType) -> Optional[Atom]:
-    if t.witness is not None:
-        return t.witness
-    if t.desc[0] == "eq":
-        return t.support[t.desc[1]]
-    return None
-
-
-def _preimage(pi: LiftedAutomorphism, atom: Atom) -> Optional[Atom]:
-    for a, b in list(pi.pairs.items()):
-        if b == atom:
-            return a
-    return None
-
-
-def _map_type_desc(structure, t: OneType, perm: Dict[int, int], new_support):
-    kind = structure.kind
-    d = t.desc
-    if d[0] == "eq":
-        return OneType(kind, new_support, ("eq", perm[d[1]]))
-    if kind == PURE_SET:
-        return OneType(kind, new_support, ("free",))
-    if kind == DENSE_ORDER:
-        # order automorphisms keep the gap index
-        return OneType(kind, new_support, d)
-    _, gap, rels = d
-    mapped = frozenset(
-        ("rel", m, i, tuple(perm[j] for j in seq)) for _, m, i, seq in rels
-    )
-    return OneType(kind, new_support, ("typ", gap, mapped))
-
-
-def restrict_type(structure, t: OneType, sub: Sequence[Atom]) -> OneType:
+def restrict_type(structure: AtomStructure, t: OneType, sub: Sequence[Atom]) -> OneType:
     """The 1-type over a sub-support induced by a type over the support."""
-    kind = structure.kind
-    E = t.support
-    sub = sort_support(structure, sub)
-    sub_index = {e: j for j, e in enumerate(sub)}
-    if kind == PAIR_MODEL:
-        return OneType(kind, sub, pair_orbit_descriptor(t.witness, sub), t.witness)
-    if t.desc[0] == "eq":
-        e = E[t.desc[1]]
-        if e in sub_index:
-            return OneType(kind, sub, ("eq", sub_index[e]), witness=e)
-        if kind == PURE_SET:
-            return OneType(kind, sub, ("free",))
-        if kind == DENSE_ORDER:
-            below = sum(1 for x in sub if x.payload < e.payload)
-            return OneType(kind, sub, ("gap", below))
-        assert isinstance(structure, CategoricalStructure)
-        below = sum(1 for x in sub if structure.lt(x, e))
-        rels = frozenset(
-            f
-            for f in _cat_rel_formulas(len(sub))
-            if structure.formula_holds(_instantiate(f, sub), e)
-        )
-        return OneType(kind, sub, ("typ", below, rels))
-    if kind == PURE_SET:
-        return OneType(kind, sub, ("free",))
-    if kind == DENSE_ORDER:
-        gap = t.desc[1]
-        below = sum(1 for x in sub if x in E[:gap])
-        return OneType(kind, sub, ("gap", below))
-    _, gap, rels = t.desc
-    keep = set(E[:gap])
-    below = sum(1 for x in sub if x in keep)
-    local = []
-    for _, m, i, seq in rels:
-        params = [E[j] for j in seq]
-        if all(p in sub_index for p in params):
-            local.append(("rel", m, i, tuple(sub_index[p] for p in params)))
-    return OneType(kind, sub, ("typ", below, frozenset(local)))
+    return structure.restrict(t, sort_support(structure, sub))
 
 
 def least_support(S: SupportedSubset) -> Tuple[Atom, ...]:
@@ -557,12 +292,9 @@ def classify_fraenkel(S: SupportedSubset) -> FraenkelClass:
         raise StructureMismatch("dichotomy applies to the bare atom set only")
     eqs = [t for t in S.types() if t.desc[0] == "eq"]
     free = [t for t in S.types() if t.desc[0] == "free"][0]
-    if free in S.selected:
-        complement = tuple(
-            t.support[t.desc[1]] for t in eqs if t not in S.selected
-        )
-        assert set(complement) <= set(S.support)
-        return FraenkelClass("cofinite", complement)
-    members = tuple(t.support[t.desc[1]] for t in eqs if t in S.selected)
-    assert set(members) <= set(S.support)
-    return FraenkelClass("finite", members)
+    cofinite = free in S.selected
+    # the set itself, or its complement, as the support atoms it selects
+    members = tuple(t.support[t.desc[1]] for t in eqs if (t in S.selected) != cofinite)
+    if not set(members) <= set(S.support):
+        raise RuntimeError(f"dichotomy members {members} escape the support")
+    return FraenkelClass("cofinite" if cofinite else "finite", members)

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choiceless.atoms import (
+    CATEGORICAL,
+    Atom,
     CategoricalStructure,
     DenseOrderStructure,
     LevelBudgetExceeded,
@@ -362,6 +364,50 @@ def test_atom_json_roundtrip():
     t = DenseOrderStructure()
     q = t.atom(Fraction(7, 3))
     assert atom_from_json(atom_to_json(q)) == q
+
+
+def _pair_sample():
+    s = PairStructure(2)
+    a, b = s.atoms()
+    s.pair_atom(2, s.pair_atom(1, a, b, 1), b, 0)
+    return s
+
+
+def _categorical_sample():
+    s = CategoricalStructure()
+    e0, e1 = s.fresh(2)
+    fresh_realizer(s, [f_rel(1, (e0, e1)), f_lt(e0)])
+    return s
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: PureSetStructure(3),
+        lambda: DenseOrderStructure([Fraction(-2), Fraction(1, 3), Fraction(5, 2)]),
+        _pair_sample,
+        _categorical_sample,
+    ],
+    ids=["pure_set", "dense_order", "pair_model", "categorical"],
+)
+def test_universe_json_roundtrip_and_materialise(make):
+    s = make()
+    data = s.to_json()
+    assert structure_from_json(data).to_json() == data
+    for a in s.atoms():
+        assert atom_from_json(atom_to_json(a)) == a
+    if s.kind == CATEGORICAL:
+        # a node id does not carry its position, so only owned nodes pass
+        node = s.atoms()[-1]
+        assert s.materialise(node) is node
+        with pytest.raises(StructureMismatch):
+            s.materialise(Atom(CATEGORICAL, 99))
+        return
+    other = type(s)()
+    for a in s.atoms():
+        assert a not in other
+        assert other.materialise(a) == a
+        assert a in other
 
 
 def test_structure_json_roundtrip():

@@ -204,7 +204,7 @@ class TestPairModelEngine:
 
     def test_budget_exhaustion_is_reported_not_faked(self):
         s = PairStructure(0)
-        pool = s.fresh_base(80)
+        pool = s.fresh(80)
         state = {"n": 0}
 
         def fn(x):
@@ -234,10 +234,10 @@ class TestPairModelEngine:
             rng = random.Random(trial)
             s = PairStructure(0)
             nb = rng.randint(0, 2)
-            E = s.fresh_base(nb)
+            E = s.fresh(nb)
             if nb >= 2 and rng.random() < 0.5:
                 E = E + [s.pair_atom(1, E[0], E[1], rng.choice((0, 1)))]
-            pool = s.fresh_base(6, avoid=E)
+            pool = s.fresh(6, avoid=E)
 
             def fn(x, rng=rng, s=s, E=E, pool=pool):
                 a, b = sorted(x, key=lambda at: at.payload)
@@ -275,7 +275,7 @@ class TestPairModelEngine:
         # support contains a level-1 atom, so the level-1 bit is pinned and
         # the flip fallback chain must still find a witness
         s = PairStructure(0)
-        c0, c1 = s.fresh_base(2)
+        c0, c1 = s.fresh(2)
         u = s.pair_atom(1, c0, c1, 0)
         E = (c0, c1, u)
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,9 +13,11 @@ from choiceless.atoms import (
     PairStructure,
     PureSetStructure,
     StructureMismatch,
+    TypeBudgetExceeded,
     extend_fixing,
     f_rel,
     fresh_realizer,
+    pair_orbit_descriptor,
 )
 from choiceless.symsets import (
     SupportedSubset,
@@ -22,7 +25,6 @@ from choiceless.symsets import (
     count_least_supported,
     count_supported,
     least_support,
-    pair_orbit_descriptor,
     types_over,
 )
 
@@ -52,6 +54,27 @@ class TestTypeCounts:
         s = CategoricalStructure()
         s.fresh(1)
         # over no parameters the only atomic formula is the unary relation
+        assert len(types_over(s, [])) == 2
+
+    @pytest.mark.parametrize(
+        "make",
+        [PureSetStructure, DenseOrderStructure, CategoricalStructure],
+        ids=["pure_set", "dense_order", "categorical"],
+    )
+    def test_type_lists_cached_per_structure(self, make):
+        s, t = make(), make()
+        E, F = s.fresh(2), t.fresh(2)
+        assert [a.payload for a in E] == [a.payload for a in F]
+        ts = types_over(s, E)
+        assert types_over(s, E[::-1]) is ts
+        assert types_over(t, F) == ts and types_over(t, F) is not ts
+
+    def test_pair_type_list_follows_materialised_atoms(self):
+        # why the pair model keeps no type cache
+        s = PairStructure(2)
+        a, b = s.atoms()
+        assert len(types_over(s, [])) == 1
+        s.pair_atom(1, a, b, 0)
         assert len(types_over(s, [])) == 2
 
     def test_types_partition_materialised_atoms(self):
@@ -320,6 +343,24 @@ class TestCategoricalTypes:
         e0 = fresh_realizer(s, [])
         # one equality type plus (two gaps) x (three relation formulas free)
         assert len(types_over(s, [e0])) == 1 + 2 * 2 ** 3
+
+    def test_type_count_two_params_within_budget(self):
+        s = CategoricalStructure()
+        assert len(types_over(s, s.fresh(2))) == 2 + 3 * 2 ** 11 == 6146
+
+    def test_three_params_exceed_type_budget_quickly(self):
+        s = CategoricalStructure()
+        E = s.fresh(3)
+        calls = [
+            lambda: types_over(s, E),
+            lambda: count_supported(s, E),
+            lambda: SupportedSubset.of_atoms(s, E),
+        ]
+        for call in calls:
+            t0 = time.perf_counter()
+            with pytest.raises(TypeBudgetExceeded):
+                call()
+            assert time.perf_counter() - t0 < 1.0
 
     def test_same_type_atoms_swap(self):
         s = CategoricalStructure()
