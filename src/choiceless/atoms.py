@@ -197,6 +197,10 @@ def _instantiate(local, E: Sequence[Atom]):
     return ("rel", m, i, tuple(E[j] for j in seq))
 
 
+def _support_key(E: Sequence[Atom]) -> tuple:
+    return tuple(a.payload for a in E)
+
+
 def _unused_ints(used: set, count: int) -> List[int]:
     """The `count` smallest naturals outside `used`."""
     return list(itertools.islice((i for i in itertools.count() if i not in used), count))
@@ -224,8 +228,10 @@ class AtomStructure:
 
     The 1-type methods here serve the universes whose types over a
     support E are ("eq", j) for the atom E[j] plus descriptors of the
-    atoms outside E that depend only on E; such type lists are cached
-    per support."""
+    atoms outside E that depend only on E.  Such a structure caches, per
+    support, its type list and each type's position in it, and per
+    (support, sub-support) the projection table of `symsets`, all keyed
+    by support payloads."""
 
     kind: str = ""
     atom_tag: str = ""  # "world" of the atom JSON
@@ -235,6 +241,8 @@ class AtomStructure:
 
     def __init__(self):
         self._types: Dict[tuple, List[OneType]] = {}
+        self._index: Dict[tuple, Dict[OneType, int]] = {}
+        self._tables: Dict[tuple, Tuple[int, ...]] = {}
 
     def __contains__(self, atom: Atom) -> bool:
         raise NotImplementedError
@@ -300,10 +308,23 @@ class AtomStructure:
     ) -> List[OneType]:
         """The realized 1-types over the sorted support E, in canonical
         order."""
-        key = tuple(a.payload for a in E)
-        out = self._types.get(key)
+        return self._cached(self._types, _support_key(E), lambda: self._type_list(E))
+
+    def type_index(self, E: Tuple[Atom, ...]) -> Dict[OneType, int]:
+        """Each type over the sorted support E -> its position in `types(E)`."""
+        return self._cached(
+            self._index, _support_key(E), lambda: {t: k for k, t in enumerate(self.types(E))}
+        )
+
+    def projection(self, E: Tuple[Atom, ...], sub: Tuple[Atom, ...], build) -> Tuple[int, ...]:
+        """The projection table from E onto `sub`, made by `build()` once."""
+        return self._cached(self._tables, (_support_key(E), _support_key(sub)), build)
+
+    @staticmethod
+    def _cached(store: dict, key: tuple, build):
+        out = store.get(key)
         if out is None:
-            out = self._types[key] = self._type_list(E)
+            out = store[key] = build()
         return out
 
     def type_of(self, atom: Atom, E: Tuple[Atom, ...]) -> OneType:
@@ -536,7 +557,8 @@ class PairStructure(AtomStructure):
     A 1-type here is the orbit descriptor of a materialised witness atom,
     and the type list over a support is the set of orbits the
     materialised universe realises.  It grows with every new atom, so
-    unlike the other universes the list is recomputed on each call.
+    unlike the other universes the list, its index and the projection
+    tables are recomputed on each call.
     """
 
     kind = PAIR_MODEL
@@ -659,6 +681,10 @@ class PairStructure(AtomStructure):
         ix, iy = lift.apply(x), lift.apply(y)
         return self.pair_atom(lvl, ix, iy, eps ^ bits.get(lvl, 0))
 
+    @staticmethod
+    def _cached(store, key, build):
+        return build()
+
     def types(self, E, level_bound=DEFAULT_PAIR_LEVEL_BOUND):
         seen: Dict[tuple, OneType] = {}
         for atom in self.atoms():
@@ -678,12 +704,12 @@ class PairStructure(AtomStructure):
         return OneType(PAIR_MODEL, sub, pair_orbit_descriptor(t.witness, sub), t.witness)
 
     def image_types(self, S, pi, new_support):
-        # a type is selected iff the recorded preimage of its witness is in S
-        preimage = {b: a for a, b in pi.pairs.items()}
+        # an automorphism maps the orbit of w over E onto the orbit of
+        # pi(w) over pi(E), so each selected type moves with its witness
+        moved = (pi.apply(t.witness) for t in S.selected)
         return [
-            t
-            for t in self.types(new_support)
-            if t.witness in preimage and S.contains(preimage[t.witness])
+            OneType(PAIR_MODEL, new_support, pair_orbit_descriptor(w, new_support), w)
+            for w in moved
         ]
 
     @staticmethod

@@ -28,7 +28,7 @@ from .atoms import (
 from .symsets import (
     SupportedSubset,
     least_support,
-    restrict_type,
+    restriction_table,
     sort_support,
     types_over,
 )
@@ -440,22 +440,17 @@ def class_rank(S: SupportedSubset) -> Tuple[int, Tuple[Atom, ...]]:
     least_support(S), in canonical bit-vector order.
 
     Counted exactly, without enumeration: for each sub-support, the
-    vectors below S that it supports are the constant-per-merge-group bit
-    patterns, and alternating over sub-supports isolates the ones whose
-    least support is the whole set."""
+    vectors below S that it supports are the bit patterns constant on each
+    fibre of its restriction table, and alternating over sub-supports
+    isolates the ones whose least support is the whole set."""
     S0 = S.canonical()
     E = S0.support
     v = S0.bits_int()
-    ts = types_over(S.structure, E)
     rank = 1
     for keep in range(len(E) + 1):
         for sub in itertools.combinations(E, keep):
-            rmap: dict = {}
-            groups = [
-                rmap.setdefault(restrict_type(S.structure, t, sub), len(rmap))
-                for t in ts
-            ]
             sign = -1 if (len(E) - keep) % 2 else 1
+            groups = restriction_table(S.structure, E, sub)
             rank += sign * _constant_patterns_below(groups, v)
     return rank, E
 

@@ -44,6 +44,7 @@ from .constructions import (
 from .refute import (
     BudgetExhausted,
     InjectionOracle,
+    WitnessInvalid,
     disjointify_finite,
     extract_fin_to_atom_mostowski,
     extract_from_partition_injection,
@@ -470,7 +471,9 @@ class _Scripted:
 def exhaustive_refutation_paths(engine: str, support_size: int) -> dict:
     """Depth-first enumeration of all total oracle tables over the
     truncated answer universe, quotiented to the engine's probe tree.
-    Every leaf must end in a witness that re-verifies."""
+    Every leaf must end in a witness that re-verifies; the first one that
+    does not stops the search and is reported under "failure" with its
+    script (the answer index given at each probe)."""
 
     shared = {}
     if engine == "nat-to-power":
@@ -516,24 +519,29 @@ def exhaustive_refutation_paths(engine: str, support_size: int) -> dict:
                 w = REFUTE_ENGINES[engine](o)
             except _Scripted.Exhausted:
                 return ("need", fn.branch)
-            verify_witness(w, s, E, o.transcript)
+            try:
+                verify_witness(w, s, E, o.transcript)
+            except WitnessInvalid as exc:
+                return ("bad", str(exc))
             return ("done", type(w).__name__)
         raise KeyError(engine)
 
-    leaves = 0
-    runs = 0
     kinds: Dict[str, int] = {}
+    stats = {"tables": 0, "runs": 0, "witnesses": kinds}
     stack: List[tuple] = [()]
     while stack:
         script = stack.pop()
-        runs += 1
+        stats["runs"] += 1
         result = runner(script)
         if result[0] == "need":
             stack.extend(script + (i,) for i in range(result[1]))
+        elif result[0] == "bad":
+            stats["failure"] = {"script": list(script), "error": result[1]}
+            break
         else:
-            leaves += 1
+            stats["tables"] += 1
             kinds[result[1]] = kinds.get(result[1], 0) + 1
-    return {"tables": leaves, "runs": runs, "witnesses": kinds}
+    return stats
 
 
 def check_exhaustive_refutations(max_support: int = 1) -> List[dict]:
@@ -546,7 +554,7 @@ def check_exhaustive_refutations(max_support: int = 1) -> List[dict]:
                     f"refute-exhaustive-{engine}-{size}",
                     "every total truncated table is defeated by a verified witness",
                     {"engine": engine, "support": size},
-                    stats["tables"] > 0,
+                    stats["tables"] > 0 and "failure" not in stats,
                     **stats,
                 )
             )

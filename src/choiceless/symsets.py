@@ -5,12 +5,16 @@ of 1-types over E; its denotation is the union of the selected types'
 realizer sets.  Over a fixed support the types are enumerated in a
 frozen canonical order, so every supported subset has a canonical bit
 vector, a canonical rank, and a decidable equality.
+
+Restriction to a sub-support depends only on the pair of supports, so it
+is tabulated once per pair (`restriction_table`) and subsets are
+re-encoded, shrunk and tested for support on type positions.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .atoms import (
     DEFAULT_PAIR_LEVEL_BOUND,
@@ -84,8 +88,8 @@ class SupportedSubset:
         self.structure = structure
         self.support = sort_support(structure, support)
         selected = frozenset(selected)
-        legal = set(types_over(structure, self.support))
-        if not selected <= legal:
+        index = structure.type_index(self.support)
+        if not all(t in index for t in selected):
             raise ValueError("selected types must be types over the support")
         self.selected = selected
         self._ckey = None
@@ -126,15 +130,20 @@ class SupportedSubset:
     def types(self) -> List[OneType]:
         return types_over(self.structure, self.support)
 
+    def positions(self) -> List[int]:
+        """Positions of the selected types in `types()`."""
+        index = self.structure.type_index(self.support)
+        return [index[t] for t in self.selected]
+
     def bits(self) -> str:
-        return "".join("1" if t in self.selected else "0" for t in self.types())
+        index = self.structure.type_index(self.support)
+        out = bytearray(b"0" * len(index))
+        for t in self.selected:
+            out[index[t]] = ord("1")
+        return out.decode()
 
     def bits_int(self) -> int:
-        v = 0
-        for k, t in enumerate(self.types()):
-            if t in self.selected:
-                v |= 1 << k
-        return v
+        return int(self.bits()[::-1] or "0", 2)
 
     def contains(self, atom: Atom) -> bool:
         return any(t.holds(self.structure, atom) for t in self.selected)
@@ -153,25 +162,22 @@ class SupportedSubset:
         big = sort_support(self.structure, tuple(self.support) + tuple(support))
         if not set(self.support) <= set(big):
             raise ValueError("new support must contain the old one")
-        chosen = []
-        for t in types_over(self.structure, big):
-            r = restrict_type(self.structure, t, self.support)
-            if r in self.selected:
-                chosen.append(t)
-        return SupportedSubset(self.structure, big, chosen)
+        table = restriction_table(self.structure, big, self.support)
+        keep = set(self.positions())
+        ts = types_over(self.structure, big)
+        return SupportedSubset(
+            self.structure, big, [ts[k] for k, g in enumerate(table) if g in keep]
+        )
 
     def is_supported_by(self, candidate: Iterable[Atom]) -> bool:
         """Is the (sub)set of atoms `candidate` already a support?"""
         sub = sort_support(self.structure, candidate)
         if not set(sub) <= set(self.support):
             return self.reencode(sub).is_supported_by(sub)
-        groups: Dict[OneType, bool] = {}
-        for t in self.types():
-            r = restrict_type(self.structure, t, sub)
-            chosen = t in self.selected
-            if groups.setdefault(r, chosen) != chosen:
-                return False
-        return True
+        # the selection must be a union of fibres of the projection
+        table = restriction_table(self.structure, self.support, sub)
+        hit = {table[k] for k in self.positions()}
+        return sum(1 for g in table if g in hit) == len(self.selected)
 
     def canonical(self) -> "SupportedSubset":
         return _shrink(self, least_support(self))
@@ -241,6 +247,22 @@ def restrict_type(structure: AtomStructure, t: OneType, sub: Sequence[Atom]) -> 
     return structure.restrict(t, sort_support(structure, sub))
 
 
+def restriction_table(
+    structure: AtomStructure, support: Iterable[Atom], sub: Iterable[Atom]
+) -> Tuple[int, ...]:
+    """Entry k is the position in types_over(sub) of the restriction of
+    types_over(support)[k] to the sub-support.  Built once per structure
+    and pair of supports (each build call on the pair model)."""
+    E = sort_support(structure, support)
+    sub = sort_support(structure, sub)
+
+    def build():
+        index = structure.type_index(sub)
+        return tuple(index[restrict_type(structure, t, sub)] for t in structure.types(E))
+
+    return structure.projection(E, sub, build)
+
+
 def least_support(S: SupportedSubset) -> Tuple[Atom, ...]:
     """Smallest support: computed by discarding removable atoms, which is
     order-independent because the intersection of two supports is a
@@ -262,16 +284,11 @@ def least_support(S: SupportedSubset) -> Tuple[Atom, ...]:
 
 
 def _shrink(S: SupportedSubset, sub: Tuple[Atom, ...]) -> SupportedSubset:
-    """Re-present S over a smaller support that is known to support it."""
-    groups: Dict[OneType, bool] = {}
-    for t in S.types():
-        r = restrict_type(S.structure, t, sub)
-        if t in S.selected:
-            groups[r] = True
-        else:
-            groups.setdefault(r, False)
-    chosen = [t for t in types_over(S.structure, sub) if groups.get(t, False)]
-    return SupportedSubset(S.structure, sub, chosen)
+    """Re-present S over a smaller support that is known to support it:
+    keep the types over `sub` whose fibre holds a selected type."""
+    table = restriction_table(S.structure, S.support, sub)
+    ts = types_over(S.structure, sub)
+    return SupportedSubset(S.structure, sub, [ts[g] for g in {table[k] for k in S.positions()}])
 
 
 class FraenkelClass:

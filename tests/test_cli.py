@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from choiceless import labchecks
 from choiceless.cli import main
+from choiceless.refute import InjectivityCollapse
 
 
 def run(capsys, *argv):
@@ -30,6 +32,20 @@ class TestVerify:
         code2, out2 = run(capsys, *args)
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_bad_exhaustive_witness_is_a_failing_check(self, monkeypatch, capsys):
+        engine = labchecks.REFUTE_ENGINES["fin-to-seq"]
+
+        def wrong(o):
+            engine(o)
+            x, y = o.transcript[0]
+            return InjectivityCollapse(x, x, y)
+
+        monkeypatch.setitem(labchecks.REFUTE_ENGINES, "fin-to-seq", wrong)
+        code, out = run(capsys, "verify", "--suite", "refutation", "--fast")
+        assert code == 1
+        assert "[FAIL] refute-exhaustive-fin-to-seq-0" in out
+        assert "'error': 'collapse inputs are equal'" in out and "'script': [" in out
 
     def test_report_written_to_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"

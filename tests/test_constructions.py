@@ -5,6 +5,7 @@ from math import factorial
 
 import pytest
 
+from choiceless import symsets
 from choiceless.atoms import (
     CategoricalStructure,
     DenseOrderStructure,
@@ -27,6 +28,7 @@ from choiceless.constructions import (
     categorical_power_to_seq,
     categorical_seq_to_power,
     class_rank,
+    class_rank_by_scan,
     default_anchors,
     hf_from_json,
     hf_key,
@@ -275,8 +277,6 @@ class TestMostowskiPowerToSeq:
         assert class_rank(SupportedSubset.all_atoms(s))[0] == 2
 
     def test_rank_counting_matches_scan_oracle(self):
-        from choiceless.constructions import class_rank_by_scan
-
         s = DenseOrderStructure()
         E = [s.atom(100 + i) for i in range(3)]
         for k in range(4):
@@ -285,6 +285,36 @@ class TestMostowskiPowerToSeq:
                     S = SupportedSubset.from_bits(s, sup, bits)
                     if least_support(S) == tuple(sup):
                         assert class_rank(S)[0] == class_rank_by_scan(S)
+
+    def test_categorical_rank_counting_matches_scan_oracle(self):
+        s = CategoricalStructure()
+        E = tuple(s.fresh(1))
+        assert len(types_over(s, E)) == 17
+        # the scan makes one least-support pass per smaller vector, so
+        # sample the vectors up to its budget of 2^16
+        for bits in (1, 2, 3, 5, 255, 4096 + 17, 1 << 16):
+            S = SupportedSubset.from_bits(s, E, bits)
+            assert class_rank(S)[0] == class_rank_by_scan(S)
+
+    def test_restriction_tables_built_once_per_structure(self, monkeypatch):
+        made = []
+        restrict = symsets.restrict_type
+
+        def counted(*args):
+            made.append(args)
+            return restrict(*args)
+
+        monkeypatch.setattr(symsets, "restrict_type", counted)
+        s = CategoricalStructure()
+        E = s.fresh(1)
+        class_rank(SupportedSubset.of_atoms(s, E))
+        first = len(made)
+        assert first > 0
+        class_rank(SupportedSubset.of_atoms(s, E))
+        assert len(made) == first
+        t = CategoricalStructure()
+        class_rank(SupportedSubset.of_atoms(t, t.fresh(1)))
+        assert len(made) == 2 * first
 
     def test_large_support_branch_and_range_disjointness(self):
         """A subset pinning eleven points maps to a permutation of its own

@@ -25,8 +25,31 @@ from choiceless.symsets import (
     count_least_supported,
     count_supported,
     least_support,
+    restrict_type,
+    restriction_table,
     types_over,
 )
+
+
+def _structure_with_support(kind):
+    """A structure and a support on which restriction is not trivial."""
+    if kind == "pure_set":
+        s = PureSetStructure(4)
+        return s, s.atoms()[:3]
+    if kind == "dense_order":
+        s = DenseOrderStructure()
+        return s, [s.atom(Fraction(q)) for q in (3, 1, 2)]
+    if kind == "pair_model":
+        s = PairStructure(3)
+        a, b, c = s.atoms()
+        u = s.pair_atom(1, a, b, 0)
+        s.pair_atom(1, b, c, 1)
+        s.pair_atom(1, c, c, 0)
+        return s, [a, u]
+    s = CategoricalStructure()
+    E = s.fresh(2)
+    s.declare_rel(E)
+    return s, E
 
 
 class TestTypeCounts:
@@ -76,6 +99,18 @@ class TestTypeCounts:
         assert len(types_over(s, [])) == 1
         s.pair_atom(1, a, b, 0)
         assert len(types_over(s, [])) == 2
+
+    @pytest.mark.parametrize("kind", ["pure_set", "dense_order", "pair_model", "categorical"])
+    def test_restriction_table_matches_restrict_type(self, kind):
+        s, E = _structure_with_support(kind)
+        ts = types_over(s, E)
+        for keep in range(len(E) + 1):
+            for sub in itertools.combinations(E, keep):
+                table = restriction_table(s, E, sub)
+                assert len(table) == len(ts)
+                below = types_over(s, sub)
+                for k, t in enumerate(ts):
+                    assert below[table[k]] == restrict_type(s, t, sub)
 
     def test_types_partition_materialised_atoms(self):
         s = DenseOrderStructure()
@@ -323,6 +358,16 @@ class TestPairModelTypes:
         assert len(ts) == 2  # one base orbit, one level-1 orbit
         for t in ts:
             assert t.holds(s, t.witness)
+
+    def test_image_of_subset_moves_types_with_their_witnesses(self):
+        # the lift never records a preimage of b2, yet b2 stays in the image
+        s = PairStructure(3)
+        b0, b1, b2 = s.atoms()
+        S = SupportedSubset.of_atoms(s, [b0]).complement()
+        pi = extend_fixing(s, [], {b0: b1})
+        image = S.apply(pi)
+        assert image.support == (b1,)
+        assert image.denote() == [b0, b2]
 
     def test_level_bound_raises_instead_of_truncating(self):
         from choiceless.atoms import LevelBudgetExceeded
