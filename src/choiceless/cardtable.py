@@ -12,31 +12,36 @@ derived fact carries a replayable trace.
 from __future__ import annotations
 
 import itertools
+from collections import Counter, defaultdict
 from math import factorial
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 
 class CExpr:
-    """Cardinal expression; structural identity."""
+    """Cardinal expression; structural identity.  The key and its hash are
+    computed once, from the inner expression's key."""
 
-    __slots__ = ("op", "inner", "n")
+    __slots__ = ("op", "inner", "n", "_key", "_hash")
 
     def __init__(self, op: str, inner: Optional["CExpr"] = None, n: Optional[int] = None):
+        key = (op, inner._key if inner is not None else None, n)
         object.__setattr__(self, "op", op)
         object.__setattr__(self, "inner", inner)
         object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
 
     def __setattr__(self, *_):
         raise AttributeError("expressions are immutable")
 
     def key(self):
-        return (self.op, self.inner.key() if self.inner else None, self.n)
+        return self._key
 
     def __eq__(self, other):
-        return isinstance(other, CExpr) and self.key() == other.key()
+        return self is other or (isinstance(other, CExpr) and self._key == other._key)
 
     def __hash__(self):
-        return hash(self.key())
+        return self._hash
 
     def __repr__(self):
         return display(self)
@@ -153,6 +158,9 @@ class Closure:
         self.facts: Set[Fact] = set()
         self.trace: Dict[Fact, Tuple[str, Tuple[Fact, ...]]] = {}
         self.contradiction: Optional[List[Fact]] = None
+        # rounds run (the last adds nothing, or meets the contradiction)
+        self.rounds = 0
+        self.contradiction_round: Optional[int] = None
 
     def add(self, fact: Fact, rule: str, premises: Tuple[Fact, ...] = ()) -> bool:
         if fact in self.facts:
@@ -193,6 +201,10 @@ class Closure:
         for p in premises:
             lines.extend(self.explain(p, depth + 1, seen))
         return lines
+
+    def rule_counts(self) -> Dict[str, int]:
+        """Facts recorded per rule, axiom and schema, read off the trace."""
+        return dict(sorted(Counter(rule for rule, _ in self.trace.values()).items()))
 
     def sorted_facts(self) -> List[Fact]:
         return sorted(self.facts, key=lambda f: (f[0], f[1].key(), f[2].key()))
@@ -280,75 +292,96 @@ def _add_schemas(cl: Closure):
             cl.add(("eq", times(1, e), e), "schema:one-copy")
 
 
+def _index(facts: Iterable[Fact]):
+    """Facts by relation, by (relation, lhs), by (relation, rhs) and by each
+    term they mention, every list in the order the facts come in."""
+    by_rel, lhs, rhs, touch = (defaultdict(list) for _ in range(4))
+    for f in facts:
+        rel, a, b = f
+        by_rel[rel].append(f)
+        lhs[rel, a].append(f)
+        rhs[rel, b].append(f)
+        touch[a].append(f)
+        if b != a:
+            touch[b].append(f)
+    return by_rel, lhs, rhs, touch
+
+
 def _fixpoint(cl: Closure):
+    """Semi-naive rounds.  A round joins the facts new since the last round
+    against the facts known at its start, found through indexes; a join of
+    old facts alone would only re-derive what the last round recorded.
+    Each rule walks its matches in the round-start order of the fact set,
+    so a round records the same facts, in the same order and from the same
+    premises, as joining all pairs.  A rule whose other premise is a single
+    lookup checks every fact."""
     U = cl.universe
 
     def emit(fact, rule, premises):
         rel, a, b = fact
         if a not in U or b not in U:
             return
-        added = cl.add(fact, rule, premises)
-        if added:
+        if cl.add(fact, rule, premises):
             _check_contra(cl, fact)
 
+    joined = 0  # facts, in trace order, that an earlier round has joined
     changed = True
     while changed:
-        before = len(cl.facts)
+        cl.rounds += 1
         snapshot = list(cl.facts)
-        by_rel: Dict[str, List[Fact]] = {}
-        for f in snapshot:
-            by_rel.setdefault(f[0], []).append(f)
-        les = by_rel.get("le", [])
-        le_set = {(a, b) for _, a, b in les}
+        pos = {f: i for i, f in enumerate(snapshot)}
+        new = set(itertools.islice(cl.trace, joined, None))
+        joined = len(snapshot)
+        by_rel, lhs, rhs, touch = _index(snapshot)
+        new_rel, new_lhs, new_rhs, new_touch = _index(f for f in snapshot if f in new)
+        les = by_rel["le"]
+
+        def walk(*groups):
+            return sorted(set(itertools.chain(*groups)), key=pos.__getitem__)
+
         # symmetry and definitional components
-        for f in by_rel.get("eq", []):
+        for f in new_rel["eq"]:
             _, a, b = f
             emit(("eq", b, a), "eq-symmetric", (f,))
             emit(("le", a, b), "eq-both-ways", (f,))
             emit(("le", b, a), "eq-both-ways", (f,))
-        for f in by_rel.get("ne", []):
+        for f in new_rel["ne"]:
             _, a, b = f
             emit(("ne", b, a), "ne-symmetric", (f,))
-        for f in by_rel.get("inc", []):
+        for f in new_rel["inc"]:
             _, a, b = f
             emit(("inc", b, a), "incomparable-symmetric", (f,))
             emit(("nle", a, b), "incomparable-means-no-map", (f,))
             emit(("nle", b, a), "incomparable-means-no-map", (f,))
-        for f in by_rel.get("le", []):
+        for f in new_rel["le"]:
             _, a, b = f
             emit(("lestar", a, b), "injection-gives-surjection", (f,))
         # transitive and mixed rules
         for f in les:
             _, a, b = f
-            for g in les:
-                if g[1] == b:
-                    emit(("le", a, g[2]), "le-transitive", (f, g))
-            if (b, a) in le_set:
-                g = ("le", b, a)
-                emit(("eq", a, b), "cantor-bernstein", (f, g))
+            for g in (lhs if f in new else new_lhs)["le", b]:
+                emit(("le", a, g[2]), "le-transitive", (f, g))
+            if ("le", b, a) in pos:
+                emit(("eq", a, b), "cantor-bernstein", (f, ("le", b, a)))
         for f in les:
             _, a, b = f
-            for g in by_rel.get("ne", []):
-                if g[1] == b or g[2] == b:
-                    c = g[2] if g[1] == b else g[1]
-                    if (b, c) in le_set:
-                        emit(
-                            ("ne", a, c),
-                            "strictness-travels-up",
-                            (f, ("le", b, c), g),
-                        )
-            for g in by_rel.get("ne", []):
-                if {g[1], g[2]} == {a, b}:
-                    for h in les:
-                        if h[1] == b:
-                            emit(
-                                ("ne", a, h[2]),
-                                "strictness-travels-down",
-                                (f, g, h),
-                            )
-        for f in by_rel.get("nle", []):
+            if f in new:
+                ups = walk(lhs["ne", b], rhs["ne", b])
+            else:  # a new ne fact at b, or an old one beside a new le(b, c)
+                cs = [h[2] for h in new_lhs["le", b]]
+                via = [g for c in cs for g in (("ne", b, c), ("ne", c, b)) if g in pos]
+                ups = walk(new_lhs["ne", b], new_rhs["ne", b], via)
+            for g in ups:
+                c = g[2] if g[1] == b else g[1]
+                if ("le", b, c) in pos:
+                    emit(("ne", a, c), "strictness-travels-up", (f, ("le", b, c), g))
+            for g in walk(g for g in (("ne", a, b), ("ne", b, a)) if g in pos):
+                for h in (lhs if f in new or g in new else new_lhs)["le", b]:
+                    emit(("ne", a, h[2]), "strictness-travels-down", (f, g, h))
+        for f in by_rel["nle"]:
             _, a, b = f
-            for g in les:
+            into, out = (rhs, lhs) if f in new else (new_rhs, new_lhs)
+            for g in walk(into["le", b], out["le", a]):
                 if g[2] == b:
                     emit(("nle", a, g[1]), "no-map-into-smaller", (f, g))
                 if g[1] == a:
@@ -356,56 +389,40 @@ def _fixpoint(cl: Closure):
             if ("nle", b, a) in cl.facts:
                 emit(("inc", a, b), "mutually-unmapped", (f, ("nle", b, a)))
         # equality substitution
-        for f in by_rel.get("eq", []):
+        for f in by_rel["eq"]:
             _, a, b = f
-            for g in snapshot:
+            for g in (touch if f in new else new_touch)[a]:
                 rel, x, y = g
                 if x == a:
                     emit((rel, b, y), "substitute-equal", (f, g))
                 if y == a:
                     emit((rel, x, b), "substitute-equal", (f, g))
         # power monotone under surjections
-        for f in by_rel.get("lestar", []):
+        for f in new_rel["lestar"]:
             _, a, b = f
             emit(("le", power(a), power(b)), "power-of-surjection", (f,))
         # sequences agreeing forces a countable subset
-        for f in by_rel.get("eq", []):
+        for f in new_rel["eq"]:
             _, a, b = f
             if a.op == "injseq" and b.op == "anyseq" and a.inner == b.inner:
                 emit(("le", ALEPH0, a.inner), "repeats-give-counting", (f,))
         # a countable power side kills sequence codings
-        for f in les:
+        for f in new_rel["le"]:
             _, a, b = f
             if a == ALEPH0 and b.op == "pow":
-                emit(
-                    ("nle", b, injseq(b.inner)),
-                    "no-power-into-one-to-one-sequences",
-                    (f,),
-                )
-        for f in les:
+                emit(("nle", b, injseq(b.inner)), "no-power-into-one-to-one-sequences", (f,))
+        for f in new_rel["le"]:
             _, a, b = f
             if a == ALEPH0:
-                emit(
-                    ("nle", power(b), anyseq(b)),
-                    "no-power-into-sequences",
-                    (f,),
-                )
+                emit(("nle", power(b), anyseq(b)), "no-power-into-sequences", (f,))
         # Dedekind-finite power: strict surplus and partition growth
-        for f in by_rel.get("nle", []):
+        for f in new_rel["nle"]:
             _, a, b = f
             if a == ALEPH0 and b.op == "pow":
                 for n in range(1, 9):
-                    emit(
-                        ("ne", times(n, b), times(n + 1, b)),
-                        "surplus-copy-is-new",
-                        (f,),
-                    )
-                emit(
-                    ("ne", b, partitions(b.inner)),
-                    "partitions-outgrow-subsets",
-                    (f,),
-                )
-        changed = len(cl.facts) > before
+                    emit(("ne", times(n, b), times(n + 1, b)), "surplus-copy-is-new", (f,))
+                emit(("ne", b, partitions(b.inner)), "partitions-outgrow-subsets", (f,))
+        changed = len(cl.facts) > joined
 
 
 def _check_contra(cl: Closure, fact: Fact):
@@ -422,6 +439,7 @@ def _check_contra(cl: Closure, fact: Fact):
     elif rel == "ne" and ("eq", a, b) in cl.facts:
         clash = [("eq", a, b), fact]
     if clash:
+        cl.contradiction_round = cl.rounds
         raise Contradiction(clash, cl)
 
 

@@ -187,6 +187,20 @@ class TestTableCommand:
         assert report["checks"][0]["ok"]
         assert report["checks"][0]["details"]["trace"]
 
+    def test_forbidden_trace_lines_pinned(self, capsys):
+        code, out = run(capsys, "table", "--scenario", "forbidden", "--json")
+        assert code == 0
+        assert json.loads(out)["checks"][0]["details"] == {
+            "trace": [
+                "2^(m) <= seq(m)   [le-transitive]",
+                "  2^(m) <= Seq(m)   [axiom:scenario:power-into-one-to-one]",
+                "  Seq(m) <= seq(m)   [schema:one-to-one-is-a-sequence]",
+                "2^(m) !<= seq(m)   [no-power-into-sequences]",
+                "  aleph0 <= m   [repeats-give-counting]",
+                "    Seq(m) = seq(m)   [axiom:scenario:sequence-kinds-agree]",
+            ]
+        }
+
     def test_unknown_model(self, capsys):
         code = main(["table", "--model", "bogus"])
         assert code == 2
