@@ -14,12 +14,9 @@ from . import cardtable, labchecks, oracles
 from .atoms import DenseOrderStructure, PureSetStructure
 from .refute import (
     BudgetExhausted,
+    EngineBug,
     OracleAnswerError,
-    extract_fin_to_atom_mostowski,
-    extract_from_partition_injection,
-    extract_from_surplus,
-    extract_seqstar_to_seq,
-    refute_unordered_to_ordered_pairmodel,
+    WitnessInvalid,
     verify_witness_json,
     witness_to_json,
 )
@@ -57,6 +54,11 @@ def _emit(report: dict, as_json: bool, out_path: Optional[str]) -> int:
     return 0 if report["failures"] == 0 else 1
 
 
+def _usage_error(message: str) -> int:
+    print(message, file=sys.stderr)
+    return USAGE_ERROR
+
+
 def cmd_verify(args) -> int:
     config = {
         "seed": args.seed,
@@ -70,98 +72,67 @@ def cmd_verify(args) -> int:
     try:
         checks = labchecks.run_suite(args.suite, config)
     except KeyError as exc:
-        print(exc, file=sys.stderr)
-        return USAGE_ERROR
+        return _usage_error(str(exc))
     return _emit(_report(f"verify:{args.suite}", config, checks), args.json, args.out)
 
 
 def cmd_refute(args) -> int:
     engine = args.engine
-    if engine not in oracles.REFUTE_ORACLES:
-        print(f"unknown engine {engine!r}; have {sorted(oracles.REFUTE_ORACLES)}", file=sys.stderr)
-        return USAGE_ERROR
-    if args.model and args.model != oracles.ENGINE_MODEL[engine]:
-        print(
-            f"engine {engine} argues inside the {oracles.ENGINE_MODEL[engine]!r} model",
-            file=sys.stderr,
-        )
-        return USAGE_ERROR
-    if args.oracle.startswith("@"):
-        with open(args.oracle[1:], encoding="utf-8") as fh:
+    spec = oracles.REFUTE[engine]
+    name = args.oracle or next(iter(spec.oracles))
+    if args.model and args.model != spec.model:
+        return _usage_error(f"engine {engine} argues inside the {spec.model!r} model")
+    if name.startswith("@"):
+        with open(name[1:], encoding="utf-8") as fh:
             structure, support, oracle = oracles.scripted_refute_oracle(
                 engine, json.load(fh)
             )
         size = len(support)
-    elif args.oracle in oracles.REFUTE_ORACLES[engine]:
-        size = args.support if args.support is not None else (4 if engine == "seq-to-power" else 0)
-        structure, support, oracle = oracles.build_refute_oracle(engine, args.oracle, size, args.seed)
+    elif name in spec.oracles:
+        size = spec.sizes[0] if args.support is None else args.support
+        if size < 0:
+            return _usage_error(f"--support must be at least 0, not {size}")
+        structure, support, oracle = oracles.build_refute_oracle(engine, name, size, args.seed)
     else:
-        print(
-            f"unknown oracle {args.oracle!r} for {engine}; have "
-            f"{list(oracles.REFUTE_ORACLES[engine])} or @table.json",
-            file=sys.stderr,
+        return _usage_error(
+            f"unknown oracle {name!r} for {engine}; have {list(spec.oracles)} or @table.json"
         )
-        return USAGE_ERROR
-    engine_fn = labchecks.REFUTE_ENGINES.get(engine)
+    params = {"engine": engine, "oracle": name}
     try:
-        if engine_fn is not None:
-            witness = engine_fn(oracle)
-        else:
-            witness = refute_unordered_to_ordered_pairmodel(oracle, budget=args.budget)
-    except OracleAnswerError as exc:
-        check = {
-            "id": f"refute-{engine}-{args.oracle}",
-            "claim": "engine produced a verified contradiction witness",
-            "params": {"engine": engine, "oracle": args.oracle},
-            "ok": False,
-            "details": {"error": str(exc)},
-        }
-        return _emit(_report("refute", check["params"], [check]), args.json, None)
-    payload = witness_to_json(witness, engine, oracle)
-    if args.emit_witness:
-        with open(args.emit_witness, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    ok = not isinstance(witness, BudgetExhausted)
+        witness = spec.run(oracle, budget=args.budget)
+    except (OracleAnswerError, EngineBug, WitnessInvalid) as exc:
+        ok, details = False, {"error": str(exc)}
+    except ValueError as exc:  # the engine's precondition on its input
+        return _usage_error(f"{engine}: {exc}")
+    else:
+        payload = witness_to_json(witness, engine, oracle)
+        if args.emit_witness:
+            with open(args.emit_witness, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        ok = not isinstance(witness, BudgetExhausted)
+        params.update(support=size, seed=args.seed)
+        details = {"witness": payload["witness"], "probes": len(oracle.transcript)}
     check = {
-        "id": f"refute-{engine}-{args.oracle}",
+        "id": f"refute-{engine}-{name}",
         "claim": "engine produced a verified contradiction witness",
-        "params": {"engine": engine, "oracle": args.oracle, "support": size, "seed": args.seed},
+        "params": params,
         "ok": ok,
-        "details": {"witness": payload["witness"], "probes": len(oracle.transcript)},
+        "details": details,
     }
-    return _emit(_report("refute", check["params"], [check]), args.json, None)
+    return _emit(_report("refute", params, [check]), args.json, None)
 
 
 def cmd_extract(args) -> int:
-    engine, name, T = args.engine, args.oracle, args.stream_length
-    if engine not in oracles.EXTRACT_ORACLES:
-        print(f"unknown engine {engine!r}; have {sorted(oracles.EXTRACT_ORACLES)}", file=sys.stderr)
-        return USAGE_ERROR
-    if name not in oracles.EXTRACT_ORACLES[engine]:
-        print(
-            f"unknown oracle {name!r} for {engine}; have "
-            f"{list(oracles.EXTRACT_ORACLES[engine])}",
-            file=sys.stderr,
-        )
-        return USAGE_ERROR
-    if engine == "fin-to-atom":
-        structure = DenseOrderStructure()
-        result = extract_fin_to_atom_mostowski(oracles.fin_to_atom_oracle(name, structure), T)
-    elif engine == "seqstar-to-seq":
-        structure = DenseOrderStructure()
-        result = extract_seqstar_to_seq(
-            oracles.seqstar_to_seq_oracle(name, structure), structure.atom(0), T
-        )
-    elif engine == "surplus":
-        result = extract_from_surplus(args.copies, oracles.surplus_oracle(name, args.copies), T)
-    else:
-        ground = list(range(max(T + 28, 16)))
-        result = extract_from_partition_injection(
-            oracles.partition_oracle(name, ground), ground, ground[:4], T
-        )
-    honest = name in ("fresh-max", "fresh-block", "same-set-reversed", "shift-encode", "fresh-singleton")
-    ok = result.ok if honest else not result.ok
+    engine, T = args.engine, args.stream_length
+    spec = oracles.EXTRACT[engine]
+    name = args.oracle or next(iter(spec.oracles))
+    if name not in spec.oracles:
+        return _usage_error(f"unknown oracle {name!r} for {engine}; have {list(spec.oracles)}")
+    if T < 0 or args.copies < 1:
+        return _usage_error("-T must be at least 0 and --copies at least 1")
+    result = spec.run(name, T, args.copies)
+    ok = result.ok if spec.oracles[name] else not result.ok
     check = {
         "id": f"extract-{engine}-{name}",
         "claim": "honest oracles stream pairwise-distinct values; cheating "
@@ -197,8 +168,7 @@ def cmd_table(args) -> int:
         checks = labchecks.check_closure()
         return _emit(_report("table", {}, checks), args.json, None)
     if args.model not in cardtable.MODELS:
-        print(f"unknown model {args.model!r}; have {list(cardtable.MODELS)}", file=sys.stderr)
-        return USAGE_ERROR
+        return _usage_error(f"unknown model {args.model!r}; have {list(cardtable.MODELS)}")
     cl = cardtable.model_closure(args.model)
     facts = [cardtable.show_fact(f) for f in cl.sorted_facts()]
     check = {
@@ -237,8 +207,7 @@ def cmd_count_supports(args) -> int:
         s = PureSetStructure(args.n)
         E = s.atoms()
     else:
-        print("count-supports knows the models: mostowski, fraenkel", file=sys.stderr)
-        return USAGE_ERROR
+        return _usage_error("count-supports knows the models: mostowski, fraenkel")
     total = count_supported(s, E)
     least = count_least_supported(s, E)
     if args.json:
@@ -273,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(fn=cmd_verify)
 
     r = sub.add_parser("refute", help="run a refutation engine against an oracle")
-    r.add_argument("engine", choices=sorted(oracles.REFUTE_ORACLES))
+    r.add_argument("engine", choices=sorted(oracles.REFUTE))
     r.add_argument("--oracle", default=None, help="built-in name or @table.json")
     r.add_argument("--model", default=None, help="cross-check the engine's model")
     r.add_argument("--support", type=int, default=None)
@@ -282,17 +251,17 @@ def build_parser() -> argparse.ArgumentParser:
     r.set_defaults(fn=cmd_refute)
 
     e = sub.add_parser("extract", help="run an omega-sequence extractor")
-    e.add_argument("engine", choices=sorted(oracles.EXTRACT_ORACLES))
+    e.add_argument("engine", choices=sorted(oracles.EXTRACT))
     e.add_argument("--oracle", default=None)
     e.add_argument("-T", "--stream-length", type=int, default=100)
     e.add_argument("--copies", type=int, default=1, help="surplus engine: n")
-    common(e)
+    e.add_argument("--json", action="store_true")
     e.set_defaults(fn=cmd_extract)
 
     t = sub.add_parser("table", help="close model axioms and check the relation table")
     t.add_argument("--model", default=None)
     t.add_argument("--scenario", choices=["forbidden"], default=None)
-    common(t)
+    t.add_argument("--json", action="store_true")
     t.set_defaults(fn=cmd_table)
 
     w = sub.add_parser("verify-witness", help="re-check a witness certificate file")
@@ -310,10 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "refute" and args.oracle is None:
-        args.oracle = oracles.REFUTE_ORACLES[args.engine][0]
-    if getattr(args, "command", None) == "extract" and args.oracle is None:
-        args.oracle = oracles.EXTRACT_ORACLES[args.engine][0]
     return args.fn(args)
 
 

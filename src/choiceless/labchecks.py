@@ -26,11 +26,6 @@ from .atoms import (
     fresh_realizer,
 )
 from .constructions import (
-    AtomsDom,
-    FinDom,
-    PowDom,
-    SeqDom,
-    SeqStarDom,
     act,
     categorical_power_to_seq,
     categorical_seq_to_power,
@@ -46,17 +41,9 @@ from .refute import (
     InjectionOracle,
     WitnessInvalid,
     disjointify_finite,
-    extract_fin_to_atom_mostowski,
-    extract_from_partition_injection,
-    extract_from_surplus,
-    extract_seqstar_to_seq,
     oracle_key,
     partition_to_edges,
-    refute_fin_to_seq_fraenkel,
-    refute_fin_to_seqstar_fraenkel,
-    refute_nat_to_power_fraenkel,
     refute_seq_to_power_fraenkel,
-    refute_unordered_to_ordered_pairmodel,
     rgs_partitions,
     seq_count,
     verify_witness,
@@ -368,30 +355,16 @@ def check_injections(seed: int = 0, probes: int = 100) -> List[dict]:
 # refutation checks
 
 
-REFUTE_ENGINES: Dict[str, Callable] = {
-    "fin-to-seq": refute_fin_to_seq_fraenkel,
-    "fin-to-seqstar": refute_fin_to_seqstar_fraenkel,
-    "seq-to-power": refute_seq_to_power_fraenkel,
-    "nat-to-power": refute_nat_to_power_fraenkel,
-}
-
-
 def run_builtin_refutations(seed: int = 0, budget: int = 6) -> List[dict]:
     out = []
-    for engine, names in oracles.REFUTE_ORACLES.items():
+    for engine, spec in oracles.REFUTE.items():
         results = {}
         ok = True
-        for name in names:
-            sizes = (4,) if engine == "seq-to-power" else (0, 1)
-            if engine == "unordered-to-ordered":
-                sizes = (0,)
-            for size in sizes:
+        for name in spec.oracles:
+            for size in spec.sizes:
                 s, E, o = oracles.build_refute_oracle(engine, name, size, seed)
                 try:
-                    if engine == "unordered-to-ordered":
-                        w = refute_unordered_to_ordered_pairmodel(o, budget=budget)
-                    else:
-                        w = REFUTE_ENGINES[engine](o)
+                    w = spec.run(o, budget=budget)
                 except Exception as exc:  # noqa: BLE001 - report, do not crash the suite
                     ok = False
                     results[f"{name}/{size}"] = f"error: {exc}"
@@ -419,15 +392,16 @@ def run_random_refutations(trials: int, seed: int = 0) -> List[dict]:
     """Seeded random total tables for each engine; every returned witness
     must re-verify (no false witnesses)."""
     out = []
-    per_engine = max(1, trials // 4)
-    for engine in ("fin-to-seq", "fin-to-seqstar", "seq-to-power", "nat-to-power"):
+    engines = {e: spec for e, spec in oracles.REFUTE.items() if spec.random_trials}
+    per_engine = max(1, trials // len(engines))
+    for engine, spec in engines.items():
         verified = 0
         failures: List[str] = []
         for t in range(per_engine):
-            size = 4 if engine == "seq-to-power" else t % 2
+            size = spec.sizes[t % len(spec.sizes)]
             s, E, o = oracles.build_refute_oracle(engine, "random", size, seed + t)
             try:
-                w = REFUTE_ENGINES[engine](o)
+                w = spec.run(o)
                 verified += 1
             except Exception as exc:  # noqa: BLE001
                 failures.append(f"trial {t}: {exc}")
@@ -470,61 +444,34 @@ class _Scripted:
 
 def exhaustive_refutation_paths(engine: str, support_size: int) -> dict:
     """Depth-first enumeration of all total oracle tables over the
-    truncated answer universe, quotiented to the engine's probe tree.
+    engine's answer pool, quotiented to the engine's probe tree.
     Every leaf must end in a witness that re-verifies; the first one that
     does not stops the search and is reported under "failure" with its
     script (the answer index given at each probe)."""
+    spec = oracles.REFUTE[engine]
+    if spec.pool is None:
+        raise KeyError(f"{engine} has no exhaustive answer pool")
 
-    shared = {}
-    if engine == "nat-to-power":
-        # the answer pool never mentions probe-time atoms, so one structure
-        # serves the whole enumeration and its canonical forms are shared
-        s = PureSetStructure(support_size)
-        E = tuple(s.atoms())
-        outsider = s.fresh(1)[0]
-        pool_supports = [(), E[:1], (outsider,), tuple(E[:1]) + (outsider,)]
-        shared["s"], shared["E"] = s, E
-        shared["pool"] = oracles._subsets_over(s, pool_supports)
+    def setup():
+        s, E = spec.universe(support_size)
+        return s, E, spec.pool(s, E)
+
+    shared = setup() if spec.shared_pool else None
+    dom, cod = spec.domains()
 
     def runner(script):
-        if engine in ("fin-to-seq", "fin-to-seqstar", "nat-to-power"):
-            if engine == "nat-to-power":
-                s, E, pool = shared["s"], shared["E"], shared["pool"]
-
-                def pool_fn(x):
-                    return pool
-
-                dom_cod = (oracles.NatDom(), PowDom())
-            else:
-                s = PureSetStructure(support_size)
-                E = tuple(s.atoms())
-                outsider = s.fresh(1)[0]
-
-                def pool_fn(x):
-                    alphabet = sorted(
-                        set(E) | set(getattr(x, "items", x)) | {outsider},
-                        key=lambda a: a.payload,
-                    )
-                    if engine == "fin-to-seq":
-                        return oracles._seqs_up_to(alphabet, 2)
-                    return oracles._tuples_up_to(alphabet, 2)
-
-                dom_cod = (
-                    FinDom(AtomsDom()),
-                    SeqDom() if engine == "fin-to-seq" else SeqStarDom(),
-                )
-            fn = _Scripted(pool_fn, script)
-            o = InjectionOracle(fn, dom_cod[0], dom_cod[1], support=E, structure=s)
-            try:
-                w = REFUTE_ENGINES[engine](o)
-            except _Scripted.Exhausted:
-                return ("need", fn.branch)
-            try:
-                verify_witness(w, s, E, o.transcript)
-            except WitnessInvalid as exc:
-                return ("bad", str(exc))
-            return ("done", type(w).__name__)
-        raise KeyError(engine)
+        s, E, answers = shared or setup()
+        fn = _Scripted(answers, script)
+        o = InjectionOracle(fn, dom, cod, support=E, structure=s)
+        try:
+            w = spec.run(o)
+        except _Scripted.Exhausted:
+            return ("need", fn.branch)
+        try:
+            verify_witness(w, s, E, o.transcript)
+        except WitnessInvalid as exc:
+            return ("bad", str(exc))
+        return ("done", type(w).__name__)
 
     kinds: Dict[str, int] = {}
     stats = {"tables": 0, "runs": 0, "witnesses": kinds}
@@ -546,7 +493,9 @@ def exhaustive_refutation_paths(engine: str, support_size: int) -> dict:
 
 def check_exhaustive_refutations(max_support: int = 1) -> List[dict]:
     out = []
-    for engine in ("fin-to-seq", "fin-to-seqstar", "nat-to-power"):
+    for engine, spec in oracles.REFUTE.items():
+        if spec.pool is None:
+            continue
         for size in range(max_support + 1):
             stats = exhaustive_refutation_paths(engine, size)
             out.append(
@@ -565,75 +514,52 @@ def check_exhaustive_refutations(max_support: int = 1) -> List[dict]:
 # extractor checks
 
 
-def check_extractors(T: int = 100, seed: int = 0) -> List[dict]:
-    out = []
+def _extract(engine: str, name: str, T: int, copies: int = 1):
+    return oracles.EXTRACT[engine].run(name, T, copies)
 
-    t = DenseOrderStructure()
-    honest = oracles.fin_to_atom_oracle("fresh-max", t)
-    r = extract_fin_to_atom_mostowski(honest, T)
-    cheat = oracles.fin_to_atom_oracle("max-or-zero", DenseOrderStructure())
-    rc = extract_fin_to_atom_mostowski(cheat, T)
-    out.append(
+
+def check_extractors(T: int = 100) -> List[dict]:
+    r = _extract("fin-to-atom", "fresh-max", T)
+    rc = _extract("fin-to-atom", "max-or-zero", T)
+    r2 = _extract("seqstar-to-seq", "fresh-block", T)
+    rc2 = _extract("seqstar-to-seq", "const-empty", T)
+    surplus_ok = True
+    for n in (1, 2):
+        rs = _extract("surplus", "shift-encode", T, n)
+        surplus_ok &= rs.ok and len(set(rs.values)) == T
+    surplus_ok &= not _extract("surplus", "const", T).ok
+    rp = _extract("partition", "fresh-singleton", T)
+    rpc = _extract("partition", "const", T)
+    return [
         _check(
             "extract-fin-to-atom",
             "the growing-set iteration streams distinct atoms on the honest "
             "oracle and convicts the repeating one",
             {"T": T},
-            r.ok
-            and len(set(map(oracle_key, r.values))) == T
-            and not rc.ok,
-        )
-    )
-
-    t2 = DenseOrderStructure()
-    honest2 = oracles.seqstar_to_seq_oracle("fresh-block", t2)
-    r2 = extract_seqstar_to_seq(honest2, t2.atom(0), T)
-    t2c = DenseOrderStructure()
-    cheat2 = oracles.seqstar_to_seq_oracle("const-empty", t2c)
-    rc2 = extract_seqstar_to_seq(cheat2, t2c.atom(0), T)
-    out.append(
+            r.ok and len(set(map(oracle_key, r.values))) == T and not rc.ok,
+        ),
         _check(
             "extract-seqstar-to-seq",
             "constant-sequence probing keeps producing first-occurrence atoms "
             "and convicts a repeating oracle",
             {"T": T},
             r2.ok and len(set(map(oracle_key, r2.values))) == T and not rc2.ok,
-        )
-    )
-
-    surplus_ok = True
-    for n in (1, 2):
-        rs = extract_from_surplus(n, oracles.surplus_oracle("shift-encode", n), T)
-        surplus_ok &= rs.ok and len(set(rs.values)) == T
-    rsc = extract_from_surplus(1, oracles.surplus_oracle("const", 1), T)
-    surplus_ok &= not rsc.ok
-    out.append(
+        ),
         _check(
             "extract-surplus",
             "the labelled sweep streams distinct subsets for one and two "
             "surplus copies and convicts the constant oracle",
             {"T": T, "n": [1, 2]},
             surplus_ok,
-        )
-    )
-
-    ground = list(range(T + 28))
-    rp = extract_from_partition_injection(
-        oracles.partition_oracle("fresh-singleton", ground), ground, ground[:4], T
-    )
-    rpc = extract_from_partition_injection(
-        oracles.partition_oracle("const", ground), ground, ground[:4], T
-    )
-    out.append(
+        ),
         _check(
             "extract-partition",
             "block refinement streams distinct subsets on the honest oracle "
             "and convicts the constant one at its second probe",
             {"T": T},
             rp.ok and len(set(rp.values)) == T and not rpc.ok,
-        )
-    )
-    return out
+        ),
+    ]
 
 
 def check_disjointify(trials: int = 10000, seed: int = 0, max_m: int = 12) -> List[dict]:
@@ -810,7 +736,7 @@ def _suite_refutation(config) -> List[dict]:
 @_register("extractors")
 def _suite_extractors(config) -> List[dict]:
     T = config.get("stream_length", 100)
-    out = check_extractors(T, config.get("seed", 0))
+    out = check_extractors(T)
     out += check_disjointify(
         config.get("trials", 2000), config.get("seed", 0), config.get("max_m", 12)
     )

@@ -218,6 +218,37 @@ def _checked(witness, oracle: InjectionOracle):
     return witness
 
 
+def _break(oracle: InjectionOracle, pi, x, *moved, details=None):
+    """The verified equivariance break that cites pi at the input x, once
+    pi's images of the objects in `moved` are materialised."""
+    for value in moved:
+        act(pi, value)
+    return _checked(EquivarianceBreak(pi.snapshot(), oracle.support, x, details=details), oracle)
+
+
+def _escape_break(oracle: InjectionOracle, x, y, used: Set[Atom], swap=(), details=None):
+    """The equivariance break for a value y that names an atom outside
+    the support, or None when it names none.  The first such atom is
+    exchanged with a fresh probe atom, unless it lies in `swap`, a pair
+    of input atoms whose exchange fixes x and is always made.  A subset
+    names the atoms of its least support."""
+    E = oracle.support
+    subset = isinstance(y, SupportedSubset)
+    for target in least_support(y) if subset else y:
+        if target not in E:
+            break
+    else:
+        return None
+    constraints = dict(zip(swap, swap[::-1]))
+    if target not in swap:
+        named = set(y.support) if subset else atoms_of(y)
+        (z,) = oracle.structure.probe_atoms(1, used | named | {target})
+        constraints.update({target: z, z: target})
+    pi = extend_fixing(oracle.structure, E, constraints)
+    moved = (y,) if isinstance(x, int) else (x, y)  # a natural carries no atoms
+    return _break(oracle, pi, x, *moved, details=details)
+
+
 def seq_count(n: int) -> int:
     """Number of one-to-one finite sequences over an n-element set."""
     return sum(factorial(n) // factorial(n - k) for k in range(n + 1))
@@ -256,19 +287,9 @@ def refute_fin_to_seq_fraenkel(oracle: InjectionOracle):
         if k in seen:
             return _checked(InjectivityCollapse(seen[k], x, y), oracle)
         seen[k] = x
-        outside = [a for a in y if a not in E]
-        if outside:
-            target = outside[0]
-            constraints = {a0: a1, a1: a0}
-            if target not in (a0, a1):
-                (z,) = s.probe_atoms(1, used | atoms_of(y))
-                used.add(z)
-                constraints.update({target: z, z: target})
-            pi = extend_fixing(s, E, constraints)
-            act(pi, x), act(pi, y)  # materialise every needed image
-            return _checked(
-                EquivarianceBreak(pi.snapshot(), E, x), oracle
-            )
+        w = _escape_break(oracle, x, y, used, swap=(a0, a1))
+        if w is not None:
+            return w
     raise EngineBug("probe bound exhausted without witness")
 
 
@@ -289,22 +310,14 @@ def refute_fin_to_seqstar_fraenkel(oracle: InjectionOracle):
         x = hfset(p)
         return p, x, oracle.query(x)
 
-    def outside_break(pair, x, y):
-        target = next(a for a in y if a not in E)
-        constraints = {pair[0]: pair[1], pair[1]: pair[0]}
-        if target not in pair:
-            (z,) = s.probe_atoms(1, used | atoms_of(y))
-            constraints.update({target: z, z: target})
-        pi = extend_fixing(s, E, constraints)
-        act(pi, x), act(pi, y)
-        return _checked(EquivarianceBreak(pi.snapshot(), E, x), oracle)
-
     pair1, x1, y1 = probe()
-    if any(a not in E for a in y1):
-        return outside_break(pair1, x1, y1)
+    w = _escape_break(oracle, x1, y1, used, swap=pair1)
+    if w is not None:
+        return w
     pair2, x2, y2 = probe()
-    if any(a not in E for a in y2):
-        return outside_break(pair2, x2, y2)
+    w = _escape_break(oracle, x2, y2, used, swap=pair2)
+    if w is not None:
+        return w
     if oracle_key(y1) == oracle_key(y2):
         return _checked(InjectivityCollapse(x1, x2, y1), oracle)
     pi = extend_fixing(
@@ -312,8 +325,7 @@ def refute_fin_to_seqstar_fraenkel(oracle: InjectionOracle):
         E,
         {pair1[0]: pair2[0], pair2[0]: pair1[0], pair1[1]: pair2[1], pair2[1]: pair1[1]},
     )
-    act(pi, x1), act(pi, y1)
-    return _checked(EquivarianceBreak(pi.snapshot(), E, x1), oracle)
+    return _break(oracle, pi, x1, x1, y1)
 
 
 def refute_seq_to_power_fraenkel(oracle: InjectionOracle):
@@ -323,7 +335,6 @@ def refute_seq_to_power_fraenkel(oracle: InjectionOracle):
     of them than there are subsets supported by the support, so either
     two values repeat or some value needs an atom beyond the support, and
     a transposition of that atom with a fresh one breaks equivariance."""
-    s = oracle.structure
     E = list(oracle.support)
     n = len(E)
     if n < 4:
@@ -342,16 +353,9 @@ def refute_seq_to_power_fraenkel(oracle: InjectionOracle):
                 InjectivityCollapse(seen[k], x, y, details=counting), oracle
             )
         seen[k] = x
-        escape = [a for a in least_support(y) if a not in E]
-        if escape:
-            target = escape[0]
-            (z,) = s.probe_atoms(1, used | set(y.support) | {target})
-            used.add(z)
-            pi = extend_fixing(s, E, {target: z, z: target})
-            act(pi, x), act(pi, y)
-            return _checked(
-                EquivarianceBreak(pi.snapshot(), E, x, details=counting), oracle
-            )
+        w = _escape_break(oracle, x, y, used, details=counting)
+        if w is not None:
+            return w
     raise EngineBug("pigeonhole failed; engine or counting is wrong")
 
 
@@ -360,7 +364,6 @@ def refute_nat_to_power_fraenkel(oracle: InjectionOracle):
     naturals are fixed by every automorphism, so a value whose least
     support escapes the declared support cannot be stable, and values
     supported by the support run out."""
-    s = oracle.structure
     E = list(oracle.support)
     used: Set[Atom] = set(E)
     seen: Dict[tuple, object] = {}
@@ -371,13 +374,9 @@ def refute_nat_to_power_fraenkel(oracle: InjectionOracle):
         if k in seen:
             return _checked(InjectivityCollapse(seen[k], n, y), oracle)
         seen[k] = n
-        escape = [a for a in least_support(y) if a not in E]
-        if escape:
-            target = escape[0]
-            (z,) = s.probe_atoms(1, used | set(y.support) | {target})
-            pi = extend_fixing(s, E, {target: z, z: target})
-            act(pi, y)
-            return _checked(EquivarianceBreak(pi.snapshot(), E, n), oracle)
+        w = _escape_break(oracle, n, y, used)
+        if w is not None:
+            return w
     raise EngineBug("probe bound exhausted without witness")
 
 
@@ -634,17 +633,14 @@ def refute_unordered_to_ordered_pairmodel(
         x = hfset(xA, xB)
         y = answer[(iA, iB)]
         if set(colours) == {k, k + 1}:
-            pi = extend_fixing(s, E, {xA: xB, xB: xA})
-            act(pi, x), act(pi, y)
-            return _checked(EquivarianceBreak(pi.snapshot(), E, x), oracle)
+            return _break(oracle, extend_fixing(s, E, {xA: xB, xB: xA}), x, x, y)
         if k + 2 in colours:
             t = y.items[colours.index(k + 2)]
             keep = set(E) | {xA, xB}
             (z,) = s.probe_atoms(1, avoid | set(sample) | atoms_of(y))
             pi = extend_fixing(s, list(keep), {t: z, z: t})
             if pi is not None:
-                act(pi, x), act(pi, y)
-                return _checked(EquivarianceBreak(pi.snapshot(), E, x), oracle)
+                return _break(oracle, pi, x, x, y)
         if k + 3 in colours:
             t = y.items[colours.index(k + 3)]
             lvl, payload_pair, eps = t.payload
@@ -652,8 +648,7 @@ def refute_unordered_to_ordered_pairmodel(
                 flipped = s.pair_atom(lvl, *payload_pair, 1 - eps)
                 pi = extend_fixing(s, list(set(E) | {xA, xB}), {t: flipped})
                 if pi is not None:
-                    act(pi, x), act(pi, y)
-                    return _checked(EquivarianceBreak(pi.snapshot(), E, x), oracle)
+                    return _break(oracle, pi, x, x, y)
             # bit pinned: move a stray base component, if any
             strays = [
                 b
@@ -664,20 +659,18 @@ def refute_unordered_to_ordered_pairmodel(
                 (z,) = s.probe_atoms(1, avoid | set(sample) | atoms_of(y))
                 pi = extend_fixing(s, list(set(E) | {xA, xB}), {strays[0]: z, z: strays[0]})
                 if pi is not None and oracle_key(act(pi, y)) != oracle_key(y):
-                    return _checked(EquivarianceBreak(pi.snapshot(), E, x), oracle)
+                    return _break(oracle, pi, x)
             # value built over the input pair: swapping the pair may move it
             pi = extend_fixing(s, E, {xA: xB, xB: xA})
             if pi is not None and oracle_key(act(pi, y)) != oracle_key(y):
-                act(pi, x)
-                return _checked(EquivarianceBreak(pi.snapshot(), E, x), oracle)
+                return _break(oracle, pi, x, x)
             # last resort: rotate the triple; the value is pinned, the input moves
             pi = extend_fixing(s, E, {xA: xB, xB: xC, xC: xA})
             if pi is not None:
                 piy = act(pi, y)
                 y2 = answer[(iB, iC)]
                 if oracle_key(piy) != oracle_key(y2):
-                    act(pi, x)
-                    return _checked(EquivarianceBreak(pi.snapshot(), E, x), oracle)
+                    return _break(oracle, pi, x, x)
         return None
 
     for iA, iB, iC in itertools.combinations(range(len(sample)), 3):

@@ -48,7 +48,6 @@ from choiceless.constructions import (
     seq_to_chain,
 )
 from choiceless.labchecks import (
-    REFUTE_ENGINES,
     exhaustive_refutation_paths,
     random_dense_automorphism,
     same_type_realizer,
@@ -243,7 +242,9 @@ def test_criterion_3_explicit_injections():
 def test_criterion_4_refutation_completeness():
     ok = True
     table_stats = {}
-    for engine in ("fin-to-seq", "fin-to-seqstar", "nat-to-power"):
+    exhaustive = [e for e, spec in oracles.REFUTE.items() if spec.pool is not None]
+    ok &= exhaustive == ["fin-to-seq", "fin-to-seqstar", "nat-to-power"]
+    for engine in exhaustive:
         for size in (0, 1):
             stats = exhaustive_refutation_paths(engine, size)
             table_stats[f"{engine}/{size}"] = stats["tables"]
@@ -253,10 +254,11 @@ def test_criterion_4_refutation_completeness():
     trials = {"fin-to-seq": 4000, "fin-to-seqstar": 4000, "nat-to-power": 1500, "seq-to-power": 500}
     ran = 0
     for engine, count in trials.items():
+        spec = oracles.REFUTE[engine]
         for t in range(count):
-            size = 4 if engine == "seq-to-power" else t % 2
+            size = spec.sizes[t % len(spec.sizes)]
             _, _, o = oracles.build_refute_oracle(engine, "random", size, 77000 + ran)
-            REFUTE_ENGINES[engine](o)
+            spec.run(o)
             ran += 1
     ok &= ran == sum(trials.values()) >= 10 ** 4
     report(4, ok, f"exhaustive tables {table_stats}; {ran} seeded adversaries, zero false witnesses")

@@ -1,16 +1,29 @@
+import argparse
 import json
 
 import pytest
 
-from choiceless import labchecks
-from choiceless.cli import main
-from choiceless.refute import InjectivityCollapse
+from choiceless import labchecks, oracles, refute
+from choiceless.cli import build_parser, main
+from choiceless.refute import EngineBug, InjectivityCollapse, WitnessInvalid
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def usage_error(capsys, *argv):
+    """A usage error exits 2 with one line on stderr and nothing else."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code == 2 and captured.out == "" and len(captured.err.splitlines()) == 1
+
+
+def engine_choices(command):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in sub.choices[command]._actions if a.dest == "engine").choices
 
 
 class TestVerify:
@@ -34,14 +47,15 @@ class TestVerify:
         assert out1 == out2
 
     def test_bad_exhaustive_witness_is_a_failing_check(self, monkeypatch, capsys):
-        engine = labchecks.REFUTE_ENGINES["fin-to-seq"]
+        engine = refute.refute_fin_to_seq_fraenkel
 
         def wrong(o):
             engine(o)
             x, y = o.transcript[0]
             return InjectivityCollapse(x, x, y)
 
-        monkeypatch.setitem(labchecks.REFUTE_ENGINES, "fin-to-seq", wrong)
+        # the registry reaches each engine through its module attribute
+        monkeypatch.setattr(refute, "refute_fin_to_seq_fraenkel", wrong)
         code, out = run(capsys, "verify", "--suite", "refutation", "--fast")
         assert code == 1
         assert "[FAIL] refute-exhaustive-fin-to-seq-0" in out
@@ -129,6 +143,34 @@ class TestRefuteCommand:
         code, out = run(capsys, "refute", "fin-to-seq", "--oracle", f"@{tfile}")
         assert code == 1 and "no entry" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("seq-to-power", "--support", "2"),
+            ("seq-to-power", "--oracle", "random", "--support", "0"),
+            ("fin-to-seq", "--support", "-1"),
+        ],
+        ids=["below-engine-minimum", "random-below-engine-minimum", "negative"],
+    )
+    def test_bad_support_is_a_usage_error(self, capsys, argv):
+        assert usage_error(capsys, "refute", *argv)
+
+    @pytest.mark.parametrize(
+        "error",
+        [EngineBug("probe bound exhausted without witness"), WitnessInvalid("collapse inputs are equal")],
+        ids=["engine-bug", "witness-invalid"],
+    )
+    def test_engine_failure_is_a_failing_check(self, monkeypatch, capsys, error):
+        def broken(o):
+            raise error
+
+        monkeypatch.setattr(refute, "refute_fin_to_seq_fraenkel", broken)
+        code, out = run(capsys, "refute", "fin-to-seq", "--json")
+        assert code == 1
+        check = json.loads(out)["checks"][0]
+        assert check["id"] == "refute-fin-to-seq-sort" and not check["ok"]
+        assert check["details"] == {"error": str(error)}
+
     def test_model_flag_cross_check(self, capsys):
         code = main(["refute", "fin-to-seq", "--model", "vp"])
         assert code == 2
@@ -164,6 +206,26 @@ class TestExtractCommand:
     def test_surplus_copies_flag(self, capsys):
         code, _ = run(capsys, "extract", "surplus", "--copies", "2", "-T", "30")
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("partition", "-T", "-3"), ("surplus", "--copies", "0")],
+        ids=["negative-stream-length", "no-copies"],
+    )
+    def test_bad_size_is_a_usage_error(self, capsys, argv):
+        assert usage_error(capsys, "extract", *argv)
+
+    def test_unknown_oracle_usage_error(self, capsys):
+        assert usage_error(capsys, "extract", "surplus", "--oracle", "bogus")
+
+
+class TestRegistry:
+    def test_cli_and_suite_cover_every_engine(self):
+        assert engine_choices("refute") == sorted(oracles.REFUTE)
+        assert engine_choices("extract") == sorted(oracles.EXTRACT)
+        assert sorted([*oracles.REFUTE, *oracles.EXTRACT]) == sorted(oracles.ENGINES)
+        ids = {c["id"] for c in labchecks.run_suite("refutation", {"fast": True, "trials": 4})}
+        assert {f"refute-builtin-{engine}" for engine in oracles.REFUTE} <= ids
 
 
 class TestTableCommand:

@@ -18,7 +18,6 @@ from choiceless.constructions import (
     hftuple,
 )
 from choiceless.labchecks import (
-    REFUTE_ENGINES,
     exhaustive_refutation_paths,
     run_random_refutations,
 )
@@ -48,6 +47,15 @@ from choiceless.refute import (
     verify_witness_json,
     witness_to_json,
 )
+
+
+# every built-in refutation oracle at every built-in support size
+BUILTIN_ORACLES = [
+    (engine, name, size)
+    for engine, spec in oracles.REFUTE.items()
+    for name in spec.oracles
+    for size in spec.sizes
+]
 
 
 class TestOracleShell:
@@ -332,19 +340,24 @@ class TestWitnessVerification:
         with pytest.raises(WitnessInvalid):
             verify_witness(EquivarianceBreak(identity, (), w.x), s, (), o.transcript)
 
-    def test_json_roundtrip_all_engines(self, tmp_path):
-        cases = [
-            ("fin-to-seq", "sort", 1, refute_fin_to_seq_fraenkel),
-            ("fin-to-seqstar", "pair-id-order", 1, refute_fin_to_seqstar_fraenkel),
-            ("seq-to-power", "atoms-of-input", 4, refute_seq_to_power_fraenkel),
-            ("nat-to-power", "first-n-atoms", 1, refute_nat_to_power_fraenkel),
-        ]
-        for engine, name, size, fn in cases:
+    @pytest.mark.parametrize(
+        "engine,name,size", BUILTIN_ORACLES, ids=[f"{e}-{n}-{k}" for e, n, k in BUILTIN_ORACLES]
+    )
+    def test_json_roundtrip_all_engines(self, tmp_path, engine, name, size):
+        s, E, o = oracles.build_refute_oracle(engine, name, size, 0)
+        w = oracles.REFUTE[engine].run(o, budget=6)
+        path = tmp_path / f"{engine}.json"
+        path.write_text(json.dumps(witness_to_json(w, engine, o), sort_keys=True))
+        assert verify_witness_json(json.loads(path.read_text()))
+
+    def test_honest_oracles_fall_by_equivariance_break(self):
+        # an honest oracle is injective, so no two probes can collapse
+        honest = [(e, n, k) for e, n, k in BUILTIN_ORACLES if oracles.REFUTE[e].oracles[n]]
+        assert len(honest) == 9
+        for engine, name, size in honest:
             s, E, o = oracles.build_refute_oracle(engine, name, size, 0)
-            w = fn(o)
-            path = tmp_path / f"{engine}.json"
-            path.write_text(json.dumps(witness_to_json(w, engine, o), sort_keys=True))
-            assert verify_witness_json(json.loads(path.read_text()))
+            w = oracles.REFUTE[engine].run(o, budget=6)
+            assert isinstance(w, EquivarianceBreak), (engine, name, size, w)
 
     def test_json_detects_tampering(self):
         s, E, o = oracles.build_refute_oracle("fin-to-seq", "sort", 0, 0)
