@@ -279,6 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "budget", 0) < 0:
+        return _usage_error(f"--budget must be at least 0, not {args.budget}")
     return args.fn(args)
 
 

@@ -420,41 +420,70 @@ def run_random_refutations(trials: int, seed: int = 0) -> List[dict]:
     return out
 
 
+def _grouped(pool_fn):
+    """The probe -> answer pool function `pool_fn`, with each pool
+    grouped by value: equal members (same `oracle_key`) form one group,
+    in order of first appearance, so a group's first member is its
+    representative and its size the value's multiplicity.  A pool list
+    that `pool_fn` gives again is grouped once; the memo holds the list,
+    so its identity cannot be reused."""
+    memo: Dict[int, tuple] = {}
+
+    def answers(x):
+        pool = pool_fn(x)
+        if id(pool) not in memo:
+            groups: Dict[tuple, list] = {}
+            for y in pool:
+                groups.setdefault(oracle_key(y), []).append(y)
+            memo[id(pool)] = (pool, list(groups.values()))
+        return memo[id(pool)][1]
+
+    return answers
+
+
 class _Scripted:
-    """Serves scripted answers in probe order; signals exhaustion."""
+    """Serves scripted answers in probe order, one representative per
+    answer value; signals exhaustion with the multiplicities on offer."""
 
     class Exhausted(Exception):
         pass
 
-    def __init__(self, pool_fn, script):
-        self.pool_fn = pool_fn
+    def __init__(self, answers, script):
+        self.answers = answers
         self.script = script
         self.used = 0
         self.branch = None
 
     def __call__(self, x):
-        pool = self.pool_fn(x)
+        groups = self.answers(x)
         if self.used >= len(self.script):
-            self.branch = len(pool)
+            self.branch = [len(g) for g in groups]
             raise _Scripted.Exhausted()
         idx = self.script[self.used]
+        if not 0 <= idx < len(groups):
+            raise IndexError(f"script index {idx} outside {len(groups)} answer values")
         self.used += 1
-        return pool[idx % len(pool)]
+        return groups[idx][0]
 
 
 def exhaustive_refutation_paths(engine: str, support_size: int) -> dict:
     """Depth-first enumeration of all total oracle tables over the
     engine's answer pool, quotiented to the engine's probe tree.
-    Every leaf must end in a witness that re-verifies; the first one that
-    does not stops the search and is reported under "failure" with its
-    script (the answer index given at each probe)."""
+
+    The search branches once per distinct answer value, on its
+    representative, and weights each leaf by the product of the chosen
+    values' multiplicities; "tables" and "witnesses" count tables of the
+    full pool, "runs" the engine runs made.  Every leaf must end in a
+    witness that re-verifies; the first one that does not stops the
+    search and is reported under "failure" with its script (the index
+    of the answer value given at each probe)."""
     spec = oracles.REFUTE[engine]
     if spec.pool is None:
         raise KeyError(f"{engine} has no exhaustive answer pool")
 
     def setup():
         s, E = spec.universe(support_size)
-        return s, E, spec.pool(s, E)
+        return s, E, _grouped(spec.pool(s, E))
 
     shared = setup() if spec.shared_pool else None
     dom, cod = spec.domains()
@@ -475,19 +504,19 @@ def exhaustive_refutation_paths(engine: str, support_size: int) -> dict:
 
     kinds: Dict[str, int] = {}
     stats = {"tables": 0, "runs": 0, "witnesses": kinds}
-    stack: List[tuple] = [()]
+    stack: List[tuple] = [((), 1)]
     while stack:
-        script = stack.pop()
+        script, weight = stack.pop()
         stats["runs"] += 1
         result = runner(script)
         if result[0] == "need":
-            stack.extend(script + (i,) for i in range(result[1]))
+            stack.extend((script + (i,), weight * m) for i, m in enumerate(result[1]))
         elif result[0] == "bad":
             stats["failure"] = {"script": list(script), "error": result[1]}
             break
         else:
-            stats["tables"] += 1
-            kinds[result[1]] = kinds.get(result[1], 0) + 1
+            stats["tables"] += weight
+            kinds[result[1]] = kinds.get(result[1], 0) + weight
     return stats
 
 

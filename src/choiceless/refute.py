@@ -589,6 +589,8 @@ def refute_unordered_to_ordered_pairmodel(
     s = oracle.structure
     if not isinstance(s, PairStructure):
         raise ValueError("this engine runs over the pair model")
+    if budget < 0:
+        raise ValueError(f"the sample budget must be at least 0, not {budget}")
     E = list(oracle.support)
     if not _pair_closed(E):
         raise ValueError("support must contain the components of its pair atoms")

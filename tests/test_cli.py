@@ -61,6 +61,9 @@ class TestVerify:
         assert "[FAIL] refute-exhaustive-fin-to-seq-0" in out
         assert "'error': 'collapse inputs are equal'" in out and "'script': [" in out
 
+    def test_negative_budget_is_a_usage_error(self, capsys):
+        assert usage_error(capsys, "verify", "--suite", "refutation", "--budget", "-1")
+
     def test_report_written_to_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"
         code, _ = run(
@@ -170,6 +173,10 @@ class TestRefuteCommand:
         check = json.loads(out)["checks"][0]
         assert check["id"] == "refute-fin-to-seq-sort" and not check["ok"]
         assert check["details"] == {"error": str(error)}
+
+    @pytest.mark.parametrize("engine", ["unordered-to-ordered", "fin-to-seq"])
+    def test_negative_budget_is_a_usage_error(self, capsys, engine):
+        assert usage_error(capsys, "refute", engine, "--budget", "-1")
 
     def test_model_flag_cross_check(self, capsys):
         code = main(["refute", "fin-to-seq", "--model", "vp"])

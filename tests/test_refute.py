@@ -18,6 +18,8 @@ from choiceless.constructions import (
     hftuple,
 )
 from choiceless.labchecks import (
+    _grouped,
+    _Scripted,
     exhaustive_refutation_paths,
     run_random_refutations,
 )
@@ -234,6 +236,12 @@ class TestPairModelEngine:
         assert isinstance(w, BudgetExhausted)
         assert w.budget == 3 and w.needed > w.budget
 
+    def test_negative_budget_rejected(self):
+        s, E, o = oracles.build_refute_oracle("unordered-to-ordered", "base-id-order", 0, 0)
+        with pytest.raises(ValueError):
+            refute_unordered_to_ordered_pairmodel(o, budget=-1)
+        assert o.probes() == 0
+
     def test_hostile_tables_always_sound(self):
         """Random tables over varied support shapes (bases, decorated atoms)
         either fall to a verified witness or report budget exhaustion."""
@@ -369,7 +377,141 @@ class TestWitnessVerification:
             verify_witness_json(data)
 
 
+POOLED = [engine for engine, spec in oracles.REFUTE.items() if spec.pool is not None]
+
+
+class _NaiveScripted:
+    """Serves the answer at each scripted pool index; signals exhaustion."""
+
+    class Exhausted(Exception):
+        pass
+
+    def __init__(self, pool_fn, script):
+        self.pool_fn = pool_fn
+        self.script = script
+        self.used = 0
+        self.branch = None
+
+    def __call__(self, x):
+        pool = self.pool_fn(x)
+        if self.used >= len(self.script):
+            self.branch = len(pool)
+            raise _NaiveScripted.Exhausted()
+        idx = self.script[self.used]
+        self.used += 1
+        return pool[idx]
+
+
+def naive_exhaustive_paths(engine, support_size):
+    """The exhaustive search that `exhaustive_refutation_paths` replaces:
+    it branches on every pool index, so a value the pool offers k times
+    is searched k times, and every leaf counts once.  Test-only oracle."""
+    spec = oracles.REFUTE[engine]
+
+    def setup():
+        s, E = spec.universe(support_size)
+        return s, E, spec.pool(s, E)
+
+    shared = setup() if spec.shared_pool else None
+    dom, cod = spec.domains()
+    kinds = {}
+    stats = {"tables": 0, "runs": 0, "witnesses": kinds}
+    stack = [()]
+    while stack:
+        script = stack.pop()
+        stats["runs"] += 1
+        s, E, answers = shared or setup()
+        fn = _NaiveScripted(answers, script)
+        o = InjectionOracle(fn, dom, cod, support=E, structure=s)
+        try:
+            w = spec.run(o)
+        except _NaiveScripted.Exhausted:
+            stack.extend(script + (i,) for i in range(fn.branch))
+            continue
+        verify_witness(w, s, E, o.transcript)
+        stats["tables"] += 1
+        kinds[type(w).__name__] = kinds.get(type(w).__name__, 0) + 1
+    return stats
+
+
+class _OutOfScript(Exception):
+    pass
+
+
+def play(engine, support_size, script, member=None):
+    """One quotiented run over a fresh universe.  Probe i gets the
+    representative of answer value script[i], or, when member is (i, j),
+    the j-th member of that value's group.  Gives ("need", values on
+    offer) when the script runs out, else the verified witness's kind
+    and, per probe, the values on offer and the chosen group's size."""
+    spec = oracles.REFUTE[engine]
+    s, E = spec.universe(support_size)
+    answers = _grouped(spec.pool(s, E))
+    offered = []
+
+    def fn(x):
+        groups = answers(x)
+        i = len(offered)
+        if i == len(script):
+            raise _OutOfScript(len(groups))
+        group = groups[script[i]]
+        offered.append((len(groups), len(group)))
+        return group[member[1] if member and member[0] == i else 0]
+
+    o = InjectionOracle(fn, *spec.domains(), support=E, structure=s)
+    try:
+        w = spec.run(o)
+    except _OutOfScript as exc:
+        return ("need", exc.args[0])
+    verify_witness(w, s, E, o.transcript)
+    return (type(w).__name__, tuple(offered))
+
+
 class TestExhaustiveTables:
+    @pytest.mark.parametrize("size", [0, 1])
+    @pytest.mark.parametrize("engine", POOLED)
+    def test_value_quotient_matches_naive_search(self, engine, size):
+        fast = exhaustive_refutation_paths(engine, size)
+        slow = naive_exhaustive_paths(engine, size)
+        assert "failure" not in fast
+        assert fast["tables"] == slow["tables"] > 0
+        assert fast["witnesses"] == slow["witnesses"]
+        assert fast["runs"] <= slow["runs"]
+        if engine == "nat-to-power":
+            assert fast["runs"] == {0: 21, 1: 521}[size]
+
+    @pytest.mark.parametrize("size", [0, 1])
+    @pytest.mark.parametrize("engine", POOLED)
+    def test_outcome_does_not_depend_on_the_representative(self, engine, size):
+        """Serving any other member of a chosen value's group, at any one
+        probe of a sampled leaf, gives the same probe shape, the same
+        witness kind and a witness that re-verifies."""
+        leaves, runs, stack = [], 0, [()]
+        while stack:
+            script = stack.pop()
+            runs += 1
+            out = play(engine, size, script)
+            if out[0] == "need":
+                stack.extend(script + (i,) for i in range(out[1]))
+            else:
+                leaves.append((script, out))
+        assert runs == exhaustive_refutation_paths(engine, size)["runs"]
+        first_of_kind = {out[0]: (script, out) for script, out in reversed(leaves)}
+        sample = list(first_of_kind.values()) + random.Random(size).sample(leaves, min(12, len(leaves)))
+        assert set(first_of_kind) == {"InjectivityCollapse", "EquivarianceBreak"}
+        served = 0
+        for script, out in sample:
+            for i, (_, members) in enumerate(out[1]):
+                for j in range(1, members):
+                    assert play(engine, size, script, (i, j)) == out, (script, i, j)
+                    served += 1
+        assert served > 0 or engine != "nat-to-power"
+
+    def test_script_index_outside_the_values_raises(self):
+        for idx in (2, -1):
+            with pytest.raises(IndexError):
+                _Scripted(lambda x: [["a"], ["b", "b"]], (idx,))(0)
+
     def test_every_truncated_table_is_refuted(self):
         for engine in ("fin-to-seq", "fin-to-seqstar"):
             for size in (0, 1):
