@@ -10,8 +10,9 @@ carrying a linear order plus a family of irreflexive relations.
 Each universe is one structure class.  It owns everything that differs
 between universes: fresh atoms and `materialise`, the extension test,
 one step of a lifted automorphism, the 1-types over a support (list,
-realisation, restriction, image under an automorphism), the canonical
-order of a support, and the JSON of its atoms and of itself.
+realisation, restriction, projection onto a sub-support, image under an
+automorphism), the canonical order of a support, and the JSON of its
+atoms and of itself.
 
 A group element is never written out in full.  A finite injective map
 (`PartialAutomorphism`) plus an extension test (`extendable`) stands in
@@ -197,8 +198,31 @@ def _instantiate(local, E: Sequence[Atom]):
     return ("rel", m, i, tuple(E[j] for j in seq))
 
 
+@lru_cache(maxsize=None)
+def _cat_rel_bits(n: int) -> Dict[tuple, int]:
+    """Each local relation formula over n parameters -> its bit."""
+    return {f: k for k, f in enumerate(_cat_rel_formulas(n))}
+
+
+def _cat_type_count(n: int) -> int:
+    """Types over an n-atom categorical support, refused past TYPE_BUDGET
+    before anything is enumerated."""
+    count = n + (n + 1) * 2 ** len(_cat_rel_formulas(n))
+    if count > TYPE_BUDGET:
+        raise TypeBudgetExceeded(
+            f"{count} types over a {n}-atom support exceed the budget {TYPE_BUDGET}"
+        )
+    return count
+
+
 def _support_key(E: Sequence[Atom]) -> tuple:
     return tuple(a.payload for a in E)
+
+
+def _positions(E: Sequence[Atom], sub: Sequence[Atom]) -> Tuple[int, ...]:
+    """Where each atom of the sub-support sits in the support E."""
+    where = {e: j for j, e in enumerate(E)}
+    return tuple(where[e] for e in sub)
 
 
 def _unused_ints(used: set, count: int) -> List[int]:
@@ -229,9 +253,13 @@ class AtomStructure:
     The 1-type methods here serve the universes whose types over a
     support E are ("eq", j) for the atom E[j] plus descriptors of the
     atoms outside E that depend only on E.  Such a structure caches, per
-    support, its type list and each type's position in it, and per
-    (support, sub-support) the projection table of `symsets`, all keyed
-    by support payloads."""
+    support, its type list and each type's position in it, keyed by
+    support payloads.  Its projection tables (`projection`) are computed
+    by index arithmetic from the shape of the pair of supports: the size
+    of E and the positions of the sub-support inside it.  The bare set
+    and the dense order keep one table per shape for the whole class;
+    the homogeneous structure shares the part that does not depend on
+    its relation facts."""
 
     kind: str = ""
     atom_tag: str = ""  # "world" of the atom JSON
@@ -242,7 +270,6 @@ class AtomStructure:
     def __init__(self):
         self._types: Dict[tuple, List[OneType]] = {}
         self._index: Dict[tuple, Dict[OneType, int]] = {}
-        self._tables: Dict[tuple, Tuple[int, ...]] = {}
 
     def __contains__(self, atom: Atom) -> bool:
         raise NotImplementedError
@@ -316,9 +343,16 @@ class AtomStructure:
             self._index, _support_key(E), lambda: {t: k for k, t in enumerate(self.types(E))}
         )
 
-    def projection(self, E: Tuple[Atom, ...], sub: Tuple[Atom, ...], build) -> Tuple[int, ...]:
-        """The projection table from E onto `sub`, made by `build()` once."""
-        return self._cached(self._tables, (_support_key(E), _support_key(sub)), build)
+    def projection(self, E: Tuple[Atom, ...], sub: Tuple[Atom, ...]) -> Tuple[int, ...]:
+        """Entry k is the position in `types(sub)` of the restriction of
+        `types(E)[k]`, for sorted supports with `sub` inside E."""
+        return self._shape_table(len(E), _positions(E, sub))
+
+    @staticmethod
+    def _shape_table(n: int, positions: Tuple[int, ...]) -> Tuple[int, ...]:
+        """The projection from an n-atom support onto its atoms at
+        `positions`, where it depends on nothing else."""
+        raise NotImplementedError
 
     @staticmethod
     def _cached(store: dict, key: tuple, build):
@@ -424,6 +458,14 @@ class PureSetStructure(AtomStructure):
     def _restrict_outside(self, t, sub, sub_index):
         return OneType(PURE_SET, sub, ("free",))
 
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def _shape_table(n, positions):
+        # ("eq", j) keeps its atom's index in sub, or becomes free
+        free = len(positions)
+        slot = {j: i for i, j in enumerate(positions)}
+        return tuple(slot.get(j, free) for j in range(n)) + (free,)
+
     def to_json(self):
         return {"kind": "pure", "atoms": sorted(self._ids)}
 
@@ -498,6 +540,19 @@ class DenseOrderStructure(AtomStructure):
     def _restrict_outside(self, t, sub, sub_index):
         left = t.support[: t.desc[1]]
         return OneType(DENSE_ORDER, sub, ("gap", sum(1 for x in sub if x in left)))
+
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def _shape_table(n, positions):
+        # ("gap", g) sits at 2g and ("eq", j) at 2j + 1; a gap, or an atom
+        # outside sub, falls into the gap of sub below which it lies
+        slot = {j: i for i, j in enumerate(positions)}
+        below = [bisect.bisect_left(positions, g) for g in range(n + 1)]
+        out = [0]
+        for j in range(n):
+            out.append(2 * slot[j] + 1 if j in slot else 2 * below[j])
+            out.append(2 * below[j + 1])
+        return tuple(out)
 
     @staticmethod
     def payload_to_json(payload) -> dict:
@@ -699,6 +754,11 @@ class PairStructure(AtomStructure):
 
     def realises(self, t, atom):
         return pair_orbit_descriptor(atom, t.support) == t.desc
+
+    def projection(self, E, sub):
+        # types follow their witnesses, so restrict them one at a time
+        index = self.type_index(sub)
+        return tuple(index[self.restrict(t, sub)] for t in self.types(E))
 
     def restrict(self, t, sub):
         return OneType(PAIR_MODEL, sub, pair_orbit_descriptor(t.witness, sub), t.witness)
@@ -902,12 +962,8 @@ class CategoricalStructure(AtomStructure):
 
     def _type_list(self, E):
         n = len(E)
+        _cat_type_count(n)
         formulas = _cat_rel_formulas(n)
-        count = n + (n + 1) * 2 ** len(formulas)
-        if count > TYPE_BUDGET:
-            raise TypeBudgetExceeded(
-                f"{count} types over a {n}-atom support exceed the budget {TYPE_BUDGET}"
-            )
         out = [OneType(CATEGORICAL, E, ("eq", j), witness=E[j]) for j in range(n)]
         for gap in range(n + 1):
             for mask in range(1 << len(formulas)):
@@ -935,6 +991,48 @@ class CategoricalStructure(AtomStructure):
             if all(p in sub_index for p in params):
                 local.append(("rel", m, i, tuple(sub_index[p] for p in params)))
         return OneType(CATEGORICAL, sub, ("typ", below, frozenset(local)))
+
+    def projection(self, E, sub):
+        # ("typ", gap, rels) sits at len(E) + gap * 2^F + mask, where bit k
+        # of mask says whether rels holds the k-th of the F formulas over E
+        _cat_type_count(len(E))
+        positions = _positions(E, sub)
+        # an atom of E outside sub has the type over sub that the
+        # relation facts give it, so this head is not shared
+        bits = _cat_rel_bits(len(sub))
+        width = 1 << len(bits)
+        head = []
+        for j, e in enumerate(E):
+            if j in positions:
+                head.append(positions.index(j))
+                continue
+            _, gap, rels = self.type_of(e, sub).desc
+            head.append(len(sub) + gap * width + sum(1 << bits[f] for f in rels))
+        return tuple(head) + self._shape_table(len(E), positions)
+
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def _shape_table(n, positions):
+        # the ("typ", gap, rels) entries: keep the formulas whose
+        # parameters all lie in sub, renamed to their bits over sub
+        slot = {j: i for i, j in enumerate(positions)}
+        bits = _cat_rel_bits(len(positions))
+        remap = [
+            1 << bits[("rel", m, i, tuple(slot[j] for j in seq))]
+            if all(j in slot for j in seq)
+            else 0
+            for _, m, i, seq in _cat_rel_formulas(n)
+        ]
+        new_mask = [0] * (1 << len(remap))
+        for mask in range(1, len(new_mask)):
+            low = mask & -mask
+            new_mask[mask] = new_mask[mask ^ low] | remap[low.bit_length() - 1]
+        width = 1 << len(bits)
+        out: List[int] = []
+        for gap in range(n + 1):
+            base = len(positions) + bisect.bisect_left(positions, gap) * width
+            out.extend(base + x for x in new_mask)
+        return tuple(out)
 
     def permute_desc(self, desc, perm):
         if desc[0] == "eq":

@@ -69,6 +69,10 @@ def cmd_verify(args) -> int:
         "budget": args.budget,
         "fast": args.fast,
     }
+    for key in ("max_support", "max_atoms", "trials", "stream_length"):
+        if config[key] < 0:
+            flag = "--" + key.replace("_", "-")
+            return _usage_error(f"{flag} must be at least 0, not {config[key]}")
     try:
         checks = labchecks.run_suite(args.suite, config)
     except KeyError as exc:
@@ -200,6 +204,8 @@ def cmd_verify_witness(args) -> int:
 
 
 def cmd_count_supports(args) -> int:
+    if args.n < 0:
+        return _usage_error(f"-n must be at least 0, not {args.n}")
     if args.model == "mostowski":
         s = DenseOrderStructure()
         E = [s.atom(i) for i in range(args.n)]

@@ -6,9 +6,14 @@ realizer sets.  Over a fixed support the types are enumerated in a
 frozen canonical order, so every supported subset has a canonical bit
 vector, a canonical rank, and a decidable equality.
 
-Restriction to a sub-support depends only on the pair of supports, so it
-is tabulated once per pair (`restriction_table`) and subsets are
-re-encoded, shrunk and tested for support on type positions.
+Restriction to a sub-support is read from a table (`restriction_table`)
+that maps each type position over the support to a type position over
+the sub-support, and subsets are re-encoded, shrunk and tested for
+support on type positions.  The structure computes the table by index
+arithmetic from the size of the support and the positions of the
+sub-support inside it, except on the pair model, whose types follow the
+materialised atoms and are restricted one at a time.  `restrict_type`
+restricts one type; it is the oracle the tables are tested against.
 """
 
 from __future__ import annotations
@@ -248,19 +253,13 @@ def restrict_type(structure: AtomStructure, t: OneType, sub: Sequence[Atom]) -> 
 
 
 def restriction_table(
-    structure: AtomStructure, support: Iterable[Atom], sub: Iterable[Atom]
+    structure: AtomStructure, support: Tuple[Atom, ...], sub: Tuple[Atom, ...]
 ) -> Tuple[int, ...]:
     """Entry k is the position in types_over(sub) of the restriction of
-    types_over(support)[k] to the sub-support.  Built once per structure
-    and pair of supports (each build call on the pair model)."""
-    E = sort_support(structure, support)
-    sub = sort_support(structure, sub)
-
-    def build():
-        index = structure.type_index(sub)
-        return tuple(index[restrict_type(structure, t, sub)] for t in structure.types(E))
-
-    return structure.projection(E, sub, build)
+    types_over(support)[k] to the sub-support.  Both supports must be
+    sorted, as `sort_support` returns them, and `sub` must lie inside
+    `support`; neither is checked again here."""
+    return structure.projection(support, sub)
 
 
 def least_support(S: SupportedSubset) -> Tuple[Atom, ...]:

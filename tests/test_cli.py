@@ -64,6 +64,19 @@ class TestVerify:
     def test_negative_budget_is_a_usage_error(self, capsys):
         assert usage_error(capsys, "verify", "--suite", "refutation", "--budget", "-1")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--suite", "fraenkel-dichotomy", "--max-atoms", "-1"),
+            ("--suite", "extractors", "--stream-length", "-1"),
+            ("--max-support", "-1"),
+            ("--trials", "-5"),
+        ],
+        ids=["max-atoms", "stream-length", "max-support", "trials"],
+    )
+    def test_negative_size_is_a_usage_error(self, capsys, argv):
+        assert usage_error(capsys, "verify", *argv)
+
     def test_report_written_to_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"
         code, _ = run(
@@ -279,6 +292,9 @@ class TestCountSupports:
     def test_mostowski(self, capsys):
         code, out = run(capsys, "count-supports", "--model", "mostowski", "-n", "3")
         assert code == 0 and "128" in out and "54" in out
+
+    def test_negative_size_is_a_usage_error(self, capsys):
+        assert usage_error(capsys, "count-supports", "--model", "fraenkel", "-n", "-1")
 
     def test_fraenkel_json(self, capsys):
         code, out = run(capsys, "count-supports", "--model", "fraenkel", "-n", "2", "--json")

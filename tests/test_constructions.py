@@ -5,8 +5,9 @@ from math import factorial
 
 import pytest
 
-from choiceless import symsets
 from choiceless.atoms import (
+    PAIR_MODEL,
+    AtomStructure,
     CategoricalStructure,
     DenseOrderStructure,
     PairStructure,
@@ -43,7 +44,7 @@ from choiceless.constructions import (
     seq_to_chain,
     size_class_map,
 )
-from choiceless.symsets import SupportedSubset, least_support, types_over
+from choiceless.symsets import SupportedSubset, least_support, restriction_table, types_over
 
 
 @pytest.fixture
@@ -286,6 +287,16 @@ class TestMostowskiPowerToSeq:
                     if least_support(S) == tuple(sup):
                         assert class_rank(S)[0] == class_rank_by_scan(S)
 
+    def test_pure_rank_counting_matches_scan_oracle(self):
+        s = PureSetStructure(4)
+        E = s.atoms()
+        for k in range(5):
+            for sup in itertools.combinations(E, k):
+                for bits in range(1 << (k + 1)):
+                    S = SupportedSubset.from_bits(s, sup, bits)
+                    if least_support(S) == tuple(sup):
+                        assert class_rank(S)[0] == class_rank_by_scan(S)
+
     def test_categorical_rank_counting_matches_scan_oracle(self):
         s = CategoricalStructure()
         E = tuple(s.fresh(1))
@@ -296,25 +307,26 @@ class TestMostowskiPowerToSeq:
             S = SupportedSubset.from_bits(s, E, bits)
             assert class_rank(S)[0] == class_rank_by_scan(S)
 
-    def test_restriction_tables_built_once_per_structure(self, monkeypatch):
+    def test_restriction_tables_restrict_types_only_on_the_pair_model(self, monkeypatch):
         made = []
-        restrict = symsets.restrict_type
+        for cls in (AtomStructure, PairStructure):
 
-        def counted(*args):
-            made.append(args)
-            return restrict(*args)
+            def counted(self, t, sub, restrict=cls.restrict):
+                made.append(self.kind)
+                return restrict(self, t, sub)
 
-        monkeypatch.setattr(symsets, "restrict_type", counted)
-        s = CategoricalStructure()
-        E = s.fresh(1)
-        class_rank(SupportedSubset.of_atoms(s, E))
-        first = len(made)
-        assert first > 0
-        class_rank(SupportedSubset.of_atoms(s, E))
-        assert len(made) == first
-        t = CategoricalStructure()
-        class_rank(SupportedSubset.of_atoms(t, t.fresh(1)))
-        assert len(made) == 2 * first
+            monkeypatch.setattr(cls, "restrict", counted)
+        # class_rank reads the table onto every sub-support of a two-atom
+        # least support, and none of them restricts a type
+        for s in (PureSetStructure(), DenseOrderStructure(), CategoricalStructure()):
+            S = SupportedSubset.of_atoms(s, s.fresh(2))
+            assert class_rank(S)[1] == S.support
+        assert made == []
+        # the pair model restricts every type, on every call
+        s = PairStructure(3)
+        E = tuple(s.atoms()[:2])
+        assert restriction_table(s, E, E[:1]) == restriction_table(s, E, E[:1])
+        assert made == [PAIR_MODEL] * 2 * len(types_over(s, E))
 
     def test_large_support_branch_and_range_disjointness(self):
         """A subset pinning eleven points maps to a permutation of its own

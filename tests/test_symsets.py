@@ -19,6 +19,7 @@ from choiceless.atoms import (
     fresh_realizer,
     pair_orbit_descriptor,
 )
+from choiceless.constructions import class_rank
 from choiceless.symsets import (
     SupportedSubset,
     classify_fraenkel,
@@ -27,6 +28,7 @@ from choiceless.symsets import (
     least_support,
     restrict_type,
     restriction_table,
+    sort_support,
     types_over,
 )
 
@@ -34,11 +36,11 @@ from choiceless.symsets import (
 def _structure_with_support(kind):
     """A structure and a support on which restriction is not trivial."""
     if kind == "pure_set":
-        s = PureSetStructure(4)
-        return s, s.atoms()[:3]
+        s = PureSetStructure(6)
+        return s, s.atoms()[1:]
     if kind == "dense_order":
         s = DenseOrderStructure()
-        return s, [s.atom(Fraction(q)) for q in (3, 1, 2)]
+        return s, [s.atom(Fraction(q)) for q in (3, 1, 5, 2, 4)]
     if kind == "pair_model":
         s = PairStructure(3)
         a, b, c = s.atoms()
@@ -100,9 +102,10 @@ class TestTypeCounts:
         s.pair_atom(1, a, b, 0)
         assert len(types_over(s, [])) == 2
 
-    @pytest.mark.parametrize("kind", ["pure_set", "dense_order", "pair_model", "categorical"])
-    def test_restriction_table_matches_restrict_type(self, kind):
-        s, E = _structure_with_support(kind)
+    @staticmethod
+    def _assert_tables_match_restrict_type(s, E):
+        """Every sub-support's table against the type-at-a-time oracle."""
+        E = sort_support(s, E)
         ts = types_over(s, E)
         for keep in range(len(E) + 1):
             for sub in itertools.combinations(E, keep):
@@ -111,6 +114,56 @@ class TestTypeCounts:
                 below = types_over(s, sub)
                 for k, t in enumerate(ts):
                     assert below[table[k]] == restrict_type(s, t, sub)
+
+    @pytest.mark.parametrize("kind", ["pure_set", "dense_order", "pair_model", "categorical"])
+    def test_restriction_table_matches_restrict_type(self, kind):
+        self._assert_tables_match_restrict_type(*_structure_with_support(kind))
+
+    def test_categorical_table_follows_relation_facts(self):
+        # the same two-atom support shape, with different facts among the
+        # support atoms: the eq entries differ, the rest is shared
+        tables = []
+        for facts in ([], [(0,), (1, 0)]):
+            s = CategoricalStructure()
+            E = sort_support(s, s.fresh(2))
+            for args in facts:
+                s.declare_rel([E[i] for i in args])
+            self._assert_tables_match_restrict_type(s, E)
+            tables.append([restriction_table(s, E, sub) for sub in (E[:1], E[1:])])
+        for plain, related in zip(*tables):
+            assert plain[:2] != related[:2]
+            assert plain[2:] == related[2:]
+
+    def test_categorical_table_sees_facts_declared_later(self):
+        s = CategoricalStructure()
+        E = sort_support(s, s.fresh(2))
+        before = restriction_table(s, E, E[:1])
+        s.declare_rel([E[1], E[0]])
+        assert restriction_table(s, E, E[:1]) != before
+        self._assert_tables_match_restrict_type(s, E)
+
+    @pytest.mark.parametrize(
+        "make",
+        [PureSetStructure, DenseOrderStructure, CategoricalStructure],
+        ids=["pure_set", "dense_order", "categorical"],
+    )
+    def test_tables_shared_by_supports_of_one_shape(self, make):
+        # two structures, supports with different atoms, the sub-support
+        # at the same positions: one payload-free table between them
+        s, t = make(), make()
+        E = sort_support(s, s.fresh(2))
+        t.fresh(3)
+        F = sort_support(t, t.fresh(2))
+        assert [a.payload for a in E] != [a.payload for a in F]
+        shapes = make._shape_table.cache_info
+        for keep in ((), (0,), (1,), (0, 1)):
+            mine = restriction_table(s, E, tuple(E[j] for j in keep))
+            built = shapes().misses
+            theirs = restriction_table(t, F, tuple(F[j] for j in keep))
+            assert shapes().misses == built
+            assert mine == theirs
+            if make is not CategoricalStructure:
+                assert mine is theirs
 
     def test_types_partition_materialised_atoms(self):
         s = DenseOrderStructure()
@@ -395,11 +448,14 @@ class TestCategoricalTypes:
 
     def test_three_params_exceed_type_budget_quickly(self):
         s = CategoricalStructure()
-        E = s.fresh(3)
+        E = sort_support(s, s.fresh(3))
         calls = [
             lambda: types_over(s, E),
             lambda: count_supported(s, E),
             lambda: SupportedSubset.of_atoms(s, E),
+            lambda: restriction_table(s, E, E[:2]),
+            lambda: restriction_table(s, E, ()),
+            lambda: class_rank(SupportedSubset.of_atoms(s, E)),
         ]
         for call in calls:
             t0 = time.perf_counter()
