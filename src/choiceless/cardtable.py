@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter, defaultdict
 from math import factorial
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, KeysView, List, Optional, Sequence, Set, Tuple
 
 
 class CExpr:
@@ -155,17 +155,18 @@ class Closure:
 
     def __init__(self, universe: Set[CExpr]):
         self.universe = universe
-        self.facts: Set[Fact] = set()
+        # each fact's first derivation, in the order the facts were found;
+        # the one fact store, read as a set through `facts`
         self.trace: Dict[Fact, Tuple[str, Tuple[Fact, ...]]] = {}
+        self.facts: KeysView[Fact] = self.trace.keys()
         self.contradiction: Optional[List[Fact]] = None
         # rounds run (the last adds nothing, or meets the contradiction)
         self.rounds = 0
         self.contradiction_round: Optional[int] = None
 
     def add(self, fact: Fact, rule: str, premises: Tuple[Fact, ...] = ()) -> bool:
-        if fact in self.facts:
+        if fact in self.trace:
             return False
-        self.facts.add(fact)
         self.trace[fact] = (rule, premises)
         return True
 
@@ -201,6 +202,10 @@ class Closure:
         for p in premises:
             lines.extend(self.explain(p, depth + 1, seen))
         return lines
+
+    def explain_contradiction(self) -> List[str]:
+        """The `explain` lines of each clashing fact; none if consistent."""
+        return [line for f in self.contradiction or () for line in self.explain(f)]
 
     def rule_counts(self) -> Dict[str, int]:
         """Facts recorded per rule, axiom and schema, read off the trace."""
@@ -292,10 +297,11 @@ def _add_schemas(cl: Closure):
             cl.add(("eq", times(1, e), e), "schema:one-copy")
 
 
-def _index(facts: Iterable[Fact]):
+def _index(facts: Iterable[Fact], index=None):
     """Facts by relation, by (relation, lhs), by (relation, rhs) and by each
-    term they mention, every list in the order the facts come in."""
-    by_rel, lhs, rhs, touch = (defaultdict(list) for _ in range(4))
+    term they mention, every list in the order the facts come in.  Given
+    an index, appends the facts to it; otherwise starts a new one."""
+    by_rel, lhs, rhs, touch = index or (defaultdict(list) for _ in range(4))
     for f in facts:
         rel, a, b = f
         by_rel[rel].append(f)
@@ -311,10 +317,10 @@ def _fixpoint(cl: Closure):
     """Semi-naive rounds.  A round joins the facts new since the last round
     against the facts known at its start, found through indexes; a join of
     old facts alone would only re-derive what the last round recorded.
-    Each rule walks its matches in the round-start order of the fact set,
-    so a round records the same facts, in the same order and from the same
-    premises, as joining all pairs.  A rule whose other premise is a single
-    lookup checks every fact."""
+    Each rule walks its matches in derivation order, so a round records
+    the same facts, in the same order and from the same premises, as
+    joining all pairs, and the trace is the same in every process.  A rule
+    whose other premise is a single lookup checks every fact."""
     U = cl.universe
 
     def emit(fact, rule, premises):
@@ -324,16 +330,16 @@ def _fixpoint(cl: Closure):
         if cl.add(fact, rule, premises):
             _check_contra(cl, fact)
 
-    joined = 0  # facts, in trace order, that an earlier round has joined
+    pos: Dict[Fact, int] = {}  # round-start facts by trace position
+    index = None  # the same facts, indexed; both grow by each round's batch
     changed = True
     while changed:
         cl.rounds += 1
-        snapshot = list(cl.facts)
-        pos = {f: i for i, f in enumerate(snapshot)}
-        new = set(itertools.islice(cl.trace, joined, None))
-        joined = len(snapshot)
-        by_rel, lhs, rhs, touch = _index(snapshot)
-        new_rel, new_lhs, new_rhs, new_touch = _index(f for f in snapshot if f in new)
+        batch = list(itertools.islice(cl.trace, len(pos), None))
+        pos.update(zip(batch, itertools.count(len(pos))))
+        by_rel, lhs, rhs, touch = index = _index(batch, index)
+        new_rel, new_lhs, new_rhs, new_touch = _index(batch)
+        new = set(batch)
         les = by_rel["le"]
 
         def walk(*groups):
@@ -422,7 +428,7 @@ def _fixpoint(cl: Closure):
                 for n in range(1, 9):
                     emit(("ne", times(n, b), times(n + 1, b)), "surplus-copy-is-new", (f,))
                 emit(("ne", b, partitions(b.inner)), "partitions-outgrow-subsets", (f,))
-        changed = len(cl.facts) > joined
+        changed = len(cl.trace) > len(pos)
 
 
 def _check_contra(cl: Closure, fact: Fact):
@@ -653,14 +659,10 @@ def check_summary_table() -> dict:
         report["ok"] &= ok
     forbidden = forbidden_pattern_closure()
     fb_ok = forbidden.contradiction is not None
-    trace = []
-    if fb_ok:
-        for f in forbidden.contradiction:
-            trace.extend(forbidden.explain(f))
     report["forbidden"] = {
         "scenario": "power <= one-to-one sequences = sequences",
         "contradiction": fb_ok,
-        "trace": trace,
+        "trace": forbidden.explain_contradiction(),
     }
     report["ok"] &= fb_ok
     return report

@@ -59,6 +59,11 @@ def _usage_error(message: str) -> int:
     return USAGE_ERROR
 
 
+def _read_json(path: str):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def cmd_verify(args) -> int:
     config = {
         "seed": args.seed,
@@ -87,10 +92,13 @@ def cmd_refute(args) -> int:
     if args.model and args.model != spec.model:
         return _usage_error(f"engine {engine} argues inside the {spec.model!r} model")
     if name.startswith("@"):
-        with open(name[1:], encoding="utf-8") as fh:
-            structure, support, oracle = oracles.scripted_refute_oracle(
-                engine, json.load(fh)
-            )
+        try:
+            table = _read_json(name[1:])
+            structure, support, oracle = oracles.scripted_refute_oracle(engine, table)
+        except KeyError as exc:
+            return _usage_error(f"oracle table {name[1:]} has no {exc} key")
+        except (OSError, TypeError, ValueError) as exc:
+            return _usage_error(f"cannot read oracle table {name[1:]}: {exc}")
         size = len(support)
     elif name in spec.oracles:
         size = spec.sizes[0] if args.support is None else args.support
@@ -154,18 +162,13 @@ def cmd_extract(args) -> int:
 def cmd_table(args) -> int:
     if args.scenario == "forbidden":
         cl = cardtable.forbidden_pattern_closure()
-        ok = cl.contradiction is not None
-        lines = []
-        if ok:
-            for f in cl.contradiction:
-                lines.extend(cl.explain(f))
         check = {
             "id": "table-forbidden",
             "claim": "power below one-to-one sequences with the sequence kinds "
             "agreeing closes to a contradiction",
             "params": {"scenario": "forbidden"},
-            "ok": ok,
-            "details": {"trace": lines},
+            "ok": cl.contradiction is not None,
+            "details": {"trace": cl.explain_contradiction()},
         }
         return _emit(_report("table", check["params"], [check]), args.json, None)
     if args.model is None:
@@ -192,8 +195,10 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify_witness(args) -> int:
-    with open(args.path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        data = _read_json(args.path)
+    except (OSError, ValueError) as exc:
+        return _usage_error(f"cannot read witness {args.path}: {exc}")
     try:
         verify_witness_json(data)
     except Exception as exc:  # noqa: BLE001 - outcome, not crash

@@ -412,8 +412,7 @@ def extract_fin_to_atom_mostowski(oracle: InjectionOracle, count: int) -> Stream
         for j, prev in enumerate(emitted):
             if prev == y:
                 earlier = hfset(emitted[:j])
-                collapse = InjectivityCollapse(earlier, x, y)
-                verify_witness(collapse, oracle.structure, oracle.support, oracle.transcript)
+                collapse = _checked(InjectivityCollapse(earlier, x, y), oracle)
                 return StreamResult(emitted, collapse)
         emitted.append(y)
     return StreamResult(emitted)
@@ -432,8 +431,7 @@ def extract_seqstar_to_seq(oracle: InjectionOracle, marker: Atom, count: int) ->
         y = oracle.query(x)
         k = oracle_key(y)
         if k in seen_answers:
-            collapse = InjectivityCollapse(seen_answers[k], x, y)
-            verify_witness(collapse, oracle.structure, oracle.support, oracle.transcript)
+            collapse = _checked(InjectivityCollapse(seen_answers[k], x, y), oracle)
             return StreamResult(seen_atoms, collapse)
         seen_answers[k] = x
         fresh = [a for a in y if a not in known]
@@ -466,10 +464,7 @@ def extract_from_surplus(n: int, oracle: InjectionOracle, count: int, seed=froze
                 y = oracle.query(x)
                 k = oracle_key(y)
                 if k in answers and oracle_key(answers[k]) != oracle_key(x):
-                    collapse = InjectivityCollapse(answers[k], x, y)
-                    verify_witness(
-                        collapse, oracle.structure, oracle.support, oracle.transcript
-                    )
+                    collapse = _checked(InjectivityCollapse(answers[k], x, y), oracle)
                     return StreamResult(values, collapse)
                 answers[k] = x
                 if y[1] not in known:
@@ -542,10 +537,7 @@ def extract_from_partition_injection(
             y = oracle.query(parts)
             k = oracle_key(y)
             if k in answers and oracle_key(answers[k]) != oracle_key(parts):
-                collapse = InjectivityCollapse(answers[k], parts, y)
-                verify_witness(
-                    collapse, oracle.structure, oracle.support, oracle.transcript
-                )
+                collapse = _checked(InjectivityCollapse(answers[k], parts, y), oracle)
                 return StreamResult(emitted, collapse)
             answers[k] = parts
             if any(b & y and not b <= y for b in blocks):

@@ -160,6 +160,30 @@ class TestRefuteCommand:
         assert code == 1 and "no entry" in out
 
     @pytest.mark.parametrize(
+        "text",
+        [
+            None,  # no such file
+            "{not json",
+            "[1, 2]",
+            json.dumps({"support": [], "table": []}),
+            json.dumps({"structure": {"kind": "pure", "atoms": [0, 1]}, "support": []}),
+        ],
+        ids=["missing", "not-json", "not-an-object", "no-structure", "no-table"],
+    )
+    def test_unreadable_table_is_a_usage_error(self, tmp_path, capsys, text):
+        tfile = tmp_path / "table.json"
+        if text is not None:
+            tfile.write_text(text)
+        assert usage_error(capsys, "refute", "fin-to-seq", "--oracle", f"@{tfile}")
+
+    @pytest.mark.parametrize("text", [None, "", "[1, 2"], ids=["missing", "empty", "not-json"])
+    def test_unreadable_witness_is_a_usage_error(self, tmp_path, capsys, text):
+        wfile = tmp_path / "w.json"
+        if text is not None:
+            wfile.write_text(text)
+        assert usage_error(capsys, "verify-witness", str(wfile))
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("seq-to-power", "--support", "2"),
