@@ -383,6 +383,10 @@ class AtomStructure:
 
     def permute_desc(self, desc, perm: Dict[int, int]):
         """A descriptor with its support indices renamed by `perm`."""
+        # Only an "eq" descriptor needs renaming: an automorphism of an
+        # ordered universe preserves the order that sorts a support, so
+        # there `perm` is the identity and gap and relation descriptors
+        # keep their indices.
         if desc[0] == "eq":
             return ("eq", perm[desc[1]])
         return desc
@@ -1033,15 +1037,6 @@ class CategoricalStructure(AtomStructure):
             base = len(positions) + bisect.bisect_left(positions, gap) * width
             out.extend(base + x for x in new_mask)
         return tuple(out)
-
-    def permute_desc(self, desc, perm):
-        if desc[0] == "eq":
-            return super().permute_desc(desc, perm)
-        _, gap, rels = desc
-        mapped = frozenset(
-            ("rel", m, i, tuple(perm[j] for j in seq)) for _, m, i, seq in rels
-        )
-        return ("typ", gap, mapped)
 
     def to_json(self):
         return {

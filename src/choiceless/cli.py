@@ -125,13 +125,13 @@ def cmd_refute(args) -> int:
         ok = not isinstance(witness, BudgetExhausted)
         params.update(support=size, seed=args.seed)
         details = {"witness": payload["witness"], "probes": len(oracle.transcript)}
-    check = {
-        "id": f"refute-{engine}-{name}",
-        "claim": "engine produced a verified contradiction witness",
-        "params": params,
-        "ok": ok,
-        "details": details,
-    }
+    check = labchecks.check(
+        f"refute-{engine}-{name}",
+        "engine produced a verified contradiction witness",
+        params,
+        ok,
+        **details,
+    )
     return _emit(_report("refute", params, [check]), args.json, None)
 
 
@@ -145,31 +145,29 @@ def cmd_extract(args) -> int:
         return _usage_error("-T must be at least 0 and --copies at least 1")
     result = spec.run(name, T, args.copies)
     ok = result.ok if spec.oracles[name] else not result.ok
-    check = {
-        "id": f"extract-{engine}-{name}",
-        "claim": "honest oracles stream pairwise-distinct values; cheating "
+    check = labchecks.check(
+        f"extract-{engine}-{name}",
+        "honest oracles stream pairwise-distinct values; cheating "
         "oracles are convicted by a collapse report",
-        "params": {"engine": engine, "oracle": name, "T": T},
-        "ok": ok,
-        "details": {
-            "values": len(result.values),
-            "collapse": repr(result.collapse) if result.collapse else None,
-        },
-    }
+        {"engine": engine, "oracle": name, "T": T},
+        ok,
+        values=len(result.values),
+        collapse=repr(result.collapse) if result.collapse else None,
+    )
     return _emit(_report("extract", check["params"], [check]), args.json, None)
 
 
 def cmd_table(args) -> int:
     if args.scenario == "forbidden":
         cl = cardtable.forbidden_pattern_closure()
-        check = {
-            "id": "table-forbidden",
-            "claim": "power below one-to-one sequences with the sequence kinds "
+        check = labchecks.check(
+            "table-forbidden",
+            "power below one-to-one sequences with the sequence kinds "
             "agreeing closes to a contradiction",
-            "params": {"scenario": "forbidden"},
-            "ok": cl.contradiction is not None,
-            "details": {"trace": cl.explain_contradiction()},
-        }
+            {"scenario": "forbidden"},
+            cl.contradiction is not None,
+            trace=cl.explain_contradiction(),
+        )
         return _emit(_report("table", check["params"], [check]), args.json, None)
     if args.model is None:
         checks = labchecks.check_closure()
@@ -178,13 +176,13 @@ def cmd_table(args) -> int:
         return _usage_error(f"unknown model {args.model!r}; have {list(cardtable.MODELS)}")
     cl = cardtable.model_closure(args.model)
     facts = [cardtable.show_fact(f) for f in cl.sorted_facts()]
-    check = {
-        "id": f"table-{args.model}",
-        "claim": "model axioms close without contradiction",
-        "params": {"model": args.model},
-        "ok": cl.contradiction is None,
-        "details": {"facts": facts},
-    }
+    check = labchecks.check(
+        f"table-{args.model}",
+        "model axioms close without contradiction",
+        {"model": args.model},
+        cl.contradiction is None,
+        facts=facts,
+    )
     report = _report("table", check["params"], [check])
     if args.json:
         return _emit(report, True, None)

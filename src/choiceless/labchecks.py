@@ -57,7 +57,7 @@ from .symsets import (
 )
 
 
-def _check(cid: str, claim: str, params: dict, ok: bool, **details) -> dict:
+def check(cid: str, claim: str, params: dict, ok: bool, **details) -> dict:
     out = {"id": cid, "claim": claim, "params": params, "ok": bool(ok)}
     if details:
         out["details"] = details
@@ -74,7 +74,7 @@ def check_dense_counting(max_support: int = 5) -> List[dict]:
     got = [count_supported(s, E[:n]) for n in range(max_support + 1)]
     want = [2 ** (2 * n + 1) for n in range(max_support + 1)]
     return [
-        _check(
+        check(
             "dense-counting",
             "an n-point support of the dense order admits exactly 2^(2n+1) subsets",
             {"max_support": max_support},
@@ -91,7 +91,7 @@ def check_pure_counting(max_support: int = 3) -> List[dict]:
     got = [count_supported(s, E[:n]) for n in range(max_support + 1)]
     want = [2 ** (n + 1) for n in range(max_support + 1)]
     return [
-        _check(
+        check(
             "pure-counting",
             "an n-point support of the bare atom set admits exactly 2^(n+1) subsets",
             {"max_support": max_support},
@@ -135,7 +135,7 @@ def check_fraenkel_dichotomy(pool_size: int = 8, max_support: int = 3) -> List[d
         count, classified = invariant_subsets_bruteforce(pool_size, n)
         ok = classified and count == 2 ** (n + 1)
         out.append(
-            _check(
+            check(
                 f"fraenkel-dichotomy-{n}",
                 "stabiliser-invariant subsets are finite inside or cofinite "
                 "outside the support, and number 2^(n+1)",
@@ -155,7 +155,7 @@ def check_fraenkel_dichotomy(pool_size: int = 8, max_support: int = 3) -> List[d
             inside = set(c.members) <= set(E[:n])
             agree &= inside
     out.append(
-        _check(
+        check(
             "fraenkel-classifier",
             "the classifier always places the finite side inside the support",
             {"max_support": max_support},
@@ -223,7 +223,7 @@ def check_injections(seed: int = 0, probes: int = 100) -> List[dict]:
             if act(pi, v) != seq_to_chain([pi.apply(a) for a in p]):
                 eq_ok = False
     out.append(
-        _check(
+        check(
             "inject-two-set-and-chain",
             "two-set pairing and chain-of-initial-segments are injective and "
             "commute with every atom permutation",
@@ -257,7 +257,7 @@ def check_injections(seed: int = 0, probes: int = 100) -> List[dict]:
             if lhs != rhs:
                 eqv_ok = False
     out.append(
-        _check(
+        check(
             "inject-decorated-pairs",
             "the decorated-pair map is injective on all 16 ordered pairs and "
             "commutes with the pair-model automorphisms",
@@ -289,7 +289,7 @@ def check_injections(seed: int = 0, probes: int = 100) -> List[dict]:
             if lhs != rhs:
                 most_eqv = False
     out.append(
-        _check(
+        check(
             "inject-dense-power-to-seq",
             "the power-to-sequence map over the dense order is injective on "
             "all small-support subsets and commutes with anchored "
@@ -339,7 +339,7 @@ def check_injections(seed: int = 0, probes: int = 100) -> List[dict]:
         if lhs != rhs:
             phi_eqv = False
     out.append(
-        _check(
+        check(
             "inject-homogeneous-maps",
             "relation tagging embeds sequences into the power object, rank "
             "padding embeds it back into sequences, both injectively and "
@@ -376,7 +376,7 @@ def run_builtin_refutations(seed: int = 0, budget: int = 6) -> List[dict]:
                 if isinstance(w, BudgetExhausted) and name != "random":
                     ok = False
         out.append(
-            _check(
+            check(
                 f"refute-builtin-{engine}",
                 "every built-in adversary is defeated by a witness that "
                 "re-verifies against the transcript",
@@ -408,7 +408,7 @@ def run_random_refutations(trials: int, seed: int = 0) -> List[dict]:
                 if len(failures) > 3:
                     break
         out.append(
-            _check(
+            check(
                 f"refute-random-{engine}",
                 "randomized adversarial tables never elicit a false witness",
                 {"engine": engine, "trials": per_engine, "seed": seed},
@@ -488,35 +488,27 @@ def exhaustive_refutation_paths(engine: str, support_size: int) -> dict:
     shared = setup() if spec.shared_pool else None
     dom, cod = spec.domains()
 
-    def runner(script):
-        s, E, answers = shared or setup()
-        fn = _Scripted(answers, script)
-        o = InjectionOracle(fn, dom, cod, support=E, structure=s)
-        try:
-            w = spec.run(o)
-        except _Scripted.Exhausted:
-            return ("need", fn.branch)
-        try:
-            verify_witness(w, s, E, o.transcript)
-        except WitnessInvalid as exc:
-            return ("bad", str(exc))
-        return ("done", type(w).__name__)
-
     kinds: Dict[str, int] = {}
     stats = {"tables": 0, "runs": 0, "witnesses": kinds}
     stack: List[tuple] = [((), 1)]
     while stack:
         script, weight = stack.pop()
         stats["runs"] += 1
-        result = runner(script)
-        if result[0] == "need":
-            stack.extend((script + (i,), weight * m) for i, m in enumerate(result[1]))
-        elif result[0] == "bad":
-            stats["failure"] = {"script": list(script), "error": result[1]}
+        s, E, answers = shared or setup()
+        fn = _Scripted(answers, script)
+        o = InjectionOracle(fn, dom, cod, support=E, structure=s)
+        try:
+            w = spec.run(o)
+            verify_witness(w, s, E, o.transcript)
+        except _Scripted.Exhausted:
+            stack.extend((script + (i,), weight * m) for i, m in enumerate(fn.branch))
+            continue
+        except WitnessInvalid as exc:  # the engine's own check or this one
+            stats["failure"] = {"script": list(script), "error": str(exc)}
             break
-        else:
-            stats["tables"] += weight
-            kinds[result[1]] = kinds.get(result[1], 0) + weight
+        stats["tables"] += weight
+        kind = type(w).__name__
+        kinds[kind] = kinds.get(kind, 0) + weight
     return stats
 
 
@@ -528,7 +520,7 @@ def check_exhaustive_refutations(max_support: int = 1) -> List[dict]:
         for size in range(max_support + 1):
             stats = exhaustive_refutation_paths(engine, size)
             out.append(
-                _check(
+                check(
                     f"refute-exhaustive-{engine}-{size}",
                     "every total truncated table is defeated by a verified witness",
                     {"engine": engine, "support": size},
@@ -560,28 +552,28 @@ def check_extractors(T: int = 100) -> List[dict]:
     rp = _extract("partition", "fresh-singleton", T)
     rpc = _extract("partition", "const", T)
     return [
-        _check(
+        check(
             "extract-fin-to-atom",
             "the growing-set iteration streams distinct atoms on the honest "
             "oracle and convicts the repeating one",
             {"T": T},
             r.ok and len(set(map(oracle_key, r.values))) == T and not rc.ok,
         ),
-        _check(
+        check(
             "extract-seqstar-to-seq",
             "constant-sequence probing keeps producing first-occurrence atoms "
             "and convicts a repeating oracle",
             {"T": T},
             r2.ok and len(set(map(oracle_key, r2.values))) == T and not rc2.ok,
         ),
-        _check(
+        check(
             "extract-surplus",
             "the labelled sweep streams distinct subsets for one and two "
             "surplus copies and convicts the constant oracle",
             {"T": T, "n": [1, 2]},
             surplus_ok,
         ),
-        _check(
+        check(
             "extract-partition",
             "block refinement streams distinct subsets on the honest oracle "
             "and convicts the constant one at its second probe",
@@ -620,7 +612,7 @@ def check_disjointify(trials: int = 10000, seed: int = 0, max_m: int = 12) -> Li
         if len(d.classes) < ceil(log2(len(ps) + 1)):
             ok = False
     return [
-        _check(
+        check(
             "disjointify-random",
             "membership signatures always partition the set, refine every "
             "listed subset, and number at least log2(count+1)",
@@ -639,7 +631,7 @@ def check_arithmetic(ramsey: bool = True) -> List[dict]:
     weak = [n for n in range(31) if cardtable.factorial_bounds(n)[0]]
     strong = [n for n in range(31) if cardtable.factorial_bounds(n)[1]]
     out.append(
-        _check(
+        check(
             "factorial-thresholds",
             "n! first reaches 2^(2n+1) and 2^(2n+1)+2 exactly at n = 10",
             {"scan": "0..30"},
@@ -654,7 +646,7 @@ def check_arithmetic(ramsey: bool = True) -> List[dict]:
     if ramsey:
         exact = cardtable.ramsey_two_exactness()
     out.append(
-        _check(
+        check(
             "ramsey-bound",
             "the triangle bound recurrence gives 3, 6, 17 and the two-color "
             "value 6 is exact by exhaustive coloring search",
@@ -670,7 +662,7 @@ def check_closure() -> List[dict]:
     out = []
     report = cardtable.check_summary_table()
     out.append(
-        _check(
+        check(
             "closure-table",
             "all model closures are contradiction-free and realize every "
             "claimed table relation; the forbidden ordering pattern closes "
@@ -688,7 +680,7 @@ def check_closure() -> List[dict]:
         edge_sets.add(partition_to_edges([frozenset(m4[i] for i in b) for b in q]))
         n_parts += 1
     out.append(
-        _check(
+        check(
             "closure-bell",
             "all 15 partitions of a 4-point set give 15 distinct edge sets",
             {},
@@ -710,7 +702,7 @@ def check_seq_counting() -> List[dict]:
         and seq_count(4) == 65
     )
     return [
-        _check(
+        check(
             "seq-vs-power-counting",
             "a 4-point support carries 65 one-to-one sequences, beating the "
             "32 subsets it can support",
@@ -750,7 +742,7 @@ def _suite_dichotomy(config) -> List[dict]:
 
 @_register("injections")
 def _suite_injections(config) -> List[dict]:
-    return check_injections(config.get("seed", 0), config.get("probes", 100))
+    return check_injections(config.get("seed", 0))
 
 
 @_register("refutation")
@@ -766,9 +758,7 @@ def _suite_refutation(config) -> List[dict]:
 def _suite_extractors(config) -> List[dict]:
     T = config.get("stream_length", 100)
     out = check_extractors(T)
-    out += check_disjointify(
-        config.get("trials", 2000), config.get("seed", 0), config.get("max_m", 12)
-    )
+    out += check_disjointify(config.get("trials", 2000), config.get("seed", 0))
     return out
 
 

@@ -10,6 +10,7 @@ the oracle's unqueried behaviour.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from math import ceil, factorial, log2
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -54,6 +55,14 @@ class WitnessInvalid(AssertionError):
     """A contradiction witness failed re-verification."""
 
 
+class Refuted(Exception):
+    """A verified witness ends the engine run; `.witness` carries it."""
+
+    def __init__(self, witness):
+        super().__init__(witness)
+        self.witness = witness
+
+
 def oracle_key(x):
     if isinstance(x, (HFTuple, HFSet, Atom)):
         return ("hf", hf_key(x))
@@ -75,7 +84,9 @@ class InjectionOracle:
 
     Answers are memoised, so the oracle is automatically stable; every
     answer is checked against the declared codomain before it enters the
-    transcript.
+    transcript.  The oracle remembers the first input behind each answer,
+    so it is where collapses are found: a new input whose answer repeats
+    an earlier one raises `Refuted` with the verified collapse.
     """
 
     def __init__(
@@ -95,6 +106,7 @@ class InjectionOracle:
         self.name = name
         self.transcript: List[Tuple[object, object]] = []
         self._memo: Dict[tuple, object] = {}
+        self._first: Dict[tuple, object] = {}
 
     def query(self, x):
         key = oracle_key(x)
@@ -109,6 +121,9 @@ class InjectionOracle:
             )
         self._memo[key] = y
         self.transcript.append((x, y))
+        first = self._first.setdefault(oracle_key(y), x)
+        if first is not x:
+            raise Refuted(_checked(InjectivityCollapse(first, x, y), self))
         return y
 
     def probes(self) -> int:
@@ -134,9 +149,9 @@ def oracle_from_table(table: Dict, *args, **kwargs) -> InjectionOracle:
 class InjectivityCollapse:
     kind = "injectivity-collapse"
 
-    def __init__(self, x1, x2, y, details: Optional[dict] = None):
+    def __init__(self, x1, x2, y):
         self.x1, self.x2, self.y = x1, x2, y
-        self.details = details or {}
+        self.details: dict = {}
 
     def __repr__(self):
         return f"InjectivityCollapse({self.x1!r}, {self.x2!r} -> {self.y!r})"
@@ -145,11 +160,11 @@ class InjectivityCollapse:
 class EquivarianceBreak:
     kind = "equivariance-break"
 
-    def __init__(self, pi: PartialAutomorphism, fixed, x, details: Optional[dict] = None):
+    def __init__(self, pi: PartialAutomorphism, fixed, x):
         self.pi = pi
         self.fixed = tuple(fixed)
         self.x = x
-        self.details = details or {}
+        self.details: dict = {}
 
     def __repr__(self):
         return f"EquivarianceBreak(x={self.x!r}, pi={self.pi!r})"
@@ -158,10 +173,9 @@ class EquivarianceBreak:
 class BudgetExhausted:
     kind = "budget-exhausted"
 
-    def __init__(self, needed: int, budget: int, details: Optional[dict] = None):
+    def __init__(self, needed: int, budget: int):
         self.needed = needed
         self.budget = budget
-        self.details = details or {}
 
     def __repr__(self):
         return f"BudgetExhausted(needed={self.needed}, budget={self.budget})"
@@ -218,27 +232,42 @@ def _checked(witness, oracle: InjectionOracle):
     return witness
 
 
-def _break(oracle: InjectionOracle, pi, x, *moved, details=None):
-    """The verified equivariance break that cites pi at the input x, once
-    pi's images of the objects in `moved` are materialised."""
+def refutation_engine(run):
+    """Make `run` a refutation engine: the witness whose `Refuted` ends
+    the run is the engine's result."""
+
+    @functools.wraps(run)
+    def engine(*args, **kwargs):
+        try:
+            return run(*args, **kwargs)
+        except Refuted as done:
+            return done.witness
+
+    return engine
+
+
+def _break(oracle: InjectionOracle, pi, x, *moved):
+    """End the run with the verified equivariance break that cites pi at
+    the input x, once pi's images of the objects in `moved` are
+    materialised."""
     for value in moved:
         act(pi, value)
-    return _checked(EquivarianceBreak(pi.snapshot(), oracle.support, x, details=details), oracle)
+    raise Refuted(_checked(EquivarianceBreak(pi.snapshot(), oracle.support, x), oracle))
 
 
-def _escape_break(oracle: InjectionOracle, x, y, used: Set[Atom], swap=(), details=None):
-    """The equivariance break for a value y that names an atom outside
-    the support, or None when it names none.  The first such atom is
-    exchanged with a fresh probe atom, unless it lies in `swap`, a pair
-    of input atoms whose exchange fixes x and is always made.  A subset
-    names the atoms of its least support."""
+def _escape_break(oracle: InjectionOracle, x, y, used: Set[Atom], swap=()):
+    """End the run with an equivariance break if the value y names an
+    atom outside the support; return if it names none.  The first such
+    atom is exchanged with a fresh probe atom, unless it lies in `swap`,
+    a pair of input atoms whose exchange fixes x and is always made.  A
+    subset names the atoms of its least support."""
     E = oracle.support
     subset = isinstance(y, SupportedSubset)
     for target in least_support(y) if subset else y:
         if target not in E:
             break
     else:
-        return None
+        return
     constraints = dict(zip(swap, swap[::-1]))
     if target not in swap:
         named = set(y.support) if subset else atoms_of(y)
@@ -246,7 +275,7 @@ def _escape_break(oracle: InjectionOracle, x, y, used: Set[Atom], swap=(), detai
         constraints.update({target: z, z: target})
     pi = extend_fixing(oracle.structure, E, constraints)
     moved = (y,) if isinstance(x, int) else (x, y)  # a natural carries no atoms
-    return _break(oracle, pi, x, *moved, details=details)
+    _break(oracle, pi, x, *moved)
 
 
 def seq_count(n: int) -> int:
@@ -265,6 +294,7 @@ def all_seqs(items: Sequence) -> List[tuple]:
 # engines over the bare atom set
 
 
+@refutation_engine
 def refute_fin_to_seq_fraenkel(oracle: InjectionOracle):
     """Break a purported injection finite-sets -> one-to-one sequences.
 
@@ -275,24 +305,16 @@ def refute_fin_to_seq_fraenkel(oracle: InjectionOracle):
     repeat is forced."""
     s = oracle.structure
     E = list(oracle.support)
-    seen: Dict[tuple, object] = {}
     used: Set[Atom] = set(E)
-    bound = seq_count(len(E)) + 1
-    for _ in range(bound):
+    for _ in range(seq_count(len(E)) + 1):
         a0, a1 = s.probe_atoms(2, used)
         used |= {a0, a1}
         x = hfset(E + [a0, a1])
-        y = oracle.query(x)
-        k = oracle_key(y)
-        if k in seen:
-            return _checked(InjectivityCollapse(seen[k], x, y), oracle)
-        seen[k] = x
-        w = _escape_break(oracle, x, y, used, swap=(a0, a1))
-        if w is not None:
-            return w
+        _escape_break(oracle, x, oracle.query(x), used, swap=(a0, a1))
     raise EngineBug("probe bound exhausted without witness")
 
 
+@refutation_engine
 def refute_fin_to_seqstar_fraenkel(oracle: InjectionOracle):
     """Break a purported injection finite-sets -> arbitrary sequences,
     probing two disjoint fresh pairs.  A value naming an atom outside the
@@ -308,26 +330,21 @@ def refute_fin_to_seqstar_fraenkel(oracle: InjectionOracle):
         p = s.probe_atoms(2, used)
         used |= set(p)
         x = hfset(p)
-        return p, x, oracle.query(x)
+        y = oracle.query(x)
+        _escape_break(oracle, x, y, used, swap=p)
+        return p, x, y
 
     pair1, x1, y1 = probe()
-    w = _escape_break(oracle, x1, y1, used, swap=pair1)
-    if w is not None:
-        return w
-    pair2, x2, y2 = probe()
-    w = _escape_break(oracle, x2, y2, used, swap=pair2)
-    if w is not None:
-        return w
-    if oracle_key(y1) == oracle_key(y2):
-        return _checked(InjectivityCollapse(x1, x2, y1), oracle)
+    pair2, _, _ = probe()
     pi = extend_fixing(
         s,
         E,
         {pair1[0]: pair2[0], pair2[0]: pair1[0], pair1[1]: pair2[1], pair2[1]: pair1[1]},
     )
-    return _break(oracle, pi, x1, x1, y1)
+    _break(oracle, pi, x1, x1, y1)
 
 
+@refutation_engine
 def refute_seq_to_power_fraenkel(oracle: InjectionOracle):
     """Break a purported injection one-to-one-sequences -> power object.
 
@@ -342,23 +359,18 @@ def refute_seq_to_power_fraenkel(oracle: InjectionOracle):
     counting = {"seq_count": seq_count(n), "supported_bound": 2 * 2 ** n}
     if not counting["seq_count"] > counting["supported_bound"]:
         raise EngineBug("counting step failed; the argument does not apply")
-    seen: Dict[tuple, object] = {}
     used: Set[Atom] = set(E)
-    for entry in all_seqs(E):
-        x = hftuple(entry)
-        y = oracle.query(x)
-        k = oracle_key(y)
-        if k in seen:
-            return _checked(
-                InjectivityCollapse(seen[k], x, y, details=counting), oracle
-            )
-        seen[k] = x
-        w = _escape_break(oracle, x, y, used, details=counting)
-        if w is not None:
-            return w
+    try:
+        for entry in all_seqs(E):
+            x = hftuple(entry)
+            _escape_break(oracle, x, oracle.query(x), used)
+    except Refuted as done:
+        done.witness.details = counting
+        raise
     raise EngineBug("pigeonhole failed; engine or counting is wrong")
 
 
+@refutation_engine
 def refute_nat_to_power_fraenkel(oracle: InjectionOracle):
     """Break a purported injection of the naturals into the power object:
     naturals are fixed by every automorphism, so a value whose least
@@ -366,17 +378,8 @@ def refute_nat_to_power_fraenkel(oracle: InjectionOracle):
     supported by the support run out."""
     E = list(oracle.support)
     used: Set[Atom] = set(E)
-    seen: Dict[tuple, object] = {}
-    bound = 2 ** (len(E) + 1) + 1
-    for n in range(bound):
-        y = oracle.query(n)
-        k = oracle_key(y)
-        if k in seen:
-            return _checked(InjectivityCollapse(seen[k], n, y), oracle)
-        seen[k] = n
-        w = _escape_break(oracle, n, y, used)
-        if w is not None:
-            return w
+    for n in range(2 ** (len(E) + 1) + 1):
+        _escape_break(oracle, n, oracle.query(n), used)
     raise EngineBug("probe bound exhausted without witness")
 
 
@@ -385,8 +388,8 @@ def refute_nat_to_power_fraenkel(oracle: InjectionOracle):
 
 
 class StreamResult:
-    """Either T pairwise-distinct extracted values, or a collapse report
-    naming two probed inputs; never both."""
+    """T pairwise-distinct extracted values, or the values emitted before
+    a repeat together with the collapse report naming two probed inputs."""
 
     def __init__(self, values: list, collapse=None):
         self.values = values
@@ -406,45 +409,37 @@ def extract_fin_to_atom_mostowski(oracle: InjectionOracle, count: int) -> Stream
     """Iterate the value on the set of everything extracted so far; the
     inputs grow strictly, so a repeated atom convicts the oracle."""
     emitted: List[Atom] = []
-    for k in range(count):
-        x = hfset(emitted)
-        y = oracle.query(x)
-        for j, prev in enumerate(emitted):
-            if prev == y:
-                earlier = hfset(emitted[:j])
-                collapse = _checked(InjectivityCollapse(earlier, x, y), oracle)
-                return StreamResult(emitted, collapse)
-        emitted.append(y)
+    try:
+        for _ in range(count):
+            emitted.append(oracle.query(hfset(emitted)))
+    except Refuted as done:
+        return StreamResult(emitted, done.witness)
     return StreamResult(emitted)
 
 
 def extract_seqstar_to_seq(oracle: InjectionOracle, marker: Atom, count: int) -> StreamResult:
     """Probe constant sequences of growing length; the one-to-one values
     over finitely many atoms run out, so new atoms keep appearing."""
-    seen_answers: Dict[tuple, object] = {}
     seen_atoms: List[Atom] = []
     known: Set[Atom] = set()
     n = 0
     idle = 0
-    while len(seen_atoms) < count:
-        x = hftuple([marker] * n)
-        y = oracle.query(x)
-        k = oracle_key(y)
-        if k in seen_answers:
-            collapse = _checked(InjectivityCollapse(seen_answers[k], x, y), oracle)
-            return StreamResult(seen_atoms, collapse)
-        seen_answers[k] = x
-        fresh = [a for a in y if a not in known]
-        if fresh:
-            idle = 0
-            for a in fresh:
-                known.add(a)
-                seen_atoms.append(a)
-        else:
-            idle += 1
-            if idle > seq_count(len(known)) + 1:
-                raise EngineBug("distinct one-to-one values over a finite set ran out")
-        n += 1
+    try:
+        while len(seen_atoms) < count:
+            y = oracle.query(hftuple([marker] * n))
+            fresh = [a for a in y if a not in known]
+            if fresh:
+                idle = 0
+                for a in fresh:
+                    known.add(a)
+                    seen_atoms.append(a)
+            else:
+                idle += 1
+                if idle > seq_count(len(known)) + 1:
+                    raise EngineBug("distinct one-to-one values over a finite set ran out")
+            n += 1
+    except Refuted as done:
+        return StreamResult(seen_atoms, done.witness)
     return StreamResult(seen_atoms[:count])
 
 
@@ -454,27 +449,18 @@ def extract_from_surplus(n: int, oracle: InjectionOracle, count: int, seed=froze
     current values has more inputs than available answers, so the first
     sweep without an escaping second component repeats an answer."""
     values: List[frozenset] = [seed]
-    answers: Dict[tuple, tuple] = {}
-    while len(values) < count:
-        known = set(values)
-        escaped = False
-        for i in range(len(values)):
-            for label in range(n + 1):
-                x = (label, values[i])
-                y = oracle.query(x)
-                k = oracle_key(y)
-                if k in answers and oracle_key(answers[k]) != oracle_key(x):
-                    collapse = _checked(InjectivityCollapse(answers[k], x, y), oracle)
-                    return StreamResult(values, collapse)
-                answers[k] = x
+    try:
+        while len(values) < count:
+            known = set(values)
+            for value, label in itertools.product(list(values), range(n + 1)):
+                y = oracle.query((label, value))
                 if y[1] not in known:
                     values.append(y[1])
-                    escaped = True
                     break
-            if escaped:
-                break
-        if not escaped:
-            raise EngineBug("sweep ended without escape or repeat")
+            else:
+                raise EngineBug("sweep ended without escape or repeat")
+    except Refuted as done:
+        return StreamResult(values, done.witness)
     return StreamResult(values[:count])
 
 
@@ -519,33 +505,29 @@ def extract_from_partition_injection(
     rest = frozenset(g for g in ground if g not in a)
     X: List[frozenset] = [frozenset({p}) for p in a] + [frozenset(ground)]
     emitted: List[frozenset] = []
-    answers: Dict[tuple, object] = {}
-    while len(emitted) < count:
-        chi = {}
-        for g in ground:
-            chi.setdefault(tuple(0 if g in x else 1 for x in X), []).append(g)
-        blocks = [frozenset(chi[sig]) for sig in sorted(chi)]
-        l = len(blocks)
-        probes_left = 2 ** l + 2
-        for q in rgs_partitions(l):
-            if probes_left <= 0:
-                raise EngineBug("per-round probe bound exhausted")
-            probes_left -= 1
-            parts = frozenset(
-                frozenset().union(*(blocks[i] for i in qb)) for qb in q
-            )
-            y = oracle.query(parts)
-            k = oracle_key(y)
-            if k in answers and oracle_key(answers[k]) != oracle_key(parts):
-                collapse = _checked(InjectivityCollapse(answers[k], parts, y), oracle)
-                return StreamResult(emitted, collapse)
-            answers[k] = parts
-            if any(b & y and not b <= y for b in blocks):
-                X.append(y)
-                emitted.append(y)
-                break
-        else:
-            raise EngineBug("partition supply exhausted before the pigeonhole")
+    try:
+        while len(emitted) < count:
+            chi = {}
+            for g in ground:
+                chi.setdefault(tuple(0 if g in x else 1 for x in X), []).append(g)
+            blocks = [frozenset(chi[sig]) for sig in sorted(chi)]
+            l = len(blocks)
+            probes_left = 2 ** l + 2
+            for q in rgs_partitions(l):
+                if probes_left <= 0:
+                    raise EngineBug("per-round probe bound exhausted")
+                probes_left -= 1
+                y = oracle.query(
+                    frozenset(frozenset().union(*(blocks[i] for i in qb)) for qb in q)
+                )
+                if any(b & y and not b <= y for b in blocks):
+                    X.append(y)
+                    emitted.append(y)
+                    break
+            else:
+                raise EngineBug("partition supply exhausted before the pigeonhole")
+    except Refuted as done:
+        return StreamResult(emitted, done.witness)
     return StreamResult(emitted[:count])
 
 
@@ -563,6 +545,7 @@ def _pair_closed(E: Sequence[Atom]) -> bool:
     return True
 
 
+@refutation_engine
 def refute_unordered_to_ordered_pairmodel(
     oracle: InjectionOracle, budget: int = 8
 ):
@@ -594,17 +577,11 @@ def refute_unordered_to_ordered_pairmodel(
     sample.sort(key=lambda a: a.payload)
     pinned = PairStructure.pinned_levels(E)
 
-    # probe every pair, collapsing eagerly on a repeated value
-    answer: Dict[Tuple[int, int], HFTuple] = {}
-    seen: Dict[tuple, object] = {}
-    for i, j in itertools.combinations(range(len(sample)), 2):
-        x = hfset(sample[i], sample[j])
-        y = oracle.query(x)
-        kk = oracle_key(y)
-        if kk in seen:
-            return _checked(InjectivityCollapse(seen[kk], x, y), oracle)
-        seen[kk] = x
-        answer[(i, j)] = y
+    # probe every pair; the oracle collapses eagerly on a repeated value
+    answer: Dict[Tuple[int, int], HFTuple] = {
+        (i, j): oracle.query(hfset(sample[i], sample[j]))
+        for i, j in itertools.combinations(range(len(sample)), 2)
+    }
 
     def colour(t: Atom, i: int, j: int) -> int:
         if t in E:
@@ -627,14 +604,14 @@ def refute_unordered_to_ordered_pairmodel(
         x = hfset(xA, xB)
         y = answer[(iA, iB)]
         if set(colours) == {k, k + 1}:
-            return _break(oracle, extend_fixing(s, E, {xA: xB, xB: xA}), x, x, y)
+            _break(oracle, extend_fixing(s, E, {xA: xB, xB: xA}), x, x, y)
         if k + 2 in colours:
             t = y.items[colours.index(k + 2)]
             keep = set(E) | {xA, xB}
             (z,) = s.probe_atoms(1, avoid | set(sample) | atoms_of(y))
             pi = extend_fixing(s, list(keep), {t: z, z: t})
             if pi is not None:
-                return _break(oracle, pi, x, x, y)
+                _break(oracle, pi, x, x, y)
         if k + 3 in colours:
             t = y.items[colours.index(k + 3)]
             lvl, payload_pair, eps = t.payload
@@ -642,7 +619,7 @@ def refute_unordered_to_ordered_pairmodel(
                 flipped = s.pair_atom(lvl, *payload_pair, 1 - eps)
                 pi = extend_fixing(s, list(set(E) | {xA, xB}), {t: flipped})
                 if pi is not None:
-                    return _break(oracle, pi, x, x, y)
+                    _break(oracle, pi, x, x, y)
             # bit pinned: move a stray base component, if any
             strays = [
                 b
@@ -653,19 +630,18 @@ def refute_unordered_to_ordered_pairmodel(
                 (z,) = s.probe_atoms(1, avoid | set(sample) | atoms_of(y))
                 pi = extend_fixing(s, list(set(E) | {xA, xB}), {strays[0]: z, z: strays[0]})
                 if pi is not None and oracle_key(act(pi, y)) != oracle_key(y):
-                    return _break(oracle, pi, x)
+                    _break(oracle, pi, x)
             # value built over the input pair: swapping the pair may move it
             pi = extend_fixing(s, E, {xA: xB, xB: xA})
             if pi is not None and oracle_key(act(pi, y)) != oracle_key(y):
-                return _break(oracle, pi, x, x)
+                _break(oracle, pi, x, x)
             # last resort: rotate the triple; the value is pinned, the input moves
             pi = extend_fixing(s, E, {xA: xB, xB: xC, xC: xA})
             if pi is not None:
                 piy = act(pi, y)
                 y2 = answer[(iB, iC)]
                 if oracle_key(piy) != oracle_key(y2):
-                    return _break(oracle, pi, x, x)
-        return None
+                    _break(oracle, pi, x, x)
 
     for iA, iB, iC in itertools.combinations(range(len(sample)), 3):
         c = tau[(iA, iB)]
@@ -674,9 +650,7 @@ def refute_unordered_to_ordered_pairmodel(
                 raise EngineBug(
                     "support-determined values survived the eager collapse scan"
                 )
-            w = try_case(iA, iB, iC, c)
-            if w is not None:
-                return w
+            try_case(iA, iB, iC, c)
     if len(sample) < needed:
         return BudgetExhausted(needed, len(sample))
     raise EngineBug("guaranteed monochromatic triple not found")

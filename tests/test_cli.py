@@ -61,6 +61,21 @@ class TestVerify:
         assert "[FAIL] refute-exhaustive-fin-to-seq-0" in out
         assert "'error': 'collapse inputs are equal'" in out and "'script': [" in out
 
+    def test_engine_raising_witness_invalid_in_exhaustive_search_is_a_failing_check(
+        self, monkeypatch, capsys
+    ):
+        engine = refute.refute_fin_to_seq_fraenkel
+
+        def rejected(o):
+            engine(o)
+            raise WitnessInvalid("cited map moves the declared support")
+
+        monkeypatch.setattr(refute, "refute_fin_to_seq_fraenkel", rejected)
+        code, out = run(capsys, "verify", "--suite", "refutation", "--fast")
+        assert code == 1
+        assert "[FAIL] refute-exhaustive-fin-to-seq-0" in out
+        assert "'error': 'cited map moves the declared support'" in out
+
     def test_negative_budget_is_a_usage_error(self, capsys):
         assert usage_error(capsys, "verify", "--suite", "refutation", "--budget", "-1")
 

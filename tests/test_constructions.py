@@ -382,6 +382,17 @@ class TestCategoricalMaps:
         assert S01.contains(w) and not S10.contains(w)
         assert S01 != S10
 
+    def test_phi_commutes_with_an_automorphism_moving_its_support(self):
+        s = CategoricalStructure()
+        a, b, c, d = s.fresh(4)
+        s.declare_rel((b, a))
+        s.declare_rel((d, c))
+        pi = extend_fixing(s, [], {a: c, b: d})
+        assert pi is not None
+        moved = categorical_seq_to_power(s, (b, a)).apply(pi)
+        assert moved == categorical_seq_to_power(s, (pi.apply(b), pi.apply(a)))
+        assert moved.support == (c, d)
+
     def test_phi_rejects_duplicates(self):
         s = CategoricalStructure()
         e0 = fresh_realizer(s, [])

@@ -29,6 +29,7 @@ from choiceless.refute import (
     InjectionOracle,
     InjectivityCollapse,
     OracleAnswerError,
+    Refuted,
     WitnessInvalid,
     disjointify_finite,
     extract_fin_to_atom_mostowski,
@@ -73,6 +74,30 @@ class TestOracleShell:
         x = hfset(s.atoms()[:1])
         assert o.query(x) == o.query(x)
         assert calls["n"] == 1 and len(o.transcript) == 1
+
+    def test_repeated_answer_raises_verified_collapse(self):
+        s = PureSetStructure(2)
+        a, b = s.atoms()
+        o = InjectionOracle(lambda x: hftuple(()), FinDom(AtomsDom()), SeqDom(), structure=s)
+        first = hfset(a)
+        y = o.query(first)
+        assert o.query(hfset(a)) is y  # a memo hit is not a collapse
+        with pytest.raises(Refuted) as caught:
+            o.query(hfset(b))
+        w = caught.value.witness
+        assert isinstance(w, InjectivityCollapse)
+        assert w.x1 is first and w.x2 == hfset(b) and w.y == hftuple(())
+        assert verify_witness(w, s, (), o.transcript)
+
+    def test_extractor_convicted_partway_keeps_its_values(self):
+        t = DenseOrderStructure()
+        fn = lambda x: t.atom(min(len(x.items), 3))
+        o = InjectionOracle(fn, FinDom(AtomsDom()), AtomsDom(), structure=t)
+        r = extract_fin_to_atom_mostowski(o, 10)
+        assert not r.ok
+        assert r.values == [t.atom(i) for i in range(4)]
+        assert r.collapse.x1 == hfset(r.values[:3]) and r.collapse.x2 == hfset(r.values)
+        assert verify_witness(r.collapse, t, (), o.transcript)
 
     def test_codomain_enforced(self):
         s = PureSetStructure(2)
