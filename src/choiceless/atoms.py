@@ -9,10 +9,11 @@ carrying a linear order plus a family of irreflexive relations.
 
 Each universe is one structure class.  It owns everything that differs
 between universes: fresh atoms and `materialise`, the extension test,
-one step of a lifted automorphism, the 1-types over a support (list,
-realisation, restriction, projection onto a sub-support, image under an
-automorphism), the canonical order of a support, and the JSON of its
-atoms and of itself.
+one step of a lifted automorphism, the canonical order of a support,
+and the JSON of its atoms and of itself.  All but the pair model also
+own the 1-types over a support (list, realisation, restriction and
+projection onto a sub-support); the pair model has lifts but no
+1-types.
 
 A group element is never written out in full.  A finite injective map
 (`PartialAutomorphism`) plus an extension test (`extendable`) stands in
@@ -33,7 +34,6 @@ DENSE_ORDER = "dense_order"
 PAIR_MODEL = "pair_model"
 CATEGORICAL = "categorical"
 
-DEFAULT_PAIR_LEVEL_BOUND = 3
 # most 1-types one support may carry; the homogeneous structure has
 # 6,146 over two atoms and about 2^51 over three
 TYPE_BUDGET = 2 ** 16
@@ -133,13 +133,12 @@ class OneType:
     descriptor.  Distinct types over the same support have disjoint
     realizer sets, and together they cover all atoms."""
 
-    __slots__ = ("world", "support", "desc", "witness")
+    __slots__ = ("world", "support", "desc")
 
-    def __init__(self, world, support, desc, witness: Optional[Atom] = None):
+    def __init__(self, world, support, desc):
         self.world = world
         self.support = tuple(support)
         self.desc = desc
-        self.witness = witness  # pair model only; not part of identity
 
     def __eq__(self, other):
         return (
@@ -157,7 +156,9 @@ class OneType:
 
     def holds(self, structure: "AtomStructure", atom: Atom) -> bool:
         structure.check_owns(atom)
-        return structure.realises(self, atom)
+        if self.desc[0] == "eq":
+            return atom == self.support[self.desc[1]]
+        return atom not in self.support and structure.type_of(atom, self.support) == self
 
 
 # categorical 1-type formulas: ("eq", e), ("lt", e), ("rel", n, i, (e0..en-1))
@@ -250,10 +251,10 @@ def _complete_cycle(atom: Atom, mapping: Dict[Atom, Atom]) -> Atom:
 class AtomStructure:
     """Base class: a finite materialised fragment of a countable universe.
 
-    The 1-type methods here serve the universes whose types over a
-    support E are ("eq", j) for the atom E[j] plus descriptors of the
-    atoms outside E that depend only on E.  Such a structure caches, per
-    support, its type list and each type's position in it, keyed by
+    The 1-type methods here serve every universe but the pair model: a
+    type over a support E is ("eq", j) for the atom E[j] or a descriptor
+    of the atoms outside E that depends only on E.  A structure caches,
+    per support, its type list and each type's position in it, keyed by
     support payloads.  Its projection tables (`projection`) are computed
     by index arithmetic from the shape of the pair of supports: the size
     of E and the positions of the sub-support inside it.  The bare set
@@ -330,18 +331,22 @@ class AtomStructure:
 
     # -- 1-types ------------------------------------------------------------
 
-    def types(
-        self, E: Tuple[Atom, ...], level_bound: int = DEFAULT_PAIR_LEVEL_BOUND
-    ) -> List[OneType]:
+    def types(self, E: Tuple[Atom, ...]) -> List[OneType]:
         """The realized 1-types over the sorted support E, in canonical
         order."""
-        return self._cached(self._types, _support_key(E), lambda: self._type_list(E))
+        key = _support_key(E)
+        out = self._types.get(key)
+        if out is None:
+            out = self._types[key] = self._type_list(E)
+        return out
 
     def type_index(self, E: Tuple[Atom, ...]) -> Dict[OneType, int]:
         """Each type over the sorted support E -> its position in `types(E)`."""
-        return self._cached(
-            self._index, _support_key(E), lambda: {t: k for k, t in enumerate(self.types(E))}
-        )
+        key = _support_key(E)
+        out = self._index.get(key)
+        if out is None:
+            out = self._index[key] = {t: k for k, t in enumerate(self.types(E))}
+        return out
 
     def projection(self, E: Tuple[Atom, ...], sub: Tuple[Atom, ...]) -> Tuple[int, ...]:
         """Entry k is the position in `types(sub)` of the restriction of
@@ -354,22 +359,9 @@ class AtomStructure:
         `positions`, where it depends on nothing else."""
         raise NotImplementedError
 
-    @staticmethod
-    def _cached(store: dict, key: tuple, build):
-        out = store.get(key)
-        if out is None:
-            out = store[key] = build()
-        return out
-
     def type_of(self, atom: Atom, E: Tuple[Atom, ...]) -> OneType:
         """The 1-type over E of an atom outside E."""
         raise NotImplementedError
-
-    def realises(self, t: OneType, atom: Atom) -> bool:
-        E = t.support
-        if t.desc[0] == "eq":
-            return atom == E[t.desc[1]]
-        return atom not in E and self.type_of(atom, E) == t
 
     def restrict(self, t: OneType, sub: Tuple[Atom, ...]) -> OneType:
         """The 1-type over the sorted sub-support induced by `t`."""
@@ -377,29 +369,9 @@ class AtomStructure:
         if t.desc[0] == "eq":
             e = t.support[t.desc[1]]
             if e in sub_index:
-                return OneType(self.kind, sub, ("eq", sub_index[e]), witness=e)
+                return OneType(self.kind, sub, ("eq", sub_index[e]))
             return self.type_of(e, sub)
         return self._restrict_outside(t, sub, sub_index)
-
-    def permute_desc(self, desc, perm: Dict[int, int]):
-        """A descriptor with its support indices renamed by `perm`."""
-        # Only an "eq" descriptor needs renaming: an automorphism of an
-        # ordered universe preserves the order that sorts a support, so
-        # there `perm` is the identity and gap and relation descriptors
-        # keep their indices.
-        if desc[0] == "eq":
-            return ("eq", perm[desc[1]])
-        return desc
-
-    def image_types(self, S, pi: "LiftedAutomorphism", new_support) -> List[OneType]:
-        """The types over `new_support` that the subset S selects once
-        moved by `pi`, which has already been applied to S's support."""
-        new_index = {e: k for k, e in enumerate(new_support)}
-        perm = {j: new_index[pi.pairs[e]] for j, e in enumerate(S.support)}
-        return [
-            OneType(self.kind, new_support, self.permute_desc(t.desc, perm))
-            for t in S.selected
-        ]
 
     # -- JSON ---------------------------------------------------------------
 
@@ -574,35 +546,6 @@ class DenseOrderStructure(AtomStructure):
         return cls(Fraction(q) for q in data["atoms"])
 
 
-def pair_orbit_descriptor(atom: Atom, fixed: Sequence[Atom]):
-    """Canonical descriptor of an atom's orbit under the automorphisms
-    fixing `fixed` pointwise.  Base atoms outside the pinned closure
-    become numbered slots; bits at levels not pinned by `fixed` are
-    recorded relative to the first occurrence of that level."""
-    pinned = PairStructure.pinned_levels(fixed)
-    bases = PairStructure.fixed_bases(fixed)
-    slots: Dict[Atom, int] = {}
-    flips: Dict[int, int] = {}
-
-    def go(a: Atom):
-        if a.level == 0:
-            if a in bases:
-                return ("fix", a.payload)
-            if a not in slots:
-                slots[a] = len(slots)
-            return ("slot", slots[a])
-        lvl, (x, y), eps = a.payload
-        if lvl in pinned:
-            bd = ("bit", eps)
-        else:
-            if lvl not in flips:
-                flips[lvl] = eps
-            bd = ("rel", eps ^ flips[lvl])
-        return ("nd", lvl, bd, go(x), go(y))
-
-    return go(atom)
-
-
 class PairStructure(AtomStructure):
     """Levelled pair atoms.
 
@@ -613,11 +556,8 @@ class PairStructure(AtomStructure):
     permutation acts inside the payload and the level's bit is XORed
     onto the atom's own bit.
 
-    A 1-type here is the orbit descriptor of a materialised witness atom,
-    and the type list over a support is the set of orbits the
-    materialised universe realises.  It grows with every new atom, so
-    unlike the other universes the list, its index and the projection
-    tables are recomputed on each call.
+    The model has lifts but no 1-types: `types` refuses, so neither
+    `types_over` nor a `SupportedSubset` accepts a pair-model structure.
     """
 
     kind = PAIR_MODEL
@@ -740,41 +680,8 @@ class PairStructure(AtomStructure):
         ix, iy = lift.apply(x), lift.apply(y)
         return self.pair_atom(lvl, ix, iy, eps ^ bits.get(lvl, 0))
 
-    @staticmethod
-    def _cached(store, key, build):
-        return build()
-
-    def types(self, E, level_bound=DEFAULT_PAIR_LEVEL_BOUND):
-        seen: Dict[tuple, OneType] = {}
-        for atom in self.atoms():
-            if atom.level > level_bound:
-                raise LevelBudgetExceeded(
-                    f"atom of level {atom.level} exceeds the type bound {level_bound}"
-                )
-            desc = pair_orbit_descriptor(atom, E)
-            if desc not in seen:
-                seen[desc] = OneType(PAIR_MODEL, E, desc, witness=atom)
-        return [seen[d] for d in sorted(seen)]
-
-    def realises(self, t, atom):
-        return pair_orbit_descriptor(atom, t.support) == t.desc
-
-    def projection(self, E, sub):
-        # types follow their witnesses, so restrict them one at a time
-        index = self.type_index(sub)
-        return tuple(index[self.restrict(t, sub)] for t in self.types(E))
-
-    def restrict(self, t, sub):
-        return OneType(PAIR_MODEL, sub, pair_orbit_descriptor(t.witness, sub), t.witness)
-
-    def image_types(self, S, pi, new_support):
-        # an automorphism maps the orbit of w over E onto the orbit of
-        # pi(w) over pi(E), so each selected type moves with its witness
-        moved = (pi.apply(t.witness) for t in S.selected)
-        return [
-            OneType(PAIR_MODEL, new_support, pair_orbit_descriptor(w, new_support), w)
-            for w in moved
-        ]
+    def types(self, E):
+        raise StructureMismatch("the pair model has no 1-types")
 
     @staticmethod
     def payload_repr(payload) -> str:
@@ -968,7 +875,7 @@ class CategoricalStructure(AtomStructure):
         n = len(E)
         _cat_type_count(n)
         formulas = _cat_rel_formulas(n)
-        out = [OneType(CATEGORICAL, E, ("eq", j), witness=E[j]) for j in range(n)]
+        out = [OneType(CATEGORICAL, E, ("eq", j)) for j in range(n)]
         for gap in range(n + 1):
             for mask in range(1 << len(formulas)):
                 rels = frozenset(f for k, f in enumerate(formulas) if mask >> k & 1)

@@ -11,9 +11,9 @@ that maps each type position over the support to a type position over
 the sub-support, and subsets are re-encoded, shrunk and tested for
 support on type positions.  The structure computes the table by index
 arithmetic from the size of the support and the positions of the
-sub-support inside it, except on the pair model, whose types follow the
-materialised atoms and are restricted one at a time.  `restrict_type`
-restricts one type; it is the oracle the tables are tested against.
+sub-support inside it.  `restrict_type` restricts one type; it is the
+oracle the tables are tested against.  The pair model has no 1-types:
+`types_over` and `SupportedSubset` raise `StructureMismatch` for it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import itertools
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .atoms import (
-    DEFAULT_PAIR_LEVEL_BOUND,
     PURE_SET,
     Atom,
     AtomStructure,
@@ -40,18 +39,13 @@ def sort_support(structure: AtomStructure, atoms: Iterable[Atom]) -> Tuple[Atom,
     return tuple(structure.sorted_by_order(atoms))
 
 
-def types_over(
-    structure: AtomStructure,
-    support: Iterable[Atom],
-    pair_level_bound: int = DEFAULT_PAIR_LEVEL_BOUND,
-) -> List[OneType]:
+def types_over(structure: AtomStructure, support: Iterable[Atom]) -> List[OneType]:
     """The duplicate-free list of realized 1-types over the support, in
     canonical order.  Lengths: n+1 for the bare set, 2n+1 for the dense
     order; for the homogeneous structure the list enumerates every
     consistent combination of equality slot, order gap and relation
-    facts; for the pair model it enumerates the orbits realized by the
-    materialised universe up to the level bound."""
-    return structure.types(sort_support(structure, support), pair_level_bound)
+    facts.  The pair model has no 1-types and raises `StructureMismatch`."""
+    return structure.types(sort_support(structure, support))
 
 
 def count_supported(structure: AtomStructure, support: Iterable[Atom]) -> int:
@@ -108,6 +102,8 @@ class SupportedSubset:
         if isinstance(bits, str):
             if len(bits) != len(ts):
                 raise ValueError("bit string length must match the type count")
+            if not set(bits) <= {"0", "1"}:
+                raise ValueError(f"bit string {bits!r} holds a character other than 0 and 1")
             chosen = [t for t, b in zip(ts, bits) if b == "1"]
         else:
             chosen = [t for k, t in enumerate(ts) if bits >> k & 1]
@@ -229,8 +225,17 @@ class SupportedSubset:
 
     def apply(self, pi: LiftedAutomorphism) -> "SupportedSubset":
         s = self.structure
-        new_support = sort_support(s, [pi.apply(e) for e in self.support])
-        return SupportedSubset(s, new_support, s.image_types(self, pi, new_support))
+        images = [pi.apply(e) for e in self.support]
+        new_support = sort_support(s, images)
+        where = {e: k for k, e in enumerate(new_support)}
+        # Only an ("eq", j) type needs its index renamed: an automorphism
+        # of an ordered universe preserves the order that sorts a support,
+        # so gap and relation descriptors keep their indices.
+        moved = [
+            ("eq", where[images[t.desc[1]]]) if t.desc[0] == "eq" else t.desc
+            for t in self.selected
+        ]
+        return SupportedSubset(s, new_support, [OneType(s.kind, new_support, d) for d in moved])
 
     def to_json(self) -> dict:
         return {
@@ -243,6 +248,8 @@ class SupportedSubset:
     def from_json(structure: AtomStructure, data: dict) -> "SupportedSubset":
         if data["structure"] != structure.kind:
             raise StructureMismatch("wrong structure kind in JSON")
+        if not isinstance(data["bits"], str):
+            raise ValueError("a subset's bits must be a string of 0s and 1s")
         support = [atom_from_json(a) for a in data["support"]]
         return SupportedSubset.from_bits(structure, support, data["bits"])
 

@@ -182,8 +182,17 @@ class TestRefuteCommand:
             "[1, 2]",
             json.dumps({"support": [], "table": []}),
             json.dumps({"structure": {"kind": "pure", "atoms": [0, 1]}, "support": []}),
+            json.dumps(
+                {
+                    "structure": {"kind": "pure", "atoms": [0, 1]},
+                    "support": [],
+                    "table": [
+                        [{"nat": 0}, {"subset": {"structure": "pure_set", "support": [], "bits": "x"}}]
+                    ],
+                }
+            ),
         ],
-        ids=["missing", "not-json", "not-an-object", "no-structure", "no-table"],
+        ids=["missing", "not-json", "not-an-object", "no-structure", "no-table", "bad-bits"],
     )
     def test_unreadable_table_is_a_usage_error(self, tmp_path, capsys, text):
         tfile = tmp_path / "table.json"

@@ -6,7 +6,6 @@ from math import factorial
 import pytest
 
 from choiceless.atoms import (
-    PAIR_MODEL,
     AtomStructure,
     CategoricalStructure,
     DenseOrderStructure,
@@ -44,7 +43,7 @@ from choiceless.constructions import (
     seq_to_chain,
     size_class_map,
 )
-from choiceless.symsets import SupportedSubset, least_support, restriction_table, types_over
+from choiceless.symsets import SupportedSubset, least_support, types_over
 
 
 @pytest.fixture
@@ -307,26 +306,20 @@ class TestMostowskiPowerToSeq:
             S = SupportedSubset.from_bits(s, E, bits)
             assert class_rank(S)[0] == class_rank_by_scan(S)
 
-    def test_restriction_tables_restrict_types_only_on_the_pair_model(self, monkeypatch):
+    def test_restriction_tables_restrict_no_type(self, monkeypatch):
         made = []
-        for cls in (AtomStructure, PairStructure):
 
-            def counted(self, t, sub, restrict=cls.restrict):
-                made.append(self.kind)
-                return restrict(self, t, sub)
+        def counted(self, t, sub, restrict=AtomStructure.restrict):
+            made.append(self.kind)
+            return restrict(self, t, sub)
 
-            monkeypatch.setattr(cls, "restrict", counted)
+        monkeypatch.setattr(AtomStructure, "restrict", counted)
         # class_rank reads the table onto every sub-support of a two-atom
         # least support, and none of them restricts a type
         for s in (PureSetStructure(), DenseOrderStructure(), CategoricalStructure()):
             S = SupportedSubset.of_atoms(s, s.fresh(2))
             assert class_rank(S)[1] == S.support
         assert made == []
-        # the pair model restricts every type, on every call
-        s = PairStructure(3)
-        E = tuple(s.atoms()[:2])
-        assert restriction_table(s, E, E[:1]) == restriction_table(s, E, E[:1])
-        assert made == [PAIR_MODEL] * 2 * len(types_over(s, E))
 
     def test_large_support_branch_and_range_disjointness(self):
         """A subset pinning eleven points maps to a permutation of its own

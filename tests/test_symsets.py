@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
@@ -17,9 +18,9 @@ from choiceless.atoms import (
     extend_fixing,
     f_rel,
     fresh_realizer,
-    pair_orbit_descriptor,
 )
-from choiceless.constructions import class_rank
+from choiceless.cli import main
+from choiceless.constructions import class_rank, hf_to_json, hfset
 from choiceless.symsets import (
     SupportedSubset,
     classify_fraenkel,
@@ -41,13 +42,6 @@ def _structure_with_support(kind):
     if kind == "dense_order":
         s = DenseOrderStructure()
         return s, [s.atom(Fraction(q)) for q in (3, 1, 5, 2, 4)]
-    if kind == "pair_model":
-        s = PairStructure(3)
-        a, b, c = s.atoms()
-        u = s.pair_atom(1, a, b, 0)
-        s.pair_atom(1, b, c, 1)
-        s.pair_atom(1, c, c, 0)
-        return s, [a, u]
     s = CategoricalStructure()
     E = s.fresh(2)
     s.declare_rel(E)
@@ -94,14 +88,6 @@ class TestTypeCounts:
         assert types_over(s, E[::-1]) is ts
         assert types_over(t, F) == ts and types_over(t, F) is not ts
 
-    def test_pair_type_list_follows_materialised_atoms(self):
-        # why the pair model keeps no type cache
-        s = PairStructure(2)
-        a, b = s.atoms()
-        assert len(types_over(s, [])) == 1
-        s.pair_atom(1, a, b, 0)
-        assert len(types_over(s, [])) == 2
-
     @staticmethod
     def _assert_tables_match_restrict_type(s, E):
         """Every sub-support's table against the type-at-a-time oracle."""
@@ -115,7 +101,7 @@ class TestTypeCounts:
                 for k, t in enumerate(ts):
                     assert below[table[k]] == restrict_type(s, t, sub)
 
-    @pytest.mark.parametrize("kind", ["pure_set", "dense_order", "pair_model", "categorical"])
+    @pytest.mark.parametrize("kind", ["pure_set", "dense_order", "categorical"])
     def test_restriction_table_matches_restrict_type(self, kind):
         self._assert_tables_match_restrict_type(*_structure_with_support(kind))
 
@@ -317,6 +303,13 @@ class TestSupportedSubset:
         data = S.to_json()
         assert data["bits"] == S.bits()
         assert SupportedSubset.from_json(s, data) == S
+        # bits other than a string of 0s and 1s are refused, not misread
+        p = PureSetStructure(3)
+        bad = SupportedSubset.of_atoms(p, p.atoms()[:1]).to_json()
+        for bits in ("2x", 7):
+            bad["bits"] = bits
+            with pytest.raises(ValueError):
+                SupportedSubset.from_json(p, bad)
 
     def test_selected_types_must_match_support(self):
         s = DenseOrderStructure()
@@ -365,74 +358,30 @@ class TestClassifyFraenkel:
             assert set(c.members) <= set(E)
 
 
-class TestPairModelTypes:
-    def test_orbit_descriptor_separates_orbits(self):
-        s = PairStructure(3)
-        a, b, c = (s.base_atom(i) for i in range(3))
-        u_ab = s.pair_atom(1, a, b, 0)
-        u_ba = s.pair_atom(1, b, a, 0)
-        u_aa = s.pair_atom(1, a, a, 0)
-        # over the empty support the two mixed pairs fall together, the
-        # diagonal one does not
-        assert pair_orbit_descriptor(u_ab, ()) == pair_orbit_descriptor(u_ba, ())
-        assert pair_orbit_descriptor(u_ab, ()) != pair_orbit_descriptor(u_aa, ())
-        # fixing a separates them
-        assert pair_orbit_descriptor(u_ab, (a,)) != pair_orbit_descriptor(u_ba, (a,))
-
-    def test_bit_orbits_respect_pinning(self):
-        s = PairStructure(2)
-        a, b = s.base_atom(0), s.base_atom(1)
-        u0 = s.pair_atom(1, a, b, 0)
-        u1 = s.pair_atom(1, a, b, 1)
-        assert pair_orbit_descriptor(u0, ()) == pair_orbit_descriptor(u1, ())
-        assert pair_orbit_descriptor(u0, (u0,)) != pair_orbit_descriptor(u1, (u0,))
-
-    def test_descriptor_matches_orbit_reachability(self):
-        rng = random.Random(13)
-        s = PairStructure(4)
-        bases = [s.base_atom(i) for i in range(4)]
-        atoms = list(bases)
-        for _ in range(6):
-            x, y = rng.choice(atoms), rng.choice(atoms)
-            lvl = max(x.level, y.level) + 1
-            atoms.append(s.pair_atom(lvl, x, y, rng.choice((0, 1))))
-        E = [bases[0]]
-        for u, v in itertools.combinations(atoms, 2):
-            same_desc = pair_orbit_descriptor(u, E) == pair_orbit_descriptor(v, E)
-            movable = extend_fixing(s, E, {u: v}) is not None
-            assert same_desc == movable, (u, v)
-
-    def test_types_realized_by_universe(self):
-        s = PairStructure(2)
-        a, b = s.base_atom(0), s.base_atom(1)
-        s.pair_atom(1, a, b, 0)
-        s.pair_atom(1, a, b, 1)
-        ts = types_over(s, [])
-        assert len(ts) == 2  # one base orbit, one level-1 orbit
-        for t in ts:
-            assert t.holds(s, t.witness)
-
-    def test_image_of_subset_moves_types_with_their_witnesses(self):
-        # the lift never records a preimage of b2, yet b2 stays in the image
-        s = PairStructure(3)
-        b0, b1, b2 = s.atoms()
-        S = SupportedSubset.of_atoms(s, [b0]).complement()
-        pi = extend_fixing(s, [], {b0: b1})
-        image = S.apply(pi)
-        assert image.support == (b1,)
-        assert image.denote() == [b0, b2]
-
-    def test_level_bound_raises_instead_of_truncating(self):
-        from choiceless.atoms import LevelBudgetExceeded
-
-        s = PairStructure(2)
-        a, b = s.base_atom(0), s.base_atom(1)
-        u1 = s.pair_atom(1, a, b, 0)
-        u2 = s.pair_atom(2, u1, b, 0)
-        deep = s.pair_atom(4, s.pair_atom(3, u2, a, 1), b, 0)
-        with pytest.raises(LevelBudgetExceeded):
-            types_over(s, [], pair_level_bound=3)
-        assert types_over(s, [], pair_level_bound=4)
+@pytest.mark.parametrize(
+    "case", ["types_over", "of_atoms", "all_atoms", "from_json", "refute-table"]
+)
+def test_pair_model_has_no_types(case, tmp_path, capsys):
+    s = PairStructure(2)
+    a, b = s.atoms()
+    subset = {"structure": s.kind, "support": [], "bits": "1"}
+    calls = {
+        "types_over": lambda: types_over(s, []),
+        "of_atoms": lambda: SupportedSubset.of_atoms(s, [a]),
+        "all_atoms": lambda: SupportedSubset.all_atoms(s),
+        "from_json": lambda: SupportedSubset.from_json(s, subset),
+    }
+    if case in calls:
+        with pytest.raises(StructureMismatch):
+            calls[case]()
+        return
+    # an oracle table that answers with a pair-model subset is unreadable
+    table = [[hf_to_json(hfset(a, b)), {"subset": subset}]]
+    tfile = tmp_path / "table.json"
+    tfile.write_text(json.dumps({"structure": s.to_json(), "support": [], "table": table}))
+    code = main(["refute", "unordered-to-ordered", "--oracle", f"@{tfile}"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and len(captured.err.splitlines()) == 1
 
 
 class TestCategoricalTypes:
