@@ -213,6 +213,39 @@ class TestExtendFixing:
         img = pi.apply(w)
         assert img.payload[0] == 2 and img.payload[2] == 1
 
+    def test_pair_orbits_follow_components(self):
+        s = PairStructure(3)
+        a, b, c = (s.base_atom(i) for i in range(3))
+        u_ab = s.pair_atom(1, a, b, 0)
+        u_ba = s.pair_atom(1, b, a, 0)
+        u_aa = s.pair_atom(1, a, a, 0)
+        # over the empty support the two mixed pairs share an orbit, the
+        # diagonal one does not
+        assert extend_fixing(s, [], {u_ab: u_ba}) is not None
+        assert extend_fixing(s, [], {u_ab: u_aa}) is None
+        # fixing a separates the mixed pairs; fixing c does not
+        assert extend_fixing(s, [a], {u_ab: u_ba}) is None
+        assert extend_fixing(s, [c], {u_ab: u_ba}) is not None
+
+    def test_pair_bit_orbits_respect_pinning(self):
+        s = PairStructure(2)
+        a, b = s.base_atom(0), s.base_atom(1)
+        u0 = s.pair_atom(1, a, b, 0)
+        u1 = s.pair_atom(1, a, b, 1)
+        assert extend_fixing(s, [], {u0: u1}) is not None
+        assert extend_fixing(s, [a, b], {u0: u1}) is not None
+        # pinning one bit-0 atom pins the level-1 bit
+        assert extend_fixing(s, [u0], {u0: u1}) is None
+        assert extend_fixing(s, [s.pair_atom(1, b, b, 0)], {u0: u1}) is None
+
+    def test_pair_lift_permutes_the_base_atoms(self):
+        # the lift records no preimage of b2, yet b2 stays in its image
+        s = PairStructure(3)
+        b0, b1, b2 = s.atoms()
+        pi = extend_fixing(s, [], {b0: b1})
+        assert pi.apply(b0) == b1
+        assert {pi.apply(x) for x in (b0, b1, b2)} == {b0, b1, b2}
+
 
 class TestCategorical:
     def test_fresh_below(self):
