@@ -11,9 +11,9 @@ Each universe is one structure class.  It owns everything that differs
 between universes: fresh atoms and `materialise`, the extension test,
 one step of a lifted automorphism, the canonical order of a support,
 and the JSON of its atoms and of itself.  All but the pair model also
-own the 1-types over a support (list, realisation, restriction and
-projection onto a sub-support); the pair model has lifts but no
-1-types.
+own the 1-types over a support: plain descriptor tuples, listed once
+per support size, with their realisation, restriction and projection
+onto a sub-support.  The pair model has lifts but no 1-types.
 
 A group element is never written out in full.  A finite injective map
 (`PartialAutomorphism`) plus an extension test (`extendable`) stands in
@@ -128,39 +128,6 @@ def structure_from_json(data: dict) -> "AtomStructure":
 # 1-types
 
 
-class OneType:
-    """One orbit of the pointwise stabiliser of a support, as a
-    descriptor.  Distinct types over the same support have disjoint
-    realizer sets, and together they cover all atoms."""
-
-    __slots__ = ("world", "support", "desc")
-
-    def __init__(self, world, support, desc):
-        self.world = world
-        self.support = tuple(support)
-        self.desc = desc
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, OneType)
-            and self.world == other.world
-            and self.support == other.support
-            and self.desc == other.desc
-        )
-
-    def __hash__(self):
-        return hash((self.world, self.support, self.desc))
-
-    def __repr__(self):
-        return f"OneType({self.desc})"
-
-    def holds(self, structure: "AtomStructure", atom: Atom) -> bool:
-        structure.check_owns(atom)
-        if self.desc[0] == "eq":
-            return atom == self.support[self.desc[1]]
-        return atom not in self.support and structure.type_of(atom, self.support) == self
-
-
 # categorical 1-type formulas: ("eq", e), ("lt", e), ("rel", n, i, (e0..en-1))
 # where the relation formula asserts the n+1-ary fact with x inserted at
 # slot i among the parameters.
@@ -199,12 +166,6 @@ def _instantiate(local, E: Sequence[Atom]):
     return ("rel", m, i, tuple(E[j] for j in seq))
 
 
-@lru_cache(maxsize=None)
-def _cat_rel_bits(n: int) -> Dict[tuple, int]:
-    """Each local relation formula over n parameters -> its bit."""
-    return {f: k for k, f in enumerate(_cat_rel_formulas(n))}
-
-
 def _cat_type_count(n: int) -> int:
     """Types over an n-atom categorical support, refused past TYPE_BUDGET
     before anything is enumerated."""
@@ -214,10 +175,6 @@ def _cat_type_count(n: int) -> int:
             f"{count} types over a {n}-atom support exceed the budget {TYPE_BUDGET}"
         )
     return count
-
-
-def _support_key(E: Sequence[Atom]) -> tuple:
-    return tuple(a.payload for a in E)
 
 
 def _positions(E: Sequence[Atom], sub: Sequence[Atom]) -> Tuple[int, ...]:
@@ -251,26 +208,25 @@ def _complete_cycle(atom: Atom, mapping: Dict[Atom, Atom]) -> Atom:
 class AtomStructure:
     """Base class: a finite materialised fragment of a countable universe.
 
-    The 1-type methods here serve every universe but the pair model: a
-    type over a support E is ("eq", j) for the atom E[j] or a descriptor
-    of the atoms outside E that depends only on E.  A structure caches,
-    per support, its type list and each type's position in it, keyed by
-    support payloads.  Its projection tables (`projection`) are computed
-    by index arithmetic from the shape of the pair of supports: the size
-    of E and the positions of the sub-support inside it.  The bare set
-    and the dense order keep one table per shape for the whole class;
-    the homogeneous structure shares the part that does not depend on
-    its relation facts."""
+    The 1-type methods here serve every universe but the pair model.  A
+    1-type over a sorted support E is a plain descriptor tuple: ("eq", j)
+    for the atom E[j], or a descriptor of atoms outside E that mentions
+    E only by index: ("free",), ("gap", g) or ("typ", gap, rels).  Its
+    realizers are the one orbit of the pointwise stabiliser of E that it
+    names, so the types over E partition the atoms.  The type list over
+    E depends only on the class and on len(E), so each class builds it
+    once per size (`_type_list`).  Projection tables (`projection`) are
+    computed by index arithmetic from the shape of the pair of supports:
+    the size of E and the positions of the sub-support inside it.  The
+    bare set and the dense order keep one table per shape for the whole
+    class; the homogeneous structure shares the part that does not
+    depend on its relation facts."""
 
     kind: str = ""
     atom_tag: str = ""  # "world" of the atom JSON
     atom_key: str = ""  # the payload's field in the atom JSON
     json_tag: str = ""  # "kind" of the structure JSON
     repr_format: str = ""
-
-    def __init__(self):
-        self._types: Dict[tuple, List[OneType]] = {}
-        self._index: Dict[tuple, Dict[OneType, int]] = {}
 
     def __contains__(self, atom: Atom) -> bool:
         raise NotImplementedError
@@ -331,26 +287,15 @@ class AtomStructure:
 
     # -- 1-types ------------------------------------------------------------
 
-    def types(self, E: Tuple[Atom, ...]) -> List[OneType]:
-        """The realized 1-types over the sorted support E, in canonical
-        order."""
-        key = _support_key(E)
-        out = self._types.get(key)
-        if out is None:
-            out = self._types[key] = self._type_list(E)
-        return out
-
-    def type_index(self, E: Tuple[Atom, ...]) -> Dict[OneType, int]:
-        """Each type over the sorted support E -> its position in `types(E)`."""
-        key = _support_key(E)
-        out = self._index.get(key)
-        if out is None:
-            out = self._index[key] = {t: k for k, t in enumerate(self.types(E))}
-        return out
+    @staticmethod
+    def _type_list(n: int) -> Tuple[tuple, ...]:
+        """The realized 1-types over any sorted n-atom support, in
+        canonical order."""
+        raise NotImplementedError
 
     def projection(self, E: Tuple[Atom, ...], sub: Tuple[Atom, ...]) -> Tuple[int, ...]:
         """Entry k is the position in `types(sub)` of the restriction of
-        `types(E)[k]`, for sorted supports with `sub` inside E."""
+        `_type_list(len(E))[k]`, for sorted supports with `sub` inside E."""
         return self._shape_table(len(E), _positions(E, sub))
 
     @staticmethod
@@ -359,19 +304,27 @@ class AtomStructure:
         `positions`, where it depends on nothing else."""
         raise NotImplementedError
 
-    def type_of(self, atom: Atom, E: Tuple[Atom, ...]) -> OneType:
+    def type_of(self, atom: Atom, E: Tuple[Atom, ...]) -> tuple:
         """The 1-type over E of an atom outside E."""
         raise NotImplementedError
 
-    def restrict(self, t: OneType, sub: Tuple[Atom, ...]) -> OneType:
-        """The 1-type over the sorted sub-support induced by `t`."""
+    def holds(self, t: tuple, E: Tuple[Atom, ...], atom: Atom) -> bool:
+        """Does the atom realise the 1-type t over the sorted support E?"""
+        self.check_owns(atom)
+        if t[0] == "eq":
+            return atom == E[t[1]]
+        return atom not in E and self.type_of(atom, E) == t
+
+    def restrict(self, t: tuple, E: Tuple[Atom, ...], sub: Tuple[Atom, ...]) -> tuple:
+        """The 1-type over the sorted sub-support induced by the type t
+        over the sorted support E."""
         sub_index = {e: j for j, e in enumerate(sub)}
-        if t.desc[0] == "eq":
-            e = t.support[t.desc[1]]
+        if t[0] == "eq":
+            e = E[t[1]]
             if e in sub_index:
-                return OneType(self.kind, sub, ("eq", sub_index[e]))
+                return ("eq", sub_index[e])
             return self.type_of(e, sub)
-        return self._restrict_outside(t, sub, sub_index)
+        return self._restrict_outside(t, E, sub_index)
 
     # -- JSON ---------------------------------------------------------------
 
@@ -400,7 +353,6 @@ class PureSetStructure(AtomStructure):
     repr_format = "u{}"
 
     def __init__(self, size: int = 0):
-        super().__init__()
         self._ids = set(range(size))
 
     def atom(self, i: int) -> Atom:
@@ -423,16 +375,16 @@ class PureSetStructure(AtomStructure):
     def lift_image(self, lift, atom):
         return _complete_cycle(atom, lift.pairs)
 
-    def _type_list(self, E):
-        out = [OneType(PURE_SET, E, ("eq", j)) for j in range(len(E))]
-        out.append(OneType(PURE_SET, E, ("free",)))
-        return out
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def _type_list(n):
+        return tuple(("eq", j) for j in range(n)) + (("free",),)
 
     def type_of(self, atom, E):
-        return OneType(PURE_SET, E, ("free",))
+        return ("free",)
 
-    def _restrict_outside(self, t, sub, sub_index):
-        return OneType(PURE_SET, sub, ("free",))
+    def _restrict_outside(self, t, E, sub_index):
+        return ("free",)
 
     @staticmethod
     @lru_cache(maxsize=None)
@@ -460,7 +412,6 @@ class DenseOrderStructure(AtomStructure):
     repr_format = "a({})"
 
     def __init__(self, positions: Iterable = ()):
-        super().__init__()
         self._positions = set()
         for q in positions:
             self.atom(q)
@@ -501,21 +452,20 @@ class DenseOrderStructure(AtomStructure):
         (x0, y0), (x1, y1) = nodes[k - 1], nodes[k]
         return self.atom(y0 + (q - x0) * (y1 - y0) / (x1 - x0))
 
-    def _type_list(self, E):
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def _type_list(n):
         # geometric left-to-right order: gap 0, e0, gap 1, e1, ..., gap n
-        out = [OneType(DENSE_ORDER, E, ("gap", 0))]
-        for j in range(len(E)):
-            out.append(OneType(DENSE_ORDER, E, ("eq", j)))
-            out.append(OneType(DENSE_ORDER, E, ("gap", j + 1)))
-        return out
+        out = [("gap", 0)]
+        for j in range(n):
+            out += [("eq", j), ("gap", j + 1)]
+        return tuple(out)
 
     def type_of(self, atom, E):
-        below = sum(1 for x in E if x.payload < atom.payload)
-        return OneType(DENSE_ORDER, E, ("gap", below))
+        return ("gap", sum(1 for x in E if x.payload < atom.payload))
 
-    def _restrict_outside(self, t, sub, sub_index):
-        left = t.support[: t.desc[1]]
-        return OneType(DENSE_ORDER, sub, ("gap", sum(1 for x in sub if x in left)))
+    def _restrict_outside(self, t, E, sub_index):
+        return ("gap", sum(1 for x in E[: t[1]] if x in sub_index))
 
     @staticmethod
     @lru_cache(maxsize=None)
@@ -556,7 +506,7 @@ class PairStructure(AtomStructure):
     permutation acts inside the payload and the level's bit is XORed
     onto the atom's own bit.
 
-    The model has lifts but no 1-types: `types` refuses, so neither
+    The model has lifts but no 1-types: `_type_list` refuses, so neither
     `types_over` nor a `SupportedSubset` accepts a pair-model structure.
     """
 
@@ -564,7 +514,6 @@ class PairStructure(AtomStructure):
     atom_tag = json_tag = "pairs"
 
     def __init__(self, base_size: int = 0, level_budget: int = 8):
-        super().__init__()
         self.level_budget = level_budget
         self._payloads = set(range(base_size))
 
@@ -680,7 +629,8 @@ class PairStructure(AtomStructure):
         ix, iy = lift.apply(x), lift.apply(y)
         return self.pair_atom(lvl, ix, iy, eps ^ bits.get(lvl, 0))
 
-    def types(self, E):
+    @staticmethod
+    def _type_list(n):
         raise StructureMismatch("the pair model has no 1-types")
 
     @staticmethod
@@ -729,7 +679,6 @@ class CategoricalStructure(AtomStructure):
     repr_format = "n{}"
 
     def __init__(self):
-        super().__init__()
         self._pos: Dict[int, Fraction] = {}
         self._rfacts: set = set()  # (n, (node ids...)) with len(ids) == n + 1
         self._next = 0
@@ -871,16 +820,17 @@ class CategoricalStructure(AtomStructure):
 
     # -- 1-types and JSON ---------------------------------------------------
 
-    def _type_list(self, E):
-        n = len(E)
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def _type_list(n):
         _cat_type_count(n)
         formulas = _cat_rel_formulas(n)
-        out = [OneType(CATEGORICAL, E, ("eq", j)) for j in range(n)]
+        out = [("eq", j) for j in range(n)]
         for gap in range(n + 1):
             for mask in range(1 << len(formulas)):
                 rels = frozenset(f for k, f in enumerate(formulas) if mask >> k & 1)
-                out.append(OneType(CATEGORICAL, E, ("typ", gap, rels)))
-        return out
+                out.append(("typ", gap, rels))
+        return tuple(out)
 
     def type_of(self, atom, E):
         below = sum(1 for x in E if self.lt(x, atom))
@@ -889,19 +839,17 @@ class CategoricalStructure(AtomStructure):
             for f in _cat_rel_formulas(len(E))
             if self.formula_holds(_instantiate(f, E), atom)
         )
-        return OneType(CATEGORICAL, E, ("typ", below, rels))
+        return ("typ", below, rels)
 
-    def _restrict_outside(self, t, sub, sub_index):
-        _, gap, rels = t.desc
-        E = t.support
-        keep = set(E[:gap])
-        below = sum(1 for x in sub if x in keep)
+    def _restrict_outside(self, t, E, sub_index):
+        _, gap, rels = t
+        below = sum(1 for x in E[:gap] if x in sub_index)
         local = []
         for _, m, i, seq in rels:
             params = [E[j] for j in seq]
             if all(p in sub_index for p in params):
                 local.append(("rel", m, i, tuple(sub_index[p] for p in params)))
-        return OneType(CATEGORICAL, sub, ("typ", below, frozenset(local)))
+        return ("typ", below, frozenset(local))
 
     def projection(self, E, sub):
         # ("typ", gap, rels) sits at len(E) + gap * 2^F + mask, where bit k
@@ -910,15 +858,11 @@ class CategoricalStructure(AtomStructure):
         positions = _positions(E, sub)
         # an atom of E outside sub has the type over sub that the
         # relation facts give it, so this head is not shared
-        bits = _cat_rel_bits(len(sub))
-        width = 1 << len(bits)
-        head = []
-        for j, e in enumerate(E):
-            if j in positions:
-                head.append(positions.index(j))
-                continue
-            _, gap, rels = self.type_of(e, sub).desc
-            head.append(len(sub) + gap * width + sum(1 << bits[f] for f in rels))
+        below = self._type_list(len(sub))
+        head = (
+            positions.index(j) if j in positions else below.index(self.type_of(e, sub))
+            for j, e in enumerate(E)
+        )
         return tuple(head) + self._shape_table(len(E), positions)
 
     @staticmethod
@@ -927,7 +871,7 @@ class CategoricalStructure(AtomStructure):
         # the ("typ", gap, rels) entries: keep the formulas whose
         # parameters all lie in sub, renamed to their bits over sub
         slot = {j: i for i, j in enumerate(positions)}
-        bits = _cat_rel_bits(len(positions))
+        bits = {f: k for k, f in enumerate(_cat_rel_formulas(len(positions)))}
         remap = [
             1 << bits[("rel", m, i, tuple(slot[j] for j in seq))]
             if all(j in slot for j in seq)

@@ -116,7 +116,6 @@ def subterms(e: CExpr) -> Set[CExpr]:
 # facts: (rel, a, b) with rel in {le, ne, eq, lestar, nle, inc}
 Fact = Tuple[str, CExpr, CExpr]
 
-_SUGAR = {"lt", "gt"}
 _RELS = {"le", "ne", "eq", "lestar", "nle", "inc"}
 
 

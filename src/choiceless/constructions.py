@@ -21,12 +21,12 @@ from .atoms import (
     DenseOrderStructure,
     PairStructure,
     StructureMismatch,
-    _instantiate,
     atom_from_json,
     atom_to_json,
 )
 from .symsets import (
     SupportedSubset,
+    _mask,
     least_support,
     restriction_table,
     sort_support,
@@ -445,7 +445,7 @@ def class_rank(S: SupportedSubset) -> Tuple[int, Tuple[Atom, ...]]:
     isolates the ones whose least support is the whole set."""
     S0 = S.canonical()
     E = S0.support
-    v = S0.bits_int()
+    v = S0.mask
     rank = 1
     for keep in range(len(E) + 1):
         for sub in itertools.combinations(E, keep):
@@ -460,12 +460,12 @@ def class_rank_by_scan(S: SupportedSubset, scan_budget: int = 1 << 16) -> int:
     vector and test class membership directly."""
     S0 = S.canonical()
     E = S0.support
-    v = S0.bits_int()
+    v = S0.mask
     if v > scan_budget:
         raise OutOfBudget(f"rank scan over {v} candidates exceeds {scan_budget}")
     rank = 1
     for w in range(v):
-        if least_support(SupportedSubset.from_bits(S.structure, E, w)) == E:
+        if least_support(SupportedSubset(S.structure, E, w)) == E:
             rank += 1
     return rank
 
@@ -517,16 +517,10 @@ def categorical_seq_to_power(
     E = sort_support(structure, ys)
     index = {e: j for j, e in enumerate(E)}
     local = ("rel", len(ys), 0, tuple(index[y] for y in ys))
-    chosen = []
-    for t in types_over(structure, E):
-        if t.desc[0] == "typ":
-            if local in t.desc[2]:
-                chosen.append(t)
-        else:
-            e = E[t.desc[1]]
-            if structure.formula_holds(_instantiate(local, E), e):
-                chosen.append(t)
-    return SupportedSubset(structure, E, chosen)
+    # no ("eq", j) type is selected: E[j] repeats an entry of ys, and
+    # relation entries are pairwise distinct
+    chosen = (t[0] == "typ" and local in t[2] for t in types_over(structure, E))
+    return SupportedSubset(structure, E, _mask(chosen))
 
 
 def categorical_power_to_seq(

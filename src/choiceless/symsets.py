@@ -1,19 +1,21 @@
 """Finitely supported subsets of the atom line.
 
-A subset of the atoms is stored as a finite support E plus a selection
-of 1-types over E; its denotation is the union of the selected types'
-realizer sets.  Over a fixed support the types are enumerated in a
-frozen canonical order, so every supported subset has a canonical bit
-vector, a canonical rank, and a decidable equality.
+A subset of the atoms is stored as a finite support E plus an int mask:
+bit k selects the k-th 1-type over E, and the denotation is the union
+of the selected types' realizer sets.  The type list depends only on
+the universe and on the size of E, in a frozen canonical order, so
+every supported subset has a canonical bit vector, a canonical rank,
+and a decidable equality.
 
 Restriction to a sub-support is read from a table (`restriction_table`)
 that maps each type position over the support to a type position over
 the sub-support, and subsets are re-encoded, shrunk and tested for
-support on type positions.  The structure computes the table by index
-arithmetic from the size of the support and the positions of the
-sub-support inside it.  `restrict_type` restricts one type; it is the
-oracle the tables are tested against.  The pair model has no 1-types:
-`types_over` and `SupportedSubset` raise `StructureMismatch` for it.
+support by moving mask bits along it.  The structure computes the table
+by index arithmetic from the size of the support and the positions of
+the sub-support inside it.  `restrict_type` restricts one type; it is
+the oracle the tables are tested against.  The pair model has no
+1-types: `types_over` and `SupportedSubset` raise `StructureMismatch`
+for it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .atoms import (
     Atom,
     AtomStructure,
     LiftedAutomorphism,
-    OneType,
     StructureMismatch,
     atom_from_json,
     atom_to_json,
@@ -39,13 +40,13 @@ def sort_support(structure: AtomStructure, atoms: Iterable[Atom]) -> Tuple[Atom,
     return tuple(structure.sorted_by_order(atoms))
 
 
-def types_over(structure: AtomStructure, support: Iterable[Atom]) -> List[OneType]:
+def types_over(structure: AtomStructure, support: Iterable[Atom]) -> Tuple[tuple, ...]:
     """The duplicate-free list of realized 1-types over the support, in
     canonical order.  Lengths: n+1 for the bare set, 2n+1 for the dense
     order; for the homogeneous structure the list enumerates every
     consistent combination of equality slot, order gap and relation
     facts.  The pair model has no 1-types and raises `StructureMismatch`."""
-    return structure.types(sort_support(structure, support))
+    return structure._type_list(len(sort_support(structure, support)))
 
 
 def count_supported(structure: AtomStructure, support: Iterable[Atom]) -> int:
@@ -73,24 +74,37 @@ def count_least_supported(structure: AtomStructure, support: Iterable[Atom]) -> 
 # -- supported subsets --------------------------------------------------------
 
 
+def _mask(flags: Iterable[bool]) -> int:
+    """The int whose bit k is set iff the k-th flag is true."""
+    return int("".join("1" if f else "0" for f in flags)[::-1] or "0", 2)
+
+
+def _pull(table: Sequence[int], mask: int) -> int:
+    """Re-encode a mask over the sub-support onto the support whose
+    restriction table is `table`: bit k is bit table[k] of `mask`."""
+    return _mask(mask >> g & 1 for g in table)
+
+
+def _push(table: Sequence[int], mask: int) -> int:
+    """The mask over the sub-support that selects each type whose fibre
+    under `table` holds a selected bit of `mask`."""
+    hit = {g for g, b in zip(table, format(mask, "b")[::-1]) if b == "1"}
+    return sum(1 << g for g in hit)
+
+
 class SupportedSubset:
-    """A subset of the atoms with an explicit finite support."""
+    """A subset of the atoms with an explicit finite support: bit k of
+    `mask` selects the k-th entry of `types_over(structure, support)`."""
 
-    __slots__ = ("structure", "support", "selected", "_ckey", "_least")
+    __slots__ = ("structure", "support", "mask", "_ckey", "_least")
 
-    def __init__(
-        self,
-        structure: AtomStructure,
-        support: Iterable[Atom],
-        selected: Iterable[OneType],
-    ):
+    def __init__(self, structure: AtomStructure, support: Iterable[Atom], mask: int):
         self.structure = structure
         self.support = sort_support(structure, support)
-        selected = frozenset(selected)
-        index = structure.type_index(self.support)
-        if not all(t in index for t in selected):
-            raise ValueError("selected types must be types over the support")
-        self.selected = selected
+        n = len(self.types())
+        if not 0 <= mask < 1 << n:
+            raise ValueError(f"mask {mask} selects outside the {n} types over the support")
+        self.mask = mask
         self._ckey = None
         self._least = None
 
@@ -98,56 +112,43 @@ class SupportedSubset:
 
     @staticmethod
     def from_bits(structure, support, bits) -> "SupportedSubset":
-        ts = types_over(structure, support)
         if isinstance(bits, str):
-            if len(bits) != len(ts):
+            n = len(types_over(structure, support))
+            if len(bits) != n:
                 raise ValueError("bit string length must match the type count")
             if not set(bits) <= {"0", "1"}:
                 raise ValueError(f"bit string {bits!r} holds a character other than 0 and 1")
-            chosen = [t for t, b in zip(ts, bits) if b == "1"]
-        else:
-            chosen = [t for k, t in enumerate(ts) if bits >> k & 1]
-        return SupportedSubset(structure, support, chosen)
+            bits = int(bits[::-1], 2)
+        return SupportedSubset(structure, support, bits)
 
     @staticmethod
     def empty(structure) -> "SupportedSubset":
-        return SupportedSubset(structure, (), ())
+        return SupportedSubset(structure, (), 0)
 
     @staticmethod
     def all_atoms(structure) -> "SupportedSubset":
-        return SupportedSubset(structure, (), types_over(structure, ()))
+        return SupportedSubset(structure, (), (1 << len(types_over(structure, ()))) - 1)
 
     @staticmethod
     def of_atoms(structure, atoms: Iterable[Atom]) -> "SupportedSubset":
-        atoms = list(atoms)
         E = sort_support(structure, atoms)
-        chosen = [
-            t for t in types_over(structure, E) if any(t.holds(structure, a) for a in atoms)
-        ]
-        return SupportedSubset(structure, E, chosen)
+        ts = types_over(structure, E)
+        eq = sum(1 << ts.index(("eq", j)) for j in range(len(E)))
+        return SupportedSubset(structure, E, eq)
 
     # basic views
 
-    def types(self) -> List[OneType]:
-        return types_over(self.structure, self.support)
-
-    def positions(self) -> List[int]:
-        """Positions of the selected types in `types()`."""
-        index = self.structure.type_index(self.support)
-        return [index[t] for t in self.selected]
+    def types(self) -> Tuple[tuple, ...]:
+        return self.structure._type_list(len(self.support))
 
     def bits(self) -> str:
-        index = self.structure.type_index(self.support)
-        out = bytearray(b"0" * len(index))
-        for t in self.selected:
-            out[index[t]] = ord("1")
-        return out.decode()
-
-    def bits_int(self) -> int:
-        return int(self.bits()[::-1] or "0", 2)
+        return format(self.mask, f"0{len(self.types())}b")[::-1]
 
     def contains(self, atom: Atom) -> bool:
-        return any(t.holds(self.structure, atom) for t in self.selected)
+        s, E = self.structure, self.support
+        s.check_owns(atom)
+        t = ("eq", E.index(atom)) if atom in E else s.type_of(atom, E)
+        return bool(self.mask >> self.types().index(t) & 1)
 
     def denote(self, pool: Optional[Iterable[Atom]] = None) -> List[Atom]:
         pool = list(pool) if pool is not None else self.structure.atoms()
@@ -159,16 +160,10 @@ class SupportedSubset:
     # re-encoding and equality
 
     def reencode(self, support: Iterable[Atom]) -> "SupportedSubset":
-        """The same subset presented over a larger support."""
+        """The same subset presented over its support plus `support`."""
         big = sort_support(self.structure, tuple(self.support) + tuple(support))
-        if not set(self.support) <= set(big):
-            raise ValueError("new support must contain the old one")
         table = restriction_table(self.structure, big, self.support)
-        keep = set(self.positions())
-        ts = types_over(self.structure, big)
-        return SupportedSubset(
-            self.structure, big, [ts[k] for k, g in enumerate(table) if g in keep]
-        )
+        return SupportedSubset(self.structure, big, _pull(table, self.mask))
 
     def is_supported_by(self, candidate: Iterable[Atom]) -> bool:
         """Is the (sub)set of atoms `candidate` already a support?"""
@@ -177,8 +172,7 @@ class SupportedSubset:
             return self.reencode(sub).is_supported_by(sub)
         # the selection must be a union of fibres of the projection
         table = restriction_table(self.structure, self.support, sub)
-        hit = {table[k] for k in self.positions()}
-        return sum(1 for g in table if g in hit) == len(self.selected)
+        return _pull(table, _push(table, self.mask)) == self.mask
 
     def canonical(self) -> "SupportedSubset":
         return _shrink(self, least_support(self))
@@ -206,8 +200,8 @@ class SupportedSubset:
     # boolean algebra over a common support
 
     def complement(self) -> "SupportedSubset":
-        others = [t for t in self.types() if t not in self.selected]
-        return SupportedSubset(self.structure, self.support, others)
+        full = (1 << len(self.types())) - 1
+        return SupportedSubset(self.structure, self.support, full ^ self.mask)
 
     def _aligned(self, other: "SupportedSubset"):
         E = tuple(set(self.support) | set(other.support))
@@ -215,11 +209,11 @@ class SupportedSubset:
 
     def union(self, other: "SupportedSubset") -> "SupportedSubset":
         a, b = self._aligned(other)
-        return SupportedSubset(a.structure, a.support, a.selected | b.selected)
+        return SupportedSubset(a.structure, a.support, a.mask | b.mask)
 
     def intersection(self, other: "SupportedSubset") -> "SupportedSubset":
         a, b = self._aligned(other)
-        return SupportedSubset(a.structure, a.support, a.selected & b.selected)
+        return SupportedSubset(a.structure, a.support, a.mask & b.mask)
 
     # group action
 
@@ -228,14 +222,16 @@ class SupportedSubset:
         images = [pi.apply(e) for e in self.support]
         new_support = sort_support(s, images)
         where = {e: k for k, e in enumerate(new_support)}
-        # Only an ("eq", j) type needs its index renamed: an automorphism
-        # of an ordered universe preserves the order that sorts a support,
-        # so gap and relation descriptors keep their indices.
-        moved = [
-            ("eq", where[images[t.desc[1]]]) if t.desc[0] == "eq" else t.desc
-            for t in self.selected
-        ]
-        return SupportedSubset(s, new_support, [OneType(s.kind, new_support, d) for d in moved])
+        # Only the ("eq", j) bits need renaming: an automorphism of an
+        # ordered universe preserves the order that sorts a support, so
+        # gap and relation descriptors keep their indices.
+        ts = self.types()
+        eq = [ts.index(("eq", j)) for j in range(len(images))]
+        mask = self.mask & ~sum(1 << k for k in eq)
+        for j, k in enumerate(eq):
+            if self.mask >> k & 1:
+                mask |= 1 << eq[where[images[j]]]
+        return SupportedSubset(s, new_support, mask)
 
     def to_json(self) -> dict:
         return {
@@ -254,9 +250,12 @@ class SupportedSubset:
         return SupportedSubset.from_bits(structure, support, data["bits"])
 
 
-def restrict_type(structure: AtomStructure, t: OneType, sub: Sequence[Atom]) -> OneType:
-    """The 1-type over a sub-support induced by a type over the support."""
-    return structure.restrict(t, sort_support(structure, sub))
+def restrict_type(
+    structure: AtomStructure, t: tuple, support: Sequence[Atom], sub: Sequence[Atom]
+) -> tuple:
+    """The 1-type over a sub-support induced by the type t over the
+    support."""
+    return structure.restrict(t, sort_support(structure, support), sort_support(structure, sub))
 
 
 def restriction_table(
@@ -291,10 +290,9 @@ def least_support(S: SupportedSubset) -> Tuple[Atom, ...]:
 
 def _shrink(S: SupportedSubset, sub: Tuple[Atom, ...]) -> SupportedSubset:
     """Re-present S over a smaller support that is known to support it:
-    keep the types over `sub` whose fibre holds a selected type."""
+    select the types over `sub` whose fibre holds a selected type."""
     table = restriction_table(S.structure, S.support, sub)
-    ts = types_over(S.structure, sub)
-    return SupportedSubset(S.structure, sub, [ts[g] for g in {table[k] for k in S.positions()}])
+    return SupportedSubset(S.structure, sub, _push(table, S.mask))
 
 
 class FraenkelClass:
@@ -313,11 +311,10 @@ def classify_fraenkel(S: SupportedSubset) -> FraenkelClass:
     subset of its support) or co-finite (complement inside the support)."""
     if S.structure.kind != PURE_SET:
         raise StructureMismatch("dichotomy applies to the bare atom set only")
-    eqs = [t for t in S.types() if t.desc[0] == "eq"]
-    free = [t for t in S.types() if t.desc[0] == "free"][0]
-    cofinite = free in S.selected
+    ts = S.types()
+    cofinite = bool(S.mask >> ts.index(("free",)) & 1)
     # the set itself, or its complement, as the support atoms it selects
-    members = tuple(t.support[t.desc[1]] for t in eqs if (t in S.selected) != cofinite)
-    if not set(members) <= set(S.support):
-        raise RuntimeError(f"dichotomy members {members} escape the support")
+    members = tuple(
+        e for j, e in enumerate(S.support) if bool(S.mask >> ts.index(("eq", j)) & 1) != cofinite
+    )
     return FraenkelClass("cofinite" if cofinite else "finite", members)

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 
 import pytest
@@ -24,6 +25,21 @@ def usage_error(capsys, *argv):
 def engine_choices(command):
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     return next(a for a in sub.choices[command]._actions if a.dest == "engine").choices
+
+
+# sha256 of `verify --suite all --json` stdout: any refactor must keep the
+# report byte for byte (it does not depend on PYTHONHASHSEED)
+PINNED_VERIFY_ALL = {
+    "0": "71611088bf4be4e772081dbb36ac66d5db8b867c6f9135c3398f27c4ca39a386",
+    "42": "0bff61b24512ad820d9c4ee7517c33b586581135194a7aed2fca3680ed15f1fd",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_VERIFY_ALL))
+def test_verify_all_report_is_pinned(seed, capsys):
+    code, out = run(capsys, "verify", "--suite", "all", "--json", "--seed", seed)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_VERIFY_ALL[seed]
 
 
 class TestVerify:

@@ -1,6 +1,5 @@
 import itertools
 import random
-from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -309,9 +308,9 @@ class TestMostowskiPowerToSeq:
     def test_restriction_tables_restrict_no_type(self, monkeypatch):
         made = []
 
-        def counted(self, t, sub, restrict=AtomStructure.restrict):
+        def counted(self, t, E, sub, restrict=AtomStructure.restrict):
             made.append(self.kind)
-            return restrict(self, t, sub)
+            return restrict(self, t, E, sub)
 
         monkeypatch.setattr(AtomStructure, "restrict", counted)
         # class_rank reads the table onto every sub-support of a two-atom
@@ -329,7 +328,7 @@ class TestMostowskiPowerToSeq:
         E11 = anchors[:11]
         big1 = SupportedSubset.of_atoms(s, E11)
         ts = types_over(s, E11)
-        stripes = [t for i, t in enumerate(ts) if t.desc[0] == "gap" and t.desc[1] % 2 == 0]
+        stripes = sum(1 << k for k, t in enumerate(ts) if t[0] == "gap" and t[1] % 2 == 0)
         big2 = SupportedSubset(s, E11, stripes)
         family = []
         for S in (big1, big2):

@@ -1,7 +1,5 @@
-import itertools
 import json
 import random
-from fractions import Fraction
 
 import pytest
 

@@ -16,7 +16,6 @@ from choiceless.atoms import (
     StructureMismatch,
     TypeBudgetExceeded,
     extend_fixing,
-    f_rel,
     fresh_realizer,
 )
 from choiceless.cli import main
@@ -81,12 +80,17 @@ class TestTypeCounts:
         ids=["pure_set", "dense_order", "categorical"],
     )
     def test_type_lists_cached_per_structure(self, make):
+        # the list depends only on the class and the support size, so two
+        # structures share it even over supports of different atoms
         s, t = make(), make()
-        E, F = s.fresh(2), t.fresh(2)
-        assert [a.payload for a in E] == [a.payload for a in F]
+        E = s.fresh(2)
+        t.fresh(3)
+        F = t.fresh(2)
+        assert [a.payload for a in E] != [a.payload for a in F]
         ts = types_over(s, E)
         assert types_over(s, E[::-1]) is ts
-        assert types_over(t, F) == ts and types_over(t, F) is not ts
+        assert types_over(t, F) is ts
+        assert types_over(t, F[:1]) is not ts
 
     @staticmethod
     def _assert_tables_match_restrict_type(s, E):
@@ -99,7 +103,7 @@ class TestTypeCounts:
                 assert len(table) == len(ts)
                 below = types_over(s, sub)
                 for k, t in enumerate(ts):
-                    assert below[table[k]] == restrict_type(s, t, sub)
+                    assert below[table[k]] == restrict_type(s, t, E, sub)
 
     @pytest.mark.parametrize("kind", ["pure_set", "dense_order", "categorical"])
     def test_restriction_table_matches_restrict_type(self, kind):
@@ -156,7 +160,7 @@ class TestTypeCounts:
         E = [s.atom(i) for i in range(3)]
         probes = [s.atom(Fraction(k, 2) - 1) for k in range(12)]
         for a in probes:
-            holders = [t for t in types_over(s, E) if t.holds(s, a)]
+            holders = [t for t in types_over(s, E) if s.holds(t, E, a)]
             assert len(holders) == 1
 
     def test_pure_bruteforce_invariant_count(self):
@@ -193,8 +197,7 @@ class TestSupportedSubset:
         s = DenseOrderStructure()
         e0, e1, e2 = (s.atom(i) for i in range(3))
         ts = types_over(s, [e0, e1, e2])
-        interval = [t for t in ts if t.desc == ("gap", 1)]
-        S = SupportedSubset(s, [e0, e1, e2], interval)
+        S = SupportedSubset(s, [e0, e1, e2], 1 << ts.index(("gap", 1)))
         assert least_support(S) == (e0, e1)
 
     def test_full_set_has_empty_support(self):
@@ -266,21 +269,60 @@ class TestSupportedSubset:
         S3 = SupportedSubset.of_atoms(s, pool[:3])
         assert S1 != S3
 
-    def test_boolean_algebra_closure(self):
-        s = DenseOrderStructure()
-        E = [s.atom(i) for i in range(2)]
-        ts = types_over(s, E)
-        for b1, b2 in itertools.product(range(0, 32, 7), repeat=2):
-            S1 = SupportedSubset.from_bits(s, E, b1)
-            S2 = SupportedSubset.from_bits(s, E, b2)
-            u = S1.union(S2)
-            i = S1.intersection(S2)
-            c = S1.complement()
-            probe = [s.atom(Fraction(k, 3) - 1) for k in range(9)]
-            for a in probe:
-                assert u.contains(a) == (S1.contains(a) or S2.contains(a))
-                assert i.contains(a) == (S1.contains(a) and S2.contains(a))
-                assert c.contains(a) == (not S1.contains(a))
+    @staticmethod
+    def _algebra_case(kind):
+        """A structure, a support E, a pool of atoms realising many types
+        over E, and an automorphism moving E onto a support it reorders or
+        shifts.  Subsets live over E[:k] and E[-k:], so their union needs
+        E: two atoms for the homogeneous structure, three otherwise."""
+        if kind == "pure_set":
+            s = PureSetStructure(6)
+            pool = s.atoms()
+            E = pool[:3]
+            return s, E, pool, extend_fixing(s, [], dict(zip(E, E[::-1])))
+        if kind == "dense_order":
+            s = DenseOrderStructure()
+            pool = [s.atom(Fraction(k, 2)) for k in range(-2, 8)]
+            E = [s.atom(i) for i in range(3)]
+            return s, E, pool, extend_fixing(s, [], {e: s.atom(e.payload + 1) for e in E})
+        s = CategoricalStructure()
+        pool = s.fresh(8)
+        E = [pool[2], pool[5]]
+        a = [x for x in pool if x not in E]
+        for args in ([a[0]], [a[1], E[0]], [E[1], a[2]], [a[3], E[0], E[1]], [E[1], E[0]]):
+            s.declare_rel(args)
+        image = s.fresh(2)
+        s.declare_rel(image[::-1])
+        return s, E, pool, extend_fixing(s, [], dict(zip(E, image)))
+
+    @pytest.mark.parametrize("kind", ["pure_set", "dense_order", "categorical"])
+    def test_boolean_algebra_closure(self, kind):
+        # the mask algebra against the denotation on a materialised pool
+        s, E, pool, pi = self._algebra_case(kind)
+        k = len(E) - 1
+        rng = random.Random(3)
+
+        def sample(support):
+            full = (1 << len(types_over(s, support))) - 1
+            masks = [0, full] + [rng.randint(0, full) for _ in range(3)]
+            return [SupportedSubset(s, support, m) for m in masks]
+
+        def members(S):
+            return set(S.denote(pool))
+
+        for S1, S2 in itertools.product(sample(E[:k]), sample(E[-k:])):
+            u, i = S1.union(S2), S1.intersection(S2)
+            assert u.support == i.support == tuple(E)
+            assert members(u) == members(S1) | members(S2)
+            assert members(i) == members(S1) & members(S2)
+        for S in sample(E):
+            assert members(S.complement()) == set(pool) - members(S)
+            moved = S.apply(pi)
+            assert all(moved.contains(pi.apply(a)) == S.contains(a) for a in pool)
+        if kind == "pure_set":
+            # reversing the support renames every ("eq", j) bit to n-1-j
+            S = SupportedSubset(s, E, 0b0011)
+            assert S.apply(pi).support == S.support and S.apply(pi).bits() == "0110"
 
     def test_denotation_invariant_under_support_fixers(self):
         s = PureSetStructure(10)
@@ -311,12 +353,16 @@ class TestSupportedSubset:
             with pytest.raises(ValueError):
                 SupportedSubset.from_json(p, bad)
 
-    def test_selected_types_must_match_support(self):
-        s = DenseOrderStructure()
-        e0, e1 = s.atom(0), s.atom(1)
-        alien = types_over(s, [e0])[0]
+    def test_out_of_range_mask_is_refused(self):
+        # two bare atoms carry three types, so a mask lies in [0, 8)
+        s = PureSetStructure(2)
+        E = s.atoms()
+        assert SupportedSubset.from_bits(s, E, 7).bits() == "111"
+        for bits in (-1, 8, 9):
+            with pytest.raises(ValueError):
+                SupportedSubset.from_bits(s, E, bits)
         with pytest.raises(ValueError):
-            SupportedSubset(s, [e1], [alien])
+            SupportedSubset(s, E, 1 << 3)
 
 
 class TestClassifyFraenkel:
@@ -329,9 +375,7 @@ class TestClassifyFraenkel:
     def test_cofinite_complement_inside_support(self):
         s = PureSetStructure(4)
         E = s.atoms()[:2]
-        outside = SupportedSubset(
-            s, E, [t for t in types_over(s, E) if t.desc == ("free",)]
-        )
+        outside = SupportedSubset(s, E, 1 << types_over(s, E).index(("free",)))
         c = classify_fraenkel(outside)
         assert c.kind == "cofinite" and set(c.members) == set(E)
 
@@ -339,8 +383,7 @@ class TestClassifyFraenkel:
         s = PureSetStructure(5)
         E = s.atoms()[:2]
         ts = types_over(s, E)
-        chosen = [t for t in ts if t.desc in (("free",), ("eq", 0))]
-        S = SupportedSubset(s, E, chosen)
+        S = SupportedSubset(s, E, 1 << ts.index(("free",)) | 1 << ts.index(("eq", 0)))
         c = classify_fraenkel(S)
         assert c.kind == "cofinite" and c.members == (E[1],)
 
@@ -416,14 +459,14 @@ class TestCategoricalTypes:
         s = CategoricalStructure()
         e0, e1 = s.fresh(2)
         for t in types_over(s, [e0]):
-            if t.desc[0] != "typ":
+            if t[0] != "typ":
                 continue
             # realize the type twice if consistent, then swap
             a = fresh_realizer(s, [])
-            if not t.holds(s, a):
+            if not s.holds(t, (e0,), a):
                 continue
             b = fresh_realizer(s, [])
-            if t.holds(s, b):
+            if s.holds(t, (e0,), b):
                 assert extend_fixing(s, [e0], {a: b}) is not None
 
 
