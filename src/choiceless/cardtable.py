@@ -217,7 +217,6 @@ class Closure:
 def close(
     axioms: Iterable[Tuple[str, CExpr, CExpr, str]],
     extra_terms: Iterable[CExpr] = (),
-    raise_on_contradiction: bool = False,
 ) -> Closure:
     """Close a fact set under the rule pack.
 
@@ -241,8 +240,6 @@ def close(
         _fixpoint(cl)
     except Contradiction as c:
         cl.contradiction = c.facts
-        if raise_on_contradiction:
-            raise
     return cl
 
 

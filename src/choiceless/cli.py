@@ -23,6 +23,8 @@ from .refute import (
 from .symsets import count_least_supported, count_supported
 
 USAGE_ERROR = 2
+# the verify settings that are sizes, each with its own option
+SIZE_SETTINGS = ("max_support", "max_atoms", "trials", "stream_length")
 
 
 def _report(command: str, config: dict, checks: List[dict]) -> dict:
@@ -59,25 +61,20 @@ def _usage_error(message: str) -> int:
     return USAGE_ERROR
 
 
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
 def _read_json(path: str):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
 
 
 def cmd_verify(args) -> int:
-    config = {
-        "seed": args.seed,
-        "max_support": args.max_support,
-        "max_atoms": args.max_atoms,
-        "trials": args.trials,
-        "stream_length": args.stream_length,
-        "budget": args.budget,
-        "fast": args.fast,
-    }
-    for key in ("max_support", "max_atoms", "trials", "stream_length"):
+    config = {key: getattr(args, key) for key in labchecks.SETTINGS}
+    for key in SIZE_SETTINGS:
         if config[key] < 0:
-            flag = "--" + key.replace("_", "-")
-            return _usage_error(f"{flag} must be at least 0, not {config[key]}")
+            return _usage_error(f"{_flag(key)} must be at least 0, not {config[key]}")
     try:
         checks = labchecks.run_suite(args.suite, config)
     except KeyError as exc:
@@ -144,7 +141,7 @@ def cmd_extract(args) -> int:
     if T < 0 or args.copies < 1:
         return _usage_error("-T must be at least 0 and --copies at least 1")
     result = spec.run(name, T, args.copies)
-    ok = result.ok if spec.oracles[name] else not result.ok
+    ok = result.ok if spec.oracles[name].honest else not result.ok
     check = labchecks.check(
         f"extract-{engine}-{name}",
         "honest oracles stream pairwise-distinct values; cheating "
@@ -233,19 +230,18 @@ def build_parser() -> argparse.ArgumentParser:
         "universes with finite supports",
     )
     sub = p.add_subparsers(dest="command", required=True)
+    default = labchecks.SETTINGS
 
     def common(sp):
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=int, default=default["seed"])
         sp.add_argument("--json", action="store_true")
-        sp.add_argument("--budget", type=int, default=6, help="pair-model sample size")
+        sp.add_argument("--budget", type=int, default=default["budget"], help="pair-model sample size")
 
     v = sub.add_parser("verify", help="run a named verification suite")
     v.add_argument("--suite", default="all", choices=sorted(labchecks.SUITES))
-    v.add_argument("--max-support", type=int, default=5)
-    v.add_argument("--max-atoms", type=int, default=8)
-    v.add_argument("--trials", type=int, default=200)
-    v.add_argument("--stream-length", type=int, default=100)
-    v.add_argument("--fast", action="store_true", help="trim the slowest checks")
+    for key in SIZE_SETTINGS:
+        v.add_argument(_flag(key), type=int, default=default[key])
+    v.add_argument("--fast", action="store_true", default=default["fast"], help="trim the slowest checks")
     v.add_argument("--out", help="also write the JSON report to this path")
     common(v)
     v.set_defaults(fn=cmd_verify)
@@ -262,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("extract", help="run an omega-sequence extractor")
     e.add_argument("engine", choices=sorted(oracles.EXTRACT))
     e.add_argument("--oracle", default=None)
-    e.add_argument("-T", "--stream-length", type=int, default=100)
+    e.add_argument("-T", "--stream-length", type=int, default=default["stream_length"])
     e.add_argument("--copies", type=int, default=1, help="surplus engine: n")
     e.add_argument("--json", action="store_true")
     e.set_defaults(fn=cmd_extract)

@@ -68,7 +68,7 @@ def check(cid: str, claim: str, params: dict, ok: bool, **details) -> dict:
 # counting checks
 
 
-def check_dense_counting(max_support: int = 5) -> List[dict]:
+def check_dense_counting(max_support: int) -> List[dict]:
     s = DenseOrderStructure()
     E = [s.atom(i) for i in range(max_support)]
     got = [count_supported(s, E[:n]) for n in range(max_support + 1)]
@@ -122,14 +122,12 @@ def invariant_subsets_bruteforce(pool_size: int, support_size: int) -> Tuple[int
             continue
         count += 1
         finite_side = subset if not (set(rest) <= subset) else set(pool) - subset
-        if set(rest) & subset and not set(rest) <= subset:
-            ok = False  # not invariant after all; unreachable
         if not finite_side <= set(E):
             ok = False
     return count, ok
 
 
-def check_fraenkel_dichotomy(pool_size: int = 8, max_support: int = 3) -> List[dict]:
+def check_fraenkel_dichotomy(pool_size: int, max_support: int) -> List[dict]:
     out = []
     for n in range(max_support + 1):
         count, classified = invariant_subsets_bruteforce(pool_size, n)
@@ -195,7 +193,7 @@ def same_type_realizer(structure: CategoricalStructure, atom: Atom, over: Sequen
     return fresh_realizer(structure, formulas + structure.rel_formulas(atom, over))
 
 
-def check_injections(seed: int = 0, probes: int = 100) -> List[dict]:
+def check_injections(seed: int, probes: int = 100) -> List[dict]:
     rng = random.Random(seed)
     out = []
 
@@ -246,7 +244,8 @@ def check_injections(seed: int = 0, probes: int = 100) -> List[dict]:
         shuffled = bases[:]
         rng.shuffle(shuffled)
         bit = rng.choice((0, 1))
-        pi = extend_fixing(p, [], dict(zip(bases, shuffled)))
+        u0, flipped = p.pair_atom(1, bases[0], bases[1], 0), p.pair_atom(1, shuffled[0], shuffled[1], bit)
+        pi = extend_fixing(p, [], {**dict(zip(bases, shuffled)), u0: flipped})
         if pi is None:
             eqv_ok = False
             continue
@@ -355,7 +354,7 @@ def check_injections(seed: int = 0, probes: int = 100) -> List[dict]:
 # refutation checks
 
 
-def run_builtin_refutations(seed: int = 0, budget: int = 6) -> List[dict]:
+def run_builtin_refutations(seed: int, budget: int) -> List[dict]:
     out = []
     for engine, spec in oracles.REFUTE.items():
         results = {}
@@ -388,7 +387,7 @@ def run_builtin_refutations(seed: int = 0, budget: int = 6) -> List[dict]:
     return out
 
 
-def run_random_refutations(trials: int, seed: int = 0) -> List[dict]:
+def run_random_refutations(trials: int, seed: int) -> List[dict]:
     """Seeded random total tables for each engine; every returned witness
     must re-verify (no false witnesses)."""
     out = []
@@ -539,7 +538,7 @@ def _extract(engine: str, name: str, T: int, copies: int = 1):
     return oracles.EXTRACT[engine].run(name, T, copies)
 
 
-def check_extractors(T: int = 100) -> List[dict]:
+def check_extractors(T: int) -> List[dict]:
     r = _extract("fin-to-atom", "fresh-max", T)
     rc = _extract("fin-to-atom", "max-or-zero", T)
     r2 = _extract("seqstar-to-seq", "fresh-block", T)
@@ -583,7 +582,7 @@ def check_extractors(T: int = 100) -> List[dict]:
     ]
 
 
-def check_disjointify(trials: int = 10000, seed: int = 0, max_m: int = 12) -> List[dict]:
+def check_disjointify(trials: int, seed: int, max_m: int = 12) -> List[dict]:
     rng = random.Random(seed)
     ok = True
     for _ in range(trials):
@@ -717,72 +716,40 @@ def check_seq_counting() -> List[dict]:
 # suites
 
 
-SUITES: Dict[str, Callable[..., List[dict]]] = {}
+# The default of every suite setting; `verify`'s options read them too.
+SETTINGS = {
+    "seed": 0,
+    "max_support": 5,
+    "max_atoms": 8,
+    "trials": 200,
+    "stream_length": 100,
+    "budget": 6,
+    "fast": False,
+}
 
-
-def _register(name):
-    def deco(fn):
-        SUITES[name] = fn
-        return fn
-
-    return deco
-
-
-@_register("mostowski-counting")
-def _suite_counting(config) -> List[dict]:
-    return check_dense_counting(config.get("max_support", 5)) + check_pure_counting()
-
-
-@_register("fraenkel-dichotomy")
-def _suite_dichotomy(config) -> List[dict]:
-    return check_fraenkel_dichotomy(
-        config.get("max_atoms", 8), min(config.get("max_support", 3), 3)
-    )
-
-
-@_register("injections")
-def _suite_injections(config) -> List[dict]:
-    return check_injections(config.get("seed", 0))
-
-
-@_register("refutation")
-def _suite_refutation(config) -> List[dict]:
-    out = run_builtin_refutations(config.get("seed", 0), config.get("budget", 6))
-    out += run_random_refutations(config.get("trials", 200), config.get("seed", 0))
-    out += check_exhaustive_refutations(max_support=0 if config.get("fast") else 1)
-    out += check_seq_counting()
-    return out
-
-
-@_register("extractors")
-def _suite_extractors(config) -> List[dict]:
-    T = config.get("stream_length", 100)
-    out = check_extractors(T)
-    out += check_disjointify(config.get("trials", 2000), config.get("seed", 0))
-    return out
-
-
-@_register("arithmetic")
-def _suite_arithmetic(config) -> List[dict]:
-    return check_arithmetic(ramsey=not config.get("fast"))
-
-
-@_register("closure")
-def _suite_closure(config) -> List[dict]:
-    return check_closure()
-
-
-@_register("all")
-def _suite_all(config) -> List[dict]:
-    out: List[dict] = []
-    for name, fn in SUITES.items():
-        if name != "all":
-            out.extend(fn(config))
-    return out
+# Each suite maps a full settings dict to its checks.  A suite calls the
+# checks by their names here when it runs, never through a stored
+# reference, so the benchmark's tracer sees every call it patches in.
+SUITES: Dict[str, Callable[[dict], List[dict]]] = {
+    "mostowski-counting": lambda c: check_dense_counting(c["max_support"]) + check_pure_counting(),
+    "fraenkel-dichotomy": lambda c: check_fraenkel_dichotomy(c["max_atoms"], min(c["max_support"], 3)),
+    "injections": lambda c: check_injections(c["seed"]),
+    "refutation": lambda c: (
+        run_builtin_refutations(c["seed"], c["budget"])
+        + run_random_refutations(c["trials"], c["seed"])
+        + check_exhaustive_refutations(max_support=0 if c["fast"] else 1)
+        + check_seq_counting()
+    ),
+    "extractors": lambda c: check_extractors(c["stream_length"]) + check_disjointify(c["trials"], c["seed"]),
+    "arithmetic": lambda c: check_arithmetic(ramsey=not c["fast"]),
+    "closure": lambda c: check_closure(),
+    "all": lambda c: [out for name, suite in SUITES.items() if name != "all" for out in suite(c)],
+}
 
 
 def run_suite(name: str, config: Optional[dict] = None) -> List[dict]:
+    """The suite's checks, sorted by id; `config` overrides `SETTINGS`."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; have {sorted(SUITES)}")
-    checks = SUITES[name](config or {})
+    checks = SUITES[name]({**SETTINGS, **(config or {})})
     return sorted(checks, key=lambda c: c["id"])

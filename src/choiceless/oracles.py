@@ -2,11 +2,13 @@
 
 Every engine the lab runs is declared once, in `ENGINES`: how to run
 it, the model it argues in, its domain and codomain, its built-in
-oracles (each honest or a cheat) and, for a refutation engine, its
-built-in support sizes and the answer pool of its exhaustive search.
-The CLI, the checks and the tests read this table and nothing else.
+oracles and, for a refutation engine, its built-in support sizes and
+the answer pool of its exhaustive search.  Each built-in oracle is one
+`Builtin` entry there, honest or a cheat, and `builtin_oracle` is the
+only way to build one.  The CLI, the checks and the tests read this
+table and nothing else.
 
-An oracle built here is just an `InjectionOracle` whose function closes
+A built-in oracle is just an `InjectionOracle` whose function closes
 over a structure.  An honest oracle is a genuine injection: an
 extractor must stream from it, and a refutation engine can defeat it
 only by an equivariance break.  Random adversaries draw answers from a
@@ -75,161 +77,74 @@ def _subsets_over(structure, supports: Sequence[Sequence[Atom]]) -> List[Support
     return out
 
 
-def _oracle(engine: str, name: str, fn, structure=None, support=(), params=()) -> InjectionOracle:
-    dom, cod = ENGINES[engine].domains(*params)
-    return InjectionOracle(fn, dom, cod, support=support, structure=structure, name=name)
+class Builtin(NamedTuple):
+    """A built-in oracle.  `honest` says whether it is a genuine injection;
+    `answers(structure, support, rng, *params)` gives its answer
+    function.  It runs only when the oracle is built, since it may
+    materialise atoms."""
+
+    honest: bool
+    answers: Callable
 
 
-def fin_to_seq_oracle(name: str, structure: PureSetStructure, support: Sequence[Atom], rng=None) -> InjectionOracle:
-    E = list(support)
-    if name == "sort":
-        fn = lambda x: hftuple(sorted(x, key=lambda a: a.payload))
-    elif name == "const-empty":
-        fn = lambda x: hftuple(())
-    elif name == "support-only":
-        fn = lambda x: hftuple(E[: min(len(E), len(x.items) % (len(E) + 1))])
-    elif name == "random":
-        extra = structure.fresh(4, avoid=E)
-        pool = _seqs_up_to(E + extra, 2)
-        fn = lambda x: rng.choice(pool)
-    else:
-        raise KeyError(name)
-    return _oracle("fin-to-seq", name, fn, structure, E)
+def _by_payload(atoms) -> List[Atom]:
+    return sorted(atoms, key=lambda a: a.payload)
 
 
-def fin_to_seqstar_oracle(name: str, structure: PureSetStructure, support: Sequence[Atom], rng=None) -> InjectionOracle:
-    E = list(support)
-    if name == "const-empty":
-        fn = lambda x: hftuple(())
-    elif name == "pair-id-order":
-        fn = lambda x: hftuple(sorted(x, key=lambda a: a.payload))
-    elif name == "support-only":
-        fn = lambda x: hftuple(E * 2)
-    elif name == "random":
-        extra = structure.fresh(4, avoid=E)
-        pool = _tuples_up_to(E + extra, 2)
-        fn = lambda x: rng.choice(pool)
-    else:
-        raise KeyError(name)
-    return _oracle("fin-to-seqstar", name, fn, structure, E)
+_CONST_EMPTY = Builtin(False, lambda *_: lambda x: hftuple(()))
 
 
-def seq_to_power_oracle(name: str, structure: PureSetStructure, support: Sequence[Atom], rng=None) -> InjectionOracle:
-    E = list(support)
-    if name == "atoms-of-input":
-        fn = lambda x: SupportedSubset.of_atoms(structure, list(x))
-    elif name == "const-empty":
-        fn = lambda x: SupportedSubset.empty(structure)
-    elif name == "random":
-        extra = structure.fresh(1, avoid=E)
-        pool = _subsets_over(structure, [(), E[:1], E[:2], extra, E[:1] + extra])
-        fn = lambda x: rng.choice(pool)
-    else:
-        raise KeyError(name)
-    return _oracle("seq-to-power", name, fn, structure, E)
+def _random(n_fresh: int, pool: Callable) -> Callable:
+    """A seeded random adversary: each answer is drawn from
+    `pool(structure, E, extra)`, with `extra` the `n_fresh` fresh atoms."""
+
+    def answers(structure, support, rng):
+        E = list(support)
+        offered = pool(structure, E, structure.fresh(n_fresh, avoid=E))
+        return lambda x: rng.choice(offered)
+
+    return answers
 
 
-def nat_to_power_oracle(name: str, structure: PureSetStructure, support: Sequence[Atom], rng=None) -> InjectionOracle:
-    E = list(support)
-    if name == "first-n-atoms":
-        pool = structure.fresh(16, avoid=E)
-        fn = lambda n: SupportedSubset.of_atoms(structure, pool[: min(n, 16)]) if n else SupportedSubset.empty(structure)
-    elif name == "const-empty":
-        fn = lambda n: SupportedSubset.empty(structure)
-    elif name == "random":
-        extra = structure.fresh(2, avoid=E)
-        pool = _subsets_over(structure, [(), E[:1], extra[:1], E[:1] + extra[:1]])
-        fn = lambda n: rng.choice(pool)
-    else:
-        raise KeyError(name)
-    return _oracle("nat-to-power", name, fn, structure, E)
+def _first_n_atoms(structure, support, rng):
+    pool = structure.fresh(16, avoid=support)
+    return lambda n: SupportedSubset.of_atoms(structure, pool[: min(n, 16)]) if n else SupportedSubset.empty(structure)
 
 
-def unordered_to_ordered_oracle(name: str, structure: PairStructure, support: Sequence[Atom], rng=None) -> InjectionOracle:
-    E = list(support)
-    if name == "base-id-order":
-        def fn(x):
-            a, b = sorted(x, key=lambda at: at.payload)
-            return hftuple(a, b)
-    elif name == "const-pair":
-        z = structure.fresh(2, avoid=E)
-        fn = lambda x: hftuple(z[0], z[1])
-    elif name == "decorated":
-        def fn(x):
-            a, b = sorted(x, key=lambda at: at.payload)
-            return hftuple(structure.pair_atom(1, a, b, 0), a)
-    elif name == "stray-per-pair":
-        strays = structure.fresh(64, avoid=E)
-        state = {"n": 0}
-
-        def fn(x):
-            state["n"] += 1
-            a = min(x, key=lambda at: at.payload)
-            return hftuple(strays[state["n"] % 64], a)
-    elif name == "random":
-        pool = structure.fresh(3, avoid=E)
-
-        def fn(x):
-            a, b = sorted(x, key=lambda at: at.payload)
-            options = E + pool + [a, b, structure.pair_atom(1, a, b, rng.choice((0, 1)))]
-            return hftuple(rng.choice(options), rng.choice(options))
-    else:
-        raise KeyError(name)
-    return _oracle("unordered-to-ordered", name, fn, structure, E)
+def _const_pair(structure, support, rng):
+    z = structure.fresh(2, avoid=support)
+    return lambda x: hftuple(z)
 
 
-def fin_to_atom_oracle(name: str, structure: DenseOrderStructure, rng=None) -> InjectionOracle:
-    if name == "fresh-max":
-        def fn(x):
-            top = max((a.payload for a in x), default=Fraction(-1))
-            return structure.atom(top + 1)
-    elif name == "max-or-zero":
-        fn = lambda x: structure.atom(max((a.payload for a in x), default=Fraction(0)))
-    else:
-        raise KeyError(name)
-    return _oracle("fin-to-atom", name, fn, structure)
+def _decorated(structure, support, rng):
+    def fn(x):
+        a, b = _by_payload(x)
+        return hftuple(structure.pair_atom(1, a, b, 0), a)
+
+    return fn
 
 
-def seqstar_to_seq_oracle(name: str, structure: DenseOrderStructure, rng=None) -> InjectionOracle:
-    if name == "fresh-block":
-        fn = lambda x: hftuple([structure.atom(100 + i) for i in range(1, len(x.items) + 1)])
-    elif name == "same-set-reversed":
-        fn = lambda x: hftuple([structure.atom(100 + i) for i in range(len(x.items), 0, -1)])
-    elif name == "const-empty":
-        fn = lambda x: hftuple(())
-    else:
-        raise KeyError(name)
-    return _oracle("seqstar-to-seq", name, fn, structure)
+def _stray_per_pair(structure, support, rng):
+    strays = structure.fresh(64, avoid=support)
+    calls = itertools.count(1)
+    return lambda x: hftuple(strays[next(calls) % 64], _by_payload(x)[0])
 
 
-def surplus_oracle(name: str, n: int, rng=None) -> InjectionOracle:
-    if name == "shift-encode":
-        def fn(x):
-            l, s = x
-            return (0, frozenset({l} | {v + n + 2 for v in s}))
-    elif name == "const":
-        fn = lambda x: (0, frozenset())
-    else:
-        raise KeyError(name)
-    return _oracle("surplus", name, fn, params=(n,))
+def _pair_random(structure, support, rng):
+    pool = structure.fresh(3, avoid=support)
+
+    def fn(x):
+        a, b = _by_payload(x)
+        options = [*support, *pool, a, b, structure.pair_atom(1, a, b, rng.choice((0, 1)))]
+        return hftuple(rng.choice(options), rng.choice(options))
+
+    return fn
 
 
-def partition_oracle(name: str, ground: Sequence[int], rng=None) -> InjectionOracle:
-    gset = frozenset(ground)
-    if name == "fresh-singleton":
-        order = sorted(gset)
-        state = {"next": 4}
-
-        def fn(p):
-            value = frozenset({order[state["next"] % len(order)]})
-            state["next"] += 1
-            return value
-    elif name == "const":
-        first = min(gset)
-        fn = lambda p: frozenset({first})
-    else:
-        raise KeyError(name)
-    return _oracle("partition", name, fn, params=(gset,))
+def _fresh_singleton(structure, support, rng, ground):
+    order = sorted(ground)
+    calls = itertools.count(4)
+    return lambda p: frozenset({order[next(calls) % len(order)]})
 
 
 # ---------------------------------------------------------------------------
@@ -251,10 +166,7 @@ def _sequence_pool(tuples):
         outsider = structure.fresh(1)[0]
 
         def answers(x):
-            alphabet = sorted(
-                set(support) | set(getattr(x, "items", x)) | {outsider},
-                key=lambda a: a.payload,
-            )
+            alphabet = _by_payload(set(support) | set(getattr(x, "items", x)) | {outsider})
             return tuples(alphabet, 2)
 
         return answers
@@ -274,8 +186,8 @@ class RefuteSpec(NamedTuple):
     `run(oracle, budget=...)` gives the engine's witness; only the pair
     engine reads `budget`, its sample size.  It reaches the engine by
     its name in `refute` when called, never through a stored reference.
-    `universe(n)` gives a structure and an n-atom support, and
-    `oracle(name, structure, support, rng)` a built-in oracle over them.
+    `universe(n)` gives a structure and an n-atom support, and `oracles`
+    names the built-in oracles over them.
     The built-in checks run every size in `sizes`; the CLI defaults to
     the first, and random trial t uses `sizes[t % len(sizes)]`.
     `random_trials` puts the engine in the seeded random-table check.
@@ -288,9 +200,8 @@ class RefuteSpec(NamedTuple):
 
     model: str
     domains: Callable[[], Tuple[Domain, Domain]]
-    oracles: Dict[str, bool]
+    oracles: Dict[str, Builtin]
     run: Callable
-    oracle: Callable[..., InjectionOracle]
     universe: Callable[[int], tuple] = _pure_set
     sizes: Tuple[int, ...] = (0, 1)
     random_trials: bool = True
@@ -301,64 +212,92 @@ class RefuteSpec(NamedTuple):
 class ExtractSpec(NamedTuple):
     """An omega-sequence extractor.  `run(name, T, copies)` streams T
     values from the named built-in oracle; `copies` is the surplus
-    engine's n, and `domains` takes the oracle's parameters."""
+    engine's n, and `domains` and the oracles' `answers` take the
+    oracle's parameters."""
 
     model: str
     domains: Callable[..., Tuple[Domain, Domain]]
-    oracles: Dict[str, bool]
+    oracles: Dict[str, Builtin]
     run: Callable
 
 
 def _extract_seqstar(name: str, T: int, copies: int):
     structure = DenseOrderStructure()
-    return refute.extract_seqstar_to_seq(seqstar_to_seq_oracle(name, structure), structure.atom(0), T)
+    oracle = builtin_oracle("seqstar-to-seq", name, structure)
+    return refute.extract_seqstar_to_seq(oracle, structure.atom(0), T)
 
 
 def _extract_partition(name: str, T: int, copies: int):
     ground = list(range(T + 28))
-    return refute.extract_from_partition_injection(partition_oracle(name, ground), ground, ground[:4], T)
+    oracle = builtin_oracle("partition", name, params=(frozenset(ground),))
+    return refute.extract_from_partition_injection(oracle, ground, ground[:4], T)
 
 
 ENGINES: Dict[str, object] = {
     "fin-to-seq": RefuteSpec(
         "fraenkel",
         lambda: (FinDom(AtomsDom()), SeqDom()),
-        {"sort": True, "const-empty": False, "support-only": False, "random": False},
+        {
+            "sort": Builtin(True, lambda *_: lambda x: hftuple(_by_payload(x))),
+            "const-empty": _CONST_EMPTY,
+            "support-only": Builtin(
+                False, lambda s, E, rng: lambda x: hftuple(E[: min(len(E), len(x.items) % (len(E) + 1))])
+            ),
+            "random": Builtin(False, _random(4, lambda s, E, extra: _seqs_up_to(E + extra, 2))),
+        },
         run=lambda o, **_: refute.refute_fin_to_seq_fraenkel(o),
-        oracle=fin_to_seq_oracle,
         pool=_sequence_pool(_seqs_up_to),
     ),
     "fin-to-seqstar": RefuteSpec(
         "fraenkel",
         lambda: (FinDom(AtomsDom()), SeqStarDom()),
-        {"const-empty": False, "pair-id-order": True, "support-only": False, "random": False},
+        {
+            "const-empty": _CONST_EMPTY,
+            "pair-id-order": Builtin(True, lambda *_: lambda x: hftuple(_by_payload(x))),
+            "support-only": Builtin(False, lambda s, E, rng: lambda x: hftuple(E * 2)),
+            "random": Builtin(False, _random(4, lambda s, E, extra: _tuples_up_to(E + extra, 2))),
+        },
         run=lambda o, **_: refute.refute_fin_to_seqstar_fraenkel(o),
-        oracle=fin_to_seqstar_oracle,
         pool=_sequence_pool(_tuples_up_to),
     ),
     "seq-to-power": RefuteSpec(
         "fraenkel",
         lambda: (SeqDom(), PowDom()),
-        {"atoms-of-input": False, "const-empty": False, "random": False},
+        {
+            "atoms-of-input": Builtin(False, lambda s, *_: lambda x: SupportedSubset.of_atoms(s, list(x))),
+            "const-empty": Builtin(False, lambda s, *_: lambda x: SupportedSubset.empty(s)),
+            "random": Builtin(
+                False, _random(1, lambda s, E, extra: _subsets_over(s, [(), E[:1], E[:2], extra, E[:1] + extra]))
+            ),
+        },
         run=lambda o, **_: refute.refute_seq_to_power_fraenkel(o),
-        oracle=seq_to_power_oracle,
         sizes=(4,),
     ),
     "nat-to-power": RefuteSpec(
         "fraenkel",
         lambda: (NatDom(), PowDom()),
-        {"first-n-atoms": True, "const-empty": False, "random": False},
+        {
+            "first-n-atoms": Builtin(True, _first_n_atoms),
+            "const-empty": Builtin(False, lambda s, *_: lambda n: SupportedSubset.empty(s)),
+            "random": Builtin(
+                False, _random(2, lambda s, E, extra: _subsets_over(s, [(), E[:1], extra[:1], E[:1] + extra[:1]]))
+            ),
+        },
         run=lambda o, **_: refute.refute_nat_to_power_fraenkel(o),
-        oracle=nat_to_power_oracle,
         pool=_nat_power_pool,
         shared_pool=True,
     ),
     "unordered-to-ordered": RefuteSpec(
         "vp",
         lambda: (UnordPairsDom(AtomsDom()), PairDom(AtomsDom(), AtomsDom())),
-        {"base-id-order": True, "const-pair": False, "decorated": True, "stray-per-pair": True, "random": False},
+        {
+            "base-id-order": Builtin(True, lambda *_: lambda x: hftuple(_by_payload(x))),
+            "const-pair": Builtin(False, _const_pair),
+            "decorated": Builtin(True, _decorated),
+            "stray-per-pair": Builtin(True, _stray_per_pair),
+            "random": Builtin(False, _pair_random),
+        },
         run=lambda o, **kw: refute.refute_unordered_to_ordered_pairmodel(o, **kw),
-        oracle=unordered_to_ordered_oracle,
         universe=_pair_model,
         sizes=(0,),
         random_trials=False,
@@ -366,33 +305,65 @@ ENGINES: Dict[str, object] = {
     "fin-to-atom": ExtractSpec(
         "mostowski",
         lambda: (FinDom(AtomsDom()), AtomsDom()),
-        {"fresh-max": True, "max-or-zero": False},
+        {
+            "fresh-max": Builtin(
+                True, lambda s, *_: lambda x: s.atom(max((a.payload for a in x), default=Fraction(-1)) + 1)
+            ),
+            "max-or-zero": Builtin(
+                False, lambda s, *_: lambda x: s.atom(max((a.payload for a in x), default=Fraction(0)))
+            ),
+        },
         run=lambda name, T, copies: refute.extract_fin_to_atom_mostowski(
-            fin_to_atom_oracle(name, DenseOrderStructure()), T
+            builtin_oracle("fin-to-atom", name, DenseOrderStructure()), T
         ),
     ),
     "seqstar-to-seq": ExtractSpec(
         "mostowski",
         lambda: (SeqStarDom(), SeqDom()),
-        {"fresh-block": True, "same-set-reversed": True, "const-empty": False},
+        {
+            "fresh-block": Builtin(
+                True, lambda s, *_: lambda x: hftuple([s.atom(100 + i) for i in range(1, len(x.items) + 1)])
+            ),
+            "same-set-reversed": Builtin(
+                True, lambda s, *_: lambda x: hftuple([s.atom(100 + i) for i in range(len(x.items), 0, -1)])
+            ),
+            "const-empty": _CONST_EMPTY,
+        },
         run=_extract_seqstar,
     ),
     "surplus": ExtractSpec(
         "zf",
         lambda n: (LabeledNatSetDom(n + 1), LabeledNatSetDom(max(n, 1))),
-        {"shift-encode": True, "const": False},
-        run=lambda name, T, copies: refute.extract_from_surplus(copies, surplus_oracle(name, copies), T),
+        {
+            "shift-encode": Builtin(True, lambda s, E, rng, n: lambda x: (0, frozenset({x[0]} | {v + n + 2 for v in x[1]}))),
+            "const": Builtin(False, lambda *_: lambda x: (0, frozenset())),
+        },
+        run=lambda name, T, copies: refute.extract_from_surplus(
+            copies, builtin_oracle("surplus", name, params=(copies,)), T
+        ),
     ),
     "partition": ExtractSpec(
         "zf",
         lambda ground: (PartitionDom(ground), SubsetDom(ground)),
-        {"fresh-singleton": True, "const": False},
+        {
+            "fresh-singleton": Builtin(True, _fresh_singleton),
+            "const": Builtin(False, lambda s, E, rng, ground: lambda p: frozenset({min(ground)})),
+        },
         run=_extract_partition,
     ),
 }
 
 REFUTE: Dict[str, RefuteSpec] = {e: s for e, s in ENGINES.items() if isinstance(s, RefuteSpec)}
 EXTRACT: Dict[str, ExtractSpec] = {e: s for e, s in ENGINES.items() if isinstance(s, ExtractSpec)}
+
+
+def builtin_oracle(engine: str, name: str, structure=None, support=(), rng=None, params=()) -> InjectionOracle:
+    """The engine's built-in oracle `name` over a structure and support,
+    with its domains from the spec.  An unknown name raises KeyError."""
+    spec = ENGINES[engine]
+    fn = spec.oracles[name].answers(structure, support, rng, *params)
+    dom, cod = spec.domains(*params)
+    return InjectionOracle(fn, dom, cod, support=support, structure=structure, name=name)
 
 
 def build_refute_oracle(
@@ -402,9 +373,8 @@ def build_refute_oracle(
     seed: int = 0,
 ):
     """Structure, support and oracle for a named refutation adversary."""
-    spec = REFUTE[engine]
-    structure, support = spec.universe(support_size)
-    return structure, support, spec.oracle(name, structure, support, random.Random(seed))
+    structure, support = REFUTE[engine].universe(support_size)
+    return structure, support, builtin_oracle(engine, name, structure, support, random.Random(seed))
 
 
 def scripted_refute_oracle(engine: str, data: dict):

@@ -498,19 +498,17 @@ def extract_from_partition_injection(
     each round refines the current blocks by the first probed value that
     is not a union of blocks; coarse partitions outnumber the unions, so
     the round always ends in an escape or a repeat."""
-    ground = list(dict.fromkeys(ground))
+    ground = frozenset(ground)
     a = list(distinguished)[:4]
-    if len(a) != 4 or len(ground) <= 4:
-        raise ValueError("need four distinguished points inside a larger ground set")
-    rest = frozenset(g for g in ground if g not in a)
-    X: List[frozenset] = [frozenset({p}) for p in a] + [frozenset(ground)]
+    if len(set(a)) != 4 or not set(a) < ground:
+        raise ValueError("need four distinct distinguished points inside a larger ground set")
+    # blocks in the order of their membership signatures over the values
+    # so far: splitting each block by a new value, its part inside first,
+    # keeps that order
+    blocks = [frozenset({p}) for p in a] + [ground.difference(a)]
     emitted: List[frozenset] = []
     try:
         while len(emitted) < count:
-            chi = {}
-            for g in ground:
-                chi.setdefault(tuple(0 if g in x else 1 for x in X), []).append(g)
-            blocks = [frozenset(chi[sig]) for sig in sorted(chi)]
             l = len(blocks)
             probes_left = 2 ** l + 2
             for q in rgs_partitions(l):
@@ -521,7 +519,7 @@ def extract_from_partition_injection(
                     frozenset(frozenset().union(*(blocks[i] for i in qb)) for qb in q)
                 )
                 if any(b & y and not b <= y for b in blocks):
-                    X.append(y)
+                    blocks = [part for b in blocks for part in (b & y, b - y) if part]
                     emitted.append(y)
                     break
             else:

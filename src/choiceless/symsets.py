@@ -269,23 +269,13 @@ def restriction_table(
 
 
 def least_support(S: SupportedSubset) -> Tuple[Atom, ...]:
-    """Smallest support: computed by discarding removable atoms, which is
-    order-independent because the intersection of two supports is a
-    support."""
-    if S._least is not None:
-        return S._least
-    current = S
-    changed = True
-    while changed:
-        changed = False
-        for e in current.support:
-            rest = tuple(x for x in current.support if x != e)
-            if current.is_supported_by(rest):
-                current = _shrink(current, rest)
-                changed = True
-                break
-    S._least = current.support
-    return current.support
+    """Smallest support: the atoms without which the rest of the support
+    no longer supports S.  One pass suffices because the intersection of
+    two supports is a support."""
+    if S._least is None:
+        E = S.support
+        S._least = tuple(e for e in E if not S.is_supported_by(tuple(x for x in E if x != e)))
+    return S._least
 
 
 def _shrink(S: SupportedSubset, sub: Tuple[Atom, ...]) -> SupportedSubset:

@@ -298,32 +298,32 @@ def test_criterion_7_extractors():
     ok = True
 
     t = DenseOrderStructure()
-    r = extract_fin_to_atom_mostowski(oracles.fin_to_atom_oracle("fresh-max", t), T)
+    r = extract_fin_to_atom_mostowski(oracles.builtin_oracle("fin-to-atom", "fresh-max", t), T)
     ok &= r.ok and len(set(map(oracle_key, r.values))) == T
     rc = extract_fin_to_atom_mostowski(
-        oracles.fin_to_atom_oracle("max-or-zero", DenseOrderStructure()), T
+        oracles.builtin_oracle("fin-to-atom", "max-or-zero", DenseOrderStructure()), T
     )
     ok &= (not rc.ok) and rc.collapse is not None
 
     t2 = DenseOrderStructure()
-    r2 = extract_seqstar_to_seq(oracles.seqstar_to_seq_oracle("fresh-block", t2), t2.atom(0), T)
+    r2 = extract_seqstar_to_seq(oracles.builtin_oracle("seqstar-to-seq", "fresh-block", t2), t2.atom(0), T)
     ok &= r2.ok and len(set(map(oracle_key, r2.values))) == T
     t2c = DenseOrderStructure()
-    rc2 = extract_seqstar_to_seq(oracles.seqstar_to_seq_oracle("const-empty", t2c), t2c.atom(0), T)
+    rc2 = extract_seqstar_to_seq(oracles.builtin_oracle("seqstar-to-seq", "const-empty", t2c), t2c.atom(0), T)
     ok &= not rc2.ok
 
     for n in (1, 2):
-        rs = extract_from_surplus(n, oracles.surplus_oracle("shift-encode", n), T)
+        rs = extract_from_surplus(n, oracles.builtin_oracle("surplus", "shift-encode", params=(n,)), T)
         ok &= rs.ok and len(set(rs.values)) == T
-    ok &= not extract_from_surplus(1, oracles.surplus_oracle("const", 1), T).ok
+    ok &= not extract_from_surplus(1, oracles.builtin_oracle("surplus", "const", params=(1,)), T).ok
 
     ground = list(range(T + 28))
     rp = extract_from_partition_injection(
-        oracles.partition_oracle("fresh-singleton", ground), ground, ground[:4], T
+        oracles.builtin_oracle("partition", "fresh-singleton", params=(frozenset(ground),)), ground, ground[:4], T
     )
     ok &= rp.ok and len(set(rp.values)) == T
     rpc = extract_from_partition_injection(
-        oracles.partition_oracle("const", ground), ground, ground[:4], T
+        oracles.builtin_oracle("partition", "const", params=(frozenset(ground),)), ground, ground[:4], T
     )
     ok &= not rpc.ok
 

@@ -12,7 +12,6 @@ from choiceless.cardtable import (
     M,
     MODELS,
     CExpr,
-    Contradiction,
     anyseq,
     check_summary_table,
     close,
@@ -389,15 +388,9 @@ class TestClosureRules:
         assert cl.has("nle", power(M), anyseq(M))
         assert cl.has("nle", power(M), injseq(M))
 
-    def test_raise_on_contradiction_flag(self):
-        with pytest.raises(Contradiction):
-            close(
-                [
-                    ("lt", M, fin(M), "t"),
-                    ("le", fin(M), M, "t"),
-                ],
-                raise_on_contradiction=True,
-            )
+    def test_contradiction_is_recorded(self):
+        cl = close([("lt", M, fin(M), "t"), ("le", fin(M), M, "t")])
+        assert cl.contradiction is not None
 
 
 class TestModelClosures:

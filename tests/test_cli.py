@@ -312,6 +312,23 @@ class TestRegistry:
         assert {f"refute-builtin-{engine}" for engine in oracles.REFUTE} <= ids
 
 
+    def test_suite_defaults_match_the_cli(self, capsys):
+        for suite in ("extractors", "fraenkel-dichotomy", "mostowski-counting"):
+            code, out = run(capsys, "verify", "--suite", suite, "--json")
+            assert code == 0
+            assert labchecks.run_suite(suite) == json.loads(out)["checks"], suite
+
+    def test_verify_options_default_to_the_settings(self):
+        args = build_parser().parse_args(["verify"])
+        assert {key: getattr(args, key) for key in labchecks.SETTINGS} == labchecks.SETTINGS
+
+    def test_unknown_builtin_oracle_is_a_key_error(self):
+        with pytest.raises(KeyError):
+            oracles.builtin_oracle("fin-to-seq", "bogus")
+        with pytest.raises(KeyError):
+            oracles.builtin_oracle("bogus", "sort")
+
+
 class TestTableCommand:
     def test_model_closure_lists_chain(self, capsys):
         code, out = run(capsys, "table", "--model", "vc")

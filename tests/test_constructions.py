@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+from choiceless import labchecks
 from choiceless.atoms import (
     AtomStructure,
     CategoricalStructure,
@@ -197,6 +198,21 @@ class TestPairModelInjection:
                 lhs = act(pi, pairmodel_pair_to_unordered(s, x, y))
                 rhs = pairmodel_pair_to_unordered(s, pi.apply(x), pi.apply(y))
                 assert lhs == rhs
+
+    def test_check_flips_the_level_bit(self, monkeypatch):
+        """Keeping one decoration and the first component is injective and
+        commutes with moving the bases, but not with flipping the level
+        bit; the injection check must fail it."""
+
+        def one_decoration(s, x, y):
+            return hfset(s.pair_atom(x.level + y.level + 1, x, y, 0), x)
+
+        monkeypatch.setattr(labchecks, "pairmodel_pair_to_unordered", one_decoration)
+        checks = {c["id"]: c["ok"] for c in labchecks.check_injections(0, probes=20)}
+        assert checks["inject-decorated-pairs"] is False
+        monkeypatch.undo()
+        checks = {c["id"]: c["ok"] for c in labchecks.check_injections(0, probes=20)}
+        assert checks["inject-decorated-pairs"] is True
 
     def test_codomain(self):
         s = PairStructure(2)

@@ -9,8 +9,10 @@ from choiceless.constructions import (
     AtomsDom,
     FinDom,
     PairDom,
+    PartitionDom,
     SeqDom,
     SeqStarDom,
+    SubsetDom,
     UnordPairsDom,
     hfset,
     hftuple,
@@ -23,11 +25,13 @@ from choiceless.labchecks import (
 )
 from choiceless.refute import (
     BudgetExhausted,
+    EngineBug,
     EquivarianceBreak,
     InjectionOracle,
     InjectivityCollapse,
     OracleAnswerError,
     Refuted,
+    StreamResult,
     WitnessInvalid,
     disjointify_finite,
     extract_fin_to_atom_mostowski,
@@ -363,7 +367,7 @@ class TestWitnessVerification:
 
     def test_commuting_map_rejected(self):
         s = PureSetStructure(0)
-        o = oracles.fin_to_seq_oracle("sort", s, ())
+        o = oracles.builtin_oracle("fin-to-seq", "sort", s)
         w = refute_fin_to_seq_fraenkel(o)
         from choiceless.atoms import PartialAutomorphism
 
@@ -383,7 +387,7 @@ class TestWitnessVerification:
 
     def test_honest_oracles_fall_by_equivariance_break(self):
         # an honest oracle is injective, so no two probes can collapse
-        honest = [(e, n, k) for e, n, k in BUILTIN_ORACLES if oracles.REFUTE[e].oracles[n]]
+        honest = [(e, n, k) for e, n, k in BUILTIN_ORACLES if oracles.REFUTE[e].oracles[n].honest]
         assert len(honest) == 9
         for engine, name, size in honest:
             s, E, o = oracles.build_refute_oracle(engine, name, size, 0)
@@ -554,28 +558,28 @@ class TestExhaustiveTables:
 class TestExtractors:
     def test_fin_to_atom_honest_and_cheat(self):
         t = DenseOrderStructure()
-        r = extract_fin_to_atom_mostowski(oracles.fin_to_atom_oracle("fresh-max", t), 100)
+        r = extract_fin_to_atom_mostowski(oracles.builtin_oracle("fin-to-atom", "fresh-max", t), 100)
         assert r.ok and len(set(map(oracle_key, r.values))) == 100
         t2 = DenseOrderStructure()
-        rc = extract_fin_to_atom_mostowski(oracles.fin_to_atom_oracle("max-or-zero", t2), 100)
+        rc = extract_fin_to_atom_mostowski(oracles.builtin_oracle("fin-to-atom", "max-or-zero", t2), 100)
         assert not rc.ok
 
     def test_fin_to_atom_collapse_verifies(self):
         t = DenseOrderStructure()
-        o = oracles.fin_to_atom_oracle("max-or-zero", t)
+        o = oracles.builtin_oracle("fin-to-atom", "max-or-zero", t)
         r = extract_fin_to_atom_mostowski(o, 10)
         assert not r.ok
         assert verify_witness(r.collapse, t, (), o.transcript)
 
     def test_seqstar_growing_lengths(self):
         t = DenseOrderStructure()
-        o = oracles.seqstar_to_seq_oracle("same-set-reversed", t)
+        o = oracles.builtin_oracle("seqstar-to-seq", "same-set-reversed", t)
         r = extract_seqstar_to_seq(o, t.atom(0), 50)
         assert r.ok and len(r.values) == 50
 
     def test_surplus_n_one_and_two(self):
         for n in (1, 2):
-            o = oracles.surplus_oracle("shift-encode", n)
+            o = oracles.builtin_oracle("surplus", "shift-encode", params=(n,))
             r = extract_from_surplus(n, o, 100)
             assert r.ok and len(set(r.values)) == 100
 
@@ -613,9 +617,105 @@ class TestExtractors:
 
     def test_partition_conviction(self):
         ground = list(range(24))
-        o = oracles.partition_oracle("const", ground)
+        o = oracles.builtin_oracle("partition", "const", params=(frozenset(ground),))
         r = extract_from_partition_injection(o, ground, ground[:4], 10)
         assert not r.ok and len(o.transcript) == 2
+
+
+def signature_partition_extract(oracle, ground, distinguished, count):
+    """The partition extractor as first written, kept as the oracle for
+    block splitting: every round it recomputes each point's membership
+    signature over the four singletons, the ground set and every value
+    emitted so far, and takes the blocks in signature order."""
+    ground = list(dict.fromkeys(ground))
+    X = [frozenset({p}) for p in list(distinguished)[:4]] + [frozenset(ground)]
+    emitted = []
+    try:
+        while len(emitted) < count:
+            chi = {}
+            for g in ground:
+                chi.setdefault(tuple(0 if g in x else 1 for x in X), []).append(g)
+            blocks = [frozenset(chi[sig]) for sig in sorted(chi)]
+            probes_left = 2 ** len(blocks) + 2
+            for q in rgs_partitions(len(blocks)):
+                if probes_left <= 0:
+                    raise EngineBug("per-round probe bound exhausted")
+                probes_left -= 1
+                y = oracle.query(frozenset(frozenset().union(*(blocks[i] for i in qb)) for qb in q))
+                if any(b & y and not b <= y for b in blocks):
+                    X.append(y)
+                    emitted.append(y)
+                    break
+            else:
+                raise EngineBug("partition supply exhausted before the pigeonhole")
+    except Refuted as done:
+        return StreamResult(emitted, done.witness)
+    return StreamResult(emitted)
+
+
+def _random_partition_oracle(seed, ground):
+    """A seeded adversary.  At a per-seed rate its answer is a union of
+    some blocks of the probed partition, which splits nothing, or a draw
+    from a small pool, which repeats; otherwise it is a random subset."""
+    rng = random.Random(seed)
+    rate = rng.random()
+    pool = [frozenset(rng.sample(ground, rng.randint(0, len(ground)))) for _ in range(rng.randint(2, 30))]
+
+    def fn(p):
+        r = rng.random()
+        if r < rate / 2:
+            return frozenset().union(*(b for b in p if rng.random() < 0.5))
+        if r < rate:
+            return rng.choice(pool)
+        return frozenset(g for g in ground if rng.random() < 0.5)
+
+    gset = frozenset(ground)
+    return InjectionOracle(fn, PartitionDom(gset), SubsetDom(gset))
+
+
+class TestPartitionRefinement:
+    def outcomes(self, make_oracle, ground, count):
+        """Values, verdict and transcript of both extractors, each against
+        its own copy of the oracle."""
+        out = []
+        for extract in (extract_from_partition_injection, signature_partition_extract):
+            o = make_oracle()
+            try:
+                r = extract(o, ground, ground[:4], count)
+                out.append((r.values, r.ok, o.transcript))
+            except EngineBug as exc:
+                out.append((str(exc), None, o.transcript))
+        return out
+
+    @pytest.mark.parametrize("T", [10, 100])
+    def test_fresh_singleton_matches_signatures(self, T):
+        ground = list(range(T + 28))
+
+        def make():
+            return oracles.builtin_oracle("partition", "fresh-singleton", params=(frozenset(ground),))
+
+        new, old = self.outcomes(make, ground, T)
+        assert new == old and new[1] and len(new[0]) == T
+
+    def test_seeded_random_oracles_match_signatures(self):
+        ground = list(range(12))
+        verdicts = set()
+        for seed in range(300):
+            new, old = self.outcomes(lambda: _random_partition_oracle(seed, ground), ground, 5)
+            assert new == old, seed
+            verdicts.add(new[1])
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize(
+        "size,points",
+        [(10, [0, 0, 1, 2]), (10, [0, 1, 2, 99]), (10, [0, 1, 2]), (4, [0, 1, 2, 3])],
+        ids=["repeated", "outside", "three", "no-rest"],
+    )
+    def test_bad_distinguished_points_rejected(self, size, points):
+        ground = list(range(size))
+        o = oracles.builtin_oracle("partition", "fresh-singleton", params=(frozenset(ground),))
+        with pytest.raises(ValueError, match="four distinct distinguished points"):
+            extract_from_partition_injection(o, ground, points, 5)
 
 
 class TestFiniteCombinatorics:
