@@ -18,18 +18,23 @@ from typing import Dict, Iterable, KeysView, List, Optional, Sequence, Set, Tupl
 
 
 class CExpr:
-    """Cardinal expression; structural identity.  The key and its hash are
-    computed once, from the inner expression's key."""
+    """Cardinal expression, hash-consed: there is one object per distinct
+    (op, inner, n), so equality and hashing are identity.  The key, which
+    sorting uses, is computed once from the inner expression's key."""
 
-    __slots__ = ("op", "inner", "n", "_key", "_hash")
+    __slots__ = ("op", "inner", "n", "_key")
+    _table: Dict[Tuple[str, Optional["CExpr"], Optional[int]], "CExpr"] = {}
 
-    def __init__(self, op: str, inner: Optional["CExpr"] = None, n: Optional[int] = None):
-        key = (op, inner._key if inner is not None else None, n)
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "inner", inner)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
+    def __new__(cls, op: str, inner: Optional["CExpr"] = None, n: Optional[int] = None):
+        self = cls._table.get((op, inner, n))
+        if self is None:
+            key = (op, inner._key if inner is not None else None, n)
+            self = cls._table[op, inner, n] = object.__new__(cls)
+            object.__setattr__(self, "op", op)
+            object.__setattr__(self, "inner", inner)
+            object.__setattr__(self, "n", n)
+            object.__setattr__(self, "_key", key)
+        return self
 
     def __setattr__(self, *_):
         raise AttributeError("expressions are immutable")
@@ -37,14 +42,14 @@ class CExpr:
     def key(self):
         return self._key
 
-    def __eq__(self, other):
-        return self is other or (isinstance(other, CExpr) and self._key == other._key)
-
-    def __hash__(self):
-        return self._hash
-
     def __repr__(self):
         return display(self)
+
+
+def _built(op: str, inner: Optional[CExpr], n: Optional[int] = None) -> Optional[CExpr]:
+    """The expression if it was ever built, else None.  A probe of the
+    closure builds nothing: an expression never built is in no universe."""
+    return CExpr._table.get((op, inner, n))
 
 
 BASE = CExpr("base")
@@ -249,8 +254,11 @@ def _add_schemas(cl: Closure):
     def have(*ts):
         return all(t in U for t in ts)
 
+    pa = _built("pow", ALEPH0)
     for e in sorted(U, key=lambda t: t.key()):
-        pe, fe = power(e), fin(e)
+        pe, fe = _built("pow", e), _built("fin", e)
+        ie, se = _built("injseq", e), _built("anyseq", e)
+        sq, p2, ffe = _built("square", e), _built("pairs2", e), _built("fin", fe)
         if have(pe):
             cl.add(("le", e, pe), "schema:cantor")
             cl.add(("ne", e, pe), "schema:cantor")
@@ -259,38 +267,34 @@ def _add_schemas(cl: Closure):
         if have(fe, pe):
             cl.add(("le", fe, pe), "schema:finite-sets-are-subsets")
             cl.add(("ne", fe, pe), "schema:strictly-few-finite-sets")
-        if have(injseq(e), pe):
-            cl.add(("ne", injseq(e), pe), "schema:one-to-one-sequences-never-power")
-        if have(anyseq(e), pe):
-            cl.add(("ne", anyseq(e), pe), "schema:sequences-never-power")
-        if have(square(e), fin(fin(e))):
-            cl.add(("le", square(e), fin(fin(e))), "schema:pair-as-nested-set")
-        if have(injseq(e), fin(fin(e))):
-            cl.add(("le", injseq(e), fin(fin(e))), "schema:sequence-as-chain")
-        if have(injseq(e), anyseq(e)):
-            cl.add(("le", injseq(e), anyseq(e)), "schema:one-to-one-is-a-sequence")
-        if have(e, square(e)):
-            cl.add(("le", e, square(e)), "schema:diagonal")
-        if have(pairs2(e), fe):
-            cl.add(("le", pairs2(e), fe), "schema:pairs-are-finite-sets")
-        if have(power(ALEPH0), power(fe)):
-            cl.add(
-                ("le", power(ALEPH0), power(fe)), "schema:size-classes-of-finite-sets"
-            )
-        if have(partitions(e), power(pairs2(e))):
-            cl.add(
-                ("le", partitions(e), power(pairs2(e))),
-                "schema:partition-edge-sets",
-            )
-        if have(power(e), partitions(e)):
-            cl.add(("le", power(e), partitions(e)), "schema:subsets-split-in-two")
-        for n in range(1, 9):
-            if have(times(n, e), times(n + 1, e)):
-                cl.add(
-                    ("le", times(n, e), times(n + 1, e)), "schema:copies-embed"
-                )
-        if have(times(1, e)):
-            cl.add(("eq", times(1, e), e), "schema:one-copy")
+        if have(ie, pe):
+            cl.add(("ne", ie, pe), "schema:one-to-one-sequences-never-power")
+        if have(se, pe):
+            cl.add(("ne", se, pe), "schema:sequences-never-power")
+        if have(sq, ffe):
+            cl.add(("le", sq, ffe), "schema:pair-as-nested-set")
+        if have(ie, ffe):
+            cl.add(("le", ie, ffe), "schema:sequence-as-chain")
+        if have(ie, se):
+            cl.add(("le", ie, se), "schema:one-to-one-is-a-sequence")
+        if have(e, sq):
+            cl.add(("le", e, sq), "schema:diagonal")
+        if have(p2, fe):
+            cl.add(("le", p2, fe), "schema:pairs-are-finite-sets")
+        pfe = _built("pow", fe)
+        if have(pa, pfe):
+            cl.add(("le", pa, pfe), "schema:size-classes-of-finite-sets")
+        pt, pp2 = _built("part", e), _built("pow", p2)
+        if have(pt, pp2):
+            cl.add(("le", pt, pp2), "schema:partition-edge-sets")
+        if have(pe, pt):
+            cl.add(("le", pe, pt), "schema:subsets-split-in-two")
+        copies = [_built("times", e, n) for n in range(1, 10)]
+        for small, big in zip(copies, copies[1:]):
+            if have(small, big):
+                cl.add(("le", small, big), "schema:copies-embed")
+        if have(copies[0]):
+            cl.add(("eq", copies[0], e), "schema:one-copy")
 
 
 def _index(facts: Iterable[Fact], index=None):
@@ -402,7 +406,7 @@ def _fixpoint(cl: Closure):
         # power monotone under surjections
         for f in new_rel["lestar"]:
             _, a, b = f
-            emit(("le", power(a), power(b)), "power-of-surjection", (f,))
+            emit(("le", _built("pow", a), _built("pow", b)), "power-of-surjection", (f,))
         # sequences agreeing forces a countable subset
         for f in new_rel["eq"]:
             _, a, b = f
@@ -412,18 +416,19 @@ def _fixpoint(cl: Closure):
         for f in new_rel["le"]:
             _, a, b = f
             if a == ALEPH0 and b.op == "pow":
-                emit(("nle", b, injseq(b.inner)), "no-power-into-one-to-one-sequences", (f,))
+                emit(("nle", b, _built("injseq", b.inner)), "no-power-into-one-to-one-sequences", (f,))
         for f in new_rel["le"]:
             _, a, b = f
             if a == ALEPH0:
-                emit(("nle", power(b), anyseq(b)), "no-power-into-sequences", (f,))
+                emit(("nle", _built("pow", b), _built("anyseq", b)), "no-power-into-sequences", (f,))
         # Dedekind-finite power: strict surplus and partition growth
         for f in new_rel["nle"]:
             _, a, b = f
             if a == ALEPH0 and b.op == "pow":
-                for n in range(1, 9):
-                    emit(("ne", times(n, b), times(n + 1, b)), "surplus-copy-is-new", (f,))
-                emit(("ne", b, partitions(b.inner)), "partitions-outgrow-subsets", (f,))
+                copies = [_built("times", b, n) for n in range(1, 10)]
+                for small, big in zip(copies, copies[1:]):
+                    emit(("ne", small, big), "surplus-copy-is-new", (f,))
+                emit(("ne", b, _built("part", b.inner)), "partitions-outgrow-subsets", (f,))
         changed = len(cl.trace) > len(pos)
 
 

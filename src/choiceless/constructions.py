@@ -27,7 +27,6 @@ from .atoms import (
 from .symsets import (
     SupportedSubset,
     _mask,
-    least_support,
     restriction_table,
     sort_support,
     types_over,
@@ -36,10 +35,6 @@ from .symsets import (
 
 class NotASeq(ValueError):
     """Sequence input has a repeated entry."""
-
-
-class OutOfBudget(RuntimeError):
-    """Desk-scale scan bound exceeded."""
 
 
 # ---------------------------------------------------------------------------
@@ -453,21 +448,6 @@ def class_rank(S: SupportedSubset) -> Tuple[int, Tuple[Atom, ...]]:
             groups = restriction_table(S.structure, E, sub)
             rank += sign * _constant_patterns_below(groups, v)
     return rank, E
-
-
-def class_rank_by_scan(S: SupportedSubset, scan_budget: int = 1 << 16) -> int:
-    """Independent oracle for `class_rank`: enumerate every smaller bit
-    vector and test class membership directly."""
-    S0 = S.canonical()
-    E = S0.support
-    v = S0.mask
-    if v > scan_budget:
-        raise OutOfBudget(f"rank scan over {v} candidates exceeds {scan_budget}")
-    rank = 1
-    for w in range(v):
-        if least_support(SupportedSubset(S.structure, E, w)) == E:
-            rank += 1
-    return rank
 
 
 def default_anchors(structure: DenseOrderStructure, count: int = 20) -> List[Atom]:

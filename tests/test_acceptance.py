@@ -8,10 +8,7 @@ randomised parts are seeded and their trial counts are stated inline.
 import itertools
 import random
 import time
-from fractions import Fraction
-from math import ceil, factorial, log2
-
-import pytest
+from math import ceil, log2
 
 from choiceless import oracles
 from choiceless.atoms import (
@@ -20,19 +17,11 @@ from choiceless.atoms import (
     PairStructure,
     PureSetStructure,
     extend_fixing,
-    fresh_realizer,
 )
 from choiceless.cardtable import (
-    ALEPH0,
-    M,
-    anyseq,
     check_summary_table,
     factorial_bounds,
-    fin,
     forbidden_pattern_closure,
-    injseq,
-    model_closure,
-    power,
     ramsey_two_exactness,
     ramsey_upper,
 )

@@ -284,6 +284,9 @@ print(h.hexdigest())
 """
 
 
+TRACE_DIGEST_PINNED = "729eb8f5167fdaa7f62d2727c0fab33b535f4fa8a0975c103d94290d4b7bfab5"
+
+
 def test_trace_is_the_same_in_every_process():
     # `hash(None)` is an address, so anything that walks a set of facts
     # would record different first derivations from one process to the next
@@ -298,15 +301,53 @@ def test_trace_is_the_same_in_every_process():
         ).stdout
         for seed in ("0", "1")
     ]
-    assert digests[0] == digests[1]
+    # the digest recorded while expressions hashed by structure: a trace
+    # reordered by identity hashing fails even when every process agrees
+    assert digests == [TRACE_DIGEST_PINNED + "\n"] * 2
+
+
+# builds the terms of each model and of the forbidden pattern, then closes
+# them; prints how many expressions each closure added to the intern table
+INTERN_GROWTH = """
+from choiceless.cardtable import (
+    MODELS, CExpr, close, forbidden_pattern_closure, model_axioms, model_extra_terms,
+)
+
+growth = {}
+for m in MODELS:
+    axioms, extra = model_axioms(m), model_extra_terms(m)
+    before = len(CExpr._table)
+    close(axioms, extra_terms=extra)
+    growth[m] = len(CExpr._table) - before
+before = len(CExpr._table)
+forbidden_pattern_closure()  # its two axioms reuse module-level terms
+growth["forbidden"] = len(CExpr._table) - before
+print(growth)
+"""
 
 
 class TestCExpr:
     def test_structural_equality_and_hash(self):
+        # hash-consed: building an expression twice gives the one object
         a, b = power(fin(M)), power(fin(M))
-        assert a is not b
+        assert a is b
         assert a == b and hash(a) == hash(b)
         assert len({a, b}) == 1
+
+    def test_constructor_and_builder_share_the_object(self):
+        assert CExpr("times", M, 2) is times(2, M)
+
+    def test_close_builds_no_expression(self):
+        # in a fresh process, so no earlier test has built a probe already
+        src = os.path.dirname(os.path.dirname(cardtable.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", INTERN_GROWTH],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert out.strip() == repr(dict.fromkeys(MODELS + ("forbidden",), 0))
 
     def test_key_value(self):
         assert power(fin(M)).key() == ("pow", ("fin", ("base", None, None), None), None)

@@ -28,7 +28,6 @@ from choiceless.constructions import (
     categorical_power_to_seq,
     categorical_seq_to_power,
     class_rank,
-    class_rank_by_scan,
     default_anchors,
     hf_from_json,
     hf_key,
@@ -44,6 +43,21 @@ from choiceless.constructions import (
     size_class_map,
 )
 from choiceless.symsets import SupportedSubset, least_support, types_over
+
+
+def class_rank_by_scan(S: SupportedSubset, scan_budget: int = 1 << 16) -> int:
+    """Independent oracle for `class_rank`: enumerate every smaller bit
+    vector and test class membership directly."""
+    S0 = S.canonical()
+    E = S0.support
+    v = S0.mask
+    if v > scan_budget:
+        raise ValueError(f"rank scan over {v} candidates exceeds {scan_budget}")
+    rank = 1
+    for w in range(v):
+        if least_support(SupportedSubset(S.structure, E, w)) == E:
+            rank += 1
+    return rank
 
 
 @pytest.fixture
