@@ -293,6 +293,12 @@ class AtomStructure:
         canonical order."""
         raise NotImplementedError
 
+    @classmethod
+    def _type_count(cls, n: int) -> int:
+        """len(_type_list(n)); a class that can count its types without
+        listing them says so here."""
+        return len(cls._type_list(n))
+
     def projection(self, E: Tuple[Atom, ...], sub: Tuple[Atom, ...]) -> Tuple[int, ...]:
         """Entry k is the position in `types(sub)` of the restriction of
         `_type_list(len(E))[k]`, for sorted supports with `sub` inside E."""
@@ -412,26 +418,27 @@ class DenseOrderStructure(AtomStructure):
     repr_format = "a({})"
 
     def __init__(self, positions: Iterable = ()):
-        self._positions = set()
+        # the materialised atoms themselves: their hash is cached, where a
+        # Fraction payload would be rehashed at every membership test
+        self._atoms = set()
         for q in positions:
             self.atom(q)
 
     def atom(self, q) -> Atom:
-        q = Fraction(q)
-        self._positions.add(q)
-        return Atom(DENSE_ORDER, q)
+        atom = Atom(DENSE_ORDER, Fraction(q))
+        self._atoms.add(atom)
+        return atom
 
     def fresh(self, count: int = 1, avoid: Iterable[Atom] = ()) -> List[Atom]:
         """Fresh points above everything materialised so far."""
-        used = set(self._positions) | {a.payload for a in avoid}
-        top = max(used, default=Fraction(0))
+        top = max((a.payload for a in itertools.chain(self._atoms, avoid)), default=Fraction(0))
         return [self.atom(top + i) for i in range(1, count + 1)]
 
     def __contains__(self, atom):
-        return atom.world == DENSE_ORDER and atom.payload in self._positions
+        return atom in self._atoms
 
     def atoms(self):
-        return [Atom(DENSE_ORDER, q) for q in sorted(self._positions)]
+        return sorted(self._atoms, key=Atom.sort_key)
 
     def is_extendable(self, mapping):
         srcs = sorted(mapping, key=lambda a: a.payload)
@@ -489,7 +496,7 @@ class DenseOrderStructure(AtomStructure):
         return Atom(DENSE_ORDER, Fraction(data["q"]))
 
     def to_json(self):
-        return {"kind": "dense", "atoms": [_fraction_json(q) for q in sorted(self._positions)]}
+        return {"kind": "dense", "atoms": [_fraction_json(a.payload) for a in self.atoms()]}
 
     @classmethod
     def from_json(cls, data: dict) -> "DenseOrderStructure":
@@ -832,6 +839,8 @@ class CategoricalStructure(AtomStructure):
                 out.append(("typ", gap, rels))
         return tuple(out)
 
+    _type_count = staticmethod(_cat_type_count)
+
     def type_of(self, atom, E):
         below = sum(1 for x in E if self.lt(x, atom))
         rels = frozenset(
@@ -857,10 +866,12 @@ class CategoricalStructure(AtomStructure):
         _cat_type_count(len(E))
         positions = _positions(E, sub)
         # an atom of E outside sub has the type over sub that the
-        # relation facts give it, so this head is not shared
-        below = self._type_list(len(sub))
+        # relation facts give it, so this head is not shared; only such
+        # an atom needs the type list over sub
         head = (
-            positions.index(j) if j in positions else below.index(self.type_of(e, sub))
+            positions.index(j)
+            if j in positions
+            else self._type_list(len(sub)).index(self.type_of(e, sub))
             for j, e in enumerate(E)
         )
         return tuple(head) + self._shape_table(len(E), positions)

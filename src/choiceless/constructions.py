@@ -21,15 +21,14 @@ from .atoms import (
     DenseOrderStructure,
     PairStructure,
     StructureMismatch,
+    _cat_rel_formulas,
     atom_from_json,
     atom_to_json,
 )
 from .symsets import (
     SupportedSubset,
-    _mask,
     restriction_table,
     sort_support,
-    types_over,
 )
 
 
@@ -401,23 +400,24 @@ def _constant_patterns_below(groups: Sequence[int], v: int) -> int:
     """Count integers w < v, over len(groups) bit positions, whose bits are
     constant inside each group.
 
-    Walk the bits of v from the top along the tight path, which pins the
-    group of every visited position; dropping a forced 1 to 0 ends the
-    comparison, so the groups living entirely below that point are free."""
-    n = len(groups)
-    if v >= 1 << n:
+    Every such w is 0 from bit L = v.bit_length() up, which pins each group
+    occurring there to 0.  Walk the bits of v below L from the top along
+    the tight path, which pins the group of every visited position;
+    dropping a forced 1 to 0 ends the comparison, so the unpinned groups
+    living entirely below that point are free."""
+    L = v.bit_length()
+    if L > len(groups):
         return 1 << len(set(groups))
-    top = {}
-    for pos, g in enumerate(groups):
-        top[g] = pos
-    below = [0] * (n + 1)
+    assigned = dict.fromkeys(groups[L:], 0)
+    top = dict(zip(groups[:L], range(L)))  # each group's last position below L
+    below = [0] * (L + 1)
     for g, m in top.items():
-        below[m + 1] += 1
-    for pos in range(1, n + 1):
+        if g not in assigned:
+            below[m + 1] += 1
+    for pos in range(1, L + 1):
         below[pos] += below[pos - 1]
-    assigned: dict = {}
     total = 0
-    for pos in range(n - 1, -1, -1):
+    for pos in range(L - 1, -1, -1):
         g = groups[pos]
         if v >> pos & 1:
             if assigned.get(g, 0) == 0:
@@ -441,8 +441,9 @@ def class_rank(S: SupportedSubset) -> Tuple[int, Tuple[Atom, ...]]:
     S0 = S.canonical()
     E = S0.support
     v = S0.mask
-    rank = 1
-    for keep in range(len(E) + 1):
+    # E itself has the identity table, below which every w < v counts
+    rank = 1 + v
+    for keep in range(len(E)):
         for sub in itertools.combinations(E, keep):
             sign = -1 if (len(E) - keep) % 2 else 1
             groups = restriction_table(S.structure, E, sub)
@@ -480,7 +481,8 @@ def mostowski_power_to_seq(
     n = len(E)
     if n >= 11:
         return HFTuple(nth_permutation(E, k))
-    unused = [c for c in anchors if c not in set(E)][:10]
+    taken = set(E)
+    unused = [c for c in anchors if c not in taken][:10]
     tail = nth_permutation(unused, factorial(10) - k)
     return HFTuple(tuple(E) + tail)
 
@@ -496,11 +498,16 @@ def categorical_seq_to_power(
         raise NotASeq(f"repeated entry in {ys!r}")
     E = sort_support(structure, ys)
     index = {e: j for j, e in enumerate(E)}
-    local = ("rel", len(ys), 0, tuple(index[y] for y in ys))
-    # no ("eq", j) type is selected: E[j] repeats an entry of ys, and
-    # relation entries are pairwise distinct
-    chosen = (t[0] == "typ" and local in t[2] for t in types_over(structure, E))
-    return SupportedSubset(structure, E, _mask(chosen))
+    formulas = _cat_rel_formulas(len(E))
+    b = formulas.index(("rel", len(ys), 0, tuple(index[y] for y in ys)))
+    # ("typ", gap, rels) sits at len(E) + gap * 2^F + m, and rels holds the
+    # formula iff bit b of m is set: read from the top, the 2^F entries of
+    # each gap are runs of 2^b selected and 2^b unselected types.  No
+    # ("eq", j) type is selected: E[j] repeats an entry of ys, and
+    # relation entries are pairwise distinct.
+    run = 1 << b
+    typs = ("1" * run + "0" * run) * ((len(E) + 1) << (len(formulas) - b - 1))
+    return SupportedSubset(structure, E, int(typs + "0" * len(E), 2))
 
 
 def categorical_power_to_seq(

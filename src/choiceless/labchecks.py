@@ -313,9 +313,8 @@ def check_injections(seed: int, probes: int = 100) -> List[dict]:
     marker_a, marker_b = fresh_realizer(cs, []), fresh_realizer(cs, [])
     psis = {}
     for sup in [(), (e[0],), (e[0], e[1])]:
-        ts = types_over(cs, sup)
         ranks = 0
-        for bits in range(1 << min(len(ts), 6)):
+        for bits in range(min(count_supported(cs, sup), 64)):
             S = SupportedSubset.from_bits(cs, sup, bits)
             if least_support(S) != tuple(cs.sorted_by_order(sup)):
                 continue

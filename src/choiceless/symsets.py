@@ -5,7 +5,8 @@ bit k selects the k-th 1-type over E, and the denotation is the union
 of the selected types' realizer sets.  The type list depends only on
 the universe and on the size of E, in a frozen canonical order, so
 every supported subset has a canonical bit vector, a canonical rank,
-and a decidable equality.
+and a decidable equality.  What needs only the width of a mask reads
+the structure's type count, and only what names a type lists them.
 
 Restriction to a sub-support is read from a table (`restriction_table`)
 that maps each type position over the support to a type position over
@@ -20,7 +21,7 @@ for it.
 
 from __future__ import annotations
 
-import itertools
+from math import comb
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .atoms import (
@@ -51,38 +52,31 @@ def types_over(structure: AtomStructure, support: Iterable[Atom]) -> Tuple[tuple
 
 def count_supported(structure: AtomStructure, support: Iterable[Atom]) -> int:
     """Number of subsets of the atom line admitting this support."""
-    return 1 << len(types_over(structure, support))
+    return 1 << structure._type_count(len(sort_support(structure, support)))
 
 
 def count_least_supported(structure: AtomStructure, support: Iterable[Atom]) -> int:
-    """Number of subsets whose smallest support is exactly this set."""
-    E = sort_support(structure, support)
+    """Number of subsets whose smallest support is exactly this set.
 
-    def rec(sub: Tuple[Atom, ...], memo) -> int:
-        if sub in memo:
-            return memo[sub]
-        total = count_supported(structure, sub)
-        for k in range(len(sub)):
-            for smaller in itertools.combinations(sub, k):
-                total -= rec(smaller, memo)
-        memo[sub] = total
-        return total
-
-    return rec(E, {})
+    Möbius inversion over the subset lattice: the subsets supported by an
+    n-atom support are those least-supported by one of its sub-supports,
+    and a sub-support's count depends only on its size k, so the answer
+    is the sum over k of (-1)^(n-k) C(n, k) 2^T(k), T(k) the type count."""
+    n = len(sort_support(structure, support))
+    return sum(
+        (-1) ** (n - k) * (comb(n, k) << structure._type_count(k)) for k in range(n + 1)
+    )
 
 
 # -- supported subsets --------------------------------------------------------
 
 
-def _mask(flags: Iterable[bool]) -> int:
-    """The int whose bit k is set iff the k-th flag is true."""
-    return int("".join("1" if f else "0" for f in flags)[::-1] or "0", 2)
-
-
 def _pull(table: Sequence[int], mask: int) -> int:
     """Re-encode a mask over the sub-support onto the support whose
-    restriction table is `table`: bit k is bit table[k] of `mask`."""
-    return _mask(mask >> g & 1 for g in table)
+    restriction table is `table`: bit k is bit table[k] of `mask`.  A
+    table is onto, so no entry reaches past len(table)."""
+    bits = format(mask, f"0{len(table)}b")[::-1]
+    return int("".join(map(bits.__getitem__, table))[::-1] or "0", 2)
 
 
 def _push(table: Sequence[int], mask: int) -> int:
@@ -101,7 +95,7 @@ class SupportedSubset:
     def __init__(self, structure: AtomStructure, support: Iterable[Atom], mask: int):
         self.structure = structure
         self.support = sort_support(structure, support)
-        n = len(self.types())
+        n = self._width()
         if not 0 <= mask < 1 << n:
             raise ValueError(f"mask {mask} selects outside the {n} types over the support")
         self.mask = mask
@@ -113,7 +107,7 @@ class SupportedSubset:
     @staticmethod
     def from_bits(structure, support, bits) -> "SupportedSubset":
         if isinstance(bits, str):
-            n = len(types_over(structure, support))
+            n = structure._type_count(len(sort_support(structure, support)))
             if len(bits) != n:
                 raise ValueError("bit string length must match the type count")
             if not set(bits) <= {"0", "1"}:
@@ -127,7 +121,7 @@ class SupportedSubset:
 
     @staticmethod
     def all_atoms(structure) -> "SupportedSubset":
-        return SupportedSubset(structure, (), (1 << len(types_over(structure, ()))) - 1)
+        return SupportedSubset(structure, (), (1 << structure._type_count(0)) - 1)
 
     @staticmethod
     def of_atoms(structure, atoms: Iterable[Atom]) -> "SupportedSubset":
@@ -141,8 +135,12 @@ class SupportedSubset:
     def types(self) -> Tuple[tuple, ...]:
         return self.structure._type_list(len(self.support))
 
+    def _width(self) -> int:
+        """len(self.types()), read without listing the types."""
+        return self.structure._type_count(len(self.support))
+
     def bits(self) -> str:
-        return format(self.mask, f"0{len(self.types())}b")[::-1]
+        return format(self.mask, f"0{self._width()}b")[::-1]
 
     def contains(self, atom: Atom) -> bool:
         s, E = self.structure, self.support
@@ -200,7 +198,7 @@ class SupportedSubset:
     # boolean algebra over a common support
 
     def complement(self) -> "SupportedSubset":
-        full = (1 << len(self.types())) - 1
+        full = (1 << self._width()) - 1
         return SupportedSubset(self.structure, self.support, full ^ self.mask)
 
     def _aligned(self, other: "SupportedSubset"):
@@ -281,6 +279,8 @@ def least_support(S: SupportedSubset) -> Tuple[Atom, ...]:
 def _shrink(S: SupportedSubset, sub: Tuple[Atom, ...]) -> SupportedSubset:
     """Re-present S over a smaller support that is known to support it:
     select the types over `sub` whose fibre holds a selected type."""
+    if sub == S.support:
+        return S
     table = restriction_table(S.structure, S.support, sub)
     return SupportedSubset(S.structure, sub, _push(table, S.mask))
 

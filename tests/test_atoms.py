@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 
 from choiceless.atoms import (
     CATEGORICAL,
+    DENSE_ORDER,
+    PURE_SET,
     Atom,
     CategoricalStructure,
     DenseOrderStructure,
@@ -397,6 +400,25 @@ def test_atom_json_roundtrip():
     t = DenseOrderStructure()
     q = t.atom(Fraction(7, 3))
     assert atom_from_json(atom_to_json(q)) == q
+
+
+def test_dense_order_store_membership_fresh_and_json():
+    s = DenseOrderStructure([Fraction(1, 3), 2])
+    # membership by value, whoever built the atom
+    assert Atom(DENSE_ORDER, Fraction(1, 3)) in s and Atom(DENSE_ORDER, Fraction(2)) in s
+    assert Atom(DENSE_ORDER, Fraction(1, 2)) not in s
+    assert Atom(PURE_SET, 2) not in s
+    # fresh points lie above the materialised ones and the avoided ones
+    fresh = s.fresh(2, avoid=[Atom(DENSE_ORDER, Fraction(7, 2))])
+    assert [a.payload for a in fresh] == [Fraction(9, 2), Fraction(11, 2)]
+    assert all(a in s for a in fresh)
+    assert [a.payload for a in DenseOrderStructure().fresh(2)] == [1, 2]
+    assert [a.payload for a in s.atoms()] == [Fraction(1, 3), 2, Fraction(9, 2), Fraction(11, 2)]
+    data = s.to_json()
+    assert json.dumps(data) == '{"kind": "dense", "atoms": ["1/3", "2/1", "9/2", "11/2"]}'
+    back = structure_from_json(data)
+    assert back.to_json() == data and back.atoms() == s.atoms()
+    assert all(a in back for a in s.atoms())
 
 
 def _pair_sample():

@@ -1,12 +1,28 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from choiceless import labchecks, oracles, refute
 from choiceless.cli import build_parser, main
 from choiceless.refute import EngineBug, InjectivityCollapse, WitnessInvalid
+
+
+def run_module(*args, timeout=300):
+    """stdout of `python ARGS` in a fresh process that imports the
+    program from this checkout."""
+    src = os.path.dirname(os.path.dirname(labchecks.__file__))
+    return subprocess.run(
+        [sys.executable, *args],
+        env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="0"),
+        capture_output=True,
+        check=True,
+        timeout=timeout,
+    ).stdout
 
 
 def run(capsys, *argv):
@@ -33,6 +49,14 @@ PINNED_VERIFY_ALL = {
     "0": "71611088bf4be4e772081dbb36ac66d5db8b867c6f9135c3398f27c4ca39a386",
     "42": "0bff61b24512ad820d9c4ee7517c33b586581135194a7aed2fca3680ed15f1fd",
 }
+
+
+def test_injections_report_is_the_same_under_python_O():
+    # a self-check that lived in an assert statement would vanish under -O
+    args = ("-m", "choiceless.cli", "verify", "--suite", "injections", "--json")
+    plain = run_module(*args)
+    assert json.loads(plain)["failures"] == 0
+    assert run_module("-O", *args) == plain
 
 
 @pytest.mark.parametrize("seed", sorted(PINNED_VERIFY_ALL))
@@ -376,6 +400,14 @@ class TestCountSupports:
 
     def test_negative_size_is_a_usage_error(self, capsys):
         assert usage_error(capsys, "count-supports", "--model", "fraenkel", "-n", "-1")
+
+    def test_large_support_answers_at_once(self):
+        # a sum over sub-support sizes, not a recursion over sub-supports
+        out = run_module(
+            "-m", "choiceless.cli", "count-supports", "--model", "mostowski", "-n", "40", "--json",
+            timeout=60,
+        )
+        assert json.loads(out) == {"least": 2 * 3**40, "model": "mostowski", "n": 40, "supported": 2**81}
 
     def test_fraenkel_json(self, capsys):
         code, out = run(capsys, "count-supports", "--model", "fraenkel", "-n", "2", "--json")

@@ -1,5 +1,9 @@
+import ast
 import itertools
+import os
 import random
+import subprocess
+import sys
 from math import factorial
 
 import pytest
@@ -12,6 +16,7 @@ from choiceless.atoms import (
     PairStructure,
     PureSetStructure,
     extend_fixing,
+    f_lt,
     f_rel,
     fresh_realizer,
 )
@@ -24,6 +29,7 @@ from choiceless.constructions import (
     SeqDom,
     SeqStarDom,
     UnordPairsDom,
+    _constant_patterns_below,
     act,
     categorical_power_to_seq,
     categorical_seq_to_power,
@@ -42,7 +48,7 @@ from choiceless.constructions import (
     seq_to_chain,
     size_class_map,
 )
-from choiceless.symsets import SupportedSubset, least_support, types_over
+from choiceless.symsets import SupportedSubset, least_support, sort_support, types_over
 
 
 def class_rank_by_scan(S: SupportedSubset, scan_budget: int = 1 << 16) -> int:
@@ -58,6 +64,68 @@ def class_rank_by_scan(S: SupportedSubset, scan_budget: int = 1 << 16) -> int:
         if least_support(SupportedSubset(S.structure, E, w)) == E:
             rank += 1
     return rank
+
+
+def _constant_patterns_below_by_full_walk(groups, v: int) -> int:
+    """Count integers w < v, over len(groups) bit positions, whose bits are
+    constant inside each group.
+
+    Walk the bits of v from the top along the tight path, which pins the
+    group of every visited position; dropping a forced 1 to 0 ends the
+    comparison, so the groups living entirely below that point are free."""
+    n = len(groups)
+    if v >= 1 << n:
+        return 1 << len(set(groups))
+    top = {}
+    for pos, g in enumerate(groups):
+        top[g] = pos
+    below = [0] * (n + 1)
+    for g, m in top.items():
+        below[m + 1] += 1
+    for pos in range(1, n + 1):
+        below[pos] += below[pos - 1]
+    assigned: dict = {}
+    total = 0
+    for pos in range(n - 1, -1, -1):
+        g = groups[pos]
+        if v >> pos & 1:
+            if assigned.get(g, 0) == 0:
+                total += 1 << below[pos]
+            if assigned.setdefault(g, 1) != 1:
+                return total  # tight path broken
+        else:
+            if assigned.setdefault(g, 0) != 0:
+                return total
+    return total
+
+
+def categorical_seq_to_power_by_type_list(structure, ys) -> SupportedSubset:
+    """Oracle for `categorical_seq_to_power`: test every type over the
+    support for the relation formula."""
+    ys = tuple(ys)
+    E = sort_support(structure, ys)
+    index = {e: j for j, e in enumerate(E)}
+    local = ("rel", len(ys), 0, tuple(index[y] for y in ys))
+    chosen = (t[0] == "typ" and local in t[2] for t in types_over(structure, E))
+    mask = int("".join("1" if f else "0" for f in chosen)[::-1] or "0", 2)
+    return SupportedSubset(structure, E, mask)
+
+
+# run in a fresh process, so no earlier test has listed the types already
+TYPE_LIST_SIZES = """
+from choiceless import labchecks
+from choiceless.atoms import CategoricalStructure
+
+listed, sizes = CategoricalStructure._type_list, set()
+
+def recording(n):
+    sizes.add(n)
+    return listed(n)
+
+CategoricalStructure._type_list = staticmethod(recording)
+labchecks.check_injections(0)
+print(sorted(sizes))
+"""
 
 
 @pytest.fixture
@@ -335,6 +403,33 @@ class TestMostowskiPowerToSeq:
             S = SupportedSubset.from_bits(s, E, bits)
             assert class_rank(S)[0] == class_rank_by_scan(S)
 
+    def test_categorical_two_atom_ranks_match_scan_oracle(self):
+        # the regime of the injections check: a two-atom homogeneous
+        # support and every vector below 2^6
+        s = CategoricalStructure()
+        E = sort_support(s, s.fresh(2))
+        ranked = 0
+        for bits in range(64):
+            S = SupportedSubset.from_bits(s, E, bits)
+            if least_support(S) == E:
+                assert class_rank(S) == (class_rank_by_scan(S), E)
+                ranked += 1
+        assert ranked > 0
+
+    def test_injections_never_list_two_atom_types(self):
+        # a supported subset reads its type count; the 6,146 types over
+        # two homogeneous atoms are never listed
+        src = os.path.dirname(os.path.dirname(labchecks.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", TYPE_LIST_SIZES],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        sizes = ast.literal_eval(out.strip())
+        assert sizes and 2 not in sizes
+
     def test_restriction_tables_restrict_no_type(self, monkeypatch):
         made = []
 
@@ -421,6 +516,19 @@ class TestCategoricalMaps:
         with pytest.raises(NotASeq):
             categorical_seq_to_power(s, [e0, e0])
 
+    @pytest.mark.parametrize("facts", [(), ((0,), (2, 0), (1, 3, 0))], ids=["no-facts", "related"])
+    def test_phi_matches_type_list_oracle(self, facts):
+        s = CategoricalStructure()
+        e = s.fresh(3)
+        e.append(fresh_realizer(s, [f_lt(e[0])]))  # below e[0], so ids and order differ
+        for args in facts:
+            s.declare_rel([e[i] for i in args])
+        for k in range(3):
+            for ys in itertools.permutations(e, k):
+                got = categorical_seq_to_power(s, ys)
+                want = categorical_seq_to_power_by_type_list(s, ys)
+                assert (got.support, got.mask) == (want.support, want.mask)
+
     def test_psi_examples(self):
         s = CategoricalStructure()
         a, b = s.fresh(2)
@@ -456,10 +564,6 @@ class TestCategoricalMaps:
 def test_pattern_counting_matches_bruteforce():
     """The rank engine's below-threshold counter against direct
     enumeration of group-constant bit patterns."""
-    import random
-
-    from choiceless.constructions import _constant_patterns_below
-
     rng = random.Random(0)
     for _ in range(3000):
         n = rng.randint(0, 10)
@@ -472,6 +576,18 @@ def test_pattern_counting_matches_bruteforce():
             if sum(assign[g] << p for p, g in enumerate(groups)) < v:
                 brute += 1
         assert _constant_patterns_below(groups, v) == brute, (groups, v)
+
+
+def test_pattern_counting_matches_full_walk_on_long_tables():
+    """Small vectors over long tables, as the rank engine meets them on a
+    two-atom homogeneous support."""
+    rng = random.Random(1)
+    for _ in range(3000):
+        n = rng.randint(0, 64)
+        groups = tuple(rng.randint(0, rng.randint(0, n)) for _ in range(n))
+        v = rng.randrange(1 << 8)
+        want = _constant_patterns_below_by_full_walk(groups, v)
+        assert _constant_patterns_below(groups, v) == want, (groups, v)
 
 
 def test_act_on_nested_objects():

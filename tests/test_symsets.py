@@ -22,6 +22,8 @@ from choiceless.cli import main
 from choiceless.constructions import class_rank, hf_to_json, hfset
 from choiceless.symsets import (
     SupportedSubset,
+    _pull,
+    _push,
     classify_fraenkel,
     count_least_supported,
     count_supported,
@@ -31,6 +33,50 @@ from choiceless.symsets import (
     sort_support,
     types_over,
 )
+
+
+# -- the slow paths of the mask moves and of the least-support count, kept
+# verbatim as oracles for the fast paths that replaced them
+
+
+def _mask_by_flags(flags) -> int:
+    """The int whose bit k is set iff the k-th flag is true."""
+    return int("".join("1" if f else "0" for f in flags)[::-1] or "0", 2)
+
+
+def _pull_by_genexpr(table, mask: int) -> int:
+    """Re-encode a mask over the sub-support onto the support whose
+    restriction table is `table`: bit k is bit table[k] of `mask`."""
+    return _mask_by_flags(mask >> g & 1 for g in table)
+
+
+def _push_by_genexpr(table, mask: int) -> int:
+    """The mask over the sub-support that selects each type whose fibre
+    under `table` holds a selected bit of `mask`."""
+    hit = {g for g, b in zip(table, format(mask, "b")[::-1]) if b == "1"}
+    return sum(1 << g for g in hit)
+
+
+def _is_supported_by_genexpr(S: SupportedSubset, sub) -> bool:
+    table = restriction_table(S.structure, S.support, sub)
+    return _pull_by_genexpr(table, _push_by_genexpr(table, S.mask)) == S.mask
+
+
+def count_least_supported_by_recursion(structure, support) -> int:
+    """Number of subsets whose smallest support is exactly this set."""
+    E = sort_support(structure, support)
+
+    def rec(sub, memo) -> int:
+        if sub in memo:
+            return memo[sub]
+        total = count_supported(structure, sub)
+        for k in range(len(sub)):
+            for smaller in itertools.combinations(sub, k):
+                total -= rec(smaller, memo)
+        memo[sub] = total
+        return total
+
+    return rec(E, {})
 
 
 def _structure_with_support(kind):
@@ -190,6 +236,62 @@ class TestTypeCounts:
             for sub in itertools.combinations(E, k)
         )
         assert total == count_supported(s, E) == 128
+
+    @pytest.mark.parametrize("make", [DenseOrderStructure, PureSetStructure])
+    def test_least_supported_counts_match_recursion(self, make):
+        s = make()
+        E = s.fresh(8)
+        for n in range(9):
+            assert count_least_supported(s, E[:n]) == count_least_supported_by_recursion(s, E[:n])
+
+    def test_least_supported_closed_forms(self):
+        # 2 * 3^n over the dense order, 2 (empty and full) over the bare set
+        d, p = DenseOrderStructure(), PureSetStructure()
+        E, F = d.fresh(40), p.fresh(40)
+        for n in range(41):
+            assert count_least_supported(d, E[:n]) == 2 * 3**n
+            assert count_least_supported(p, F[:n]) == 2
+
+    def test_categorical_least_supported_counts_match_recursion(self):
+        s = CategoricalStructure()
+        E = s.fresh(2)
+        s.declare_rel(E)
+        for n in range(3):
+            assert count_least_supported(s, E[:n]) == count_least_supported_by_recursion(s, E[:n])
+
+    @pytest.mark.parametrize(
+        "make",
+        [PureSetStructure, DenseOrderStructure, CategoricalStructure],
+        ids=["pure_set", "dense_order", "categorical"],
+    )
+    def test_type_count_is_the_list_length(self, make):
+        for n in range(3 if make is CategoricalStructure else 6):
+            assert make._type_count(n) == len(make._type_list(n))
+
+
+class TestMaskMoves:
+    @pytest.mark.parametrize("kind", ["pure_set", "dense_order", "categorical"])
+    def test_mask_moves_match_genexpr_oracles(self, kind):
+        rng = random.Random(kind)
+        s, atoms = _structure_with_support(kind)
+        E = sort_support(s, atoms)
+        width = len(types_over(s, E))
+        for keep in range(len(E) + 1):
+            for sub in itertools.combinations(E, keep):
+                table = restriction_table(s, E, sub)
+                below = len(types_over(s, sub))
+                for _ in range(12):
+                    # masks over the sub-support, pulled up onto E
+                    small = rng.getrandbits(min(below, 6))
+                    for mask in (small, rng.getrandbits(below)):
+                        assert _pull(table, mask) == _pull_by_genexpr(table, mask)
+                    # masks over E, pushed down and tested for support
+                    pulled = _pull(table, rng.getrandbits(below))
+                    for mask in (rng.getrandbits(6), rng.getrandbits(width), pulled):
+                        assert _push(table, mask) == _push_by_genexpr(table, mask)
+                        S = SupportedSubset(s, E, mask)
+                        assert S.is_supported_by(sub) == _is_supported_by_genexpr(S, sub)
+                    assert SupportedSubset(s, E, pulled).is_supported_by(sub)
 
 
 class TestSupportedSubset:
@@ -444,6 +546,9 @@ class TestCategoricalTypes:
         calls = [
             lambda: types_over(s, E),
             lambda: count_supported(s, E),
+            lambda: count_least_supported(s, E),
+            lambda: SupportedSubset(s, E, 0),
+            lambda: SupportedSubset.from_bits(s, E, "0"),
             lambda: SupportedSubset.of_atoms(s, E),
             lambda: restriction_table(s, E, E[:2]),
             lambda: restriction_table(s, E, ()),
