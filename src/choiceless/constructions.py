@@ -497,6 +497,8 @@ def categorical_seq_to_power(
     if len(set(ys)) != len(ys):
         raise NotASeq(f"repeated entry in {ys!r}")
     E = sort_support(structure, ys)
+    # The type count raises TypeBudgetExceeded before any string is built.
+    width = structure._type_count(len(E))
     index = {e: j for j, e in enumerate(E)}
     formulas = _cat_rel_formulas(len(E))
     b = formulas.index(("rel", len(ys), 0, tuple(index[y] for y in ys)))
@@ -506,7 +508,7 @@ def categorical_seq_to_power(
     # ("eq", j) type is selected: E[j] repeats an entry of ys, and
     # relation entries are pairwise distinct.
     run = 1 << b
-    typs = ("1" * run + "0" * run) * ((len(E) + 1) << (len(formulas) - b - 1))
+    typs = ("1" * run + "0" * run) * ((width - len(E)) >> (b + 1))
     return SupportedSubset(structure, E, int(typs + "0" * len(E), 2))
 
 

@@ -53,7 +53,6 @@ from .symsets import (
     classify_fraenkel,
     count_supported,
     least_support,
-    types_over,
 )
 
 
@@ -147,7 +146,7 @@ def check_fraenkel_dichotomy(pool_size: int, max_support: int) -> List[dict]:
     E = s.atoms()
     agree = True
     for n in range(max_support + 1):
-        for bits in range(1 << len(types_over(s, E[:n]))):
+        for bits in range(count_supported(s, E[:n])):
             S = SupportedSubset.from_bits(s, E[:n], bits)
             c = classify_fraenkel(S)
             inside = set(c.members) <= set(E[:n])

@@ -51,7 +51,7 @@ from .constructions import (
     hftuple,
 )
 from .refute import InjectionOracle, oracle_from_table
-from .symsets import SupportedSubset, types_over
+from .symsets import SupportedSubset, count_supported
 
 
 def _seqs_up_to(atoms: Sequence[Atom], max_len: int) -> List[HFTuple]:
@@ -71,8 +71,7 @@ def _tuples_up_to(atoms: Sequence[Atom], max_len: int) -> List[HFTuple]:
 def _subsets_over(structure, supports: Sequence[Sequence[Atom]]) -> List[SupportedSubset]:
     out = []
     for sup in supports:
-        n_types = len(types_over(structure, sup))
-        for bits in range(1 << n_types):
+        for bits in range(count_supported(structure, sup)):
             out.append(SupportedSubset.from_bits(structure, sup, bits))
     return out
 

@@ -19,7 +19,12 @@ from choiceless.atoms import (
     fresh_realizer,
 )
 from choiceless.cli import main
-from choiceless.constructions import class_rank, hf_to_json, hfset
+from choiceless.constructions import (
+    categorical_seq_to_power,
+    class_rank,
+    hf_to_json,
+    hfset,
+)
 from choiceless.symsets import (
     SupportedSubset,
     _pull,
@@ -553,6 +558,8 @@ class TestCategoricalTypes:
             lambda: restriction_table(s, E, E[:2]),
             lambda: restriction_table(s, E, ()),
             lambda: class_rank(SupportedSubset.of_atoms(s, E)),
+            lambda: categorical_seq_to_power(s, E),
+            lambda: categorical_seq_to_power(s, E[::-1]),
         ]
         for call in calls:
             t0 = time.perf_counter()
