@@ -94,7 +94,7 @@ class HFSet:
         return iter(self.items)
 
     def __contains__(self, x):
-        return any(hf_key(x) == hf_key(y) for y in self.items)
+        return x in self.items
 
     def __repr__(self):
         return "{" + ", ".join(map(repr, self.items)) + "}"
@@ -173,6 +173,8 @@ def hf_from_json(data, structure: Optional[AtomStructure] = None):
     if "set" in data:
         return HFSet(hf_from_json(i, structure) for i in data["set"])
     if "nat" in data:
+        if not _is_nat(data["nat"]):
+            raise ValueError(f"a natural must be an integer of at least 0, not {data['nat']!r}")
         return data["nat"]
     if "subset" in data:
         if structure is None:
@@ -225,7 +227,7 @@ class SeqDom(Domain):
             return False
         if not all(AtomsDom().contains(i, structure) for i in x):
             return False
-        return len({hf_key(i) for i in x}) == len(x.items)
+        return len(set(x.items)) == len(x.items)
 
 
 class SeqStarDom(Domain):
@@ -265,28 +267,33 @@ class UnordPairsDom(Domain):
 
 
 class PowDom(Domain):
+    """Subsets over the given structure.  Subsets over different
+    structures never compare equal, so with no structure given there is
+    no power object to belong to."""
+
     name = "P(A)"
 
     def contains(self, x, structure=None):
-        if not isinstance(x, SupportedSubset):
-            return False
-        return structure is None or x.structure is structure
+        return isinstance(x, SupportedSubset) and x.structure is structure
+
+
+def _is_nat(x) -> bool:
+    """Is x a natural?  A bool is not, though Python counts it an int."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
 class NatDom(Domain):
     name = "N"
 
     def contains(self, x, structure=None):
-        return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+        return _is_nat(x)
 
 
 class NatSetDom(Domain):
     name = "P(N)"
 
     def contains(self, x, structure=None):
-        return isinstance(x, frozenset) and all(
-            isinstance(i, int) and i >= 0 for i in x
-        )
+        return isinstance(x, frozenset) and all(map(_is_nat, x))
 
 
 class LabeledNatSetDom(Domain):
@@ -300,8 +307,8 @@ class LabeledNatSetDom(Domain):
         return (
             isinstance(x, tuple)
             and len(x) == 2
-            and isinstance(x[0], int)
-            and 0 <= x[0] < self.k
+            and _is_nat(x[0])
+            and x[0] < self.k
             and NatSetDom().contains(x[1])
         )
 
@@ -351,7 +358,7 @@ def kuratowski(x: Atom, y: Atom) -> HFSet:
 def seq_to_chain(s) -> HFSet:
     """A one-to-one sequence as its chain of initial segments."""
     entries = list(s)
-    if len({hf_key(e) for e in entries}) != len(entries):
+    if len(set(entries)) != len(entries):
         raise NotASeq(f"repeated entry in {entries!r}")
     return HFSet(HFSet(entries[: k + 1]) for k in range(len(entries)))
 
@@ -469,7 +476,7 @@ def mostowski_power_to_seq(
     by the (10!-k)-th permutation of the first ten unused anchor atoms.
     """
     structure = S.structure
-    if structure.kind != "dense_order":
+    if not isinstance(structure, DenseOrderStructure):
         raise StructureMismatch("this injection lives over the dense order")
     if anchors is None:
         anchors = default_anchors(structure)

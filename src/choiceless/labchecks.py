@@ -30,7 +30,6 @@ from .constructions import (
     categorical_power_to_seq,
     categorical_seq_to_power,
     default_anchors,
-    hf_key,
     kuratowski,
     mostowski_power_to_seq,
     pairmodel_pair_to_unordered,
@@ -41,7 +40,6 @@ from .refute import (
     InjectionOracle,
     WitnessInvalid,
     disjointify_finite,
-    oracle_key,
     partition_to_edges,
     refute_seq_to_power_fraenkel,
     rgs_partitions,
@@ -202,12 +200,12 @@ def check_injections(seed: int, probes: int = 100) -> List[dict]:
     kur = {}
     for x, y in itertools.product(pool, repeat=2):
         kur[(x, y)] = kuratowski(x, y)
-    kur_ok = len(set(map(hf_key, kur.values()))) == len(kur)
+    kur_ok = len(set(kur.values())) == len(kur)
     chains = {}
     for k in range(4):
         for p in itertools.permutations(pool, k):
             chains[p] = seq_to_chain(p)
-    chain_ok = len(set(map(hf_key, chains.values()))) == len(chains)
+    chain_ok = len(set(chains.values())) == len(chains)
     eq_ok = True
     for _ in range(probes):
         shuffled = pool[:]
@@ -237,7 +235,7 @@ def check_injections(seed: int, probes: int = 100) -> List[dict]:
     imgs = {}
     for x, y in itertools.product(bases, repeat=2):
         imgs[(x, y)] = pairmodel_pair_to_unordered(p, x, y)
-    inj_ok = len(set(map(hf_key, imgs.values()))) == 16
+    inj_ok = len(set(imgs.values())) == 16
     eqv_ok = True
     for _ in range(probes):
         shuffled = bases[:]
@@ -276,7 +274,7 @@ def check_injections(seed: int, probes: int = 100) -> List[dict]:
                 if least_support(S) != tuple(sup):
                     continue
                 images[(sup, bits)] = mostowski_power_to_seq(S, anchors)
-    most_inj = len(set(map(hf_key, images.values()))) == len(images)
+    most_inj = len(set(images.values())) == len(images)
     most_eqv = True
     for _ in range(probes):
         pi = random_dense_automorphism(t, anchors, universe, rng)
@@ -321,7 +319,7 @@ def check_injections(seed: int, probes: int = 100) -> List[dict]:
             ranks += 1
             if ranks >= 8:
                 break
-    psi_inj = len(set(map(hf_key, psis.values()))) == len(psis)
+    psi_inj = len(set(psis.values())) == len(psis)
     # equivariance probes: move the parameters to fresh same-type atoms
     phi_eqv = True
     for _ in range(min(probes, 24)):
@@ -419,21 +417,18 @@ def run_random_refutations(trials: int, seed: int) -> List[dict]:
 
 def _grouped(pool_fn):
     """The probe -> answer pool function `pool_fn`, with each pool
-    grouped by value: equal members (same `oracle_key`) form one group,
-    in order of first appearance, so a group's first member is its
-    representative and its size the value's multiplicity.  A pool list
-    that `pool_fn` gives again is grouped once; the memo holds the list,
-    so its identity cannot be reused."""
-    memo: Dict[int, tuple] = {}
+    grouped by value: equal members form one group, in order of first
+    appearance, so a group's first member is its representative and its
+    size the value's multiplicity.  Each probe's pool is grouped once."""
+    memo: Dict[object, list] = {}
 
     def answers(x):
-        pool = pool_fn(x)
-        if id(pool) not in memo:
-            groups: Dict[tuple, list] = {}
-            for y in pool:
-                groups.setdefault(oracle_key(y), []).append(y)
-            memo[id(pool)] = (pool, list(groups.values()))
-        return memo[id(pool)][1]
+        if x not in memo:
+            groups: Dict[object, list] = {}
+            for y in pool_fn(x):
+                groups.setdefault(y, []).append(y)
+            memo[x] = list(groups.values())
+        return memo[x]
 
     return answers
 
@@ -477,12 +472,8 @@ def exhaustive_refutation_paths(engine: str, support_size: int) -> dict:
     spec = oracles.REFUTE[engine]
     if spec.pool is None:
         raise KeyError(f"{engine} has no exhaustive answer pool")
-
-    def setup():
-        s, E = spec.universe(support_size)
-        return s, E, _grouped(spec.pool(s, E))
-
-    shared = setup() if spec.shared_pool else None
+    s, E = spec.universe(support_size)
+    answers = _grouped(spec.pool(s, E))
     dom, cod = spec.domains()
 
     kinds: Dict[str, int] = {}
@@ -491,7 +482,6 @@ def exhaustive_refutation_paths(engine: str, support_size: int) -> dict:
     while stack:
         script, weight = stack.pop()
         stats["runs"] += 1
-        s, E, answers = shared or setup()
         fn = _Scripted(answers, script)
         o = InjectionOracle(fn, dom, cod, support=E, structure=s)
         try:
@@ -554,14 +544,14 @@ def check_extractors(T: int) -> List[dict]:
             "the growing-set iteration streams distinct atoms on the honest "
             "oracle and convicts the repeating one",
             {"T": T},
-            r.ok and len(set(map(oracle_key, r.values))) == T and not rc.ok,
+            r.ok and len(set(r.values)) == T and not rc.ok,
         ),
         check(
             "extract-seqstar-to-seq",
             "constant-sequence probing keeps producing first-occurrence atoms "
             "and convicts a repeating oracle",
             {"T": T},
-            r2.ok and len(set(map(oracle_key, r2.values))) == T and not rc2.ok,
+            r2.ok and len(set(r2.values)) == T and not rc2.ok,
         ),
         check(
             "extract-surplus",

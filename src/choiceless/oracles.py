@@ -193,9 +193,11 @@ class RefuteSpec(NamedTuple):
 
     A `pool` puts it in the exhaustive check: `pool(structure, support)`
     adds what the answer pool needs to a fresh structure and gives the
-    probe -> offered answers function.  A `shared_pool` never mentions
-    an atom that a probe names first, so one structure serves the whole
-    search and its canonical forms are computed once."""
+    probe -> offered answers function, whose answers the check groups by
+    value.  One structure serves the whole search: the pooled engines
+    run over the bare set and take every atom from `probe_atoms`, which
+    there gives the smallest ids a run does not avoid, materialised or
+    not, so each run sees the atoms that a new structure would give it."""
 
     model: str
     domains: Callable[[], Tuple[Domain, Domain]]
@@ -205,7 +207,6 @@ class RefuteSpec(NamedTuple):
     sizes: Tuple[int, ...] = (0, 1)
     random_trials: bool = True
     pool: Optional[Callable] = None
-    shared_pool: bool = False
 
 
 class ExtractSpec(NamedTuple):
@@ -284,7 +285,6 @@ ENGINES: Dict[str, object] = {
         },
         run=lambda o, **_: refute.refute_nat_to_power_fraenkel(o),
         pool=_nat_power_pool,
-        shared_pool=True,
     ),
     "unordered-to-ordered": RefuteSpec(
         "vp",

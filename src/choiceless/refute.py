@@ -64,6 +64,8 @@ class Refuted(Exception):
 
 
 def oracle_key(x):
+    """A canonical key for an oracle value, built apart from the values'
+    own equality: `verify_witness` compares by it."""
     if isinstance(x, (HFTuple, HFSet, Atom)):
         return ("hf", hf_key(x))
     if isinstance(x, SupportedSubset):
@@ -82,11 +84,12 @@ def oracle_key(x):
 class InjectionOracle:
     """Query interface to a purported injection, with a transcript.
 
-    Answers are memoised, so the oracle is automatically stable; every
-    answer is checked against the declared codomain before it enters the
-    transcript.  The oracle remembers the first input behind each answer,
-    so it is where collapses are found: a new input whose answer repeats
-    an earlier one raises `Refuted` with the verified collapse.
+    Answers are memoised by value, so the oracle is automatically stable;
+    every query is checked against the declared domain, and every answer
+    against the codomain before it enters the transcript.  The oracle
+    remembers the first input behind each answer value, so it is where
+    collapses are found: a new input whose answer repeats an earlier one
+    raises `Refuted` with the verified collapse.
     """
 
     def __init__(
@@ -105,23 +108,22 @@ class InjectionOracle:
         self.structure = structure
         self.name = name
         self.transcript: List[Tuple[object, object]] = []
-        self._memo: Dict[tuple, object] = {}
-        self._first: Dict[tuple, object] = {}
+        self._memo: Dict[object, object] = {}
+        self._first: Dict[object, object] = {}
 
     def query(self, x):
-        key = oracle_key(x)
-        if key in self._memo:
-            return self._memo[key]
         if not self.domain.contains(x, self.structure):
             raise OracleAnswerError(f"query {x!r} outside domain {self.domain!r}")
+        if x in self._memo:
+            return self._memo[x]
         y = self.fn(x)
         if not self.codomain.contains(y, self.structure):
             raise OracleAnswerError(
                 f"{self.name} answered {y!r} outside {self.codomain!r}"
             )
-        self._memo[key] = y
+        self._memo[x] = y
         self.transcript.append((x, y))
-        first = self._first.setdefault(oracle_key(y), x)
+        first = self._first.setdefault(y, x)
         if first is not x:
             raise Refuted(_checked(InjectivityCollapse(first, x, y), self))
         return y
@@ -131,11 +133,9 @@ class InjectionOracle:
 
 
 def oracle_from_table(table: Dict, *args, **kwargs) -> InjectionOracle:
-    keyed = {oracle_key(x): y for x, y in table.items()}
-
     def fn(x):
         try:
-            return keyed[oracle_key(x)]
+            return table[x]
         except KeyError:
             raise OracleAnswerError(f"scripted table has no entry for {x!r}")
 
@@ -627,19 +627,16 @@ def refute_unordered_to_ordered_pairmodel(
             if strays:
                 (z,) = s.probe_atoms(1, avoid | set(sample) | atoms_of(y))
                 pi = extend_fixing(s, list(set(E) | {xA, xB}), {strays[0]: z, z: strays[0]})
-                if pi is not None and oracle_key(act(pi, y)) != oracle_key(y):
+                if pi is not None and act(pi, y) != y:
                     _break(oracle, pi, x)
             # value built over the input pair: swapping the pair may move it
             pi = extend_fixing(s, E, {xA: xB, xB: xA})
-            if pi is not None and oracle_key(act(pi, y)) != oracle_key(y):
+            if pi is not None and act(pi, y) != y:
                 _break(oracle, pi, x, x)
             # last resort: rotate the triple; the value is pinned, the input moves
             pi = extend_fixing(s, E, {xA: xB, xB: xC, xC: xA})
-            if pi is not None:
-                piy = act(pi, y)
-                y2 = answer[(iB, iC)]
-                if oracle_key(piy) != oracle_key(y2):
-                    _break(oracle, pi, x, x)
+            if pi is not None and act(pi, y) != answer[(iB, iC)]:
+                _break(oracle, pi, x, x)
 
     for iA, iB, iC in itertools.combinations(range(len(sample)), 3):
         c = tau[(iA, iB)]

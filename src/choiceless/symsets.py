@@ -25,10 +25,10 @@ from math import comb
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .atoms import (
-    PURE_SET,
     Atom,
     AtomStructure,
     LiftedAutomorphism,
+    PureSetStructure,
     StructureMismatch,
     atom_from_json,
     atom_to_json,
@@ -299,7 +299,7 @@ class FraenkelClass:
 def classify_fraenkel(S: SupportedSubset) -> FraenkelClass:
     """Every supported subset of the bare atom set is finite (and then a
     subset of its support) or co-finite (complement inside the support)."""
-    if S.structure.kind != PURE_SET:
+    if not isinstance(S.structure, PureSetStructure):
         raise StructureMismatch("dichotomy applies to the bare atom set only")
     ts = S.types()
     cofinite = bool(S.mask >> ts.index(("free",)) & 1)

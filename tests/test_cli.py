@@ -240,6 +240,23 @@ class TestRefuteCommand:
             tfile.write_text(text)
         assert usage_error(capsys, "refute", "fin-to-seq", "--oracle", f"@{tfile}")
 
+    @pytest.mark.parametrize("bad", [True, 1.5, -1], ids=["bool", "float", "negative"])
+    def test_bad_natural_is_refused(self, tmp_path, capsys, bad):
+        subset = {"subset": {"structure": "pure_set", "support": [], "bits": "0"}}
+        tfile = tmp_path / "table.json"
+        tfile.write_text(
+            json.dumps({"structure": {"kind": "pure", "atoms": []}, "table": [[{"nat": bad}, subset]]})
+        )
+        assert usage_error(capsys, "refute", "nat-to-power", "--oracle", f"@{tfile}")
+        wfile = tmp_path / "w.json"
+        run(capsys, "refute", "nat-to-power", "--emit-witness", str(wfile))
+        data = json.loads(wfile.read_text())
+        assert data["transcript"][0][0] == {"nat": 0}
+        data["transcript"][0][0] = {"nat": bad}
+        wfile.write_text(json.dumps(data))
+        code, out = run(capsys, "verify-witness", str(wfile))
+        assert code == 1 and "INVALID" in out and "natural" in out
+
     @pytest.mark.parametrize("text", [None, "", "[1, 2"], ids=["missing", "empty", "not-json"])
     def test_unreadable_witness_is_a_usage_error(self, tmp_path, capsys, text):
         wfile = tmp_path / "w.json"

@@ -1,19 +1,27 @@
+import copy
+import itertools
 import json
 import random
 
 import pytest
 
-from choiceless import oracles
+from choiceless import labchecks, oracles
 from choiceless.atoms import DenseOrderStructure, PairStructure, PureSetStructure
 from choiceless.constructions import (
     AtomsDom,
     FinDom,
+    LabeledNatSetDom,
+    NatDom,
+    NatSetDom,
     PairDom,
     PartitionDom,
+    PowDom,
     SeqDom,
     SeqStarDom,
     SubsetDom,
     UnordPairsDom,
+    hf_from_json,
+    hf_to_json,
     hfset,
     hftuple,
 )
@@ -52,6 +60,7 @@ from choiceless.refute import (
     verify_witness_json,
     witness_to_json,
 )
+from choiceless.symsets import SupportedSubset
 
 
 # every built-in refutation oracle at every built-in support size
@@ -100,6 +109,31 @@ class TestOracleShell:
         assert r.values == [t.atom(i) for i in range(4)]
         assert r.collapse.x1 == hfset(r.values[:3]) and r.collapse.x2 == hfset(r.values)
         assert verify_witness(r.collapse, t, (), o.transcript)
+
+    def test_bool_query_refused_after_its_int_fills_the_memo(self):
+        o = InjectionOracle(lambda n: n + 1, NatDom(), NatDom())
+        assert o.query(1) == 2
+        with pytest.raises(OracleAnswerError):
+            o.query(True)
+        assert o.transcript == [(1, 2)]
+
+    def test_subset_answers_need_the_oracles_structure(self):
+        s = PureSetStructure()
+        o = InjectionOracle(lambda n: SupportedSubset.empty(s), NatDom(), PowDom())
+        with pytest.raises(OracleAnswerError):
+            o.query(0)
+
+    @pytest.mark.parametrize(
+        "domain,good,bad",
+        [
+            (NatSetDom(), frozenset({0, 1}), frozenset({True})),
+            (LabeledNatSetDom(2), (1, frozenset()), (True, frozenset())),
+            (LabeledNatSetDom(2), (0, frozenset({1})), (0, frozenset({True}))),
+        ],
+        ids=["natural", "label", "labelled-natural"],
+    )
+    def test_nat_domains_refuse_bools(self, domain, good, bad):
+        assert domain.contains(good) and not domain.contains(bad)
 
     def test_codomain_enforced(self):
         s = PureSetStructure(2)
@@ -434,12 +468,8 @@ def naive_exhaustive_paths(engine, support_size):
     it branches on every pool index, so a value the pool offers k times
     is searched k times, and every leaf counts once.  Test-only oracle."""
     spec = oracles.REFUTE[engine]
-
-    def setup():
-        s, E = spec.universe(support_size)
-        return s, E, spec.pool(s, E)
-
-    shared = setup() if spec.shared_pool else None
+    s, E = spec.universe(support_size)
+    answers = spec.pool(s, E)
     dom, cod = spec.domains()
     kinds = {}
     stats = {"tables": 0, "runs": 0, "witnesses": kinds}
@@ -447,7 +477,6 @@ def naive_exhaustive_paths(engine, support_size):
     while stack:
         script = stack.pop()
         stats["runs"] += 1
-        s, E, answers = shared or setup()
         fn = _NaiveScripted(answers, script)
         o = InjectionOracle(fn, dom, cod, support=E, structure=s)
         try:
@@ -546,6 +575,18 @@ class TestExhaustiveTables:
                 assert stats["tables"] > 0
                 assert sum(stats["witnesses"].values()) == stats["tables"]
 
+    @pytest.mark.parametrize(
+        "engine,tables,runs,witnesses",
+        [
+            ("fin-to-seqstar", 231, 239, {"EquivarianceBreak": 224, "InjectivityCollapse": 7}),
+            ("nat-to-power", 37894, 521, {"EquivarianceBreak": 13374, "InjectivityCollapse": 24520}),
+        ],
+        ids=["fin-to-seqstar", "nat-to-power"],
+    )
+    def test_support_two_totals(self, engine, tables, runs, witnesses):
+        stats = exhaustive_refutation_paths(engine, 2)
+        assert stats == {"tables": tables, "runs": runs, "witnesses": witnesses}
+
     def test_nat_to_power_support_zero(self):
         stats = exhaustive_refutation_paths("nat-to-power", 0)
         assert stats["tables"] == sum(stats["witnesses"].values())
@@ -553,6 +594,105 @@ class TestExhaustiveTables:
     def test_random_adversaries_never_fool_engines(self):
         for c in run_random_refutations(80, seed=123):
             assert c["ok"], c
+
+
+class _LoggedOracle(InjectionOracle):
+    """Logs every query as a hit, a new input or a collapse onto an
+    earlier input; keeps each instance made."""
+
+    made = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.events = []
+        _LoggedOracle.made.append(self)
+
+    def query(self, x):
+        probes = len(self.transcript)
+        try:
+            y = super().query(x)
+        except Refuted as done:
+            self.events.append(("collapse", x, done.witness.x1))
+            raise
+        self.events.append(("hit" if len(self.transcript) == probes else "new", x))
+        return y
+
+
+def _keyed_replay(queries, transcript):
+    """The memo as first written, keyed by `oracle_key`: the events it
+    gives the same queries, answered from the transcript."""
+    answer = {oracle_key(x): y for x, y in transcript}
+    memo, first, events = set(), {}, []
+    for x in queries:
+        k = oracle_key(x)
+        if k in memo:
+            events.append(("hit", k))
+            continue
+        memo.add(k)
+        f = first.setdefault(oracle_key(answer[k]), k)
+        events.append(("new", k) if f == k else ("collapse", k, f))
+    return events
+
+
+def _equal_copy(x, structure):
+    """A new object equal to the oracle value x."""
+    if isinstance(x, (frozenset, tuple)):
+        return copy.deepcopy(x)
+    return hf_from_json(hf_to_json(x), structure)
+
+
+def _builtin_runs(engine):
+    """Run the engine once per built-in oracle, seed and size."""
+    spec = oracles.ENGINES[engine]
+    for name in spec.oracles:
+        if engine in oracles.REFUTE:
+            for size, seed in itertools.product(spec.sizes, range(3)):
+                spec.run(oracles.build_refute_oracle(engine, name, size, seed)[2])
+        else:
+            for copies in (1, 2) if engine == "surplus" else (1,):
+                spec.run(name, 20, copies)
+
+
+@pytest.mark.parametrize("engine", sorted(oracles.ENGINES))
+def test_value_keys_agree_with_oracle_keys(engine, monkeypatch):
+    """Differential test of the value-keyed memo and answer grouping
+    against `oracle_key`: every built-in oracle's queries, followed by
+    an equal copy of each probed input, hit and collapse alike under
+    both keys; every answer pool of the support 0-1 searches groups
+    alike under both keys."""
+    _LoggedOracle.made = []
+    monkeypatch.setattr(oracles, "InjectionOracle", _LoggedOracle)
+    _builtin_runs(engine)
+    assert _LoggedOracle.made
+    for o in _LoggedOracle.made:
+        for x, _ in list(o.transcript):
+            o.query(_equal_copy(x, o.structure))
+        queries = [e[1] for e in o.events]
+        got = [(e[0],) + tuple(map(oracle_key, e[1:])) for e in o.events]
+        assert got == _keyed_replay(queries, o.transcript)
+    if engine not in POOLED:
+        return
+    offered = []
+    grouped = labchecks._grouped
+
+    def spy(pool_fn):
+        answers = grouped(pool_fn)
+
+        def logged(x):
+            offered.append((pool_fn(x), answers(x)))
+            return answers(x)
+
+        return logged
+
+    monkeypatch.setattr(labchecks, "_grouped", spy)
+    for size in (0, 1):
+        exhaustive_refutation_paths(engine, size)
+    assert offered
+    for pool, groups in offered:
+        by_key = {}
+        for y in pool:
+            by_key.setdefault(oracle_key(y), []).append(oracle_key(y))
+        assert [list(map(oracle_key, g)) for g in groups] == list(by_key.values())
 
 
 class TestExtractors:
