@@ -293,11 +293,10 @@ class AtomStructure:
         canonical order."""
         raise NotImplementedError
 
-    @classmethod
-    def _type_count(cls, n: int) -> int:
-        """len(_type_list(n)); a class that can count its types without
-        listing them says so here."""
-        return len(cls._type_list(n))
+    @staticmethod
+    def _type_count(n: int) -> int:
+        """len(_type_list(n)), counted without listing the types."""
+        raise NotImplementedError
 
     def projection(self, E: Tuple[Atom, ...], sub: Tuple[Atom, ...]) -> Tuple[int, ...]:
         """Entry k is the position in `types(sub)` of the restriction of
@@ -386,6 +385,10 @@ class PureSetStructure(AtomStructure):
     def _type_list(n):
         return tuple(("eq", j) for j in range(n)) + (("free",),)
 
+    @staticmethod
+    def _type_count(n):
+        return n + 1
+
     def type_of(self, atom, E):
         return ("free",)
 
@@ -468,6 +471,10 @@ class DenseOrderStructure(AtomStructure):
             out += [("eq", j), ("gap", j + 1)]
         return tuple(out)
 
+    @staticmethod
+    def _type_count(n):
+        return 2 * n + 1
+
     def type_of(self, atom, E):
         return ("gap", sum(1 for x in E if x.payload < atom.payload))
 
@@ -513,8 +520,9 @@ class PairStructure(AtomStructure):
     permutation acts inside the payload and the level's bit is XORed
     onto the atom's own bit.
 
-    The model has lifts but no 1-types: `_type_list` refuses, so neither
-    `types_over` nor a `SupportedSubset` accepts a pair-model structure.
+    The model has lifts but no 1-types: `_type_list` and `_type_count`
+    refuse, so neither `types_over` nor a `SupportedSubset` accepts a
+    pair-model structure.
     """
 
     kind = PAIR_MODEL
@@ -639,6 +647,8 @@ class PairStructure(AtomStructure):
     @staticmethod
     def _type_list(n):
         raise StructureMismatch("the pair model has no 1-types")
+
+    _type_count = _type_list
 
     @staticmethod
     def payload_repr(payload) -> str:

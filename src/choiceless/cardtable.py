@@ -118,10 +118,11 @@ def subterms(e: CExpr) -> Set[CExpr]:
     return out
 
 
-# facts: (rel, a, b) with rel in {le, ne, eq, lestar, nle, inc}
+# facts: (rel, a, b) with rel one of these, each shown by its symbol
+_RELS = {"le": "<=", "ne": "!=", "eq": "=", "lestar": "<=*", "nle": "!<=", "inc": "||"}
 Fact = Tuple[str, CExpr, CExpr]
-
-_RELS = {"le", "ne", "eq", "lestar", "nle", "inc"}
+# axioms: (rel, a, b, label), where rel may also be a strict "lt" or "gt"
+Axiom = Tuple[str, CExpr, CExpr, str]
 
 
 def expand(rel: str, a: CExpr, b: CExpr) -> List[Fact]:
@@ -136,15 +137,7 @@ def expand(rel: str, a: CExpr, b: CExpr) -> List[Fact]:
 
 def show_fact(f: Fact) -> str:
     rel, a, b = f
-    sym = {
-        "le": "<=",
-        "ne": "!=",
-        "eq": "=",
-        "lestar": "<=*",
-        "nle": "!<=",
-        "inc": "||",
-    }[rel]
-    return f"{display(a)} {sym} {display(b)}"
+    return f"{display(a)} {_RELS[rel]} {display(b)}"
 
 
 class Contradiction(Exception):
@@ -175,11 +168,7 @@ class Closure:
         return True
 
     def has(self, rel: str, a: CExpr, b: CExpr) -> bool:
-        if rel == "lt":
-            return self.has("le", a, b) and self.has("ne", a, b)
-        if rel == "gt":
-            return self.has("lt", b, a)
-        return (rel, a, b) in self.facts
+        return all(f in self.facts for f in expand(rel, a, b))
 
     def holds_between(self, a: CExpr, b: CExpr) -> Set[str]:
         """Human-level relation symbols the closure settles for the pair."""
@@ -220,7 +209,7 @@ class Closure:
 
 
 def close(
-    axioms: Iterable[Tuple[str, CExpr, CExpr, str]],
+    axioms: Iterable[Axiom],
     extra_terms: Iterable[CExpr] = (),
 ) -> Closure:
     """Close a fact set under the rule pack.
@@ -248,53 +237,49 @@ def close(
     return cl
 
 
+_E = CExpr("e")  # the term a schema ranges over
+
+# ZF schemas, each row (relation, lhs, rhs, name) over the term e
+_SCHEMAS = [
+    ("le", _E, power(_E), "cantor"),
+    ("ne", _E, power(_E), "cantor"),
+    ("le", _E, fin(_E), "singleton-map"),
+    ("le", fin(_E), power(_E), "finite-sets-are-subsets"),
+    ("ne", fin(_E), power(_E), "strictly-few-finite-sets"),
+    ("ne", injseq(_E), power(_E), "one-to-one-sequences-never-power"),
+    ("ne", anyseq(_E), power(_E), "sequences-never-power"),
+    ("le", square(_E), fin(fin(_E)), "pair-as-nested-set"),
+    ("le", injseq(_E), fin(fin(_E)), "sequence-as-chain"),
+    ("le", injseq(_E), anyseq(_E), "one-to-one-is-a-sequence"),
+    ("le", _E, square(_E), "diagonal"),
+    ("le", pairs2(_E), fin(_E), "pairs-are-finite-sets"),
+    ("le", power(ALEPH0), power(fin(_E)), "size-classes-of-finite-sets"),
+    ("le", partitions(_E), power(pairs2(_E)), "partition-edge-sets"),
+    ("le", power(_E), partitions(_E), "subsets-split-in-two"),
+    *(("le", times(n, _E), times(n + 1, _E), "copies-embed") for n in range(1, 9)),
+    ("eq", times(1, _E), _E, "one-copy"),
+]
+
+
+def _at(t: CExpr, e: CExpr) -> Optional[CExpr]:
+    """The schema term t with e for the term it ranges over, if built."""
+    if t is _E:
+        return e
+    if t.inner is None:
+        return t
+    inner = _at(t.inner, e)
+    return None if inner is None else _built(t.op, inner, t.n)
+
+
 def _add_schemas(cl: Closure):
+    """Record each schema row at every term e, in term order, where both
+    of its sides are in the universe."""
     U = cl.universe
-
-    def have(*ts):
-        return all(t in U for t in ts)
-
-    pa = _built("pow", ALEPH0)
-    for e in sorted(U, key=lambda t: t.key()):
-        pe, fe = _built("pow", e), _built("fin", e)
-        ie, se = _built("injseq", e), _built("anyseq", e)
-        sq, p2, ffe = _built("square", e), _built("pairs2", e), _built("fin", fe)
-        if have(pe):
-            cl.add(("le", e, pe), "schema:cantor")
-            cl.add(("ne", e, pe), "schema:cantor")
-        if have(fe):
-            cl.add(("le", e, fe), "schema:singleton-map")
-        if have(fe, pe):
-            cl.add(("le", fe, pe), "schema:finite-sets-are-subsets")
-            cl.add(("ne", fe, pe), "schema:strictly-few-finite-sets")
-        if have(ie, pe):
-            cl.add(("ne", ie, pe), "schema:one-to-one-sequences-never-power")
-        if have(se, pe):
-            cl.add(("ne", se, pe), "schema:sequences-never-power")
-        if have(sq, ffe):
-            cl.add(("le", sq, ffe), "schema:pair-as-nested-set")
-        if have(ie, ffe):
-            cl.add(("le", ie, ffe), "schema:sequence-as-chain")
-        if have(ie, se):
-            cl.add(("le", ie, se), "schema:one-to-one-is-a-sequence")
-        if have(e, sq):
-            cl.add(("le", e, sq), "schema:diagonal")
-        if have(p2, fe):
-            cl.add(("le", p2, fe), "schema:pairs-are-finite-sets")
-        pfe = _built("pow", fe)
-        if have(pa, pfe):
-            cl.add(("le", pa, pfe), "schema:size-classes-of-finite-sets")
-        pt, pp2 = _built("part", e), _built("pow", p2)
-        if have(pt, pp2):
-            cl.add(("le", pt, pp2), "schema:partition-edge-sets")
-        if have(pe, pt):
-            cl.add(("le", pe, pt), "schema:subsets-split-in-two")
-        copies = [_built("times", e, n) for n in range(1, 10)]
-        for small, big in zip(copies, copies[1:]):
-            if have(small, big):
-                cl.add(("le", small, big), "schema:copies-embed")
-        if have(copies[0]):
-            cl.add(("eq", copies[0], e), "schema:one-copy")
+    for e in sorted(U, key=CExpr.key):
+        for rel, lhs, rhs, name in _SCHEMAS:
+            a, b = _at(lhs, e), _at(rhs, e)
+            if a in U and b in U:
+                cl.add((rel, a, b), f"schema:{name}")
 
 
 def _index(facts: Iterable[Fact], index=None):
@@ -456,91 +441,68 @@ def _check_contra(cl: Closure, fact: Fact):
 
 M = BASE
 
+# the table entries; every model closes over these
+TABLE_TERMS = [M, fin(M), injseq(M), anyseq(M), power(M)]
 
-def model_axioms(name: str) -> List[Tuple[str, CExpr, CExpr, str]]:
-    """Per-model relation axioms between the derived cardinals of one
-    infinite base cardinal."""
-    if name == "fraenkel":
-        return [
-            ("inc", fin(M), injseq(M), "fraenkel:finite-vs-one-to-one"),
-            ("inc", fin(M), anyseq(M), "fraenkel:finite-vs-sequences"),
-            ("inc", injseq(M), power(M), "fraenkel:one-to-one-vs-power"),
-            ("inc", anyseq(M), power(M), "fraenkel:sequences-vs-power"),
-            ("nle", ALEPH0, power(M), "fraenkel:power-dedekind-finite"),
-            ("lt", M, pairs2(M), "fraenkel:more-pairs-than-atoms"),
-        ]
-    if name == "mostowski":
-        chain = [
-            M,
-            pairs2(M),
-            square(M),
-            fin(M),
-            power(M),
-            injseq(M),
-            fin(fin(M)),
-            injseq(fin(M)),
-            fin(power(M)),
-            fin(fin(fin(M))),
-            fin(fin(fin(fin(M)))),
-            anyseq(M),
-            power(fin(M)),
-        ]
-        out = [
-            ("lt", a, b, "mostowski:chain")
-            for a, b in zip(chain, chain[1:])
-        ]
-        out.append(("lestar", power(M), fin(M), "mostowski:power-maps-onto-finite-sets"))
-        out.append(("nle", ALEPH0, power(M), "mostowski:power-dedekind-finite"))
-        return out
-    if name == "vs":
-        return [
-            ("lt", injseq(M), anyseq(M), "vs:one-to-one-below-sequences"),
-            ("lt", anyseq(M), fin(M), "vs:sequences-below-finite-sets"),
-            ("lt", fin(M), power(M), "vs:finite-sets-below-power"),
-        ]
-    if name == "vc":
-        return [
-            ("lt", fin(M), injseq(M), "vc:finite-sets-below-one-to-one"),
-            ("lt", injseq(M), power(M), "vc:one-to-one-below-power"),
-            ("lt", power(M), anyseq(M), "vc:power-below-sequences"),
-        ]
-    if name == "vp":
-        return [
-            ("lt", square(M), pairs2(M), "vp:squares-below-pairs"),
-            ("lt", M, pairs2(M), "vp:more-pairs-than-atoms"),
-        ]
-    if name == "aleph0":
-        eqs = [
-            fin(M),
-            injseq(M),
-            anyseq(M),
-            square(M),
-            pairs2(M),
-            fin(fin(M)),
-        ]
-        out = [("eq", M, ALEPH0, "aleph0:base-countable")]
-        out.extend(("eq", e, M, "aleph0:countable-collapse") for e in eqs)
-        return out
-    raise ValueError(f"unknown model {name!r}")
+_MOSTOWSKI_CHAIN = [
+    M, pairs2(M), square(M), fin(M), power(M), injseq(M), fin(fin(M)), injseq(fin(M)),
+    fin(power(M)), fin(fin(fin(M))), fin(fin(fin(fin(M)))), anyseq(M), power(fin(M)),
+]
+
+# each built-in model: its relation axioms between the derived cardinals
+# of one infinite base cardinal, labelled within the model, and the terms
+# it closes over besides TABLE_TERMS
+_MODELS: Dict[str, Tuple[List[Axiom], List[CExpr]]] = {
+    "fraenkel": ([
+        ("inc", fin(M), injseq(M), "finite-vs-one-to-one"),
+        ("inc", fin(M), anyseq(M), "finite-vs-sequences"),
+        ("inc", injseq(M), power(M), "one-to-one-vs-power"),
+        ("inc", anyseq(M), power(M), "sequences-vs-power"),
+        ("nle", ALEPH0, power(M), "power-dedekind-finite"),
+        ("lt", M, pairs2(M), "more-pairs-than-atoms"),
+    ], [times(1, power(M)), times(2, power(M)), times(3, power(M)), partitions(M), power(pairs2(M))]),
+    "mostowski": ([
+        *(("lt", a, b, "chain") for a, b in zip(_MOSTOWSKI_CHAIN, _MOSTOWSKI_CHAIN[1:])),
+        ("lestar", power(M), fin(M), "power-maps-onto-finite-sets"),
+        ("nle", ALEPH0, power(M), "power-dedekind-finite"),
+    ], [power(power(M))]),
+    "vs": ([
+        ("lt", injseq(M), anyseq(M), "one-to-one-below-sequences"),
+        ("lt", anyseq(M), fin(M), "sequences-below-finite-sets"),
+        ("lt", fin(M), power(M), "finite-sets-below-power"),
+    ], []),
+    "vc": ([
+        ("lt", fin(M), injseq(M), "finite-sets-below-one-to-one"),
+        ("lt", injseq(M), power(M), "one-to-one-below-power"),
+        ("lt", power(M), anyseq(M), "power-below-sequences"),
+    ], []),
+    "vp": ([
+        ("lt", square(M), pairs2(M), "squares-below-pairs"),
+        ("lt", M, pairs2(M), "more-pairs-than-atoms"),
+    ], []),
+    "aleph0": ([
+        ("eq", M, ALEPH0, "base-countable"),
+        *(("eq", e, M, "countable-collapse")
+          for e in (fin(M), injseq(M), anyseq(M), square(M), pairs2(M), fin(fin(M)))),
+    ], []),
+}
+
+MODELS = tuple(_MODELS)
 
 
-MODELS = ("fraenkel", "mostowski", "vs", "vc", "vp", "aleph0")
+def _model(name: str) -> Tuple[List[Axiom], List[CExpr]]:
+    try:
+        return _MODELS[name]
+    except KeyError:
+        raise ValueError(f"unknown model {name!r}") from None
+
+
+def model_axioms(name: str) -> List[Axiom]:
+    return [(rel, a, b, f"{name}:{label}") for rel, a, b, label in _model(name)[0]]
 
 
 def model_extra_terms(name: str) -> List[CExpr]:
-    # every model can state the table entries; some carry demo extras
-    base = [M, fin(M), injseq(M), anyseq(M), power(M)]
-    if name == "fraenkel":
-        return base + [
-            times(1, power(M)),
-            times(2, power(M)),
-            times(3, power(M)),
-            partitions(M),
-            power(pairs2(M)),
-        ]
-    if name == "mostowski":
-        return base + [power(power(M))]
-    return base
+    return TABLE_TERMS + _model(name)[1]
 
 
 def model_closure(name: str) -> Closure:
@@ -550,8 +512,6 @@ def model_closure(name: str) -> Closure:
 # ---------------------------------------------------------------------------
 # summary table
 
-
-TABLE_TERMS = [M, fin(M), injseq(M), anyseq(M), power(M)]
 
 TABLE_CLAIMS: Dict[Tuple[int, int], Set[str]] = {
     (0, 1): {"=", "<"},

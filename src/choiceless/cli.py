@@ -25,6 +25,11 @@ from .symsets import count_least_supported, count_supported
 USAGE_ERROR = 2
 # the verify settings that are sizes, each with its own option
 SIZE_SETTINGS = ("max_support", "max_atoms", "trials", "stream_length")
+# count-supports: each model's structure, and the most 1-types over the
+# support; the counts are at most 2^types, and 2^14000 has 4,215 digits,
+# within the 4,300 Python prints by default
+COUNT_MODELS = {"mostowski": DenseOrderStructure, "fraenkel": PureSetStructure}
+MAX_COUNT_TYPES = 14_000
 
 
 def _report(command: str, config: dict, checks: List[dict]) -> dict:
@@ -199,6 +204,9 @@ def cmd_verify_witness(args) -> int:
     except Exception as exc:  # noqa: BLE001 - outcome, not crash
         print(f"INVALID witness: {exc}")
         return 1
+    if data["witness"]["kind"] == BudgetExhausted.kind:
+        print("budget exhausted: a budget result refutes nothing")
+        return 1
     print("witness verified")
     return 0
 
@@ -206,14 +214,16 @@ def cmd_verify_witness(args) -> int:
 def cmd_count_supports(args) -> int:
     if args.n < 0:
         return _usage_error(f"-n must be at least 0, not {args.n}")
-    if args.model == "mostowski":
-        s = DenseOrderStructure()
-        E = [s.atom(i) for i in range(args.n)]
-    elif args.model == "fraenkel":
-        s = PureSetStructure(args.n)
-        E = s.atoms()
-    else:
-        return _usage_error("count-supports knows the models: mostowski, fraenkel")
+    if args.model not in COUNT_MODELS:
+        return _usage_error(f"count-supports knows the models: {', '.join(COUNT_MODELS)}")
+    cls = COUNT_MODELS[args.model]
+    if cls._type_count(args.n) > MAX_COUNT_TYPES:
+        return _usage_error(
+            f"-n {args.n} gives {args.model} more than {MAX_COUNT_TYPES} 1-types; "
+            "the counts would be too long to print"
+        )
+    s = cls()
+    E = [s.atom(i) for i in range(args.n)]
     total = count_supported(s, E)
     least = count_least_supported(s, E)
     if args.json:

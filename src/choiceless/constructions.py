@@ -341,10 +341,6 @@ class PartitionDom(Domain):
         return union == set(self.ground)
 
 
-def member(domain: Domain, x, structure: Optional[AtomStructure] = None) -> bool:
-    return domain.contains(x, structure)
-
-
 # ---------------------------------------------------------------------------
 # explicit injections
 

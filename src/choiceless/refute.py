@@ -128,9 +128,6 @@ class InjectionOracle:
             raise Refuted(_checked(InjectivityCollapse(first, x, y), self))
         return y
 
-    def probes(self) -> int:
-        return len(self.transcript)
-
 
 def oracle_from_table(table: Dict, *args, **kwargs) -> InjectionOracle:
     def fn(x):
@@ -625,7 +622,7 @@ def refute_unordered_to_ordered_pairmodel(
                 if b.level == 0 and b not in avoid and b not in (xA, xB)
             ]
             if strays:
-                (z,) = s.probe_atoms(1, avoid | set(sample) | atoms_of(y))
+                (z,) = s.probe_atoms(1, avoid | set(sample) | atoms_of(y) | set(strays))
                 pi = extend_fixing(s, list(set(E) | {xA, xB}), {strays[0]: z, z: strays[0]})
                 if pi is not None and act(pi, y) != y:
                     _break(oracle, pi, x)

@@ -21,7 +21,6 @@ for it.
 
 from __future__ import annotations
 
-from math import comb
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .atoms import (
@@ -63,9 +62,11 @@ def count_least_supported(structure: AtomStructure, support: Iterable[Atom]) -> 
     and a sub-support's count depends only on its size k, so the answer
     is the sum over k of (-1)^(n-k) C(n, k) 2^T(k), T(k) the type count."""
     n = len(sort_support(structure, support))
-    return sum(
-        (-1) ** (n - k) * (comb(n, k) << structure._type_count(k)) for k in range(n + 1)
-    )
+    total, c = 0, 1  # c = C(n, k), stepped along k
+    for k in range(n + 1):
+        total += (-1) ** (n - k) * (c << structure._type_count(k))
+        c = c * (n - k) // (k + 1)
+    return total
 
 
 # -- supported subsets --------------------------------------------------------

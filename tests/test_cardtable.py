@@ -11,6 +11,7 @@ from choiceless.cardtable import (
     ALEPH0,
     M,
     MODELS,
+    TABLE_TERMS,
     CExpr,
     anyseq,
     check_summary_table,
@@ -433,6 +434,20 @@ class TestClosureRules:
         cl = close([("lt", M, fin(M), "t"), ("le", fin(M), M, "t")])
         assert cl.contradiction is not None
 
+    def test_strict_relations_read_through_expand(self):
+        cl = model_closure("vp")
+        assert cl.has("lt", M, pairs2(M)) and cl.has("gt", pairs2(M), M)
+        assert not cl.has("gt", M, pairs2(M))
+        with pytest.raises(ValueError, match="unknown relation 'ge'"):
+            cl.has("ge", M, pairs2(M))
+
+    def test_schema_rows_apply_at_every_term(self):
+        # e = Fin(m) meets Cantor's row; e = m does not, 2^m being absent
+        cl = close([], extra_terms=[power(fin(M))])
+        assert cl.trace[("le", fin(M), power(fin(M)))] == ("schema:cantor", ())
+        assert cl.trace[("le", M, fin(M))] == ("schema:singleton-map", ())
+        assert not cl.has("le", M, power(M))
+
 
 class TestModelClosures:
     def test_all_models_consistent(self):
@@ -458,6 +473,16 @@ class TestModelClosures:
                 for p in premises:
                     assert p in earlier, (name, fact, p)
                 earlier.add(fact)
+
+    @pytest.mark.parametrize("lookup", [model_axioms, model_extra_terms])
+    def test_unknown_model_is_refused(self, lookup):
+        with pytest.raises(ValueError, match="unknown model 'zf'"):
+            lookup("zf")
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_every_model_closes_over_the_table_terms(self, name):
+        assert model_extra_terms(name)[: len(TABLE_TERMS)] == TABLE_TERMS
+        assert all(label.startswith(f"{name}:") for *_, label in model_axioms(name))
 
     def test_mostowski_chain_closure(self):
         cl = model_closure("mostowski")

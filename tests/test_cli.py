@@ -1,15 +1,19 @@
 import argparse
 import hashlib
 import json
+import itertools
 import os
+import resource
 import subprocess
 import sys
 
 import pytest
 
 from choiceless import labchecks, oracles, refute
+from choiceless.atoms import PairStructure, atom_to_json
 from choiceless.cli import build_parser, main
-from choiceless.refute import EngineBug, InjectivityCollapse, WitnessInvalid
+from choiceless.constructions import hf_to_json, hfset, hftuple
+from choiceless.refute import BudgetExhausted, EngineBug, InjectivityCollapse, WitnessInvalid
 
 
 def run_module(*args, timeout=300):
@@ -38,6 +42,59 @@ def usage_error(capsys, *argv):
     return code == 2 and captured.out == "" and len(captured.err.splitlines()) == 1
 
 
+# JSON pieces of pure-set certificates, for tampering with them
+def _atom(i):
+    return {"id": i, "world": "pure"}
+
+
+def _seq(*ids):
+    return {"tuple": [{"atom": _atom(i)} for i in ids]}
+
+
+def _map(*pairs):
+    return [[_atom(a), _atom(b)] for a, b in pairs]
+
+
+def answers_differ(data):
+    data["transcript"][1][1] = _seq(0)
+
+
+def wrong_common_value(data):
+    data["witness"]["y"] = _seq(0)
+
+
+def not_injective(data):
+    data["witness"]["pi"] = _map((0, 1), (1, 1))
+
+
+def short_map(data):
+    data["witness"]["pi"] = _map((0, 1))
+
+
+def unprobed_image(data):
+    """The cited map sends the input {0, 1} to {0, 2}, over a new atom."""
+    data["structure"]["atoms"].append(2)
+    data["witness"]["pi"] = _map((0, 0), (1, 2))
+
+
+def commuting_image(data):
+    """As above, with {0, 2} answered by the image of (0, 1)."""
+    unprobed_image(data)
+    data["transcript"].append([{"set": [{"atom": _atom(0)}, {"atom": _atom(2)}]}, _seq(0, 2)])
+
+
+# each tampering, the fin-to-seq oracle whose certificate it edits, and
+# the rejection `verify_witness` must name
+TAMPERINGS = [
+    (answers_differ, "const-empty", "collapse answers differ"),
+    (wrong_common_value, "const-empty", "cited common value does not match the transcript"),
+    (not_injective, "sort", "cited map is not a partial automorphism"),
+    (short_map, "sort", "cited map does not cover the cited objects"),
+    (unprobed_image, "sort", "image input was never probed"),
+    (commuting_image, "sort", "oracle commutes with the cited map here"),
+]
+
+
 def engine_choices(command):
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     return next(a for a in sub.choices[command]._actions if a.dest == "engine").choices
@@ -64,6 +121,12 @@ def test_verify_all_report_is_pinned(seed, capsys):
     code, out = run(capsys, "verify", "--suite", "all", "--json", "--seed", seed)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_VERIFY_ALL[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_VERIFY_ALL))
+def test_verify_all_report_is_pinned_in_a_fresh_process(seed):
+    out = run_module("-m", "choiceless.cli", "verify", "--suite", "all", "--json", "--seed", seed)
+    assert hashlib.sha256(out).hexdigest() == PINNED_VERIFY_ALL[seed]
 
 
 class TestVerify:
@@ -176,6 +239,66 @@ class TestRefuteCommand:
         wfile.write_text(json.dumps(data))
         code, out = run(capsys, "verify-witness", str(wfile))
         assert code == 1 and "INVALID" in out
+
+    @pytest.mark.parametrize("tamper,oracle,message", TAMPERINGS, ids=[t.__name__ for t, *_ in TAMPERINGS])
+    def test_each_tampering_is_named(self, tmp_path, capsys, tamper, oracle, message):
+        wfile = tmp_path / "w.json"
+        run(capsys, "refute", "fin-to-seq", "--oracle", oracle, "--emit-witness", str(wfile))
+        data = json.loads(wfile.read_text())
+        tamper(data)
+        wfile.write_text(json.dumps(data))
+        assert run(capsys, "verify-witness", str(wfile)) == (1, f"INVALID witness: {message}\n")
+
+    def test_foreign_witness_rejected(self):
+        s, E, o = oracles.build_refute_oracle("fin-to-seq", "sort", 0, 0)
+        refute.refute_fin_to_seq_fraenkel(o)
+        with pytest.raises(WitnessInvalid, match="^unknown witness 'foreign'$"):
+            refute.verify_witness("foreign", s, E, o.transcript)
+
+    def test_budget_certificate_refutes_nothing(self, tmp_path, capsys):
+        wfile = tmp_path / "w.json"
+        code, out = run(capsys, "refute", "unordered-to-ordered", "--budget", "0", "--emit-witness", str(wfile))
+        assert code == 1 and out.startswith("[FAIL]")
+        data = json.loads(wfile.read_text())
+        witness, *_ = refute.witness_from_json(data)
+        assert isinstance(witness, BudgetExhausted)
+        assert (witness.budget, data["witness"]["needed"]) == (0, witness.needed) and witness.needed > 0
+        assert refute.verify_witness_json(data)  # well formed, yet no refutation
+        assert run(capsys, "verify-witness", str(wfile)) == (1, "budget exhausted: a budget result refutes nothing\n")
+
+    @pytest.mark.parametrize("fallback", ["stray", "rotation"])
+    def test_pinned_level_fallbacks(self, tmp_path, capsys, fallback):
+        # the support holds a level-1 atom, so no level-1 bit can flip; a
+        # value naming a stray base atom loses it to a fresh one, a value
+        # built over the support alone falls to a rotation of the triple
+        s = PairStructure(0)
+        c0, c1, *sample = (s.base_atom(i) for i in (0, 1, 2, 3, 4))
+        stray = s.base_atom(9)
+        over_support = [s.pair_atom(1, c0, c1, 1), s.pair_atom(1, c1, c0, 0), s.pair_atom(1, c1, c0, 1)]
+        table = [
+            [
+                hf_to_json(hfset(a, b)),
+                hf_to_json(hftuple(s.pair_atom(1, a, stray, 0), b) if fallback == "stray" else hftuple(value, c0)),
+            ]
+            for (a, b), value in zip(itertools.combinations(sample, 2), over_support)
+        ]
+        support = [c0, c1, s.pair_atom(1, c0, c1, 0)]
+        tfile, wfile = tmp_path / "table.json", tmp_path / "w.json"
+        tfile.write_text(
+            json.dumps({"structure": s.to_json(), "support": [atom_to_json(a) for a in support], "table": table})
+        )
+        code, _ = run(
+            capsys,
+            "refute", "unordered-to-ordered", "--oracle", f"@{tfile}", "--budget", "3",
+            "--emit-witness", str(wfile),
+        )
+        assert code == 0
+        assert run(capsys, "verify-witness", str(wfile)) == (0, "witness verified\n")
+        pi = {a["base"]: b["base"] for a, b in json.loads(wfile.read_text())["witness"]["pi"] if "base" in a}
+        if fallback == "stray":
+            assert pi[2] == 2 and pi[3] == 3 and pi[9] != 9
+        else:
+            assert (pi[2], pi[3], pi[4]) == (3, 4, 2)
 
     def test_scripted_table_oracle(self, tmp_path, capsys):
         import itertools
@@ -425,6 +548,29 @@ class TestCountSupports:
             timeout=60,
         )
         assert json.loads(out) == {"least": 2 * 3**40, "model": "mostowski", "n": 40, "supported": 2**81}
+
+    @pytest.mark.parametrize(
+        "model,bound,types,least",
+        [("mostowski", 6999, 13999, 2 * 3**6999), ("fraenkel", 13999, 14000, 2)],
+    )
+    def test_size_bound(self, model, bound, types, least):
+        # under a 256 MiB address-space cap, which listing the types up to
+        # the bound would overrun; one past it is refused with one line
+        def capped(n):
+            return subprocess.run(
+                [sys.executable, "-m", "choiceless.cli", "count-supports", "--model", model, "-n", str(n), "--json"],
+                env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(labchecks.__file__))),
+                preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20)),
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+
+        at = capped(bound)
+        assert at.returncode == 0, at.stderr
+        assert json.loads(at.stdout) == {"least": least, "model": model, "n": bound, "supported": 2**types}
+        past = capped(bound + 1)
+        assert (past.returncode, past.stdout, len(past.stderr.splitlines())) == (2, "", 1)
 
     def test_fraenkel_json(self, capsys):
         code, out = run(capsys, "count-supports", "--model", "fraenkel", "-n", "2", "--json")

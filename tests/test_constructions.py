@@ -41,7 +41,6 @@ from choiceless.constructions import (
     hfset,
     hftuple,
     kuratowski,
-    member,
     mostowski_power_to_seq,
     nth_permutation,
     pairmodel_pair_to_unordered,
@@ -142,19 +141,19 @@ class TestHFObjects:
 
     def test_member_examples(self, pure4):
         _, (a, b, c, d) = pure4
-        assert not member(SeqDom(), hftuple(a, b, a))
-        assert member(SeqStarDom(), hftuple(a, a, a))
-        assert member(FinDom(FinDom(AtomsDom())), hfset(hfset(a), hfset(a, b)))
-        assert member(UnordPairsDom(AtomsDom()), hfset(a, b))
-        assert not member(UnordPairsDom(AtomsDom()), hfset(a))
-        assert member(PairDom(AtomsDom(), AtomsDom()), hftuple(a, a))
+        assert not SeqDom().contains(hftuple(a, b, a))
+        assert SeqStarDom().contains(hftuple(a, a, a))
+        assert FinDom(FinDom(AtomsDom())).contains(hfset(hfset(a), hfset(a, b)))
+        assert UnordPairsDom(AtomsDom()).contains(hfset(a, b))
+        assert not UnordPairsDom(AtomsDom()).contains(hfset(a))
+        assert PairDom(AtomsDom(), AtomsDom()).contains(hftuple(a, a))
 
     def test_pow_membership(self):
         s = PureSetStructure(2)
         S = SupportedSubset.empty(s)
-        assert member(PowDom(), S, s)
+        assert PowDom().contains(S, s)
         other = PureSetStructure(2)
-        assert not member(PowDom(), S, other)
+        assert not PowDom().contains(S, other)
 
     def test_json_roundtrip(self, pure4):
         _, (a, b, c, d) = pure4
@@ -186,7 +185,7 @@ class TestKuratowski:
 
     def test_codomain(self, pure4):
         _, (a, b, *_) = pure4
-        assert member(FinDom(FinDom(AtomsDom())), kuratowski(a, b))
+        assert FinDom(FinDom(AtomsDom())).contains(kuratowski(a, b))
 
 
 class TestSeqToChain:
@@ -209,7 +208,7 @@ class TestSeqToChain:
 
     def test_codomain(self, pure4):
         _, (a, b, c, _) = pure4
-        assert member(FinDom(FinDom(AtomsDom())), seq_to_chain([a, b, c]))
+        assert FinDom(FinDom(AtomsDom())).contains(seq_to_chain([a, b, c]))
 
 
 class TestSizeClassMap:
@@ -299,7 +298,7 @@ class TestPairModelInjection:
     def test_codomain(self):
         s = PairStructure(2)
         x, y = s.base_atom(0), s.base_atom(1)
-        assert member(UnordPairsDom(AtomsDom()), pairmodel_pair_to_unordered(s, x, y))
+        assert UnordPairsDom(AtomsDom()).contains(pairmodel_pair_to_unordered(s, x, y))
 
 
 class TestPermutationUnranking:
@@ -339,7 +338,7 @@ class TestMostowskiPowerToSeq:
         S = SupportedSubset.of_atoms(s, [e])
         out = mostowski_power_to_seq(S, anchors)
         assert out.items[0] == e and len(out.items) == 11
-        assert member(SeqDom(), out)
+        assert SeqDom().contains(out)
 
     def test_injective_on_small_support_universe(self):
         s = DenseOrderStructure()
@@ -552,7 +551,7 @@ class TestCategoricalMaps:
         o1 = categorical_power_to_seq(S1, a, b)
         o2 = categorical_power_to_seq(S2, a, b)
         assert len(o1.items) != len(o2.items)
-        assert member(SeqStarDom(), o1) and member(SeqStarDom(), o2)
+        assert SeqStarDom().contains(o1) and SeqStarDom().contains(o2)
 
     def test_psi_needs_distinct_markers(self):
         s = CategoricalStructure()

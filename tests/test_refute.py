@@ -301,7 +301,7 @@ class TestPairModelEngine:
         s, E, o = oracles.build_refute_oracle("unordered-to-ordered", "base-id-order", 0, 0)
         with pytest.raises(ValueError):
             refute_unordered_to_ordered_pairmodel(o, budget=-1)
-        assert o.probes() == 0
+        assert len(o.transcript) == 0
 
     def test_hostile_tables_always_sound(self):
         """Random tables over varied support shapes (bases, decorated atoms)

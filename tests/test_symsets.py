@@ -509,7 +509,7 @@ class TestClassifyFraenkel:
 
 
 @pytest.mark.parametrize(
-    "case", ["types_over", "of_atoms", "all_atoms", "from_json", "refute-table"]
+    "case", ["types_over", "of_atoms", "all_atoms", "from_json", "count_supported", "refute-table"]
 )
 def test_pair_model_has_no_types(case, tmp_path, capsys):
     s = PairStructure(2)
@@ -520,6 +520,7 @@ def test_pair_model_has_no_types(case, tmp_path, capsys):
         "of_atoms": lambda: SupportedSubset.of_atoms(s, [a]),
         "all_atoms": lambda: SupportedSubset.all_atoms(s),
         "from_json": lambda: SupportedSubset.from_json(s, subset),
+        "count_supported": lambda: count_supported(s, [a]),
     }
     if case in calls:
         with pytest.raises(StructureMismatch):
