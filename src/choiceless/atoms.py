@@ -980,7 +980,6 @@ class PartialAutomorphism:
         worlds = {a.world for a in self.pairs} | {b.world for b in self.pairs.values()}
         if len(worlds) > 1:
             raise StructureMismatch(f"mixed atom worlds {sorted(worlds)}")
-        self.world = worlds.pop() if worlds else None
 
     def __len__(self):
         return len(self.pairs)
@@ -1037,8 +1036,6 @@ class LiftedAutomorphism(PartialAutomorphism):
     def __init__(self, structure: AtomStructure, mapping: Dict[Atom, Atom]):
         super().__init__(dict(mapping))
         self.structure = structure
-        if self.world is None:
-            self.world = structure.kind
         self.state = structure.lift_state(self.pairs)
 
     def apply(self, atom: Atom) -> Atom:

@@ -84,6 +84,8 @@ def cmd_verify(args) -> int:
         checks = labchecks.run_suite(args.suite, config)
     except KeyError as exc:
         return _usage_error(str(exc))
+    except labchecks.PoolBudgetExceeded as exc:
+        return _usage_error(f"--max-atoms {args.max_atoms}: {exc}")
     return _emit(_report(f"verify:{args.suite}", config, checks), args.json, args.out)
 
 

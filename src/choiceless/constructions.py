@@ -40,64 +40,50 @@ class NotASeq(ValueError):
 # HF objects
 
 
-class HFTuple:
+class _HF:
+    """An immutable HF container; a subclass sets `items` in `__init__`."""
+
     __slots__ = ("items",)
+
+    def __setattr__(self, *_):
+        raise AttributeError("HF objects are immutable")
+
+    def __eq__(self, other):
+        return isinstance(other, type(self)) and self.items == other.items
+
+    def __hash__(self):
+        return hash((self.tag, self.items))
+
+    def __len__(self):
+        return len(self.items)
+
+    def __iter__(self):
+        return iter(self.items)
+
+    def __repr__(self):
+        return self.brackets[0] + ", ".join(map(repr, self.items)) + self.brackets[1]
+
+
+class HFTuple(_HF):
+    __slots__ = ()
+    tag, brackets = "t", "<>"
 
     def __init__(self, items: Iterable):
         object.__setattr__(self, "items", tuple(items))
 
-    def __setattr__(self, *_):
-        raise AttributeError("HF objects are immutable")
 
-    def __eq__(self, other):
-        return isinstance(other, HFTuple) and self.items == other.items
-
-    def __hash__(self):
-        return hash(("t", self.items))
-
-    def __len__(self):
-        return len(self.items)
-
-    def __iter__(self):
-        return iter(self.items)
-
-    def __repr__(self):
-        return "<" + ", ".join(map(repr, self.items)) + ">"
-
-
-class HFSet:
+class HFSet(_HF):
     """Extensional finite set: duplicates collapse, order is canonical."""
 
-    __slots__ = ("items",)
+    __slots__ = ()
+    tag, brackets = "s", "{}"
 
     def __init__(self, items: Iterable):
-        uniq = {}
-        for x in items:
-            uniq[hf_key(x)] = x
-        object.__setattr__(
-            self, "items", tuple(uniq[k] for k in sorted(uniq))
-        )
-
-    def __setattr__(self, *_):
-        raise AttributeError("HF objects are immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, HFSet) and self.items == other.items
-
-    def __hash__(self):
-        return hash(("s", self.items))
-
-    def __len__(self):
-        return len(self.items)
-
-    def __iter__(self):
-        return iter(self.items)
+        uniq = {hf_key(x): x for x in items}
+        object.__setattr__(self, "items", tuple(uniq[k] for k in sorted(uniq)))
 
     def __contains__(self, x):
         return x in self.items
-
-    def __repr__(self):
-        return "{" + ", ".join(map(repr, self.items)) + "}"
 
 
 def hfset(*items) -> HFSet:

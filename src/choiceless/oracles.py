@@ -1,9 +1,9 @@
 """The engine registry and the built-in oracles.
 
 Every engine the lab runs is declared once, in `ENGINES`: how to run
-it, the model it argues in, its domain and codomain, its built-in
-oracles and, for a refutation engine, its built-in support sizes and
-the answer pool of its exhaustive search.  Each built-in oracle is one
+it, its domain and codomain, its built-in oracles and, for a refutation
+engine, the model it argues in, its built-in support sizes and the
+answer pool of its exhaustive search.  Each built-in oracle is one
 `Builtin` entry there, honest or a cheat, and `builtin_oracle` is the
 only way to build one.  The CLI, the checks and the tests read this
 table and nothing else.
@@ -215,7 +215,6 @@ class ExtractSpec(NamedTuple):
     engine's n, and `domains` and the oracles' `answers` take the
     oracle's parameters."""
 
-    model: str
     domains: Callable[..., Tuple[Domain, Domain]]
     oracles: Dict[str, Builtin]
     run: Callable
@@ -302,7 +301,6 @@ ENGINES: Dict[str, object] = {
         random_trials=False,
     ),
     "fin-to-atom": ExtractSpec(
-        "mostowski",
         lambda: (FinDom(AtomsDom()), AtomsDom()),
         {
             "fresh-max": Builtin(
@@ -317,7 +315,6 @@ ENGINES: Dict[str, object] = {
         ),
     ),
     "seqstar-to-seq": ExtractSpec(
-        "mostowski",
         lambda: (SeqStarDom(), SeqDom()),
         {
             "fresh-block": Builtin(
@@ -331,7 +328,6 @@ ENGINES: Dict[str, object] = {
         run=_extract_seqstar,
     ),
     "surplus": ExtractSpec(
-        "zf",
         lambda n: (LabeledNatSetDom(n + 1), LabeledNatSetDom(max(n, 1))),
         {
             "shift-encode": Builtin(True, lambda s, E, rng, n: lambda x: (0, frozenset({x[0]} | {v + n + 2 for v in x[1]}))),
@@ -342,7 +338,6 @@ ENGINES: Dict[str, object] = {
         ),
     ),
     "partition": ExtractSpec(
-        "zf",
         lambda ground: (PartitionDom(ground), SubsetDom(ground)),
         {
             "fresh-singleton": Builtin(True, _fresh_singleton),

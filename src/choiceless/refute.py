@@ -51,7 +51,7 @@ class EngineBug(RuntimeError):
     """An engine exceeded its probe bound without producing a witness."""
 
 
-class WitnessInvalid(AssertionError):
+class WitnessInvalid(Exception):
     """A contradiction witness failed re-verification."""
 
 
@@ -541,9 +541,7 @@ def _pair_closed(E: Sequence[Atom]) -> bool:
 
 
 @refutation_engine
-def refute_unordered_to_ordered_pairmodel(
-    oracle: InjectionOracle, budget: int = 8
-):
+def refute_unordered_to_ordered_pairmodel(oracle: InjectionOracle, budget: int):
     """Break a purported injection unordered-pairs -> ordered-pairs over
     the pair-model atoms.
 

@@ -109,14 +109,18 @@ def test_criterion_2_fraenkel_dichotomy():
         count, good = _dichotomy_all_perms(pool, n)
         counts[(pool, n)] = count
         ok &= good
-    # the symbolic classifier reproduces the dichotomy on every encoding
+    # the symbolic classifier reproduces the dichotomy on every encoding:
+    # its finite side is the denotation over the support and two atoms
+    # outside it
     s = PureSetStructure(3)
     E = s.atoms()
+    pool = E + s.fresh(2)
     for n in range(4):
         for bits in range(1 << (n + 1)):
             S = SupportedSubset.from_bits(s, E[:n], bits)
             c = classify_fraenkel(S)
-            ok &= set(c.members) <= set(E[:n])
+            inside = set(S.denote(pool))
+            ok &= set(c.members) == (inside if c.kind == "finite" else set(pool) - inside)
     report(2, ok, f"invariant-subset counts {sorted(counts.items())}")
 
 

@@ -1,0 +1,130 @@
+"""The lab's own checks can fail: each is run against a broken counterpart
+of what it checks and must report FAIL.  Also the two steps the injection
+checks share, and the cap on `--max-atoms`."""
+
+import os
+import resource
+import subprocess
+import sys
+
+import pytest
+
+from choiceless import labchecks, oracles
+from choiceless.atoms import DenseOrderStructure, PureSetStructure, extend_fixing
+from choiceless.constructions import hftuple, seq_to_chain
+from choiceless.symsets import FraenkelClass
+
+
+def verdicts(checks):
+    return {c["id"]: c["ok"] for c in checks}
+
+
+class TestCounting:
+    def test_counts_agree_with_the_listed_types(self):
+        checks = labchecks.run_suite("mostowski-counting")
+        assert [(c["id"], c["ok"], c["params"]) for c in checks] == [
+            ("dense-counting", True, {"max_support": 5}),
+            ("pure-counting", True, {"max_support": 3}),
+        ]
+        assert checks[1]["details"] == {"got": [2, 4, 8, 16], "want": [2, 4, 8, 16]}
+
+    def test_a_dense_type_list_one_type_short_fails(self, monkeypatch):
+        full = DenseOrderStructure._type_list
+        monkeypatch.setattr(DenseOrderStructure, "_type_list", staticmethod(lambda n: full(n)[:-1]))
+        [c] = labchecks.check_counting("dense", 2)
+        assert not c["ok"]
+        # the closed forms still agree; the listed types do not
+        assert c["details"] == {"got": [2, 8, 32], "want": [2, 8, 32], "listed": [1, 4, 16]}
+
+    def test_the_pure_count_is_checked_against_its_types_too(self, monkeypatch):
+        full = PureSetStructure._type_list
+        monkeypatch.setattr(PureSetStructure, "_type_list", staticmethod(lambda n: full(n) + (("extra",),)))
+        assert verdicts(labchecks.check_counting("pure", 3)) == {"pure-counting": False}
+
+
+class TestFraenkelClassifier:
+    def classifier_ok(self):
+        return verdicts(labchecks.check_fraenkel_dichotomy(8, 3))["fraenkel-classifier"]
+
+    def test_flipping_every_answer_fails(self, monkeypatch):
+        real = labchecks.classify_fraenkel
+
+        def flipped(S):
+            return FraenkelClass("finite" if real(S).kind == "cofinite" else "cofinite", ())
+
+        monkeypatch.setattr(labchecks, "classify_fraenkel", flipped)
+        assert self.classifier_ok() is False
+        monkeypatch.undo()
+        assert self.classifier_ok() is True
+
+    def test_dropping_a_member_fails(self, monkeypatch):
+        real = labchecks.classify_fraenkel
+
+        def dropped(S):
+            c = real(S)
+            return FraenkelClass(c.kind, c.members[1:])
+
+        monkeypatch.setattr(labchecks, "classify_fraenkel", dropped)
+        assert self.classifier_ok() is False
+
+
+class TestBuiltinRefutations:
+    def test_a_collapsing_honest_oracle_fails(self, monkeypatch):
+        # a constant answer falls by a collapse, which an injection cannot give
+        const = oracles.Builtin(True, lambda *_: lambda x: hftuple(()))
+        monkeypatch.setitem(oracles.REFUTE["fin-to-seq"].oracles, "sort", const)
+        checks = labchecks.run_builtin_refutations(0, 6)
+        assert verdicts(checks)["refute-builtin-fin-to-seq"] is False
+        monkeypatch.undo()
+        assert all(verdicts(labchecks.run_builtin_refutations(0, 6)).values())
+
+
+class TestProbe:
+    def test_injective(self):
+        assert labchecks._injective({1: "a", 2: "b"})
+        assert not labchecks._injective({1: "a", 2: "a"})
+
+    def test_commutes_fails_a_map_that_ignores_the_move(self):
+        s = PureSetStructure(3)
+        pool = s.atoms()
+        swap = extend_fixing(s, [pool[2]], {pool[0]: pool[1], pool[1]: pool[0]})
+        chains = {(a,): seq_to_chain((a,)) for a in pool}
+
+        def moved(pi, seq):
+            return seq_to_chain(map(pi.apply, seq))
+
+        def unmoved(pi, seq):
+            return chains[seq]
+
+        assert labchecks._commutes([swap], chains, moved, chains)
+        assert not labchecks._commutes([swap], chains, unmoved, chains)
+        # a move that no automorphism extends fails whatever the map
+        assert not labchecks._commutes([swap, None], chains, moved, chains)
+        assert labchecks._commutes([], chains, unmoved, chains)
+
+
+class TestPoolCap:
+    def test_a_pool_past_the_cap_is_refused_before_enumerating(self):
+        with pytest.raises(labchecks.PoolBudgetExceeded, match="17-atom pool"):
+            labchecks.invariant_subsets_bruteforce(labchecks.MAX_POOL_ATOMS + 1, 0)
+        assert issubclass(labchecks.PoolBudgetExceeded, RuntimeError)
+
+    def test_max_atoms_at_and_past_the_cap(self):
+        # each run in its own process under a 256 MiB address-space cap
+        def capped(n):
+            return subprocess.run(
+                [sys.executable, "-m", "choiceless.cli", "verify", "--suite", "fraenkel-dichotomy"]
+                + ["--max-atoms", str(n)],
+                env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(labchecks.__file__))),
+                preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20)),
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+
+        at = capped(labchecks.MAX_POOL_ATOMS)
+        assert (at.returncode, at.stderr) == (0, "")
+        assert at.stdout.endswith("0 failing check(s)\n")
+        past = capped(labchecks.MAX_POOL_ATOMS + 1)
+        assert (past.returncode, past.stdout) == (2, "")
+        assert past.stderr.splitlines() == ["--max-atoms 17: a 17-atom pool exceeds the cap of 16 atoms"]

@@ -372,6 +372,12 @@ class TestPairModelEngine:
 
 
 class TestWitnessVerification:
+    def test_witness_invalid_is_not_an_assertion_error(self):
+        # library code never raises an AssertionError, and `python -O`
+        # leaves a raised exception alone
+        assert not issubclass(WitnessInvalid, AssertionError)
+        assert issubclass(WitnessInvalid, Exception)
+
     def test_tampered_collapse_rejected(self):
         s, E, o = oracles.build_refute_oracle("fin-to-seq", "const-empty", 0, 0)
         w = refute_fin_to_seq_fraenkel(o)
@@ -419,12 +425,13 @@ class TestWitnessVerification:
         path.write_text(json.dumps(witness_to_json(w, engine, o), sort_keys=True))
         assert verify_witness_json(json.loads(path.read_text()))
 
-    def test_honest_oracles_fall_by_equivariance_break(self):
+    @pytest.mark.parametrize("seed", range(4))
+    def test_honest_oracles_fall_by_equivariance_break(self, seed):
         # an honest oracle is injective, so no two probes can collapse
         honest = [(e, n, k) for e, n, k in BUILTIN_ORACLES if oracles.REFUTE[e].oracles[n].honest]
         assert len(honest) == 9
         for engine, name, size in honest:
-            s, E, o = oracles.build_refute_oracle(engine, name, size, 0)
+            s, E, o = oracles.build_refute_oracle(engine, name, size, seed)
             w = oracles.REFUTE[engine].run(o, budget=6)
             assert isinstance(w, EquivarianceBreak), (engine, name, size, w)
 
@@ -647,7 +654,7 @@ def _builtin_runs(engine):
     for name in spec.oracles:
         if engine in oracles.REFUTE:
             for size, seed in itertools.product(spec.sizes, range(3)):
-                spec.run(oracles.build_refute_oracle(engine, name, size, seed)[2])
+                spec.run(oracles.build_refute_oracle(engine, name, size, seed)[2], budget=8)
         else:
             for copies in (1, 2) if engine == "surplus" else (1,):
                 spec.run(name, 20, copies)
