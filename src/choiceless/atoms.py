@@ -252,15 +252,18 @@ class AtomStructure:
         """Register an atom built outside the structure."""
         return self.atom(atom.payload)
 
-    def _probe_pool(self) -> List[Atom]:
-        return self.atoms()
+    def _probe_pool(self, avoid: set) -> Iterable[Atom]:
+        """The materialised atoms outside `avoid` that engines may probe,
+        in canonical order."""
+        return (a for a in self.atoms() if a not in avoid)
 
     def probe_atoms(self, count: int, avoid: Iterable[Atom]) -> List[Atom]:
         """Probe atoms outside `avoid`: the materialised pool first, in
         canonical order, then freshly materialised ones.  Keeps engines
-        inside a scripted table's pool whenever it is big enough."""
+        inside a scripted table's pool whenever it is big enough.  The
+        pool is read only as far as the first `count` atoms it offers."""
         avoid = set(avoid)
-        out = [a for a in self._probe_pool() if a not in avoid][:count]
+        out = list(itertools.islice(self._probe_pool(avoid), count))
         if len(out) < count:
             out += self.fresh(count - len(out), avoid=avoid | set(out))
         return out
@@ -373,6 +376,11 @@ class PureSetStructure(AtomStructure):
 
     def atoms(self):
         return [Atom(PURE_SET, i) for i in sorted(self._ids)]
+
+    def _probe_pool(self, avoid):
+        # by id, so that only the atoms offered are built
+        taken = {a.payload for a in avoid if a.world == PURE_SET}
+        return (Atom(PURE_SET, i) for i in sorted(self._ids) if i not in taken)
 
     def is_extendable(self, mapping):
         return True
@@ -571,8 +579,8 @@ class PairStructure(AtomStructure):
         out.sort(key=_pair_key)
         return out
 
-    def _probe_pool(self):
-        return [a for a in self.atoms() if a.level == 0]
+    def _probe_pool(self, avoid):
+        return (a for a in self.atoms() if a.level == 0 and a not in avoid)
 
     @staticmethod
     def hereditary_atoms(atom: Atom) -> List[Atom]:

@@ -16,6 +16,7 @@ from .refute import (
     BudgetExhausted,
     EngineBug,
     OracleAnswerError,
+    SampleBudgetExceeded,
     WitnessInvalid,
     verify_witness_json,
     witness_to_json,
@@ -84,7 +85,7 @@ def cmd_verify(args) -> int:
         checks = labchecks.run_suite(args.suite, config)
     except KeyError as exc:
         return _usage_error(str(exc))
-    except labchecks.PoolBudgetExceeded as exc:
+    except (labchecks.PoolBudgetExceeded, labchecks.PoolTooSmall) as exc:
         return _usage_error(f"--max-atoms {args.max_atoms}: {exc}")
     return _emit(_report(f"verify:{args.suite}", config, checks), args.json, args.out)
 
@@ -298,7 +299,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "budget", 0) < 0:
         return _usage_error(f"--budget must be at least 0, not {args.budget}")
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except SampleBudgetExceeded as exc:
+        return _usage_error(f"--budget {args.budget}: {exc}")
 
 
 if __name__ == "__main__":

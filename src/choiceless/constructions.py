@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from math import factorial
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, Optional, Sequence, Set, Tuple
 
 from .atoms import (
     Atom,
@@ -440,8 +440,19 @@ def class_rank(S: SupportedSubset) -> Tuple[int, Tuple[Atom, ...]]:
     return rank, E
 
 
-def default_anchors(structure: DenseOrderStructure, count: int = 20) -> List[Atom]:
-    return [structure.atom(i) for i in range(count)]
+class Anchors(tuple):
+    """Twenty distinct dense-order atoms in increasing order: the anchor
+    block of `mostowski_power_to_seq`, checked and sorted once."""
+
+    def __new__(cls, atoms: Iterable[Atom]):
+        atoms = sorted(atoms, key=lambda a: a.payload)
+        if len(atoms) != 20 or len(set(atoms)) != 20:
+            raise ValueError("exactly 20 distinct anchor atoms are required")
+        return super().__new__(cls, atoms)
+
+
+def default_anchors(structure: DenseOrderStructure) -> Anchors:
+    return Anchors(structure.atom(i) for i in range(20))
 
 
 def mostowski_power_to_seq(
@@ -462,10 +473,8 @@ def mostowski_power_to_seq(
         raise StructureMismatch("this injection lives over the dense order")
     if anchors is None:
         anchors = default_anchors(structure)
-    anchors = list(anchors)
-    if len(anchors) != 20 or len(set(anchors)) != 20:
-        raise ValueError("exactly 20 distinct anchor atoms are required")
-    anchors.sort(key=lambda a: a.payload)
+    elif not isinstance(anchors, Anchors):
+        anchors = Anchors(anchors)
     k, E = class_rank(S)
     n = len(E)
     if n >= 11:

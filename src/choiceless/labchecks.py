@@ -39,6 +39,7 @@ from .refute import (
     BudgetExhausted,
     EquivarianceBreak,
     InjectionOracle,
+    SampleBudgetExceeded,
     WitnessInvalid,
     disjointify_finite,
     partition_to_edges,
@@ -101,6 +102,10 @@ class PoolBudgetExceeded(RuntimeError):
     """A brute-force pool of more than MAX_POOL_ATOMS atoms."""
 
 
+class PoolTooSmall(ValueError):
+    """A brute-force pool with no atom outside the support."""
+
+
 MAX_POOL_ATOMS = 16  # the 2^16 subsets of a pool take about a second
 
 
@@ -108,9 +113,12 @@ def invariant_subsets_bruteforce(pool_size: int, support_size: int) -> Tuple[int
     """Enumerate all subsets of a finite pool, keep the ones invariant
     under every pool permutation fixing the support pointwise, and check
     the finite/cofinite dichotomy on each.  Returns (count, all_ok).
-    Refuses a pool of more than MAX_POOL_ATOMS atoms before enumerating."""
+    Refuses a pool of more than MAX_POOL_ATOMS atoms, or one no larger
+    than the support, whose count would fall short, before enumerating."""
     if pool_size > MAX_POOL_ATOMS:
         raise PoolBudgetExceeded(f"a {pool_size}-atom pool exceeds the cap of {MAX_POOL_ATOMS} atoms")
+    if pool_size <= support_size:
+        raise PoolTooSmall(f"a {pool_size}-atom pool has no atom outside a {support_size}-atom support")
     s = PureSetStructure(pool_size)
     pool = s.atoms()
     E = pool[:support_size]
@@ -355,6 +363,8 @@ def run_builtin_refutations(seed: int, budget: int) -> List[dict]:
                 s, E, o = oracles.build_refute_oracle(engine, name, size, seed)
                 try:
                     w = spec.run(o, budget=budget)
+                except SampleBudgetExceeded:  # the budget is refused, not failed
+                    raise
                 except Exception as exc:  # noqa: BLE001 - report, do not crash the suite
                     ok = False
                     results[f"{name}/{size}"] = f"error: {exc}"
@@ -464,9 +474,11 @@ def exhaustive_refutation_paths(engine: str, support_size: int) -> dict:
     representative, and weights each leaf by the product of the chosen
     values' multiplicities; "tables" and "witnesses" count tables of the
     full pool, "runs" the engine runs made.  Every leaf must end in a
-    witness that re-verifies; the first one that does not stops the
-    search and is reported under "failure" with its script (the index
-    of the answer value given at each probe)."""
+    witness that verifies against its transcript, once: the engine's own
+    check counts when the oracle vouches for the witness it returned,
+    and any other witness is verified here.  The first leaf that fails
+    stops the search and is reported under "failure" with its script
+    (the index of the answer value given at each probe)."""
     spec = oracles.REFUTE[engine]
     if spec.pool is None:
         raise KeyError(f"{engine} has no exhaustive answer pool")
@@ -484,7 +496,8 @@ def exhaustive_refutation_paths(engine: str, support_size: int) -> dict:
         o = InjectionOracle(fn, dom, cod, support=E, structure=s)
         try:
             w = spec.run(o)
-            verify_witness(w, s, E, o.transcript)
+            if not o.vouches_for(w):
+                verify_witness(w, s, E, o.transcript)
         except _Scripted.Exhausted:
             stack.extend((script + (i,), weight * m) for i, m in enumerate(fn.branch))
             continue

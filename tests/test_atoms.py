@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from choiceless.atoms import (
     CATEGORICAL,
     DENSE_ORDER,
+    PAIR_MODEL,
     PURE_SET,
     Atom,
     CategoricalStructure,
@@ -480,3 +481,32 @@ def test_pair_level_budget():
     u = s.pair_atom(1, a, b, 0)
     with pytest.raises(LevelBudgetExceeded):
         s.pair_atom(2, u, a, 0)
+
+
+def listing_probe_atoms(structure, count, avoid):
+    """`probe_atoms` as first written: list the whole materialised pool,
+    filter it, then cut it to `count`.  Test-only oracle."""
+    avoid = set(avoid)
+    out = [a for a in structure.atoms() if a not in avoid][:count]
+    if len(out) < count:
+        out += structure.fresh(count - len(out), avoid=avoid | set(out))
+    return out
+
+
+@pytest.mark.parametrize("ids", [range(5), (0, 2, 3, 7, 10), (4, 9)], ids=["contiguous", "gapped", "no-zero"])
+def test_lazy_bare_set_probe_matches_the_listing(ids):
+    """The bare set's lazy probe gives the atoms the listing gives, in the
+    same order, materialising the same fresh fallback, for every count up
+    to three past the pool and avoid sets that mix in foreign atoms."""
+    own = [Atom(PURE_SET, i) for i in (0, 2, 3, 4, 8, 11)]
+    foreign = [Atom(DENSE_ORDER, Fraction(2)), Atom(PAIR_MODEL, 0), Atom(CATEGORICAL, 3)]
+    for k in range(3):
+        for avoid in itertools.combinations(own + foreign, k):
+            for count in range(len(ids) + 4):
+                lazy, listing = PureSetStructure(), PureSetStructure()
+                for i in ids:
+                    lazy.atom(i), listing.atom(i)
+                got = lazy.probe_atoms(count, avoid)
+                assert got == listing_probe_atoms(listing, count, avoid), (avoid, count)
+                assert [a.world for a in got] == [PURE_SET] * count
+                assert lazy.to_json() == listing.to_json()

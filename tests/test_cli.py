@@ -13,7 +13,7 @@ from choiceless import labchecks, oracles, refute
 from choiceless.atoms import PairStructure, atom_to_json
 from choiceless.cli import build_parser, main
 from choiceless.constructions import hf_to_json, hfset, hftuple
-from choiceless.refute import BudgetExhausted, EngineBug, InjectivityCollapse, WitnessInvalid
+from choiceless.refute import BudgetExhausted, EngineBug, EquivarianceBreak, InjectivityCollapse, WitnessInvalid
 
 
 def run_module(*args, timeout=300):
@@ -27,6 +27,19 @@ def run_module(*args, timeout=300):
         check=True,
         timeout=timeout,
     ).stdout
+
+
+def run_capped(*argv):
+    """`choiceless ARGV` in a fresh process under a 256 MiB address-space
+    cap and a 60 s timeout; the cap limits that child process alone."""
+    return subprocess.run(
+        [sys.executable, "-m", "choiceless.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(labchecks.__file__))),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
 
 
 def run(capsys, *argv):
@@ -164,6 +177,36 @@ class TestVerify:
         assert "[FAIL] refute-exhaustive-fin-to-seq-0" in out
         assert "'error': 'collapse inputs are equal'" in out and "'script': [" in out
 
+    def test_reassigning_a_checked_witness_is_a_failing_check(self, monkeypatch, capsys):
+        engine = refute.refute_fin_to_seq_fraenkel
+
+        def reassigned(o):
+            w = engine(o)
+            setattr(w, "x" if isinstance(w, EquivarianceBreak) else "x1", o.transcript[0][0])
+            return w
+
+        monkeypatch.setattr(refute, "refute_fin_to_seq_fraenkel", reassigned)
+        code, out = run(capsys, "verify", "--suite", "refutation", "--fast")
+        assert code == 1
+        assert "[FAIL] refute-exhaustive-fin-to-seq-0" in out
+        assert "'error': \"the cited field 'x" in out
+
+    def test_a_probe_recorded_after_the_check_is_verified_again(self, monkeypatch, capsys):
+        """The engine's check is not trusted past a grown transcript: an
+        entry that re-answers the witness's cited input fails the leaf."""
+        engine = refute.refute_fin_to_seq_fraenkel
+
+        def reanswered(o):
+            w = engine(o)
+            o.transcript.append((w.x if isinstance(w, EquivarianceBreak) else w.x1, 7))
+            return w
+
+        monkeypatch.setattr(refute, "refute_fin_to_seq_fraenkel", reanswered)
+        code, out = run(capsys, "verify", "--suite", "refutation", "--fast")
+        assert code == 1
+        assert "[FAIL] refute-exhaustive-fin-to-seq-0" in out
+        assert "'error': 'collapse answers differ'" in out or "'error': 'map fixes both" in out
+
     def test_engine_raising_witness_invalid_in_exhaustive_search_is_a_failing_check(
         self, monkeypatch, capsys
     ):
@@ -181,6 +224,17 @@ class TestVerify:
 
     def test_negative_budget_is_a_usage_error(self, capsys):
         assert usage_error(capsys, "verify", "--suite", "refutation", "--budget", "-1")
+
+    def test_a_budget_past_the_cap_is_a_usage_error(self, capsys):
+        assert usage_error(capsys, "verify", "--suite", "refutation", "--budget", "201")
+
+    def test_max_atoms_must_exceed_the_largest_support(self, capsys):
+        # the largest support checked is min(--max-support, 3) = 3
+        assert main(["verify", "--suite", "fraenkel-dichotomy", "--max-atoms", "3"]) == 2
+        assert capsys.readouterr() == ("", "--max-atoms 3: a 3-atom pool has no atom outside a 3-atom support\n")
+        code, out = run(capsys, "verify", "--suite", "fraenkel-dichotomy", "--max-atoms", "4")
+        assert (code, out.splitlines()[-1]) == (0, "0 failing check(s)")
+        assert usage_error(capsys, "verify", "--suite", "all", "--max-atoms", "1", "--max-support", "1", "--fast")
 
     @pytest.mark.parametrize(
         "argv",
@@ -425,6 +479,14 @@ class TestRefuteCommand:
         code2, _ = run(capsys, "refute", "fin-to-seq", "--model", "fraenkel")
         assert code2 == 0
 
+    def test_budget_at_and_past_the_cap(self):
+        at = run_capped("refute", "unordered-to-ordered", "--budget", str(refute.MAX_SAMPLE_BUDGET))
+        assert (at.returncode, at.stderr) == (0, "")
+        assert at.stdout.endswith("0 failing check(s)\n")
+        past = run_capped("refute", "unordered-to-ordered", "--budget", str(refute.MAX_SAMPLE_BUDGET + 1))
+        assert (past.returncode, past.stdout) == (2, "")
+        assert past.stderr.splitlines() == ["--budget 201: a sample of 201 atoms exceeds the cap of 200 atoms"]
+
     def test_pairmodel_budget_flag(self, capsys):
         code, out = run(
             capsys,
@@ -557,14 +619,7 @@ class TestCountSupports:
         # under a 256 MiB address-space cap, which listing the types up to
         # the bound would overrun; one past it is refused with one line
         def capped(n):
-            return subprocess.run(
-                [sys.executable, "-m", "choiceless.cli", "count-supports", "--model", model, "-n", str(n), "--json"],
-                env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(labchecks.__file__))),
-                preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20)),
-                capture_output=True,
-                text=True,
-                timeout=60,
-            )
+            return run_capped("count-supports", "--model", model, "-n", str(n), "--json")
 
         at = capped(bound)
         assert at.returncode == 0, at.stderr

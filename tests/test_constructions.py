@@ -28,6 +28,7 @@ from choiceless.constructions import (
     PowDom,
     SeqDom,
     SeqStarDom,
+    Anchors,
     UnordPairsDom,
     _constant_patterns_below,
     act,
@@ -356,6 +357,24 @@ class TestMostowskiPowerToSeq:
         # 2 over the empty support, 6 per singleton, 18 per pair
         assert len(images) == len(set(images))
         assert len(images) == 2 + 5 * 6 + 10 * 18
+
+    def test_anchors_are_sorted_once_and_a_raw_list_still_works(self):
+        s = DenseOrderStructure()
+        anchors = default_anchors(s)
+        assert isinstance(anchors, Anchors) and list(anchors) == sorted(anchors, key=lambda a: a.payload)
+        S = SupportedSubset.of_atoms(s, [s.atom(100)])
+        assert mostowski_power_to_seq(S, list(reversed(anchors))) == mostowski_power_to_seq(S, anchors)
+
+    def test_nineteen_anchors_are_refused(self):
+        s = DenseOrderStructure()
+        with pytest.raises(ValueError, match="exactly 20 distinct"):
+            mostowski_power_to_seq(SupportedSubset.empty(s), list(default_anchors(s))[:19])
+
+    def test_a_repeated_anchor_is_refused(self):
+        s = DenseOrderStructure()
+        anchors = list(default_anchors(s))
+        with pytest.raises(ValueError, match="exactly 20 distinct"):
+            mostowski_power_to_seq(SupportedSubset.empty(s), anchors[:19] + anchors[:1])
 
     def test_anchor_support_collision_free(self):
         # supports meeting the anchor block still decode apart

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from choiceless import labchecks, oracles
+from choiceless import labchecks, oracles, refute
 from choiceless.atoms import DenseOrderStructure, PairStructure, PureSetStructure
 from choiceless.constructions import (
     AtomsDom,
@@ -39,8 +39,10 @@ from choiceless.refute import (
     InjectivityCollapse,
     OracleAnswerError,
     Refuted,
+    SampleBudgetExceeded,
     StreamResult,
     WitnessInvalid,
+    WitnessTampered,
     disjointify_finite,
     extract_fin_to_atom_mostowski,
     extract_from_partition_injection,
@@ -297,6 +299,12 @@ class TestPairModelEngine:
         assert isinstance(w, BudgetExhausted)
         assert w.budget == 3 and w.needed > w.budget
 
+    def test_a_budget_past_the_cap_is_refused_before_probing(self):
+        s, E, o = oracles.build_refute_oracle("unordered-to-ordered", "base-id-order", 0, 0)
+        with pytest.raises(SampleBudgetExceeded, match="201 atoms exceeds the cap of 200"):
+            refute_unordered_to_ordered_pairmodel(o, budget=refute.MAX_SAMPLE_BUDGET + 1)
+        assert len(o.transcript) == 0
+
     def test_negative_budget_rejected(self):
         s, E, o = oracles.build_refute_oracle("unordered-to-ordered", "base-id-order", 0, 0)
         with pytest.raises(ValueError):
@@ -377,6 +385,22 @@ class TestWitnessVerification:
         # leaves a raised exception alone
         assert not issubclass(WitnessInvalid, AssertionError)
         assert issubclass(WitnessInvalid, Exception)
+
+    def test_cited_fields_are_read_only(self):
+        s, E, o = oracles.build_refute_oracle("fin-to-seq", "sort", 1, 0)
+        w = refute_fin_to_seq_fraenkel(o)
+        c = InjectivityCollapse(w.x, w.x, hftuple(()))
+        assert o.vouches_for(w) and not o.vouches_for(c)
+        for witness, field in [(w, "pi"), (w, "fixed"), (w, "x"), (c, "x1"), (c, "x2"), (c, "y")]:
+            with pytest.raises(WitnessTampered, match=f"cited field '{field}'"):
+                setattr(witness, field, None)
+            with pytest.raises(AttributeError):
+                delattr(witness, field)
+        assert issubclass(WitnessTampered, WitnessInvalid)
+        w.details = {"seen": 1}
+        assert w.details == {"seen": 1} and o.vouches_for(w)
+        o.query(hfset(s.fresh(2)))
+        assert not o.vouches_for(w)
 
     def test_tampered_collapse_rejected(self):
         s, E, o = oracles.build_refute_oracle("fin-to-seq", "const-empty", 0, 0)
@@ -585,14 +609,40 @@ class TestExhaustiveTables:
     @pytest.mark.parametrize(
         "engine,tables,runs,witnesses",
         [
+            ("fin-to-seq", 8142, 8468, {"EquivarianceBreak": 6837, "InjectivityCollapse": 1305}),
             ("fin-to-seqstar", 231, 239, {"EquivarianceBreak": 224, "InjectivityCollapse": 7}),
             ("nat-to-power", 37894, 521, {"EquivarianceBreak": 13374, "InjectivityCollapse": 24520}),
         ],
-        ids=["fin-to-seqstar", "nat-to-power"],
+        ids=["fin-to-seq", "fin-to-seqstar", "nat-to-power"],
     )
     def test_support_two_totals(self, engine, tables, runs, witnesses):
         stats = exhaustive_refutation_paths(engine, 2)
         assert stats == {"tables": tables, "runs": runs, "witnesses": witnesses}
+
+    @pytest.mark.parametrize("engine", POOLED)
+    def test_each_leaf_is_verified_once(self, engine, monkeypatch):
+        """The engine's own check is the leaf's one verification: the
+        search verifies again only a witness the oracle does not vouch for."""
+        calls, leaves = [], []
+        verify = refute.verify_witness
+
+        def counted(*args):
+            calls.append(args[0])
+            return verify(*args)
+
+        run = oracles.REFUTE[engine].run
+
+        def leaf(o, **kw):
+            w = run(o, **kw)
+            leaves.append(w)
+            return w
+
+        monkeypatch.setattr(refute, "verify_witness", counted)
+        monkeypatch.setattr(labchecks, "verify_witness", counted)
+        monkeypatch.setitem(oracles.REFUTE, engine, oracles.REFUTE[engine]._replace(run=leaf))
+        stats = exhaustive_refutation_paths(engine, 1)
+        assert "failure" not in stats and len(leaves) > 0
+        assert [id(w) for w in calls] == [id(w) for w in leaves]
 
     def test_nat_to_power_support_zero(self):
         stats = exhaustive_refutation_paths("nat-to-power", 0)
