@@ -26,8 +26,8 @@ from __future__ import annotations
 import bisect
 import itertools
 from fractions import Fraction
-from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import lru_cache, partial
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 PURE_SET = "pure_set"
 DENSE_ORDER = "dense_order"
@@ -37,6 +37,9 @@ CATEGORICAL = "categorical"
 # most 1-types one support may carry; the homogeneous structure has
 # 6,146 over two atoms and about 2^51 over three
 TYPE_BUDGET = 2 ** 16
+# most (function, support size, mask) values `AtomStructure.by_shape`
+# keeps; the injections check meets 68 of them
+SHAPE_MEMO_SIZE = 1024
 
 
 class StructureMismatch(ValueError):
@@ -56,7 +59,7 @@ class TypeBudgetExceeded(RuntimeError):
 
 
 class MissingImage(KeyError):
-    """A finite automorphism snapshot was asked to act outside its domain."""
+    """A finite partial automorphism was asked to act outside its domain."""
 
 
 class Atom:
@@ -220,7 +223,8 @@ class AtomStructure:
     the size of E and the positions of the sub-support inside it.  The
     bare set and the dense order keep one table per shape for the whole
     class; the homogeneous structure shares the part that does not
-    depend on its relation facts."""
+    depend on its relation facts.  What is computed from one support's
+    tables alone (`by_shape`) is then memoised per class as well."""
 
     kind: str = ""
     atom_tag: str = ""  # "world" of the atom JSON
@@ -311,6 +315,17 @@ class AtomStructure:
         """The projection from an n-atom support onto its atoms at
         `positions`, where it depends on nothing else."""
         raise NotImplementedError
+
+    @classmethod
+    @lru_cache(maxsize=SHAPE_MEMO_SIZE)
+    def by_shape(cls, fn: Callable, n: int, mask: int):
+        """fn(table, n, mask), where table(positions) is the projection of
+        an n-atom support onto its atoms at `positions`.  `projection`
+        reads only that shape here, so the value depends on (n, mask)
+        alone and is memoised for the class.  A class whose projection
+        reads more than the shape returns None instead, and the caller
+        walks the atoms."""
+        return fn(partial(cls._shape_table, n), n, mask)
 
     def type_of(self, atom: Atom, E: Tuple[Atom, ...]) -> tuple:
         """The 1-type over E of an atom outside E."""
@@ -894,6 +909,9 @@ class CategoricalStructure(AtomStructure):
         )
         return tuple(head) + self._shape_table(len(E), positions)
 
+    def by_shape(self, fn, n, mask):
+        return None  # the projection reads the relation facts
+
     @staticmethod
     @lru_cache(maxsize=None)
     def _shape_table(n, positions):
@@ -1006,9 +1024,6 @@ class PartialAutomorphism:
 
     def fixes_pointwise(self, atoms: Iterable[Atom]) -> bool:
         return all(self.pairs.get(a) == a for a in atoms)
-
-    def snapshot(self) -> "PartialAutomorphism":
-        return PartialAutomorphism(self.pairs)
 
     def to_json(self) -> list:
         return [[atom_to_json(a), atom_to_json(b)] for a, b in self.items()]

@@ -148,7 +148,7 @@ def cmd_extract(args) -> int:
         return _usage_error(f"unknown oracle {name!r} for {engine}; have {list(spec.oracles)}")
     if T < 0 or args.copies < 1:
         return _usage_error("-T must be at least 0 and --copies at least 1")
-    result = spec.run(name, T, args.copies)
+    result = oracles.extract(engine, name, T, args.copies)
     ok = result.ok if spec.oracles[name].honest else not result.ok
     check = labchecks.check(
         f"extract-{engine}-{name}",
@@ -303,6 +303,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.fn(args)
     except SampleBudgetExceeded as exc:
         return _usage_error(f"--budget {args.budget}: {exc}")
+    except oracles.StreamBudgetExceeded as exc:
+        return _usage_error(f"--stream-length {args.stream_length}: {exc}")
 
 
 if __name__ == "__main__":

@@ -426,18 +426,26 @@ def class_rank(S: SupportedSubset) -> Tuple[int, Tuple[Atom, ...]]:
     Counted exactly, without enumeration: for each sub-support, the
     vectors below S that it supports are the bit patterns constant on each
     fibre of its restriction table, and alternating over sub-supports
-    isolates the ones whose least support is the whole set."""
+    isolates the ones whose least support is the whole set.  Where the
+    structure answers by shape, the rank comes from its memo."""
     S0 = S.canonical()
     E = S0.support
-    v = S0.mask
+    rank = S.structure.by_shape(_rank_shape, len(E), S0.mask)
+    if rank is None:  # the tables of these very atoms
+        rank = _rank_shape(lambda sub: restriction_table(S.structure, E, tuple(E[j] for j in sub)), len(E), S0.mask)
+    return rank, E
+
+
+def _rank_shape(table, n: int, v: int) -> int:
+    """`class_rank` of the mask v over an n-atom least support whose
+    projections `table` gives by positions."""
     # E itself has the identity table, below which every w < v counts
     rank = 1 + v
-    for keep in range(len(E)):
-        for sub in itertools.combinations(E, keep):
-            sign = -1 if (len(E) - keep) % 2 else 1
-            groups = restriction_table(S.structure, E, sub)
-            rank += sign * _constant_patterns_below(groups, v)
-    return rank, E
+    for keep in range(n):
+        sign = -1 if (n - keep) % 2 else 1
+        for sub in itertools.combinations(range(n), keep):
+            rank += sign * _constant_patterns_below(table(sub), v)
+    return rank
 
 
 class Anchors(tuple):

@@ -533,22 +533,18 @@ def check_exhaustive_refutations(max_support: int = 1) -> List[dict]:
 # extractor checks
 
 
-def _extract(engine: str, name: str, T: int, copies: int = 1):
-    return oracles.EXTRACT[engine].run(name, T, copies)
-
-
 def check_extractors(T: int) -> List[dict]:
-    r = _extract("fin-to-atom", "fresh-max", T)
-    rc = _extract("fin-to-atom", "max-or-zero", T)
-    r2 = _extract("seqstar-to-seq", "fresh-block", T)
-    rc2 = _extract("seqstar-to-seq", "const-empty", T)
+    r = oracles.extract("fin-to-atom", "fresh-max", T)
+    rc = oracles.extract("fin-to-atom", "max-or-zero", T)
+    r2 = oracles.extract("seqstar-to-seq", "fresh-block", T)
+    rc2 = oracles.extract("seqstar-to-seq", "const-empty", T)
     surplus_ok = True
     for n in (1, 2):
-        rs = _extract("surplus", "shift-encode", T, n)
+        rs = oracles.extract("surplus", "shift-encode", T, n)
         surplus_ok &= rs.ok and len(set(rs.values)) == T
-    surplus_ok &= not _extract("surplus", "const", T).ok
-    rp = _extract("partition", "fresh-singleton", T)
-    rpc = _extract("partition", "const", T)
+    surplus_ok &= not oracles.extract("surplus", "const", T).ok
+    rp = oracles.extract("partition", "fresh-singleton", T)
+    rpc = oracles.extract("partition", "const", T)
     return [
         check(
             "extract-fin-to-atom",

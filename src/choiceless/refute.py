@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from math import ceil, factorial, log2
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -98,7 +99,7 @@ class InjectionOracle:
     remembers the first input behind each answer value, so it is where
     collapses are found: a new input whose answer repeats an earlier one
     raises `Refuted` with the verified collapse.  `checked` marks the
-    witness `_checked` last verified, with the transcript length then.
+    witness `_checked` last verified, with the transcript entries then.
     """
 
     def __init__(
@@ -123,13 +124,13 @@ class InjectionOracle:
 
     def vouches_for(self, witness) -> bool:
         """Was this very witness verified against the transcript as it
-        stands?  Its cited fields are read-only, so only a transcript
-        grown since the check can have changed the verdict."""
-        return (
-            self.checked is not None
-            and self.checked[0] is witness
-            and self.checked[1] == len(self.transcript)
-        )
+        stands?  Its cited fields and map are read-only, so only a
+        transcript grown, or with an entry replaced, since the check can
+        have changed the verdict."""
+        if self.checked is None or self.checked[0] is not witness:
+            return False
+        then = self.checked[1]
+        return len(then) == len(self.transcript) and all(map(operator.is_, then, self.transcript))
 
     def query(self, x):
         if not self.domain.contains(x, self.structure):
@@ -191,12 +192,31 @@ class InjectivityCollapse(_Witness):
         return f"InjectivityCollapse({self.x1!r}, {self.x2!r} -> {self.y!r})"
 
 
+class _CitedPairs(dict):
+    """The pairs of a cited map: a copy that refuses every write."""
+
+    def _refuse(self, *args, **kwargs):
+        raise WitnessTampered("the cited map of a witness is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+
+class _CitedMap(PartialAutomorphism):
+    """A read-only copy of the map a break cites, so a checked break
+    keeps the map it was checked with."""
+
+    def __init__(self, pi: PartialAutomorphism):
+        object.__setattr__(self, "pairs", _CitedPairs(pi.pairs))
+
+    __setattr__ = __delattr__ = _CitedPairs._refuse
+
+
 class EquivarianceBreak(_Witness):
     kind = "equivariance-break"
     __slots__ = ("pi", "fixed", "x")
 
     def __init__(self, pi: PartialAutomorphism, fixed, x):
-        self.pi = pi
+        self.pi = _CitedMap(pi)
         self.fixed = tuple(fixed)
         self.x = x
         self.details: dict = {}
@@ -264,7 +284,7 @@ def verify_witness(witness, structure: AtomStructure, support: Sequence[Atom], t
 
 def _checked(witness, oracle: InjectionOracle):
     verify_witness(witness, oracle.structure, oracle.support, oracle.transcript)
-    oracle.checked = (witness, len(oracle.transcript))
+    oracle.checked = (witness, tuple(oracle.transcript))
     return witness
 
 
@@ -288,7 +308,7 @@ def _break(oracle: InjectionOracle, pi, x, *moved):
     materialised."""
     for value in moved:
         act(pi, value)
-    raise Refuted(_checked(EquivarianceBreak(pi.snapshot(), oracle.support, x), oracle))
+    raise Refuted(_checked(EquivarianceBreak(pi, oracle.support, x), oracle))
 
 
 def _escape_break(oracle: InjectionOracle, x, y, used: Set[Atom], swap=()):

@@ -14,9 +14,18 @@ the sub-support, and subsets are re-encoded, shrunk and tested for
 support by moving mask bits along it.  The structure computes the table
 by index arithmetic from the size of the support and the positions of
 the sub-support inside it.  `restrict_type` restricts one type; it is
-the oracle the tables are tested against.  The pair model has no
-1-types: `types_over` and `SupportedSubset` raise `StructureMismatch`
-for it.
+the oracle the tables are tested against.
+
+On the bare set and the dense order a table depends on nothing but that
+shape, so a subset's least-support positions and canonical mask depend
+only on (support size, mask).  `least_support` and `canonical` read them
+from the structure's `by_shape` memo, as `class_rank` reads the rank;
+the memo is keyed by class, shared by every structure of a class, and
+holds at most `SHAPE_MEMO_SIZE` values.  The homogeneous structure's
+tables read its relation facts, so its `by_shape` answers None, and its
+subsets walk their support atoms with `is_supported_by`.  The pair model
+has no 1-types: `types_over` and `SupportedSubset` raise
+`StructureMismatch` for it.
 """
 
 from __future__ import annotations
@@ -85,6 +94,12 @@ def _push(table: Sequence[int], mask: int) -> int:
     under `table` holds a selected bit of `mask`."""
     hit = {g for g, b in zip(table, format(mask, "b")[::-1]) if b == "1"}
     return sum(1 << g for g in hit)
+
+
+def _fibred(table: Sequence[int], mask: int) -> bool:
+    """Is the selection a union of fibres of `table`, that is, does the
+    sub-support behind the table support the subset?"""
+    return _pull(table, _push(table, mask)) == mask
 
 
 class SupportedSubset:
@@ -169,12 +184,20 @@ class SupportedSubset:
         sub = sort_support(self.structure, candidate)
         if not set(sub) <= set(self.support):
             return self.reencode(sub).is_supported_by(sub)
-        # the selection must be a union of fibres of the projection
-        table = restriction_table(self.structure, self.support, sub)
-        return _pull(table, _push(table, self.mask)) == self.mask
+        return _fibred(restriction_table(self.structure, self.support, sub), self.mask)
 
     def canonical(self) -> "SupportedSubset":
-        return _shrink(self, least_support(self))
+        """S over its least support: the types over it whose fibre holds a
+        selected type."""
+        least = least_support(self)
+        if least == self.support:
+            return self
+        shape = self.structure.by_shape(_least_shape, len(self.support), self.mask)
+        if shape is None:
+            mask = _push(restriction_table(self.structure, self.support, least), self.mask)
+        else:
+            mask = shape[1]
+        return SupportedSubset(self.structure, least, mask)
 
     def canonical_key(self) -> tuple:
         if self._ckey is None:
@@ -270,20 +293,24 @@ def restriction_table(
 def least_support(S: SupportedSubset) -> Tuple[Atom, ...]:
     """Smallest support: the atoms without which the rest of the support
     no longer supports S.  One pass suffices because the intersection of
-    two supports is a support."""
+    two supports is a support.  Where the structure answers by shape,
+    the positions come from its memo; otherwise the atoms are walked."""
     if S._least is None:
         E = S.support
-        S._least = tuple(e for e in E if not S.is_supported_by(tuple(x for x in E if x != e)))
+        shape = S.structure.by_shape(_least_shape, len(E), S.mask)
+        if shape is None:
+            S._least = tuple(e for e in E if not S.is_supported_by(tuple(x for x in E if x != e)))
+        else:
+            S._least = tuple(E[j] for j in shape[0])
     return S._least
 
 
-def _shrink(S: SupportedSubset, sub: Tuple[Atom, ...]) -> SupportedSubset:
-    """Re-present S over a smaller support that is known to support it:
-    select the types over `sub` whose fibre holds a selected type."""
-    if sub == S.support:
-        return S
-    table = restriction_table(S.structure, S.support, sub)
-    return SupportedSubset(S.structure, sub, _push(table, S.mask))
+def _least_shape(table, n: int, mask: int) -> Tuple[Tuple[int, ...], int]:
+    """The positions of the least support of `mask` over an n-atom
+    support whose projections `table` gives, and the canonical mask over
+    them: `least_support` and `canonical` by index arithmetic."""
+    keep = tuple(j for j in range(n) if not _fibred(table(tuple(k for k in range(n) if k != j)), mask))
+    return keep, mask if len(keep) == n else _push(table(keep), mask)
 
 
 class FraenkelClass:

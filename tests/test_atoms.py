@@ -187,7 +187,7 @@ class TestExtendFixing:
                 continue
             for a in pool:
                 pi.apply(a)
-            snap = pi.snapshot()
+            snap = PartialAutomorphism(pi.pairs)
             assert extendable(s, snap)
             assert snap.fixes_pointwise(E)
 
@@ -296,7 +296,7 @@ class TestCategorical:
         a = fresh_realizer(s, [f_rel(0, (e0, e1)), f_lt(e0)])
         b = fresh_realizer(s, [f_rel(0, (e0, e1)), f_lt(e0)])
         pi = extend_fixing(s, [e0, e1], {a: b})
-        assert pi is not None and extendable(s, pi.snapshot())
+        assert pi is not None and extendable(s, PartialAutomorphism(pi.pairs))
 
     def test_relation_preservation_required(self):
         s = CategoricalStructure()
@@ -313,7 +313,7 @@ class TestCategorical:
         pi = extend_fixing(s, [e0, e1], {a: b})
         for atom in list(s.atoms()):
             pi.apply(atom)
-        assert extendable(s, pi.snapshot())
+        assert extendable(s, PartialAutomorphism(pi.pairs))
 
     def test_back_and_forth_random_soak(self):
         """Random growth plus random lifts: the recorded finite map always
@@ -336,7 +336,7 @@ class TestCategorical:
             pi = extend_fixing(s, E, {})
             for atom in rng.sample(list(s.atoms()), min(6, len(s.atoms()))):
                 pi.apply(atom)
-                assert extendable(s, pi.snapshot())
+                assert extendable(s, PartialAutomorphism(pi.pairs))
 
     # When no materialised node realises the wanted type in the cut, the lift
     # adds a fresh image.  Each case below leaves a rejected candidate at the
@@ -351,7 +351,7 @@ class TestCategorical:
         img = pi.apply(b)
         assert s.lt(c, img)
         assert s.rel_holds((img,))
-        assert extendable(s, pi.snapshot())
+        assert extendable(s, PartialAutomorphism(pi.pairs))
 
     def test_fresh_image_below_all_images_avoids_rejected_node(self):
         s = CategoricalStructure()
@@ -362,7 +362,7 @@ class TestCategorical:
         img = pi.apply(b)
         assert s.lt(img, x)
         assert s.rel_holds((img,))
-        assert extendable(s, pi.snapshot())
+        assert extendable(s, PartialAutomorphism(pi.pairs))
 
     def test_fresh_image_between_images_avoids_rejected_node(self):
         s = CategoricalStructure()
@@ -372,7 +372,7 @@ class TestCategorical:
         img = pi.apply(b)
         assert s.lt(p, img) and s.lt(img, q)
         assert s.rel_holds((q, img))
-        assert extendable(s, pi.snapshot())
+        assert extendable(s, PartialAutomorphism(pi.pairs))
 
 
 @settings(max_examples=60, deadline=None)
@@ -390,7 +390,7 @@ def test_pure_extension_property(ids, data):
     pi = extend_fixing(s, E, dict(zip(src, img)))
     assert pi is not None
     assert pi.fixes_pointwise(E)
-    assert extendable(s, pi.snapshot())
+    assert extendable(s, PartialAutomorphism(pi.pairs))
 
 
 def test_atom_json_roundtrip():

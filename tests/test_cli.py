@@ -207,6 +207,42 @@ class TestVerify:
         assert "[FAIL] refute-exhaustive-fin-to-seq-0" in out
         assert "'error': 'collapse answers differ'" in out or "'error': 'map fixes both" in out
 
+    def test_mutating_a_checked_map_is_a_failing_check(self, monkeypatch, capsys):
+        """A checked break's map is read-only: making it the identity,
+        which refutes nothing, fails the leaf instead of counting it."""
+        engine = refute.refute_fin_to_seq_fraenkel
+
+        def identity(o):
+            w = engine(o)
+            if isinstance(w, EquivarianceBreak):
+                for a in list(w.pi.pairs):
+                    w.pi.pairs[a] = a
+            return w
+
+        monkeypatch.setattr(refute, "refute_fin_to_seq_fraenkel", identity)
+        code, out = run(capsys, "verify", "--suite", "refutation", "--fast")
+        assert code == 1
+        assert "[FAIL] refute-exhaustive-fin-to-seq-0" in out
+        assert "'error': 'the cited map of a witness is read-only'" in out
+
+    def test_a_transcript_entry_swapped_after_the_check_is_verified_again(self, monkeypatch, capsys):
+        """The engine's check is not trusted past a transcript whose entry
+        for the cited input was replaced in place, at the same length."""
+        engine = refute.refute_fin_to_seq_fraenkel
+
+        def swapped(o):
+            w = engine(o)
+            x = w.x if isinstance(w, EquivarianceBreak) else w.x1
+            (k,) = [k for k, (q, _) in enumerate(o.transcript) if q is x]
+            o.transcript[k] = (x, 7)
+            return w
+
+        monkeypatch.setattr(refute, "refute_fin_to_seq_fraenkel", swapped)
+        code, out = run(capsys, "verify", "--suite", "refutation", "--fast")
+        assert code == 1
+        assert "[FAIL] refute-exhaustive-fin-to-seq-0" in out
+        assert "'error': 'collapse answers differ'" in out or "'error': 'map fixes both" in out
+
     def test_engine_raising_witness_invalid_in_exhaustive_search_is_a_failing_check(
         self, monkeypatch, capsys
     ):
@@ -527,6 +563,29 @@ class TestExtractCommand:
 
     def test_unknown_oracle_usage_error(self, capsys):
         assert usage_error(capsys, "extract", "surplus", "--oracle", "bogus")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("extract", "fin-to-atom", "-T"), ("verify", "--suite", "extractors", "--stream-length")],
+        ids=["extract", "verify"],
+    )
+    def test_stream_length_at_and_past_the_cap(self, argv):
+        cap = oracles.MAX_STREAM_LENGTH
+        at = run_capped(*argv, str(cap))
+        assert (at.returncode, at.stderr) == (0, "")
+        assert at.stdout.endswith("0 failing check(s)\n")
+        past = run_capped(*argv, str(cap + 1))
+        assert (past.returncode, past.stdout) == (2, "")
+        assert past.stderr.splitlines() == ["--stream-length 501: a stream of 501 values exceeds the cap of 500 values"]
+
+    def test_a_stream_past_the_cap_is_refused_before_running(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("the extractor ran")
+
+        monkeypatch.setitem(oracles.EXTRACT, "partition", oracles.EXTRACT["partition"]._replace(run=never))
+        with pytest.raises(oracles.StreamBudgetExceeded):
+            oracles.extract("partition", "fresh-singleton", oracles.MAX_STREAM_LENGTH + 1)
+        assert issubclass(oracles.StreamBudgetExceeded, RuntimeError)
 
 
 class TestRegistry:

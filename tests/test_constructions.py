@@ -4,12 +4,14 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from math import factorial
 
 import pytest
 
 from choiceless import labchecks
 from choiceless.atoms import (
+    SHAPE_MEMO_SIZE,
     AtomStructure,
     CategoricalStructure,
     DenseOrderStructure,
@@ -48,7 +50,7 @@ from choiceless.constructions import (
     seq_to_chain,
     size_class_map,
 )
-from choiceless.symsets import SupportedSubset, least_support, sort_support, types_over
+from choiceless.symsets import SupportedSubset, least_support, restriction_table, sort_support, types_over
 
 
 def class_rank_by_scan(S: SupportedSubset, scan_budget: int = 1 << 16) -> int:
@@ -577,6 +579,105 @@ class TestCategoricalMaps:
         (a,) = s.fresh(1)
         with pytest.raises(ValueError):
             categorical_power_to_seq(SupportedSubset.empty(s), a, a)
+
+
+def least_support_by_walk(S: SupportedSubset):
+    """The atom-level walk `least_support` memoises: drop each support
+    atom in turn and ask whether the rest still supports S."""
+    E = S.support
+    return tuple(e for e in E if not S.is_supported_by(tuple(x for x in E if x != e)))
+
+
+def canonical_by_walk(S: SupportedSubset):
+    """S over its walked least support: the types whose fibre under the
+    restriction table holds a selected type."""
+    least = least_support_by_walk(S)
+    table = restriction_table(S.structure, S.support, least)
+    return least, sum(1 << g for g in {g for k, g in enumerate(table) if S.mask >> k & 1})
+
+
+def class_rank_by_sub_supports(S: SupportedSubset):
+    """`class_rank` as it was before the rank was memoised by shape: one
+    restriction table per sub-support of the atoms."""
+    E, v = canonical_by_walk(S)
+    rank = 1 + v
+    for keep in range(len(E)):
+        for sub in itertools.combinations(E, keep):
+            sign = -1 if (len(E) - keep) % 2 else 1
+            rank += sign * _constant_patterns_below(restriction_table(S.structure, E, sub), v)
+    return rank, E
+
+
+def _memo():
+    return AtomStructure.by_shape.cache_info()
+
+
+def _gapped_support(kind, n):
+    """An n-atom support whose atoms were made out of order, over ids
+    with gaps or Fraction payloads that do not sort as they were made."""
+    if kind == "pure":
+        s = PureSetStructure()
+        return s, [s.atom(i) for i in (12, 3, 7)[:n]]
+    s = DenseOrderStructure()
+    return s, [s.atom(q) for q in (Fraction(7, 3), Fraction(-1, 2), Fraction(5, 11))[:n]]
+
+
+class TestShapeMemo:
+    @pytest.mark.parametrize("kind", ["pure", "dense"])
+    def test_memo_matches_the_atom_walk_cold_and_warm(self, kind):
+        for n in range(4):
+            s, atoms = _gapped_support(kind, n)
+            for mask in range(1 << s._type_count(n)):
+                AtomStructure.by_shape.cache_clear()
+                cold = SupportedSubset(s, atoms, mask)
+                walked = canonical_by_walk(cold)
+                got = (least_support(cold), cold.canonical().mask, class_rank(cold))
+                assert _memo().currsize == 2  # the least support and the rank
+                warm = SupportedSubset(s, atoms, mask)
+                assert (least_support(warm), warm.canonical().mask, class_rank(warm)) == got
+                assert _memo().currsize == 2
+                assert (got[0], got[1]) == walked
+                assert got[2] == class_rank_by_sub_supports(cold)
+                assert got[2][0] == class_rank_by_scan(cold)
+
+    def test_memo_stays_within_its_bound(self):
+        s = DenseOrderStructure(range(5))
+        E = s.atoms()
+        masks = 1 << s._type_count(len(E))
+        assert masks > SHAPE_MEMO_SIZE
+        for mask in range(masks):
+            least_support(SupportedSubset(s, E, mask))
+        info = _memo()
+        assert info.maxsize == SHAPE_MEMO_SIZE
+        assert info.currsize <= SHAPE_MEMO_SIZE
+
+    @pytest.mark.parametrize("facts", [False, True], ids=["no-facts", "fact"])
+    def test_categorical_subsets_walk_the_atoms(self, facts):
+        s = CategoricalStructure()
+        a, b, c = s.fresh(3)
+        if facts:
+            s.declare_rel((a, b))
+            s.declare_rel((c, a))
+        E = sort_support(s, (a, b))
+        rng = random.Random(0)
+        width = s._type_count(2)
+        entries = _memo().currsize
+        for mask in [*range(64), *(rng.getrandbits(width) for _ in range(4))]:
+            S = SupportedSubset(s, E, mask)
+            assert s.by_shape(class_rank_by_sub_supports, 2, mask) is None
+            assert (least_support(S), S.canonical().mask) == canonical_by_walk(S)
+            assert class_rank(S) == class_rank_by_sub_supports(S)
+        assert _memo().currsize == entries
+
+    def test_categorical_ranks_are_unchanged(self):
+        # the values the categorical path gave before the memo
+        s = CategoricalStructure()
+        E = sort_support(s, s.fresh(2))
+        got = []
+        for bits in range(64):
+            S = SupportedSubset.from_bits(s, E, bits)
+            got.append((tuple(E.index(a) for a in least_support(S)), S.canonical().mask, class_rank(S)[0]))
+        assert got == [((), 0, 1), ((0,), 1, 1), ((1,), 1, 1)] + [((0, 1), v, v - 2) for v in range(3, 64)]
 
 
 def test_pattern_counting_matches_bruteforce():
