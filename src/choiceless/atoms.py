@@ -1082,7 +1082,6 @@ def extend_fixing(
             return None
         mapping[a] = b
     candidate = PartialAutomorphism(mapping)
-    structure.check_owns(*mapping, *mapping.values())
     if not extendable(structure, candidate):
         return None
     return LiftedAutomorphism(structure, mapping)

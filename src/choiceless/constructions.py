@@ -6,6 +6,9 @@ finite sets, one-to-one and arbitrary finite sequences, ordered pairs,
 unordered pairs, and the power object represented by `SupportedSubset`.
 Each injection is a plain function; equivariance is a contract checked
 by the test-suite probes rather than by construction.
+
+HF values are immutable.  An `HFSet` keeps its members in the frozenset
+`members` and sorts them into the canonical order `items` only when read.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ class NotASeq(ValueError):
 
 
 class _HF:
-    """An immutable HF container; a subclass sets `items` in `__init__`."""
+    """An immutable HF container; `items` is its members in canonical order."""
 
     __slots__ = ("items",)
 
@@ -69,21 +72,48 @@ class HFTuple(_HF):
     tag, brackets = "t", "<>"
 
     def __init__(self, items: Iterable):
-        object.__setattr__(self, "items", tuple(items))
+        object.__setattr__(self, "items", _hf_only(tuple(items)))
 
 
 class HFSet(_HF):
-    """Extensional finite set: duplicates collapse, order is canonical."""
+    """Extensional finite set.  `members` is its frozenset of members, which
+    equality, hashing, `len` and `in` read.  `items` is the canonical order,
+    sorted by `hf_key` on first read and kept."""
 
-    __slots__ = ()
+    __slots__ = ("members",)
     tag, brackets = "s", "{}"
 
     def __init__(self, items: Iterable):
-        uniq = {hf_key(x): x for x in items}
-        object.__setattr__(self, "items", tuple(uniq[k] for k in sorted(uniq)))
+        object.__setattr__(self, "members", _hf_only(frozenset(items)))
+
+    def __getattr__(self, name):  # reached only while `items` is unset
+        if name != "items":
+            raise AttributeError(name)
+        object.__setattr__(self, "items", tuple(sorted(self.members, key=hf_key)))
+        return self.items
+
+    def __eq__(self, other):
+        return isinstance(other, HFSet) and self.members == other.members
+
+    def __hash__(self):
+        return hash(self.members)
+
+    def __len__(self):
+        return len(self.members)
 
     def __contains__(self, x):
-        return x in self.items
+        return x in self.members
+
+
+_HF_TYPES = frozenset({Atom, HFTuple, HFSet, int})
+
+
+def _hf_only(items):
+    """The items, once each is an atom, an HF value or a natural.  Types
+    match exactly, so a bool (an int to Python) is refused."""
+    if not _HF_TYPES.issuperset(map(type, items)):
+        raise TypeError(f"not an HF object: {next(x for x in items if type(x) not in _HF_TYPES)!r}")
+    return items
 
 
 def hfset(*items) -> HFSet:
@@ -101,10 +131,8 @@ def hftuple(*items) -> HFTuple:
 def hf_key(x):
     if isinstance(x, Atom):
         return (0, x.world, x.sort_key())
-    if isinstance(x, HFTuple):
-        return (1, len(x.items), tuple(hf_key(i) for i in x.items))
-    if isinstance(x, HFSet):
-        return (2, len(x.items), tuple(hf_key(i) for i in x.items))
+    if isinstance(x, (HFTuple, HFSet)):
+        return (1 if isinstance(x, HFTuple) else 2, len(x.items), tuple(map(hf_key, x.items)))
     if isinstance(x, int):
         return (3, x)
     raise TypeError(f"not an HF object: {x!r}")
@@ -114,22 +142,18 @@ def atoms_of(x) -> Set[Atom]:
     if isinstance(x, Atom):
         return {x}
     if isinstance(x, (HFTuple, HFSet)):
-        out: Set[Atom] = set()
-        for i in x:
-            out |= atoms_of(i)
-        return out
+        return set().union(*map(atoms_of, x.members if isinstance(x, HFSet) else x.items))
     return set()
 
 
 def act(pi, x):
     """Apply an automorphism to an HF object, a supported subset, or a
-    kernel value (plain naturals are fixed)."""
+    kernel value (plain naturals are fixed).  Set members go in canonical
+    order, since the categorical lift's images depend on the order asked."""
     if isinstance(x, Atom):
         return pi.apply(x)
-    if isinstance(x, HFTuple):
-        return HFTuple(act(pi, i) for i in x)
-    if isinstance(x, HFSet):
-        return HFSet(act(pi, i) for i in x)
+    if isinstance(x, (HFTuple, HFSet)):
+        return type(x)(act(pi, i) for i in x.items)
     if isinstance(x, SupportedSubset):
         return x.apply(pi)
     if isinstance(x, (int, frozenset, tuple)):
@@ -199,7 +223,7 @@ class FinDom(Domain):
 
     def contains(self, x, structure=None):
         return isinstance(x, HFSet) and all(
-            self.inner.contains(i, structure) for i in x
+            self.inner.contains(i, structure) for i in x.members
         )
 
 
@@ -247,8 +271,8 @@ class UnordPairsDom(Domain):
     def contains(self, x, structure=None):
         return (
             isinstance(x, HFSet)
-            and len(x.items) == 2
-            and all(self.inner.contains(i, structure) for i in x)
+            and len(x) == 2
+            and all(self.inner.contains(i, structure) for i in x.members)
         )
 
 

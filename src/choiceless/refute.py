@@ -339,13 +339,6 @@ def seq_count(n: int) -> int:
     return sum(factorial(n) // factorial(n - k) for k in range(n + 1))
 
 
-def all_seqs(items: Sequence) -> List[tuple]:
-    out = []
-    for k in range(len(items) + 1):
-        out.extend(itertools.permutations(items, k))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # engines over the bare atom set
 
@@ -417,7 +410,8 @@ def refute_seq_to_power_fraenkel(oracle: InjectionOracle):
         raise EngineBug("counting step failed; the argument does not apply")
     used: Set[Atom] = set(E)
     try:
-        for entry in all_seqs(E):
+        # drawn one at a time: there are about e * n! of them
+        for entry in itertools.chain.from_iterable(itertools.permutations(E, k) for k in range(n + 1)):
             x = hftuple(entry)
             _escape_break(oracle, x, oracle.query(x), used)
     except Refuted as done:

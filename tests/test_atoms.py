@@ -95,6 +95,15 @@ class TestExtendable:
         with pytest.raises(StructureMismatch):
             extendable(s, PartialAutomorphism({ghost: ghost}))
 
+    def test_extend_fixing_checks_ownership(self):
+        s = PureSetStructure(1)
+        (a,) = s.atoms()
+        ghost = PureSetStructure(5).atoms()[4]
+        _, (q,) = dense(0)
+        for fixed, constraints in (([ghost], {}), ([a], {ghost: a}), ([], {q: q})):
+            with pytest.raises(StructureMismatch):
+                extend_fixing(s, fixed, constraints)
+
     def test_closed_under_restriction(self):
         rng = random.Random(5)
         s = DenseOrderStructure()

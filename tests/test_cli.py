@@ -523,6 +523,12 @@ class TestRefuteCommand:
         assert (past.returncode, past.stdout) == (2, "")
         assert past.stderr.splitlines() == ["--budget 201: a sample of 201 atoms exceeds the cap of 200 atoms"]
 
+    def test_seq_to_power_draws_its_sequences_lazily(self):
+        # about e * 10! sequences: listed up front they outgrow the cap
+        done = run_capped("refute", "seq-to-power", "--support", "10")
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.endswith("0 failing check(s)\n")
+
     def test_pairmodel_budget_flag(self, capsys):
         code, out = run(
             capsys,

@@ -9,9 +9,10 @@ from math import factorial
 
 import pytest
 
-from choiceless import labchecks
+from choiceless import labchecks, oracles
 from choiceless.atoms import (
     SHAPE_MEMO_SIZE,
+    Atom,
     AtomStructure,
     CategoricalStructure,
     DenseOrderStructure,
@@ -25,6 +26,8 @@ from choiceless.atoms import (
 from choiceless.constructions import (
     AtomsDom,
     FinDom,
+    HFSet,
+    HFTuple,
     NotASeq,
     PairDom,
     PowDom,
@@ -157,6 +160,17 @@ class TestHFObjects:
         assert PowDom().contains(S, s)
         other = PureSetStructure(2)
         assert not PowDom().contains(S, other)
+
+    def test_items_must_be_hf_values_at_any_depth(self, pure4):
+        _, (a, *_) = pure4
+        for build in (
+            lambda: hfset(hftuple(Fraction(1))),
+            lambda: hfset(True),
+            lambda: hftuple(True),
+            lambda: hftuple(a, SupportedSubset.empty(pure4[0])),
+        ):
+            with pytest.raises(TypeError, match="not an HF object"):
+                build()
 
     def test_json_roundtrip(self, pure4):
         _, (a, b, c, d) = pure4
@@ -716,3 +730,99 @@ def test_act_on_nested_objects():
     x = hfset(hftuple(a, b), hfset(c))
     assert act(pi, x) == hfset(hftuple(b, a), hfset(c))
     assert act(pi, 5) == 5
+
+
+def test_act_asks_a_lift_in_canonical_order():
+    # the categorical lift picks each image when asked, so the images of
+    # a set's members must not depend on how the set hashes them
+    def lifted():
+        cs = CategoricalStructure()
+        e0 = fresh_realizer(cs, [])
+        xs = [fresh_realizer(cs, []) for _ in range(6)]
+        return xs, extend_fixing(cs, [], {e0: fresh_realizer(cs, [])})
+
+    xs, pi = lifted()
+    act(pi, hfset(xs))
+    ys, rho = lifted()
+    for y in sorted(ys, key=lambda a: a.payload):
+        rho.apply(y)
+    assert [(a.payload, b.payload) for a, b in pi.items()] == [(a.payload, b.payload) for a, b in rho.items()]
+
+
+class OldHF:
+    """HF values as they were built before sets kept a frozenset: a set
+    dedupes its items by `old_key`, then sorts them by it.  The reference
+    for the canonical order and for equality."""
+
+    def __init__(self, tag, items):
+        if tag == "s":
+            uniq = {old_key(x): x for x in items}
+            items = (uniq[k] for k in sorted(uniq))
+        self.tag, self.items = tag, tuple(items)
+
+    def __eq__(self, other):
+        return isinstance(other, OldHF) and (self.tag, self.items) == (other.tag, other.items)
+
+    def __hash__(self):
+        return hash((self.tag, self.items))
+
+
+def old_key(x):
+    if isinstance(x, Atom):
+        return (0, x.world, x.sort_key())
+    if isinstance(x, OldHF):
+        return (1 if x.tag == "t" else 2, len(x.items), tuple(old_key(i) for i in x.items))
+    if isinstance(x, int):
+        return (3, x)
+    raise TypeError(f"not an HF object: {x!r}")
+
+
+def to_old(x):
+    """x rebuilt by the old constructor, sets from their unordered members."""
+    if isinstance(x, HFSet):
+        return OldHF("s", map(to_old, x.members))
+    if isinstance(x, HFTuple):
+        return OldHF("t", map(to_old, x.items))
+    return x
+
+
+def built_during(monkeypatch, run):
+    """Every HF value constructed while `run()` runs, in order."""
+    built = []
+    with monkeypatch.context() as m:
+        for cls in (HFSet, HFTuple):
+
+            def init(self, items, _init=cls.__init__):
+                _init(self, items)
+                built.append(self)
+
+            m.setattr(cls, "__init__", init)
+        run()
+    return built
+
+
+def every_probe_and_answer():
+    for engine, spec in oracles.REFUTE.items():
+        for name in spec.oracles:
+            for size in spec.sizes:
+                s, E, o = oracles.build_refute_oracle(engine, name, size, 0)
+                spec.run(o, budget=6)
+
+
+class TestFrozensetSets:
+    def test_sets_match_the_old_constructor(self, monkeypatch):
+        # the injection probes, with their moves applied, then every probe
+        # and answer of every built-in oracle at every built-in size
+        values = built_during(monkeypatch, lambda: (labchecks.check_injections(0), every_probe_and_answer()))
+        assert {type(v) for v in values} == {HFSet, HFTuple}
+        first_equal, first_same_key, first_old_equal = {}, {}, {}
+        for i, v in enumerate(values):
+            old = to_old(v)
+            assert tuple(map(to_old, v.items)) == old.items
+            assert hf_key(v) == old_key(old)
+            j = first_equal.setdefault(v, i)
+            assert hash(values[j]) == hash(v)
+            # ==, hf_key and the old == split the values into the same classes
+            assert first_same_key.setdefault(hf_key(v), i) == j
+            assert first_old_equal.setdefault(old, i) == j
+        assert 1 < len(first_equal) < len(values)

@@ -11,7 +11,7 @@ import pytest
 
 from choiceless import labchecks, oracles
 from choiceless.atoms import DenseOrderStructure, PureSetStructure, extend_fixing
-from choiceless.constructions import hftuple, seq_to_chain
+from choiceless.constructions import hfset, hftuple, kuratowski, seq_to_chain
 from choiceless.symsets import FraenkelClass
 
 
@@ -101,6 +101,30 @@ class TestProbe:
         # a move that no automorphism extends fails whatever the map
         assert not labchecks._commutes([swap, None], chains, moved, chains)
         assert labchecks._commutes([], chains, unmoved, chains)
+
+    def test_commutes_fails_a_map_that_swaps_its_arguments(self):
+        s = PureSetStructure(3)
+        a, b, c = s.atoms()
+        swap = extend_fixing(s, [c], {a: b, b: a})
+        kur = {xy: kuratowski(*xy) for xy in [(a, c), (c, b)]}
+        assert labchecks._commutes([swap], kur, lambda pi, xy: kuratowski(*map(pi.apply, xy)), kur)
+        assert not labchecks._commutes([swap], kur, lambda pi, xy: kuratowski(*map(pi.apply, xy[::-1])), kur)
+
+    def test_commutes_fails_images_that_differ_inside_a_nested_set(self):
+        s = PureSetStructure(3)
+        a, b, c = s.atoms()
+        swap = extend_fixing(s, [c], {a: b, b: a})
+        images = {(a,): hfset(hfset(c), hfset(a, c))}
+        # the same outer size and the same first member; only {b, c} differs
+        assert not labchecks._commutes([swap], images, lambda pi, x: hfset(hfset(c), hfset(a, c)), images)
+        assert labchecks._commutes([swap], images, lambda pi, x: hfset(hfset(c), hfset(b, c)), images)
+
+    def test_nested_sets_equal_and_hash_alike_whatever_the_order_built(self):
+        s = PureSetStructure(2)
+        a, b = s.atoms()
+        x, y = hfset(hfset(a, b), hfset(b)), hfset(hfset(b), hfset(b, a), hfset(b))
+        assert x == y and hash(x) == hash(y) and x.items == y.items
+        assert x != hfset(hfset(a), hfset(a, b))
 
 
 class TestPoolCap:
