@@ -34,9 +34,22 @@ DENSE_ORDER = "dense_order"
 PAIR_MODEL = "pair_model"
 CATEGORICAL = "categorical"
 
-# most 1-types one support may carry; the homogeneous structure has
-# 6,146 over two atoms and about 2^51 over three
-TYPE_BUDGET = 2 ** 16
+# The cap of every size, keyed by the setting it bounds (`labchecks.SETTINGS` key or CLI dest;
+# `types` and `level` bound sizes the library meets).  A guard beside the code it protects raises
+# `BudgetExceeded` past its row.  Times are at the cap unless a size is named (2 vCPUs, Python 3.11.7).
+CAPS = {
+    "max_support": 500,  # the counting check lists types up to it: 0.3 s; MemoryError at 4,000
+    "max_atoms": 16,  # the 2^16 subsets of a brute-force pool take about a second
+    "trials": 2_000,  # the refutation suite takes 0.3 s; 4 s at 20,000
+    "stream_length": 500,  # the extractors suite takes 2 s; 6.6 s at 1,000, 35 s and 534 MiB at 2,000
+    "budget": 200,  # the pair engine probes every pair of its sample: 2 s, 100 MiB; 30 s at 1,000
+    "support": 35,  # every engine answers in 0.1 s; past it the pair engine's bound passes 4,300 digits
+    "copies": 1_000,  # a surplus sweep walks n+1 labels: 0.2 s at -T 500; 13 s at 1,000,000
+    "n": 14_000,  # count-supports, in 1-types: 2^14000, the largest count, has 4,215 digits
+    "types": 2 ** 16,  # 1-types over one support: the homogeneous structure has 6,146 over 2 atoms
+    "level": 8,  # levels of pair atoms
+}
+
 # most (function, support size, mask) values `AtomStructure.by_shape`
 # keeps; the injections check meets 68 of them
 SHAPE_MEMO_SIZE = 1024
@@ -50,12 +63,21 @@ class UnsatisfiableType(ValueError):
     """Requested 1-type is inconsistent with the ambient theory."""
 
 
-class LevelBudgetExceeded(RuntimeError):
-    """Pair-model operation would materialise atoms above the level budget."""
+class BudgetExceeded(RuntimeError):
+    """A size past its row of `CAPS`, refused before any work starts; `value` is the size asked
+    for, and the message reads "<what> exceeds the cap of <cap> <unit>"."""
+
+    def __init__(self, setting: str, value: int, what: str, unit: str):
+        self.setting, self.value, self.cap = setting, value, CAPS[setting]
+        super().__init__(f"{what} exceeds the cap of {self.cap} {unit}")
 
 
-class TypeBudgetExceeded(RuntimeError):
-    """Enumerating the 1-types over a support would exceed TYPE_BUDGET."""
+class LevelBudgetExceeded(BudgetExceeded):
+    """A pair atom above the `level` row."""
+
+
+class TypeBudgetExceeded(BudgetExceeded):
+    """More 1-types over one support than the `types` row."""
 
 
 class MissingImage(KeyError):
@@ -170,13 +192,10 @@ def _instantiate(local, E: Sequence[Atom]):
 
 
 def _cat_type_count(n: int) -> int:
-    """Types over an n-atom categorical support, refused past TYPE_BUDGET
-    before anything is enumerated."""
+    """Types over an n-atom categorical support, refused past the `types` cap before listing."""
     count = n + (n + 1) * 2 ** len(_cat_rel_formulas(n))
-    if count > TYPE_BUDGET:
-        raise TypeBudgetExceeded(
-            f"{count} types over a {n}-atom support exceed the budget {TYPE_BUDGET}"
-        )
+    if count > CAPS["types"]:
+        raise TypeBudgetExceeded("types", count, f"a {n}-atom support with {count} types", "types")
     return count
 
 
@@ -551,8 +570,7 @@ class PairStructure(AtomStructure):
     kind = PAIR_MODEL
     atom_tag = json_tag = "pairs"
 
-    def __init__(self, base_size: int = 0, level_budget: int = 8):
-        self.level_budget = level_budget
+    def __init__(self, base_size: int = 0):
         self._payloads = set(range(base_size))
 
     def base_atom(self, i: int) -> Atom:
@@ -571,10 +589,8 @@ class PairStructure(AtomStructure):
             raise ValueError("bit must be 0 or 1")
         if level <= max(x.level, y.level):
             raise ValueError("components of a level-n atom must live below level n")
-        if level > self.level_budget:
-            raise LevelBudgetExceeded(
-                f"level {level} exceeds the configured budget {self.level_budget}"
-            )
+        if level > CAPS["level"]:
+            raise LevelBudgetExceeded("level", level, f"a level-{level} pair atom", "levels")
         atom = Atom(PAIR_MODEL, (level, (x, y), bit))
         self._payloads.add(atom.payload)
         return atom

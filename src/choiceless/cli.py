@@ -11,12 +11,11 @@ import sys
 from typing import List, Optional
 
 from . import cardtable, labchecks, oracles
-from .atoms import DenseOrderStructure, PureSetStructure
+from .atoms import CAPS, BudgetExceeded, DenseOrderStructure, PureSetStructure
 from .refute import (
     BudgetExhausted,
     EngineBug,
     OracleAnswerError,
-    SampleBudgetExceeded,
     WitnessInvalid,
     verify_witness_json,
     witness_to_json,
@@ -26,11 +25,7 @@ from .symsets import count_least_supported, count_supported
 USAGE_ERROR = 2
 # the verify settings that are sizes, each with its own option
 SIZE_SETTINGS = ("max_support", "max_atoms", "trials", "stream_length")
-# count-supports: each model's structure, and the most 1-types over the
-# support; the counts are at most 2^types, and 2^14000 has 4,215 digits,
-# within the 4,300 Python prints by default
 COUNT_MODELS = {"mostowski": DenseOrderStructure, "fraenkel": PureSetStructure}
-MAX_COUNT_TYPES = 14_000
 
 
 def _report(command: str, config: dict, checks: List[dict]) -> dict:
@@ -68,7 +63,7 @@ def _usage_error(message: str) -> int:
 
 
 def _flag(key: str) -> str:
-    return "--" + key.replace("_", "-")
+    return ("-" if len(key) == 1 else "--") + key.replace("_", "-")
 
 
 def _read_json(path: str):
@@ -78,15 +73,7 @@ def _read_json(path: str):
 
 def cmd_verify(args) -> int:
     config = {key: getattr(args, key) for key in labchecks.SETTINGS}
-    for key in SIZE_SETTINGS:
-        if config[key] < 0:
-            return _usage_error(f"{_flag(key)} must be at least 0, not {config[key]}")
-    try:
-        checks = labchecks.run_suite(args.suite, config)
-    except KeyError as exc:
-        return _usage_error(str(exc))
-    except (labchecks.PoolBudgetExceeded, labchecks.PoolTooSmall) as exc:
-        return _usage_error(f"--max-atoms {args.max_atoms}: {exc}")
+    checks = labchecks.run_suite(args.suite, config)
     return _emit(_report(f"verify:{args.suite}", config, checks), args.json, args.out)
 
 
@@ -107,8 +94,6 @@ def cmd_refute(args) -> int:
         size = len(support)
     elif name in spec.oracles:
         size = spec.sizes[0] if args.support is None else args.support
-        if size < 0:
-            return _usage_error(f"--support must be at least 0, not {size}")
         structure, support, oracle = oracles.build_refute_oracle(engine, name, size, args.seed)
     else:
         return _usage_error(
@@ -146,8 +131,6 @@ def cmd_extract(args) -> int:
     name = args.oracle or next(iter(spec.oracles))
     if name not in spec.oracles:
         return _usage_error(f"unknown oracle {name!r} for {engine}; have {list(spec.oracles)}")
-    if T < 0 or args.copies < 1:
-        return _usage_error("-T must be at least 0 and --copies at least 1")
     result = oracles.extract(engine, name, T, args.copies)
     ok = result.ok if spec.oracles[name].honest else not result.ok
     check = labchecks.check(
@@ -215,16 +198,12 @@ def cmd_verify_witness(args) -> int:
 
 
 def cmd_count_supports(args) -> int:
-    if args.n < 0:
-        return _usage_error(f"-n must be at least 0, not {args.n}")
     if args.model not in COUNT_MODELS:
         return _usage_error(f"count-supports knows the models: {', '.join(COUNT_MODELS)}")
     cls = COUNT_MODELS[args.model]
-    if cls._type_count(args.n) > MAX_COUNT_TYPES:
-        return _usage_error(
-            f"-n {args.n} gives {args.model} more than {MAX_COUNT_TYPES} 1-types; "
-            "the counts would be too long to print"
-        )
+    types = cls._type_count(args.n)
+    if types > CAPS["n"]:
+        raise BudgetExceeded("n", args.n, f"a {args.n}-atom {args.model} support with {types} 1-types", "1-types")
     s = cls()
     E = [s.atom(i) for i in range(args.n)]
     total = count_supported(s, E)
@@ -297,14 +276,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "budget", 0) < 0:
-        return _usage_error(f"--budget must be at least 0, not {args.budget}")
+    for key in CAPS:
+        value, least = getattr(args, key, None), 1 if key == "copies" else 0
+        if value is not None and value < least:
+            return _usage_error(f"{_flag(key)} must be at least {least}, not {value}")
     try:
         return args.fn(args)
-    except SampleBudgetExceeded as exc:
-        return _usage_error(f"--budget {args.budget}: {exc}")
-    except oracles.StreamBudgetExceeded as exc:
-        return _usage_error(f"--stream-length {args.stream_length}: {exc}")
+    except (BudgetExceeded, labchecks.PoolTooSmall) as exc:
+        # name the option when the refused size is the one given on it
+        typed = getattr(args, exc.setting, None) == exc.value
+        return _usage_error(f"{_flag(exc.setting)} {exc.value}: {exc}" if typed else str(exc))
 
 
 if __name__ == "__main__":

@@ -16,7 +16,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import cardtable, oracles
 from .atoms import (
+    CAPS,
     Atom,
+    BudgetExceeded,
     CategoricalStructure,
     DenseOrderStructure,
     PairStructure,
@@ -39,7 +41,6 @@ from .refute import (
     BudgetExhausted,
     EquivarianceBreak,
     InjectionOracle,
-    SampleBudgetExceeded,
     WitnessInvalid,
     disjointify_finite,
     partition_to_edges,
@@ -78,6 +79,8 @@ COUNTING = {
 
 def check_counting(universe: str, max_support: int) -> List[dict]:
     """`count_supported` against the closed form and the listed types."""
+    if max_support > CAPS["max_support"]:
+        raise BudgetExceeded("max_support", max_support, f"a {max_support}-atom support", "atoms")
     cls, name, exponent, closed = COUNTING[universe]
     s = cls()
     E = [s.atom(i) for i in range(max_support)]
@@ -98,27 +101,26 @@ def check_counting(universe: str, max_support: int) -> List[dict]:
     ]
 
 
-class PoolBudgetExceeded(RuntimeError):
-    """A brute-force pool of more than MAX_POOL_ATOMS atoms."""
-
-
 class PoolTooSmall(ValueError):
-    """A brute-force pool with no atom outside the support."""
+    """A brute-force pool with no atom outside the support: a lower bound, not a budget."""
 
+    setting = "max_atoms"
 
-MAX_POOL_ATOMS = 16  # the 2^16 subsets of a pool take about a second
+    def __init__(self, value: int, support_size: int):
+        self.value = value
+        super().__init__(f"a {value}-atom pool has no atom outside a {support_size}-atom support")
 
 
 def invariant_subsets_bruteforce(pool_size: int, support_size: int) -> Tuple[int, bool]:
     """Enumerate all subsets of a finite pool, keep the ones invariant
     under every pool permutation fixing the support pointwise, and check
     the finite/cofinite dichotomy on each.  Returns (count, all_ok).
-    Refuses a pool of more than MAX_POOL_ATOMS atoms, or one no larger
-    than the support, whose count would fall short, before enumerating."""
-    if pool_size > MAX_POOL_ATOMS:
-        raise PoolBudgetExceeded(f"a {pool_size}-atom pool exceeds the cap of {MAX_POOL_ATOMS} atoms")
+    Refuses a pool past the `max_atoms` cap, or one no larger than the
+    support, whose count would fall short, before enumerating."""
+    if pool_size > CAPS["max_atoms"]:
+        raise BudgetExceeded("max_atoms", pool_size, f"a {pool_size}-atom pool", "atoms")
     if pool_size <= support_size:
-        raise PoolTooSmall(f"a {pool_size}-atom pool has no atom outside a {support_size}-atom support")
+        raise PoolTooSmall(pool_size, support_size)
     s = PureSetStructure(pool_size)
     pool = s.atoms()
     E = pool[:support_size]
@@ -363,7 +365,7 @@ def run_builtin_refutations(seed: int, budget: int) -> List[dict]:
                 s, E, o = oracles.build_refute_oracle(engine, name, size, seed)
                 try:
                     w = spec.run(o, budget=budget)
-                except SampleBudgetExceeded:  # the budget is refused, not failed
+                except BudgetExceeded:  # the budget is refused, not failed
                     raise
                 except Exception as exc:  # noqa: BLE001 - report, do not crash the suite
                     ok = False
@@ -394,6 +396,8 @@ def run_builtin_refutations(seed: int, budget: int) -> List[dict]:
 def run_random_refutations(trials: int, seed: int) -> List[dict]:
     """Seeded random total tables for each engine; every returned witness
     must re-verify (no false witnesses)."""
+    if trials > CAPS["trials"]:
+        raise BudgetExceeded("trials", trials, f"a run of {trials} trials", "trials")
     out = []
     engines = {e: spec for e, spec in oracles.REFUTE.items() if spec.random_trials}
     per_engine = max(1, trials // len(engines))
@@ -578,6 +582,8 @@ def check_extractors(T: int) -> List[dict]:
 
 
 def check_disjointify(trials: int, seed: int, max_m: int = 12) -> List[dict]:
+    if trials > CAPS["trials"]:
+        raise BudgetExceeded("trials", trials, f"a run of {trials} trials", "trials")
     rng = random.Random(seed)
     ok = True
     for _ in range(trials):

@@ -25,7 +25,9 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import refute
 from .atoms import (
+    CAPS,
     Atom,
+    BudgetExceeded,
     DenseOrderStructure,
     PairStructure,
     PureSetStructure,
@@ -351,20 +353,11 @@ REFUTE: Dict[str, RefuteSpec] = {e: s for e, s in ENGINES.items() if isinstance(
 EXTRACT: Dict[str, ExtractSpec] = {e: s for e, s in ENGINES.items() if isinstance(s, ExtractSpec)}
 
 
-class StreamBudgetExceeded(RuntimeError):
-    """A stream length above MAX_STREAM_LENGTH."""
-
-
-# `verify --suite extractors` takes about 2 s at 500 values, 6.6 s at
-# 1,000 and 35 s and 534 MiB at 2,000 (2 vCPUs, Python 3.11.7)
-MAX_STREAM_LENGTH = 500
-
-
 def extract(engine: str, name: str, T: int, copies: int = 1):
     """T values streamed by the extractor from its built-in oracle `name`;
-    a T above MAX_STREAM_LENGTH is refused before anything runs."""
-    if T > MAX_STREAM_LENGTH:
-        raise StreamBudgetExceeded(f"a stream of {T} values exceeds the cap of {MAX_STREAM_LENGTH} values")
+    a T past the `stream_length` cap is refused before anything runs."""
+    if T > CAPS["stream_length"]:
+        raise BudgetExceeded("stream_length", T, f"a stream of {T} values", "values")
     return EXTRACT[engine].run(name, T, copies)
 
 
@@ -383,7 +376,9 @@ def build_refute_oracle(
     support_size: int = 0,
     seed: int = 0,
 ):
-    """Structure, support and oracle for a named refutation adversary."""
+    """Structure, support and oracle for a named refutation adversary, up to the `support` cap."""
+    if support_size > CAPS["support"]:
+        raise BudgetExceeded("support", support_size, f"a {support_size}-atom support", "atoms")
     structure, support = REFUTE[engine].universe(support_size)
     return structure, support, builtin_oracle(engine, name, structure, support, random.Random(seed))
 

@@ -17,8 +17,10 @@ from math import ceil, factorial, log2
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .atoms import (
+    CAPS,
     Atom,
     AtomStructure,
+    BudgetExceeded,
     MissingImage,
     PairStructure,
     PartialAutomorphism,
@@ -50,10 +52,6 @@ class OracleAnswerError(ValueError):
 
 class EngineBug(RuntimeError):
     """An engine exceeded its probe bound without producing a witness."""
-
-
-class SampleBudgetExceeded(RuntimeError):
-    """A pair-engine sample budget above MAX_SAMPLE_BUDGET."""
 
 
 class WitnessInvalid(Exception):
@@ -497,7 +495,10 @@ def extract_from_surplus(n: int, oracle: InjectionOracle, count: int, seed=froze
     """From a purported injection (n+1) copies -> n copies of a power set,
     extract pairwise-distinct subsets: each sweep over the labelled
     current values has more inputs than available answers, so the first
-    sweep without an escaping second component repeats an answer."""
+    sweep without an escaping second component repeats an answer.  An n
+    past the `copies` cap is refused before the first query."""
+    if n > CAPS["copies"]:
+        raise BudgetExceeded("copies", n, f"a surplus of {n} copies", "copies")
     values: List[frozenset] = [seed]
     try:
         while len(values) < count:
@@ -582,11 +583,6 @@ def extract_from_partition_injection(
 # ---------------------------------------------------------------------------
 # pair-model engine
 
-# The engine probes every pair of its sample; at 200 atoms its slowest
-# built-in oracle takes about 2 s and 100 MiB, at 1000 about 30 s and 1.7 GiB.
-MAX_SAMPLE_BUDGET = 200
-
-
 def _pair_closed(E: Sequence[Atom]) -> bool:
     have = set(E)
     for e in E:
@@ -616,12 +612,14 @@ def refute_unordered_to_ordered_pairmodel(oracle: InjectionOracle, budget: int):
         raise ValueError("this engine runs over the pair model")
     if budget < 0:
         raise ValueError(f"the sample budget must be at least 0, not {budget}")
-    if budget > MAX_SAMPLE_BUDGET:
-        raise SampleBudgetExceeded(f"a sample of {budget} atoms exceeds the cap of {MAX_SAMPLE_BUDGET} atoms")
+    if budget > CAPS["budget"]:
+        raise BudgetExceeded("budget", budget, f"a sample of {budget} atoms", "atoms")
     E = list(oracle.support)
+    k = len(E)
+    if k > CAPS["support"]:
+        raise BudgetExceeded("support", k, f"a {k}-atom support", "atoms")
     if not _pair_closed(E):
         raise ValueError("support must contain the components of its pair atoms")
-    k = len(E)
     r = k + 4
     needed = ramsey_upper(r * r)
     avoid = set(E) | PairStructure.fixed_bases(E)

@@ -109,14 +109,19 @@ class SupportedSubset:
     __slots__ = ("structure", "support", "mask", "_ckey", "_least")
 
     def __init__(self, structure: AtomStructure, support: Iterable[Atom], mask: int):
-        self.structure = structure
-        self.support = sort_support(structure, support)
+        object.__setattr__(self, "structure", structure)
+        object.__setattr__(self, "support", sort_support(structure, support))
         n = self._width()
         if not 0 <= mask < 1 << n:
             raise ValueError(f"mask {mask} selects outside the {n} types over the support")
-        self.mask = mask
-        self._ckey = None
-        self._least = None
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "_ckey", None)
+        object.__setattr__(self, "_least", None)
+
+    def __setattr__(self, *_):
+        raise AttributeError("a supported subset is immutable; its least support and key are cached")
+
+    __delattr__ = __setattr__
 
     # construction helpers
 
@@ -202,11 +207,8 @@ class SupportedSubset:
     def canonical_key(self) -> tuple:
         if self._ckey is None:
             c = self.canonical()
-            self._ckey = (
-                c.structure.kind,
-                tuple(a.sort_key() for a in c.support),
-                c.bits(),
-            )
+            key = (c.structure.kind, tuple(a.sort_key() for a in c.support), c.bits())
+            object.__setattr__(self, "_ckey", key)
         return self._ckey
 
     def __eq__(self, other):
@@ -299,9 +301,10 @@ def least_support(S: SupportedSubset) -> Tuple[Atom, ...]:
         E = S.support
         shape = S.structure.by_shape(_least_shape, len(E), S.mask)
         if shape is None:
-            S._least = tuple(e for e in E if not S.is_supported_by(tuple(x for x in E if x != e)))
+            least = tuple(e for e in E if not S.is_supported_by(tuple(x for x in E if x != e)))
         else:
-            S._least = tuple(E[j] for j in shape[0])
+            least = tuple(E[j] for j in shape[0])
+        object.__setattr__(S, "_least", least)
     return S._least
 
 

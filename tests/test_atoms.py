@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choiceless.atoms import (
+    CAPS,
     CATEGORICAL,
     DENSE_ORDER,
     PAIR_MODEL,
     PURE_SET,
     Atom,
+    BudgetExceeded,
     CategoricalStructure,
     DenseOrderStructure,
     LevelBudgetExceeded,
@@ -485,11 +487,14 @@ def test_structure_json_roundtrip():
 
 
 def test_pair_level_budget():
-    s = PairStructure(2, level_budget=1)
+    s = PairStructure(2)
     a, b = s.base_atom(0), s.base_atom(1)
-    u = s.pair_atom(1, a, b, 0)
-    with pytest.raises(LevelBudgetExceeded):
-        s.pair_atom(2, u, a, 0)
+    u = a
+    for level in range(1, CAPS["level"] + 1):
+        u = s.pair_atom(level, u, b, 0)
+    with pytest.raises(LevelBudgetExceeded, match="level-9 pair atom exceeds the cap of 8 levels"):
+        s.pair_atom(CAPS["level"] + 1, u, a, 0)
+    assert issubclass(LevelBudgetExceeded, BudgetExceeded)
 
 
 def listing_probe_atoms(structure, count, avoid):

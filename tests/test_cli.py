@@ -6,11 +6,12 @@ import os
 import resource
 import subprocess
 import sys
+from typing import Callable, NamedTuple
 
 import pytest
 
 from choiceless import labchecks, oracles, refute
-from choiceless.atoms import PairStructure, atom_to_json
+from choiceless.atoms import CAPS, BudgetExceeded, CategoricalStructure, PairStructure, atom_to_json
 from choiceless.cli import build_parser, main
 from choiceless.constructions import hf_to_json, hfset, hftuple
 from choiceless.refute import BudgetExhausted, EngineBug, EquivarianceBreak, InjectivityCollapse, WitnessInvalid
@@ -515,14 +516,6 @@ class TestRefuteCommand:
         code2, _ = run(capsys, "refute", "fin-to-seq", "--model", "fraenkel")
         assert code2 == 0
 
-    def test_budget_at_and_past_the_cap(self):
-        at = run_capped("refute", "unordered-to-ordered", "--budget", str(refute.MAX_SAMPLE_BUDGET))
-        assert (at.returncode, at.stderr) == (0, "")
-        assert at.stdout.endswith("0 failing check(s)\n")
-        past = run_capped("refute", "unordered-to-ordered", "--budget", str(refute.MAX_SAMPLE_BUDGET + 1))
-        assert (past.returncode, past.stdout) == (2, "")
-        assert past.stderr.splitlines() == ["--budget 201: a sample of 201 atoms exceeds the cap of 200 atoms"]
-
     def test_seq_to_power_draws_its_sequences_lazily(self):
         # about e * 10! sequences: listed up front they outgrow the cap
         done = run_capped("refute", "seq-to-power", "--support", "10")
@@ -570,28 +563,14 @@ class TestExtractCommand:
     def test_unknown_oracle_usage_error(self, capsys):
         assert usage_error(capsys, "extract", "surplus", "--oracle", "bogus")
 
-    @pytest.mark.parametrize(
-        "argv",
-        [("extract", "fin-to-atom", "-T"), ("verify", "--suite", "extractors", "--stream-length")],
-        ids=["extract", "verify"],
-    )
-    def test_stream_length_at_and_past_the_cap(self, argv):
-        cap = oracles.MAX_STREAM_LENGTH
-        at = run_capped(*argv, str(cap))
-        assert (at.returncode, at.stderr) == (0, "")
-        assert at.stdout.endswith("0 failing check(s)\n")
-        past = run_capped(*argv, str(cap + 1))
-        assert (past.returncode, past.stdout) == (2, "")
-        assert past.stderr.splitlines() == ["--stream-length 501: a stream of 501 values exceeds the cap of 500 values"]
-
     def test_a_stream_past_the_cap_is_refused_before_running(self, monkeypatch):
         def never(*args):
             raise AssertionError("the extractor ran")
 
         monkeypatch.setitem(oracles.EXTRACT, "partition", oracles.EXTRACT["partition"]._replace(run=never))
-        with pytest.raises(oracles.StreamBudgetExceeded):
-            oracles.extract("partition", "fresh-singleton", oracles.MAX_STREAM_LENGTH + 1)
-        assert issubclass(oracles.StreamBudgetExceeded, RuntimeError)
+        with pytest.raises(BudgetExceeded):
+            oracles.extract("partition", "fresh-singleton", CAPS["stream_length"] + 1)
+        assert issubclass(BudgetExceeded, RuntimeError)
 
 
 class TestRegistry:
@@ -676,23 +655,165 @@ class TestCountSupports:
         )
         assert json.loads(out) == {"least": 2 * 3**40, "model": "mostowski", "n": 40, "supported": 2**81}
 
-    @pytest.mark.parametrize(
-        "model,bound,types,least",
-        [("mostowski", 6999, 13999, 2 * 3**6999), ("fraenkel", 13999, 14000, 2)],
-    )
-    def test_size_bound(self, model, bound, types, least):
-        # under a 256 MiB address-space cap, which listing the types up to
-        # the bound would overrun; one past it is refused with one line
-        def capped(n):
-            return run_capped("count-supports", "--model", model, "-n", str(n), "--json")
-
-        at = capped(bound)
-        assert at.returncode == 0, at.stderr
-        assert json.loads(at.stdout) == {"least": least, "model": model, "n": bound, "supported": 2**types}
-        past = capped(bound + 1)
-        assert (past.returncode, past.stdout, len(past.stderr.splitlines())) == (2, "", 1)
-
     def test_fraenkel_json(self, capsys):
         code, out = run(capsys, "count-supports", "--model", "fraenkel", "-n", "2", "--json")
         assert code == 0
         assert json.loads(out) == {"least": 2, "model": "fraenkel", "n": 2, "supported": 8}
+
+
+# ---------------------------------------------------------------------------
+# the size caps, swept from the CLI
+
+PASS, FAIL = "0 failing check(s)\n", "1 failing check(s)\n"
+
+
+class Cap(NamedTuple):
+    """One way to reach a row of CAPS from the CLI: `argv(size, tmp_path)`,
+    the size at the cap, the end of stdout there, and the one stderr
+    line one size past it."""
+
+    argv: Callable
+    size: int
+    out: str
+    refusal: str
+
+
+def _argv(*head):
+    return lambda size, tmp_path: [*head, str(size)]
+
+
+def _scripted(engine, table):
+    """`refute ENGINE` against the scripted table `table(size)`."""
+
+    def argv(size, tmp_path):
+        path = tmp_path / f"table-{size}.json"
+        path.write_text(json.dumps(table(size)))
+        return ["refute", engine, "--oracle", f"@{path}"]
+
+    return argv
+
+
+def _pair_support(size):
+    atoms = [{"world": "pairs", "base": i} for i in range(size)]
+    return {"structure": {"kind": "pairs", "atoms": atoms}, "support": atoms, "table": []}
+
+
+def _pair_chain(level):
+    atom = {"world": "pairs", "base": 0}
+    for lvl in range(1, level + 1):
+        atom = {"world": "pairs", "level": lvl, "pair": [atom, {"world": "pairs", "base": 1}], "bit": 0}
+    return {"structure": {"kind": "pairs", "atoms": [atom]}, "table": []}
+
+
+def _categorical_answer(size):
+    """0 answered by a subset over a homogeneous support of `size` atoms;
+    past two atoms the type count is refused before the bits are read."""
+    width = CategoricalStructure._type_count(size) if size <= 2 else 1
+    subset = {"structure": "categorical", "support": [{"world": "cat", "node": i} for i in range(size)], "bits": "0" * width}
+    structure = {"kind": "categorical", "nodes": [{"node": i, "pos": str(i)} for i in range(size)], "rfacts": []}
+    return {"structure": structure, "table": [[{"nat": 0}, {"subset": subset}]]}
+
+
+def _counts(model, n, types, least):
+    return json.dumps({"least": least, "model": model, "n": n, "supported": 2**types}, sort_keys=True) + "\n"
+
+
+STREAM = "--stream-length 501: a stream of 501 values exceeds the cap of 500 values"
+TRIALS = "--trials 2001: a run of 2001 trials exceeds the cap of 2000 trials"
+
+# Per row of CAPS, each way the CLI reaches it.  `n` caps 1-types, so its
+# sizes are the largest -n each model takes; `types` and `level` cap sizes
+# the library meets, which a scripted table reaches, and the size at the
+# `types` cap is the largest support it admits.
+SWEEP = {
+    "max_support": {
+        "verify": Cap(
+            _argv("verify", "--suite", "mostowski-counting", "--max-support"), 500, PASS,
+            "--max-support 501: a 501-atom support exceeds the cap of 500 atoms",
+        ),
+    },
+    "max_atoms": {
+        "verify": Cap(
+            _argv("verify", "--suite", "fraenkel-dichotomy", "--max-atoms"), 16, PASS,
+            "--max-atoms 17: a 17-atom pool exceeds the cap of 16 atoms",
+        ),
+    },
+    "trials": {
+        "refutation": Cap(_argv("verify", "--suite", "refutation", "--trials"), 2000, PASS, TRIALS),
+        "extractors": Cap(_argv("verify", "--suite", "extractors", "--trials"), 2000, PASS, TRIALS),
+    },
+    "stream_length": {
+        "extract": Cap(_argv("extract", "fin-to-atom", "-T"), 500, PASS, STREAM),
+        "verify": Cap(_argv("verify", "--suite", "extractors", "--stream-length"), 500, PASS, STREAM),
+    },
+    "budget": {
+        "refute": Cap(
+            _argv("refute", "unordered-to-ordered", "--budget"), 200, PASS,
+            "--budget 201: a sample of 201 atoms exceeds the cap of 200 atoms",
+        ),
+    },
+    "support": {
+        # the random oracle outlasts the sample: the run fails with a budget
+        # result, whose colouring bound must still print
+        "refute": Cap(
+            _argv("refute", "unordered-to-ordered", "--oracle", "random", "--support"), 35, FAIL,
+            "--support 36: a 36-atom support exceeds the cap of 35 atoms",
+        ),
+        "scripted": Cap(
+            _scripted("unordered-to-ordered", _pair_support), 35, FAIL,
+            "a 36-atom support exceeds the cap of 35 atoms",
+        ),
+    },
+    "copies": {
+        "extract": Cap(
+            _argv("extract", "surplus", "--copies"), 1000, PASS,
+            "--copies 1001: a surplus of 1001 copies exceeds the cap of 1000 copies",
+        ),
+    },
+    "n": {
+        "mostowski": Cap(
+            _argv("count-supports", "--model", "mostowski", "--json", "-n"), 6999,
+            _counts("mostowski", 6999, 13999, 2 * 3**6999),
+            "-n 7000: a 7000-atom mostowski support with 14001 1-types exceeds the cap of 14000 1-types",
+        ),
+        "fraenkel": Cap(
+            _argv("count-supports", "--model", "fraenkel", "--json", "-n"), 13999,
+            _counts("fraenkel", 13999, 14000, 2),
+            "-n 14000: a 14000-atom fraenkel support with 14001 1-types exceeds the cap of 14000 1-types",
+        ),
+    },
+    "types": {
+        "scripted": Cap(
+            _scripted("nat-to-power", _categorical_answer), 2, FAIL,
+            "a 3-atom support with 2251799813685251 types exceeds the cap of 65536 types",
+        ),
+    },
+    "level": {
+        "scripted": Cap(
+            _scripted("unordered-to-ordered", _pair_chain), 8, FAIL,
+            "a level-9 pair atom exceeds the cap of 8 levels",
+        ),
+    },
+}
+
+
+class TestSizeCaps:
+    @pytest.mark.parametrize(
+        "setting,case", [pytest.param(k, c, id=f"{k}-{c}") for k in CAPS for c in SWEEP.get(k, ["no-argv"])]
+    )
+    def test_at_and_past_the_cap(self, setting, case, tmp_path):
+        # each run in a fresh process under run_capped's memory cap and timeout
+        assert case in SWEEP.get(setting, {}), f"the {setting!r} row of CAPS has no argv"
+        argv, size, out, refusal = SWEEP[setting][case]
+        at = run_capped(*argv(size, tmp_path))
+        assert (at.returncode, at.stderr) == (int(out == FAIL), "")
+        assert at.stdout.endswith(out)
+        past = run_capped(*argv(size + 1, tmp_path))
+        assert (past.returncode, past.stdout, past.stderr.splitlines()) == (2, "", [refusal])
+
+    def test_every_size_option_has_a_row(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        sizes = {a.dest for p in sub.choices.values() for a in p._actions if a.type is int}
+        sizes.remove("seed")  # a seed is not a size
+        assert sizes <= set(CAPS)
+        assert set(SWEEP) == set(CAPS)

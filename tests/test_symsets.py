@@ -300,6 +300,20 @@ class TestMaskMoves:
 
 
 class TestSupportedSubset:
+    def test_a_subset_refuses_reassignment(self):
+        # its least support and canonical key are cached, so a changed mask
+        # or support would leave them stale
+        s = PureSetStructure(3)
+        E = s.atoms()
+        S = SupportedSubset.of_atoms(s, E[:1]).reencode(E)
+        least, key, mask = least_support(S), S.canonical_key(), S.mask
+        for name, value in (("mask", 0b1000), ("support", E[1:]), ("structure", PureSetStructure(3)), ("_least", ())):
+            with pytest.raises(AttributeError):
+                setattr(S, name, value)
+        with pytest.raises(AttributeError):
+            del S.mask
+        assert (least_support(S), S.canonical_key(), S.mask) == (least, key, mask) == ((E[0],), key, 0b0001)
+
     def test_interval_least_support(self):
         s = DenseOrderStructure()
         e0, e1, e2 = (s.atom(i) for i in range(3))
