@@ -50,8 +50,8 @@ CAPS = {
     "level": 8,  # levels of pair atoms
 }
 
-# most (function, support size, mask) values `AtomStructure.by_shape`
-# keeps; the injections check meets 68 of them
+# most (class, function, support size, mask) values the shape memo
+# behind `AtomStructure.by_shape` keeps; the injections check meets 68
 SHAPE_MEMO_SIZE = 1024
 
 
@@ -98,6 +98,8 @@ class Atom:
     def __setattr__(self, *_):
         raise AttributeError("atoms are immutable")
 
+    __delattr__ = __setattr__
+
     def __eq__(self, other):
         return (
             isinstance(other, Atom)
@@ -133,6 +135,18 @@ def _pair_key(atom: Atom):
 
 def _fraction_json(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
+
+
+def _is_nat(x) -> bool:
+    """Is x a natural?  A bool is not, though Python counts it an int."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
+def _nat_id(x) -> int:
+    """An atom id read from JSON, refused unless it is a natural."""
+    if not _is_nat(x):
+        raise ValueError(f"atom id {x!r} is not a natural")
+    return x
 
 
 def atom_to_json(atom: Atom) -> dict:
@@ -243,7 +257,7 @@ class AtomStructure:
     bare set and the dense order keep one table per shape for the whole
     class; the homogeneous structure shares the part that does not
     depend on its relation facts.  What is computed from one support's
-    tables alone (`by_shape`) is then memoised per class as well."""
+    tables alone (`by_shape`) is memoised per class where they allow."""
 
     kind: str = ""
     atom_tag: str = ""  # "world" of the atom JSON
@@ -335,15 +349,15 @@ class AtomStructure:
         `positions`, where it depends on nothing else."""
         raise NotImplementedError
 
+    def by_shape(self, fn: Callable, E: Tuple[Atom, ...], mask: int):
+        """fn(table, len(E), mask), where table(positions) projects the sorted
+        support E onto its atoms at `positions`.  Here that reads only the
+        shape, so the value is memoised for the class by (len(E), mask)."""
+        return self._shape_memo(fn, len(E), mask)
+
     @classmethod
     @lru_cache(maxsize=SHAPE_MEMO_SIZE)
-    def by_shape(cls, fn: Callable, n: int, mask: int):
-        """fn(table, n, mask), where table(positions) is the projection of
-        an n-atom support onto its atoms at `positions`.  `projection`
-        reads only that shape here, so the value depends on (n, mask)
-        alone and is memoised for the class.  A class whose projection
-        reads more than the shape returns None instead, and the caller
-        walks the atoms."""
+    def _shape_memo(cls, fn: Callable, n: int, mask: int):
         return fn(partial(cls._shape_table, n), n, mask)
 
     def type_of(self, atom: Atom, E: Tuple[Atom, ...]) -> tuple:
@@ -380,7 +394,7 @@ class AtomStructure:
 
     @classmethod
     def payload_from_json(cls, data: dict) -> Atom:
-        return Atom(cls.kind, data[cls.atom_key])
+        return Atom(cls.kind, _nat_id(data[cls.atom_key]))
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -451,7 +465,7 @@ class PureSetStructure(AtomStructure):
     @classmethod
     def from_json(cls, data: dict) -> "PureSetStructure":
         s = cls()
-        s._ids.update(data["atoms"])
+        s._ids.update(map(_nat_id, data["atoms"]))
         return s
 
 
@@ -707,7 +721,7 @@ class PairStructure(AtomStructure):
     @staticmethod
     def payload_from_json(data: dict) -> Atom:
         if "base" in data:
-            return Atom(PAIR_MODEL, data["base"])
+            return Atom(PAIR_MODEL, _nat_id(data["base"]))
         x, y = (atom_from_json(d) for d in data["pair"])
         return Atom(PAIR_MODEL, (data["level"], (x, y), data["bit"]))
 
@@ -925,8 +939,9 @@ class CategoricalStructure(AtomStructure):
         )
         return tuple(head) + self._shape_table(len(E), positions)
 
-    def by_shape(self, fn, n, mask):
-        return None  # the projection reads the relation facts
+    def by_shape(self, fn, E, mask):
+        # the projection reads the relation facts, so each support answers for itself
+        return fn(lambda keep: self.projection(E, tuple(E[j] for j in keep)), len(E), mask)
 
     @staticmethod
     @lru_cache(maxsize=None)
@@ -965,10 +980,10 @@ class CategoricalStructure(AtomStructure):
     def from_json(cls, data: dict) -> "CategoricalStructure":
         s = cls()
         for node in data["nodes"]:
-            s._pos[node["node"]] = Fraction(node["pos"])
+            s._pos[_nat_id(node["node"])] = Fraction(node["pos"])
         s._next = max(s._pos, default=-1) + 1
         for n, ids in data["rfacts"]:
-            s._rfacts.add((n, tuple(ids)))
+            s._rfacts.add((n, tuple(map(_nat_id, ids))))
         return s
 
 

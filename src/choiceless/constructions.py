@@ -25,14 +25,11 @@ from .atoms import (
     PairStructure,
     StructureMismatch,
     _cat_rel_formulas,
+    _is_nat,
     atom_from_json,
     atom_to_json,
 )
-from .symsets import (
-    SupportedSubset,
-    restriction_table,
-    sort_support,
-)
+from .symsets import SupportedSubset, sort_support
 
 
 class NotASeq(ValueError):
@@ -50,6 +47,8 @@ class _HF:
 
     def __setattr__(self, *_):
         raise AttributeError("HF objects are immutable")
+
+    __delattr__ = __setattr__
 
     def __eq__(self, other):
         return isinstance(other, type(self)) and self.items == other.items
@@ -287,11 +286,6 @@ class PowDom(Domain):
         return isinstance(x, SupportedSubset) and x.structure is structure
 
 
-def _is_nat(x) -> bool:
-    """Is x a natural?  A bool is not, though Python counts it an int."""
-    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
-
-
 class NatDom(Domain):
     name = "N"
 
@@ -450,14 +444,9 @@ def class_rank(S: SupportedSubset) -> Tuple[int, Tuple[Atom, ...]]:
     Counted exactly, without enumeration: for each sub-support, the
     vectors below S that it supports are the bit patterns constant on each
     fibre of its restriction table, and alternating over sub-supports
-    isolates the ones whose least support is the whole set.  Where the
-    structure answers by shape, the rank comes from its memo."""
+    isolates the ones whose least support is the whole set (`by_shape`)."""
     S0 = S.canonical()
-    E = S0.support
-    rank = S.structure.by_shape(_rank_shape, len(E), S0.mask)
-    if rank is None:  # the tables of these very atoms
-        rank = _rank_shape(lambda sub: restriction_table(S.structure, E, tuple(E[j] for j in sub)), len(E), S0.mask)
-    return rank, E
+    return S.structure.by_shape(_rank_shape, S0.support, S0.mask), S0.support
 
 
 def _rank_shape(table, n: int, v: int) -> int:

@@ -172,7 +172,8 @@ def check_fraenkel_dichotomy(pool_size: int, max_support: int) -> List[dict]:
     out.append(
         check(
             "fraenkel-classifier",
-            "the classifier always places the finite side inside the support",
+            "each verdict and member list matches the subset's denotation "
+            "over the support plus two outside atoms",
             {"max_support": max_support},
             agree,
         )
@@ -581,10 +582,11 @@ def check_extractors(T: int) -> List[dict]:
     ]
 
 
-def check_disjointify(trials: int, seed: int, max_m: int = 12) -> List[dict]:
+def check_disjointify(trials: int, seed: int) -> List[dict]:
     if trials > CAPS["trials"]:
         raise BudgetExceeded("trials", trials, f"a run of {trials} trials", "trials")
     rng = random.Random(seed)
+    max_m = 12  # the largest ground set a trial draws
     ok = True
     for _ in range(trials):
         m = list(range(rng.randint(1, max_m)))

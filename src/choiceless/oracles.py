@@ -52,7 +52,7 @@ from .constructions import (
     hf_from_json,
     hftuple,
 )
-from .refute import InjectionOracle, oracle_from_table
+from .refute import InjectionOracle, OracleAnswerError
 from .symsets import SupportedSubset, count_supported
 
 
@@ -397,8 +397,13 @@ def scripted_refute_oracle(engine: str, data: dict):
             continue
         for atom in atoms_of(value):
             structure.materialise(atom)
+
+    def fn(x):
+        try:
+            return table[x]
+        except KeyError:
+            raise OracleAnswerError(f"scripted table has no entry for {x!r}")
+
     dom, cod = ENGINES[engine].domains()
-    oracle = oracle_from_table(
-        table, dom, cod, support=support, structure=structure, name="scripted"
-    )
+    oracle = InjectionOracle(fn, dom, cod, support=support, structure=structure, name="scripted")
     return structure, support, oracle

@@ -148,16 +148,6 @@ class InjectionOracle:
         return y
 
 
-def oracle_from_table(table: Dict, *args, **kwargs) -> InjectionOracle:
-    def fn(x):
-        try:
-            return table[x]
-        except KeyError:
-            raise OracleAnswerError(f"scripted table has no entry for {x!r}")
-
-    return InjectionOracle(fn, *args, **kwargs)
-
-
 # ---------------------------------------------------------------------------
 # witnesses
 
@@ -491,15 +481,15 @@ def extract_seqstar_to_seq(oracle: InjectionOracle, marker: Atom, count: int) ->
     return StreamResult(seen_atoms[:count])
 
 
-def extract_from_surplus(n: int, oracle: InjectionOracle, count: int, seed=frozenset()) -> StreamResult:
+def extract_from_surplus(n: int, oracle: InjectionOracle, count: int) -> StreamResult:
     """From a purported injection (n+1) copies -> n copies of a power set,
-    extract pairwise-distinct subsets: each sweep over the labelled
-    current values has more inputs than available answers, so the first
-    sweep without an escaping second component repeats an answer.  An n
-    past the `copies` cap is refused before the first query."""
+    extract pairwise-distinct subsets, the empty set first: each sweep
+    over the labelled current values has more inputs than answers, so the
+    first sweep without an escaping second component repeats an answer.
+    An n past the `copies` cap is refused before the first query."""
     if n > CAPS["copies"]:
         raise BudgetExceeded("copies", n, f"a surplus of {n} copies", "copies")
-    values: List[frozenset] = [seed]
+    values: List[frozenset] = [frozenset()]
     try:
         while len(values) < count:
             known = set(values)

@@ -16,16 +16,14 @@ by index arithmetic from the size of the support and the positions of
 the sub-support inside it.  `restrict_type` restricts one type; it is
 the oracle the tables are tested against.
 
-On the bare set and the dense order a table depends on nothing but that
-shape, so a subset's least-support positions and canonical mask depend
-only on (support size, mask).  `least_support` and `canonical` read them
-from the structure's `by_shape` memo, as `class_rank` reads the rank;
-the memo is keyed by class, shared by every structure of a class, and
-holds at most `SHAPE_MEMO_SIZE` values.  The homogeneous structure's
-tables read its relation facts, so its `by_shape` answers None, and its
-subsets walk their support atoms with `is_supported_by`.  The pair model
-has no 1-types: `types_over` and `SupportedSubset` raise
-`StructureMismatch` for it.
+`least_support` (with the canonical mask, which `canonical` reads) and
+`class_rank` each make one call to the structure's `by_shape`, which
+alone decides whether to memoise.  On the bare set and the dense order a
+table depends on nothing but its shape, so the answer is memoised per
+class by (support size, mask), at most `SHAPE_MEMO_SIZE` values; the
+homogeneous structure's tables read its relation facts, so it computes
+from the support's own tables.  The pair model has no 1-types:
+`types_over` and `SupportedSubset` raise `StructureMismatch` for it.
 """
 
 from __future__ import annotations
@@ -109,14 +107,14 @@ class SupportedSubset:
     __slots__ = ("structure", "support", "mask", "_ckey", "_least")
 
     def __init__(self, structure: AtomStructure, support: Iterable[Atom], mask: int):
-        object.__setattr__(self, "structure", structure)
-        object.__setattr__(self, "support", sort_support(structure, support))
+        _set_structure(self, structure)
+        _set_support(self, sort_support(structure, support))
         n = self._width()
         if not 0 <= mask < 1 << n:
             raise ValueError(f"mask {mask} selects outside the {n} types over the support")
-        object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "_ckey", None)
-        object.__setattr__(self, "_least", None)
+        _set_mask(self, mask)
+        _set_ckey(self, None)
+        _set_least(self, None)
 
     def __setattr__(self, *_):
         raise AttributeError("a supported subset is immutable; its least support and key are cached")
@@ -197,18 +195,13 @@ class SupportedSubset:
         least = least_support(self)
         if least == self.support:
             return self
-        shape = self.structure.by_shape(_least_shape, len(self.support), self.mask)
-        if shape is None:
-            mask = _push(restriction_table(self.structure, self.support, least), self.mask)
-        else:
-            mask = shape[1]
-        return SupportedSubset(self.structure, least, mask)
+        return SupportedSubset(self.structure, least, self._least[1])
 
     def canonical_key(self) -> tuple:
         if self._ckey is None:
             c = self.canonical()
             key = (c.structure.kind, tuple(a.sort_key() for a in c.support), c.bits())
-            object.__setattr__(self, "_ckey", key)
+            _set_ckey(self, key)
         return self._ckey
 
     def __eq__(self, other):
@@ -274,6 +267,14 @@ class SupportedSubset:
         return SupportedSubset.from_bits(structure, support, data["bits"])
 
 
+# each slot written through its own descriptor, past the refusing __setattr__
+_set_structure = SupportedSubset.structure.__set__
+_set_support = SupportedSubset.support.__set__
+_set_mask = SupportedSubset.mask.__set__
+_set_ckey = SupportedSubset._ckey.__set__
+_set_least = SupportedSubset._least.__set__
+
+
 def restrict_type(
     structure: AtomStructure, t: tuple, support: Sequence[Atom], sub: Sequence[Atom]
 ) -> tuple:
@@ -295,17 +296,12 @@ def restriction_table(
 def least_support(S: SupportedSubset) -> Tuple[Atom, ...]:
     """Smallest support: the atoms without which the rest of the support
     no longer supports S.  One pass suffices because the intersection of
-    two supports is a support.  Where the structure answers by shape,
-    the positions come from its memo; otherwise the atoms are walked."""
+    two supports is a support.  The structure answers it by shape, with
+    the canonical mask over it, and S keeps both for `canonical`."""
     if S._least is None:
-        E = S.support
-        shape = S.structure.by_shape(_least_shape, len(E), S.mask)
-        if shape is None:
-            least = tuple(e for e in E if not S.is_supported_by(tuple(x for x in E if x != e)))
-        else:
-            least = tuple(E[j] for j in shape[0])
-        object.__setattr__(S, "_least", least)
-    return S._least
+        keep, mask = S.structure.by_shape(_least_shape, S.support, S.mask)
+        _set_least(S, (tuple(S.support[j] for j in keep), mask))
+    return S._least[0]
 
 
 def _least_shape(table, n: int, mask: int) -> Tuple[Tuple[int, ...], int]:

@@ -117,8 +117,8 @@ def engine_choices(command):
 # sha256 of `verify --suite all --json` stdout: any refactor must keep the
 # report byte for byte (it does not depend on PYTHONHASHSEED)
 PINNED_VERIFY_ALL = {
-    "0": "71611088bf4be4e772081dbb36ac66d5db8b867c6f9135c3398f27c4ca39a386",
-    "42": "0bff61b24512ad820d9c4ee7517c33b586581135194a7aed2fca3680ed15f1fd",
+    "0": "ada196fab535a200038134189dbfbe30047287482b6709694e06409b3d6e8c9a",
+    "42": "4c46d2a6c4a74f9f6f6d30acc1a61cb2390d516374506a70b6b5292feb703a2d",
 }
 
 
@@ -453,6 +453,25 @@ class TestRefuteCommand:
         if text is not None:
             tfile.write_text(text)
         assert usage_error(capsys, "refute", "fin-to-seq", "--oracle", f"@{tfile}")
+
+    @pytest.mark.parametrize(
+        "engine, structure, support",
+        [
+            ("fin-to-seq", {"kind": "pure", "atoms": [0, 1]}, [{"world": "pure", "id": "x"}]),
+            ("fin-to-seq", {"kind": "pure", "atoms": [0, "y"]}, []),
+            ("fin-to-seq", {"kind": "pure", "atoms": [0, 1]}, [{"world": "pure", "id": True}]),
+            ("unordered-to-ordered", {"kind": "pairs", "atoms": []}, [{"world": "pairs", "base": "z"}]),
+            ("fin-to-seq", {"kind": "categorical", "nodes": [{"node": "n", "pos": "0/1"}], "rfacts": []}, []),
+        ],
+        ids=["string-id", "string-atom", "bool-id", "string-base", "string-node"],
+    )
+    def test_an_atom_id_that_is_not_a_natural_is_refused(self, tmp_path, engine, structure, support):
+        tfile = tmp_path / "table.json"
+        tfile.write_text(json.dumps({"structure": structure, "support": support, "table": []}))
+        done = run_capped("refute", engine, "--oracle", f"@{tfile}")
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("cannot read oracle table") and "is not a natural" in done.stderr
+        assert len(done.stderr.splitlines()) == 1 and "Traceback" not in done.stderr
 
     @pytest.mark.parametrize("bad", [True, 1.5, -1], ids=["bool", "float", "negative"])
     def test_bad_natural_is_refused(self, tmp_path, capsys, bad):

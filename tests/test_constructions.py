@@ -36,6 +36,7 @@ from choiceless.constructions import (
     Anchors,
     UnordPairsDom,
     _constant_patterns_below,
+    _rank_shape,
     act,
     categorical_power_to_seq,
     categorical_seq_to_power,
@@ -623,7 +624,7 @@ def class_rank_by_sub_supports(S: SupportedSubset):
 
 
 def _memo():
-    return AtomStructure.by_shape.cache_info()
+    return AtomStructure._shape_memo.cache_info()
 
 
 def _gapped_support(kind, n):
@@ -642,7 +643,7 @@ class TestShapeMemo:
         for n in range(4):
             s, atoms = _gapped_support(kind, n)
             for mask in range(1 << s._type_count(n)):
-                AtomStructure.by_shape.cache_clear()
+                AtomStructure._shape_memo.cache_clear()
                 cold = SupportedSubset(s, atoms, mask)
                 walked = canonical_by_walk(cold)
                 got = (least_support(cold), cold.canonical().mask, class_rank(cold))
@@ -678,7 +679,7 @@ class TestShapeMemo:
         entries = _memo().currsize
         for mask in [*range(64), *(rng.getrandbits(width) for _ in range(4))]:
             S = SupportedSubset(s, E, mask)
-            assert s.by_shape(class_rank_by_sub_supports, 2, mask) is None
+            assert s.by_shape(_rank_shape, *canonical_by_walk(S)) == class_rank_by_sub_supports(S)[0]
             assert (least_support(S), S.canonical().mask) == canonical_by_walk(S)
             assert class_rank(S) == class_rank_by_sub_supports(S)
         assert _memo().currsize == entries

@@ -2,14 +2,17 @@ import copy
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from choiceless import labchecks, oracles, refute
-from choiceless.atoms import CAPS, BudgetExceeded, DenseOrderStructure, PairStructure, PureSetStructure
+from choiceless.atoms import CAPS, Atom, BudgetExceeded, DenseOrderStructure, PairStructure, PureSetStructure
 from choiceless.constructions import (
     AtomsDom,
     FinDom,
+    HFSet,
+    HFTuple,
     LabeledNatSetDom,
     NatDom,
     NatSetDom,
@@ -749,6 +752,44 @@ def test_value_keys_agree_with_oracle_keys(engine, monkeypatch):
         for y in pool:
             by_key.setdefault(oracle_key(y), []).append(oracle_key(y))
         assert [list(map(oracle_key, g)) for g in groups] == list(by_key.values())
+
+
+# every type a transcript value may have, and the values nested in it; a
+# dense atom's payload is a `fractions.Fraction`, whose slots Python
+# leaves writable, so it is not walked
+_NESTED = {
+    Atom: lambda a: () if isinstance(a.payload, Fraction) else (a.payload,),
+    HFTuple: lambda t: t.items,
+    HFSet: lambda s: s.members,
+    SupportedSubset: lambda S: (S.support, S.mask),
+    tuple: iter,
+    frozenset: iter,
+    int: lambda n: (),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(oracles.ENGINES))
+def test_every_transcript_value_refuses_assignment_and_deletion(engine, monkeypatch):
+    """Every probe and answer of every built-in oracle, and every value
+    nested in one, refuses to set or delete each slot of its class and a
+    name it has no slot for."""
+    _LoggedOracle.made = []
+    monkeypatch.setattr(oracles, "InjectionOracle", _LoggedOracle)
+    _builtin_runs(engine)
+    todo = [entry for o in _LoggedOracle.made for entry in o.transcript]
+    assert todo
+    seen = set()
+    while todo:
+        v = todo.pop()
+        if id(v) in seen:
+            continue
+        seen.add(id(v))
+        todo.extend(_NESTED[type(v)](v))
+        for name in [n for c in type(v).__mro__ for n in getattr(c, "__slots__", ())] + ["extra"]:
+            with pytest.raises(AttributeError):
+                setattr(v, name, None)
+            with pytest.raises(AttributeError):
+                delattr(v, name)
 
 
 class TestExtractors:
