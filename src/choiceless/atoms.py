@@ -133,6 +133,24 @@ def _pair_key(atom: Atom):
     return (lvl, _pair_key(x), _pair_key(y), eps)
 
 
+class Rational(Fraction):
+    """A dense atom's payload: a `Fraction` whose slots refuse assignment and deletion,
+    so an atom keeps its hash.  It takes `Fraction`'s arguments, as copy and pickle do."""
+
+    __slots__ = ()
+
+    def __new__(cls, numerator=0, denominator=None):
+        q, self = Fraction(numerator, denominator), object.__new__(cls)
+        Fraction._numerator.__set__(self, q.numerator)  # past the refusing __setattr__
+        Fraction._denominator.__set__(self, q.denominator)
+        return self
+
+    def __setattr__(self, *_):
+        raise AttributeError("a dense payload is immutable")
+
+    __delattr__ = __setattr__
+
+
 def _fraction_json(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
@@ -198,11 +216,6 @@ def _cat_rel_formulas(n: int) -> Tuple[tuple, ...]:
                 out.append(("rel", m, i, seq))
     out.sort(key=lambda f: (f[1], f[3], f[2]))
     return tuple(out)
-
-
-def _instantiate(local, E: Sequence[Atom]):
-    _, m, i, seq = local
-    return ("rel", m, i, tuple(E[j] for j in seq))
 
 
 def _cat_type_count(n: int) -> int:
@@ -286,7 +299,9 @@ class AtomStructure:
         raise NotImplementedError
 
     def materialise(self, atom: Atom) -> Atom:
-        """Register an atom built outside the structure."""
+        """Register an atom built outside the structure; one of another universe is refused."""
+        if atom.world != self.kind:
+            raise StructureMismatch(f"{atom!r} does not belong to a {self.kind} structure")
         return self.atom(atom.payload)
 
     def _probe_pool(self, avoid: set) -> Iterable[Atom]:
@@ -484,7 +499,7 @@ class DenseOrderStructure(AtomStructure):
             self.atom(q)
 
     def atom(self, q) -> Atom:
-        atom = Atom(DENSE_ORDER, Fraction(q))
+        atom = Atom(DENSE_ORDER, Rational(q))
         self._atoms.add(atom)
         return atom
 
@@ -556,7 +571,7 @@ class DenseOrderStructure(AtomStructure):
 
     @staticmethod
     def payload_from_json(data: dict) -> Atom:
-        return Atom(DENSE_ORDER, Fraction(data["q"]))
+        return Atom(DENSE_ORDER, Rational(data["q"]))
 
     def to_json(self):
         return {"kind": "dense", "atoms": [_fraction_json(a.payload) for a in self.atoms()]}
@@ -591,6 +606,8 @@ class PairStructure(AtomStructure):
         self._payloads.add(i)
         return Atom(PAIR_MODEL, i)
 
+    atom = base_atom  # what `materialise` registers a level-0 atom with
+
     def fresh(self, count: int = 1, avoid: Iterable[Atom] = ()) -> List[Atom]:
         """Fresh level-0 atoms."""
         used = {p for p in self._payloads if isinstance(p, int)}
@@ -611,8 +628,8 @@ class PairStructure(AtomStructure):
 
     def materialise(self, atom: Atom) -> Atom:
         """Re-register an atom built structurally (components included)."""
-        if isinstance(atom.payload, int):
-            return self.base_atom(atom.payload)
+        if atom.world != PAIR_MODEL or isinstance(atom.payload, int):
+            return super().materialise(atom)
         lvl, (x, y), eps = atom.payload
         return self.pair_atom(lvl, self.materialise(x), self.materialise(y), eps)
 
@@ -905,12 +922,10 @@ class CategoricalStructure(AtomStructure):
     _type_count = staticmethod(_cat_type_count)
 
     def type_of(self, atom, E):
+        # the relation formulas off the atom's facts, parameters renamed to their positions in E
         below = sum(1 for x in E if self.lt(x, atom))
-        rels = frozenset(
-            f
-            for f in _cat_rel_formulas(len(E))
-            if self.formula_holds(_instantiate(f, E), atom)
-        )
+        where = {e: j for j, e in enumerate(E)}
+        rels = frozenset((tag, m, i, tuple(where[p] for p in ps)) for tag, m, i, ps in self.rel_formulas(atom, E))
         return ("typ", below, rels)
 
     def _restrict_outside(self, t, E, sub_index):
@@ -983,7 +998,9 @@ class CategoricalStructure(AtomStructure):
             s._pos[_nat_id(node["node"])] = Fraction(node["pos"])
         s._next = max(s._pos, default=-1) + 1
         for n, ids in data["rfacts"]:
-            s._rfacts.add((n, tuple(map(_nat_id, ids))))
+            if n != len(ids) - 1:
+                raise ValueError(f"relation fact {ids} is not {n}-indexed")
+            s.declare_rel([Atom(CATEGORICAL, _nat_id(i)) for i in ids])
         return s
 
 
@@ -1037,12 +1054,6 @@ class PartialAutomorphism:
         worlds = {a.world for a in self.pairs} | {b.world for b in self.pairs.values()}
         if len(worlds) > 1:
             raise StructureMismatch(f"mixed atom worlds {sorted(worlds)}")
-
-    def __len__(self):
-        return len(self.pairs)
-
-    def __contains__(self, atom):
-        return atom in self.pairs
 
     def items(self):
         return sorted(self.pairs.items(), key=lambda kv: kv[0].sort_key())

@@ -131,8 +131,7 @@ def cmd_extract(args) -> int:
     name = args.oracle or next(iter(spec.oracles))
     if name not in spec.oracles:
         return _usage_error(f"unknown oracle {name!r} for {engine}; have {list(spec.oracles)}")
-    result = oracles.extract(engine, name, T, args.copies)
-    ok = result.ok if spec.oracles[name].honest else not result.ok
+    result, ok = labchecks.extractor_verdict(engine, name, T, args.copies)
     check = labchecks.check(
         f"extract-{engine}-{name}",
         "honest oracles stream pairwise-distinct values; cheating "

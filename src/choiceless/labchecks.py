@@ -191,17 +191,10 @@ def random_dense_automorphism(
     """A random order automorphism fixing `fixed` pointwise and assigning
     fresh random rational images, above the fixed block, to `moved`."""
     top = max([a.payload for a in fixed], default=Fraction(0))
-    values = sorted(
-        top + Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 997)) for _ in moved
-    )
-    while len(set(values)) < len(values):
-        values = sorted(
-            top + Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 997)) for _ in moved
-        )
-    constraints = {
-        a: structure.atom(v)
-        for a, v in zip(sorted(moved, key=lambda x: x.payload), values)
-    }
+    values = []
+    while len(set(values)) < len(moved):  # redrawn whole until the values are distinct
+        values = sorted(top + Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 997)) for _ in moved)
+    constraints = dict(zip(sorted(moved, key=lambda x: x.payload), map(structure.atom, values)))
     return extend_fixing(structure, fixed, constraints)
 
 
@@ -313,12 +306,30 @@ def check_injections(seed: int, probes: int = 100) -> List[dict]:
         )
     )
 
-    # homogeneous-structure maps
+    # homogeneous-structure maps, over nodes that carry no relation facts
     cs = CategoricalStructure()
-    e = [fresh_realizer(cs, []) for _ in range(3)]
+    nodes = [fresh_realizer(cs, []) for _ in range(5)]
+    ok, sequences, subsets = homogeneous_maps(cs, nodes, min(probes, 24), [(nodes[0],)])
+    out.append(
+        check(
+            "inject-homogeneous-maps",
+            "relation tagging embeds sequences into the power object, rank "
+            "padding embeds it back into sequences, both injectively and "
+            "stably under moving parameters to same-type atoms",
+            {"sequences": sequences, "subsets": subsets},
+            ok,
+        )
+    )
+    return out
+
+
+def homogeneous_maps(cs: CategoricalStructure, e: Sequence[Atom], probes: int, moved: list) -> Tuple[bool, int, int]:
+    """(ok, sequences, subsets): the sequence map over e[:2] and the rank map with markers
+    e[3:5] are injective, and the sequence map commutes on the inputs `moved` with
+    `probes` moves that send e[0] to a fresh atom of its type over the markers."""
+    markers = list(e[3:5])
     phi_in = [ys for k in range(3) for ys in itertools.permutations(e[:2], k)]
     phis = {ys: categorical_seq_to_power(cs, ys) for ys in phi_in}
-    marker_a, marker_b = fresh_realizer(cs, []), fresh_realizer(cs, [])
     psis = {}
     for sup in [(), (e[0],), (e[0], e[1])]:
         ranks = 0
@@ -326,30 +337,15 @@ def check_injections(seed: int, probes: int = 100) -> List[dict]:
             S = SupportedSubset.from_bits(cs, sup, bits)
             if least_support(S) != tuple(cs.sorted_by_order(sup)):
                 continue
-            psis[(sup, bits)] = categorical_power_to_seq(S, marker_a, marker_b)
+            psis[(sup, bits)] = categorical_power_to_seq(S, *markers)
             ranks += 1
             if ranks >= 8:
                 break
-    # equivariance probes: move the parameters to fresh same-type atoms
-    markers = [marker_a, marker_b]
-    moves = (
-        extend_fixing(cs, markers, {e[0]: same_type_realizer(cs, e[0], markers)}) for _ in range(min(probes, 24))
+    moves = (extend_fixing(cs, markers, {e[0]: same_type_realizer(cs, e[0], markers)}) for _ in range(probes))
+    ok = _injective(phis) and _injective(psis) and _commutes(
+        moves, phis, lambda pi, ys: categorical_seq_to_power(cs, tuple(map(pi.apply, ys))), moved
     )
-    out.append(
-        check(
-            "inject-homogeneous-maps",
-            "relation tagging embeds sequences into the power object, rank "
-            "padding embeds it back into sequences, both injectively and "
-            "stably under moving parameters to same-type atoms",
-            {"sequences": len(phi_in), "subsets": len(psis)},
-            _injective(phis)
-            and _injective(psis)
-            and _commutes(
-                moves, phis, lambda pi, ys: categorical_seq_to_power(cs, tuple(map(pi.apply, ys))), [(e[0],)]
-            ),
-        )
-    )
-    return out
+    return ok, len(phi_in), len(psis)
 
 
 # ---------------------------------------------------------------------------
@@ -538,46 +534,47 @@ def check_exhaustive_refutations(max_support: int = 1) -> List[dict]:
 # extractor checks
 
 
+def extractor_verdict(engine: str, name: str, T: int, copies: int = 1):
+    """The extractor's run on its built-in oracle `name` and its verdict: an honest
+    oracle streams T pairwise-distinct values, a cheat is convicted by a collapse."""
+    result = oracles.extract(engine, name, T, copies)
+    if oracles.EXTRACT[engine].oracles[name].honest:
+        return result, result.ok and len(set(result.values)) == T
+    return result, not result.ok
+
+
 def check_extractors(T: int) -> List[dict]:
-    r = oracles.extract("fin-to-atom", "fresh-max", T)
-    rc = oracles.extract("fin-to-atom", "max-or-zero", T)
-    r2 = oracles.extract("seqstar-to-seq", "fresh-block", T)
-    rc2 = oracles.extract("seqstar-to-seq", "const-empty", T)
-    surplus_ok = True
-    for n in (1, 2):
-        rs = oracles.extract("surplus", "shift-encode", T, n)
-        surplus_ok &= rs.ok and len(set(rs.values)) == T
-    surplus_ok &= not oracles.extract("surplus", "const", T).ok
-    rp = oracles.extract("partition", "fresh-singleton", T)
-    rpc = oracles.extract("partition", "const", T)
+    def passes(engine, *names, copies=1):
+        return all(extractor_verdict(engine, name, T, copies)[1] for name in names)
+
     return [
         check(
             "extract-fin-to-atom",
             "the growing-set iteration streams distinct atoms on the honest "
             "oracle and convicts the repeating one",
             {"T": T},
-            r.ok and len(set(r.values)) == T and not rc.ok,
+            passes("fin-to-atom", "fresh-max", "max-or-zero"),
         ),
         check(
             "extract-seqstar-to-seq",
             "constant-sequence probing keeps producing first-occurrence atoms "
             "and convicts a repeating oracle",
             {"T": T},
-            r2.ok and len(set(r2.values)) == T and not rc2.ok,
+            passes("seqstar-to-seq", "fresh-block", "const-empty"),
         ),
         check(
             "extract-surplus",
             "the labelled sweep streams distinct subsets for one and two "
             "surplus copies and convicts the constant oracle",
             {"T": T, "n": [1, 2]},
-            surplus_ok,
+            passes("surplus", "shift-encode", "const") and passes("surplus", "shift-encode", copies=2),
         ),
         check(
             "extract-partition",
             "block refinement streams distinct subsets on the honest oracle "
             "and convicts the constant one at its second probe",
             {"T": T},
-            rp.ok and len(set(rp.values)) == T and not rpc.ok,
+            passes("partition", "fresh-singleton", "const"),
         ),
     ]
 

@@ -56,18 +56,13 @@ from .refute import InjectionOracle, OracleAnswerError
 from .symsets import SupportedSubset, count_supported
 
 
-def _seqs_up_to(atoms: Sequence[Atom], max_len: int) -> List[HFTuple]:
-    out = [hftuple(())]
-    for k in range(1, max_len + 1):
-        out.extend(hftuple(p) for p in itertools.permutations(atoms, k))
-    return out
+def _up_to(words: Callable) -> Callable[[Sequence[Atom], int], List[HFTuple]]:
+    """The builder of every tuple `words(atoms, k)` gives for k up to a length, shortest first."""
+    return lambda atoms, max_len: [hftuple(p) for k in range(max_len + 1) for p in words(atoms, k)]
 
 
-def _tuples_up_to(atoms: Sequence[Atom], max_len: int) -> List[HFTuple]:
-    out = [hftuple(())]
-    for k in range(1, max_len + 1):
-        out.extend(hftuple(p) for p in itertools.product(atoms, repeat=k))
-    return out
+_seqs_up_to = _up_to(itertools.permutations)
+_tuples_up_to = _up_to(lambda atoms, k: itertools.product(atoms, repeat=k))
 
 
 def _subsets_over(structure, supports: Sequence[Sequence[Atom]]) -> List[SupportedSubset]:
@@ -281,7 +276,7 @@ ENGINES: Dict[str, object] = {
             "first-n-atoms": Builtin(True, _first_n_atoms),
             "const-empty": Builtin(False, lambda s, *_: lambda n: SupportedSubset.empty(s)),
             "random": Builtin(
-                False, _random(2, lambda s, E, extra: _subsets_over(s, [(), E[:1], extra[:1], E[:1] + extra[:1]]))
+                False, _random(1, lambda s, E, extra: _subsets_over(s, [(), E[:1], extra, E[:1] + extra]))
             ),
         },
         run=lambda o, **_: refute.refute_nat_to_power_fraenkel(o),
@@ -392,9 +387,8 @@ def scripted_refute_oracle(engine: str, data: dict):
         hf_from_json(x, structure): hf_from_json(y, structure)
         for x, y in data["table"]
     }
-    for value in list(table) + list(table.values()):
-        if isinstance(value, SupportedSubset):
-            continue
+    # refused unless of the table's universe; a subset's support was checked by its `from_json`
+    for value in [*support, *table, *table.values()]:
         for atom in atoms_of(value):
             structure.materialise(atom)
 

@@ -573,15 +573,6 @@ def extract_from_partition_injection(
 # ---------------------------------------------------------------------------
 # pair-model engine
 
-def _pair_closed(E: Sequence[Atom]) -> bool:
-    have = set(E)
-    for e in E:
-        if e.level > 0:
-            _, (x, y), _ = e.payload
-            if x not in have or y not in have:
-                return False
-    return True
-
 
 @refutation_engine
 def refute_unordered_to_ordered_pairmodel(oracle: InjectionOracle, budget: int):
@@ -608,7 +599,7 @@ def refute_unordered_to_ordered_pairmodel(oracle: InjectionOracle, budget: int):
     k = len(E)
     if k > CAPS["support"]:
         raise BudgetExceeded("support", k, f"a {k}-atom support", "atoms")
-    if not _pair_closed(E):
+    if not {h for e in E for h in PairStructure.hereditary_atoms(e)} <= set(E):
         raise ValueError("support must contain the components of its pair atoms")
     r = k + 4
     needed = ramsey_upper(r * r)

@@ -199,9 +199,9 @@ class SupportedSubset:
 
     def canonical_key(self) -> tuple:
         if self._ckey is None:
-            c = self.canonical()
-            key = (c.structure.kind, tuple(a.sort_key() for a in c.support), c.bits())
-            _set_ckey(self, key)
+            least, mask = least_support(self), self._least[1]
+            bits = format(mask, f"0{self.structure._type_count(len(least))}b")[::-1]
+            _set_ckey(self, (self.structure.kind, tuple(a.sort_key() for a in least), bits))
         return self._ckey
 
     def __eq__(self, other):

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -21,8 +23,10 @@ from choiceless.atoms import (
     PairStructure,
     PartialAutomorphism,
     PureSetStructure,
+    Rational,
     StructureMismatch,
     UnsatisfiableType,
+    _cat_rel_formulas,
     atom_from_json,
     atom_to_json,
     extend_fixing,
@@ -316,6 +320,29 @@ class TestCategorical:
         plain = fresh_realizer(s, [])
         assert extend_fixing(s, [e0, e1], {a: plain}) is None
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_type_of_reads_the_facts_as_the_formula_enumeration_does(self, seed):
+        """Differential test: the 1-type read off the relation facts equals
+        the type found by testing every relation formula over E, on random
+        facts of arity 1 to 4, many of whose entries lie outside E."""
+        rng = random.Random(seed)
+        s = CategoricalStructure()
+        nodes = []
+        for _ in range(7):
+            nodes.append(fresh_realizer(s, [f_lt(rng.choice(nodes))] if nodes and rng.random() < 0.5 else []))
+        for _ in range(rng.randint(0, 14)):
+            s.declare_rel(rng.sample(nodes, rng.randint(1, 4)))
+        for _ in range(10):
+            E = tuple(s.sorted_by_order(rng.sample(nodes, rng.randint(0, 3))))
+            for atom in (a for a in nodes if a not in E):
+                below = sum(1 for x in E if s.lt(x, atom))
+                rels = frozenset(
+                    f
+                    for f in _cat_rel_formulas(len(E))
+                    if s.formula_holds(("rel", f[1], f[2], tuple(E[j] for j in f[3])), atom)
+                )
+                assert s.type_of(atom, E) == ("typ", below, rels)
+
     def test_back_and_forth_keeps_partial_iso(self):
         s = CategoricalStructure()
         e0, e1 = s.fresh(2)
@@ -475,6 +502,47 @@ def test_universe_json_roundtrip_and_materialise(make):
         assert a not in other
         assert other.materialise(a) == a
         assert a in other
+
+
+def test_materialise_refuses_an_atom_of_another_universe():
+    half = DenseOrderStructure().atom(Fraction(1, 2))
+    for s in (PureSetStructure(2), DenseOrderStructure(), PairStructure(2), _categorical_sample()):
+        foreign = half if s.kind == PURE_SET else Atom(PURE_SET, 0)
+        with pytest.raises(StructureMismatch, match="does not belong"):
+            s.materialise(foreign)
+        assert foreign not in s
+    # a pair atom over bare-set components, built directly and read from JSON
+    bare = (Atom(PURE_SET, 0), Atom(PURE_SET, 1))
+    with pytest.raises(StructureMismatch):
+        PairStructure().materialise(Atom(PAIR_MODEL, (1, bare, 0)))
+    with pytest.raises(StructureMismatch):
+        structure_from_json({"kind": "pairs", "atoms": [atom_to_json(bare[0])]})
+
+
+@pytest.mark.parametrize(
+    "rfact", [[1, [0, 0]], [2, [0, 1]], [0, [5]]], ids=["repeated-entry", "wrong-index", "not-a-node"]
+)
+def test_categorical_json_refuses_a_malformed_relation_fact(rfact):
+    data = {"kind": "categorical", "nodes": [{"node": i, "pos": str(i)} for i in range(2)], "rfacts": [rfact]}
+    with pytest.raises(ValueError):
+        structure_from_json(data)
+
+
+def test_a_dense_payload_refuses_change_and_survives_copies():
+    s = DenseOrderStructure()
+    b = s.atom(Fraction(1, 2))
+    for name in ("_numerator", "_denominator", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(b.payload, name, 7)
+        with pytest.raises(AttributeError):
+            delattr(b.payload, name)
+    assert repr(b) == "a(1/2)" and b == Atom(DENSE_ORDER, Fraction(1, 2)) and b in s
+    copies = [copy.copy(b.payload), copy.deepcopy(b.payload), pickle.loads(pickle.dumps(b.payload))]
+    copies += [atom_from_json(atom_to_json(b)).payload, DenseOrderStructure.from_json(s.to_json()).atoms()[0].payload]
+    for q in copies:
+        assert type(q) is Rational and q == Fraction(1, 2) and hash(q) == hash(Fraction(1, 2))
+    # arithmetic gives plain fractions, which `atom` freezes again
+    assert type(b.payload + 1) is Fraction and type(s.atom(b.payload + 1).payload) is Rational
 
 
 def test_structure_json_roundtrip():

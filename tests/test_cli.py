@@ -61,6 +61,9 @@ def _atom(i):
     return {"id": i, "world": "pure"}
 
 
+_DENSE = {"world": "dense", "q": "1/2"}
+
+
 def _seq(*ids):
     return {"tuple": [{"atom": _atom(i)} for i in ids]}
 
@@ -445,8 +448,26 @@ class TestRefuteCommand:
                     ],
                 }
             ),
+            # a dense atom in a bare-set table: as an answer, and as a support atom
+            json.dumps(
+                {
+                    "structure": {"kind": "pure", "atoms": [0, 1]},
+                    "support": [],
+                    "table": [[{"set": [{"atom": _atom(0)}, {"atom": _atom(1)}]}, {"tuple": [{"atom": _DENSE}]}]],
+                }
+            ),
+            json.dumps(
+                {
+                    "structure": {"kind": "pure", "atoms": [0, 1]},
+                    "support": [_DENSE],
+                    "table": [[{"set": [{"atom": _atom(0)}, {"atom": _atom(1)}]}, {"tuple": []}]],
+                }
+            ),
         ],
-        ids=["missing", "not-json", "not-an-object", "no-structure", "no-table", "bad-bits"],
+        ids=[
+            "missing", "not-json", "not-an-object", "no-structure", "no-table", "bad-bits",
+            "foreign-answer-atom", "foreign-support-atom",
+        ],
     )
     def test_unreadable_table_is_a_usage_error(self, tmp_path, capsys, text):
         tfile = tmp_path / "table.json"

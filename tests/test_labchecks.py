@@ -1,12 +1,25 @@
 """The lab's own checks can fail: each is run against a broken counterpart
 of what it checks and must report FAIL.  Also the two steps the injection
-checks share, and the cap on `--max-atoms`."""
+checks share, the homogeneous probes over relation facts, the one
+extractor verdict, and the cap on `--max-atoms`."""
+
+import itertools
 
 import pytest
 
 from choiceless import labchecks, oracles
-from choiceless.atoms import CAPS, BudgetExceeded, DenseOrderStructure, PureSetStructure, extend_fixing
+from choiceless.atoms import (
+    CAPS,
+    BudgetExceeded,
+    CategoricalStructure,
+    DenseOrderStructure,
+    PureSetStructure,
+    extend_fixing,
+    fresh_realizer,
+)
+from choiceless.cli import main
 from choiceless.constructions import hfset, hftuple, kuratowski, seq_to_chain
+from choiceless.refute import StreamResult
 from choiceless.symsets import FraenkelClass
 
 
@@ -120,6 +133,49 @@ class TestProbe:
         x, y = hfset(hfset(a, b), hfset(b)), hfset(hfset(b), hfset(b, a), hfset(b))
         assert x == y and hash(x) == hash(y) and x.items == y.items
         assert x != hfset(hfset(a), hfset(a, b))
+
+
+class TestHomogeneousMaps:
+    """The probes of `inject-homogeneous-maps`, over nodes that carry
+    relation facts, some of them reaching outside the probed nodes."""
+
+    @staticmethod
+    def probe(monkeypatch):
+        """The probes' verdict and counts, every sequence input moved."""
+        cs = CategoricalStructure()
+        e = [fresh_realizer(cs, []) for _ in range(6)]
+        for fact in [(e[0], e[3]), (e[4], e[0], e[1]), (e[1],), (e[2], e[0]), (e[1], e[3]), (e[5], e[0], e[4])]:
+            cs.declare_rel(fact)
+        calls = {"declare_rel": 0, "lift_image": 0}
+        for name in calls:
+            real = getattr(CategoricalStructure, name)
+
+            def counted(self, *args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(self, *args)
+
+            monkeypatch.setattr(CategoricalStructure, name, counted)
+        moved = [ys for k in range(3) for ys in itertools.permutations(e[:2], k)]
+        return labchecks.homogeneous_maps(cs, e, 24, moved), calls
+
+    def test_the_maps_pass_over_relation_facts(self, monkeypatch):
+        (ok, sequences, subsets), calls = self.probe(monkeypatch)
+        assert (ok, sequences, subsets) == (True, 5, 20)
+        # the moves realise e[0]'s facts over the markers, and the lifts place the other nodes
+        assert calls["declare_rel"] > 0 and calls["lift_image"] > 0
+
+    def test_a_realizer_that_drops_the_facts_fails(self, monkeypatch):
+        monkeypatch.setattr(labchecks, "same_type_realizer", lambda cs, atom, over: fresh_realizer(cs, []))
+        assert self.probe(monkeypatch)[0][0] is False
+
+
+class TestExtractorVerdict:
+    def test_an_honest_stream_with_a_repeat_fails_the_check_and_the_command(self, monkeypatch, capsys):
+        monkeypatch.setattr(oracles, "extract", lambda engine, name, T, copies=1: StreamResult([frozenset()] * T))
+        assert labchecks.extractor_verdict("partition", "fresh-singleton", 3)[1] is False
+        assert verdicts(labchecks.check_extractors(3))["extract-partition"] is False
+        assert main(["extract", "partition", "--oracle", "fresh-singleton", "-T", "3"]) == 1
+        assert "[FAIL] extract-partition-fresh-singleton" in capsys.readouterr().out
 
 
 class TestPoolCap:

@@ -2,12 +2,19 @@ import copy
 import itertools
 import json
 import random
-from fractions import Fraction
 
 import pytest
 
 from choiceless import labchecks, oracles, refute
-from choiceless.atoms import CAPS, Atom, BudgetExceeded, DenseOrderStructure, PairStructure, PureSetStructure
+from choiceless.atoms import (
+    CAPS,
+    Atom,
+    BudgetExceeded,
+    DenseOrderStructure,
+    PairStructure,
+    PureSetStructure,
+    Rational,
+)
 from choiceless.constructions import (
     AtomsDom,
     FinDom,
@@ -755,10 +762,11 @@ def test_value_keys_agree_with_oracle_keys(engine, monkeypatch):
 
 
 # every type a transcript value may have, and the values nested in it; a
-# dense atom's payload is a `fractions.Fraction`, whose slots Python
-# leaves writable, so it is not walked
+# dense atom's payload is a `Rational`, whose numerator and denominator
+# are plain ints
 _NESTED = {
-    Atom: lambda a: () if isinstance(a.payload, Fraction) else (a.payload,),
+    Atom: lambda a: (a.payload,),
+    Rational: lambda q: (),
     HFTuple: lambda t: t.items,
     HFSet: lambda s: s.members,
     SupportedSubset: lambda S: (S.support, S.mask),
