@@ -100,6 +100,9 @@ class Atom:
 
     __delattr__ = __setattr__
 
+    def __reduce__(self):  # copy and pickle rebuild it: `__setattr__` refuses
+        return Atom, (self.world, self.payload)
+
     def __eq__(self, other):
         return (
             isinstance(other, Atom)

@@ -17,33 +17,43 @@ from math import factorial
 from typing import Dict, Iterable, KeysView, List, Optional, Sequence, Set, Tuple
 
 
+# how each operation shows, given its inner expression's display and n
+_SHOW = {
+    "base": "m", "aleph0": "aleph0", "e": "e", "times": "{1}*{0}",
+    "fin": "Fin({0})", "injseq": "Seq({0})", "anyseq": "seq({0})", "pow": "2^({0})",
+    "pairs2": "[{0}]^2", "square": "({0})^2", "part": "Part({0})",
+}
+
+
 class CExpr:
     """Cardinal expression, hash-consed: there is one object per distinct
-    (op, inner, n), so equality and hashing are identity.  The key, which
-    sorting uses, is computed once from the inner expression's key."""
+    (op, inner, n), so equality and hashing are identity.  Its sort key and
+    its display are computed once, from the inner expression's."""
 
-    __slots__ = ("op", "inner", "n", "_key")
+    __slots__ = ("op", "inner", "n", "_key", "_show")
     _table: Dict[Tuple[str, Optional["CExpr"], Optional[int]], "CExpr"] = {}
 
     def __new__(cls, op: str, inner: Optional["CExpr"] = None, n: Optional[int] = None):
         self = cls._table.get((op, inner, n))
         if self is None:
-            key = (op, inner._key if inner is not None else None, n)
+            key = (op, inner and inner._key, n)
+            show = _SHOW[op].format(inner and inner._show, n)
             self = cls._table[op, inner, n] = object.__new__(cls)
-            object.__setattr__(self, "op", op)
-            object.__setattr__(self, "inner", inner)
-            object.__setattr__(self, "n", n)
-            object.__setattr__(self, "_key", key)
+            for name, value in zip(cls.__slots__, (op, inner, n, key, show)):
+                object.__setattr__(self, name, value)
         return self
 
     def __setattr__(self, *_):
         raise AttributeError("expressions are immutable")
 
+    def __reduce__(self):  # rebuilding finds the one interned object
+        return CExpr, (self.op, self.inner, self.n)
+
     def key(self):
         return self._key
 
     def __repr__(self):
-        return display(self)
+        return self._show
 
 
 def _built(op: str, inner: Optional[CExpr], n: Optional[int] = None) -> Optional[CExpr]:
@@ -90,25 +100,8 @@ def times(n: int, e: CExpr) -> CExpr:
     return CExpr("times", e, n)
 
 
-_SHOW = {
-    "base": "m",
-    "aleph0": "aleph0",
-    "fin": "Fin({0})",
-    "injseq": "Seq({0})",
-    "anyseq": "seq({0})",
-    "pow": "2^({0})",
-    "pairs2": "[{0}]^2",
-    "square": "({0})^2",
-    "part": "Part({0})",
-}
-
-
 def display(e: CExpr) -> str:
-    if e.op in ("base", "aleph0"):
-        return _SHOW[e.op]
-    if e.op == "times":
-        return f"{e.n}*{display(e.inner)}"
-    return _SHOW[e.op].format(display(e.inner))
+    return e._show
 
 
 def subterms(e: CExpr) -> Set[CExpr]:
@@ -261,25 +254,34 @@ _SCHEMAS = [
 ]
 
 
-def _at(t: CExpr, e: CExpr) -> Optional[CExpr]:
-    """The schema term t with e for the term it ranges over, if built."""
-    if t is _E:
-        return e
-    if t.inner is None:
-        return t
-    inner = _at(t.inner, e)
-    return None if inner is None else _built(t.op, inner, t.n)
+def _steps(t: CExpr) -> Tuple[Optional[CExpr], Tuple[Tuple[str, Optional[int]], ...]]:
+    """A schema side as the term it starts from (None for e) and the
+    (op, n) steps that build it from there, innermost first."""
+    if t is _E or t.inner is None:
+        return (None if t is _E else t), ()
+    start, steps = _steps(t.inner)
+    return start, steps + ((t.op, t.n),)
+
+
+# the schema rows compiled: (relation, lhs steps, rhs steps, rule)
+_ROWS = [(rel, _steps(lhs), _steps(rhs), f"schema:{name}") for rel, lhs, rhs, name in _SCHEMAS]
 
 
 def _add_schemas(cl: Closure):
     """Record each schema row at every term e, in term order, where both
-    of its sides are in the universe."""
-    U = cl.universe
+    of its sides are in the universe.  Each step of a side is one lookup
+    in the intern table, which builds nothing: a side never built is in
+    no universe."""
+    U, get = cl.universe, CExpr._table.get
     for e in sorted(U, key=CExpr.key):
-        for rel, lhs, rhs, name in _SCHEMAS:
-            a, b = _at(lhs, e), _at(rhs, e)
+        for rel, (a, lsteps), (b, rsteps), rule in _ROWS:
+            a, b = a or e, b or e
+            for op, n in lsteps:
+                a = get((op, a, n))
+            for op, n in rsteps:
+                b = get((op, b, n))
             if a in U and b in U:
-                cl.add((rel, a, b), f"schema:{name}")
+                cl.add((rel, a, b), rule)
 
 
 def _index(facts: Iterable[Fact], index=None):
@@ -302,17 +304,16 @@ def _fixpoint(cl: Closure):
     """Semi-naive rounds.  A round joins the facts new since the last round
     against the facts known at its start, found through indexes; a join of
     old facts alone would only re-derive what the last round recorded.
-    Each rule walks its matches in derivation order, so a round records
-    the same facts, in the same order and from the same premises, as
-    joining all pairs, and the trace is the same in every process.  A rule
-    whose other premise is a single lookup checks every fact."""
-    U = cl.universe
+    So a two-premise rule visits the new facts and only those old ones that
+    a new fact can join.  Each rule walks its matches in derivation order,
+    so a round records the same facts, in the same order and from the same
+    premises, as joining all pairs, and the trace is the same in every
+    process.  A derivation of a known fact costs one lookup."""
+    U, trace = cl.universe, cl.trace
 
     def emit(fact, rule, premises):
-        rel, a, b = fact
-        if a not in U or b not in U:
-            return
-        if cl.add(fact, rule, premises):
+        if fact not in trace and fact[1] in U and fact[2] in U:
+            trace[fact] = (rule, premises)
             _check_contra(cl, fact)
 
     pos: Dict[Fact, int] = {}  # round-start facts by trace position
@@ -320,101 +321,107 @@ def _fixpoint(cl: Closure):
     changed = True
     while changed:
         cl.rounds += 1
-        batch = list(itertools.islice(cl.trace, len(pos), None))
+        batch = list(itertools.islice(trace, len(pos), None))
         pos.update(zip(batch, itertools.count(len(pos))))
         by_rel, lhs, rhs, touch = index = _index(batch, index)
         new_rel, new_lhs, new_rhs, new_touch = _index(batch)
         new = set(batch)
-        les = by_rel["le"]
+        new_les, new_eqs = new_rel.get("le", ()), new_rel.get("eq", ())
 
         def walk(*groups):
             return sorted(set(itertools.chain(*groups)), key=pos.__getitem__)
 
         # symmetry and definitional components
-        for f in new_rel["eq"]:
+        for f in new_eqs:
             _, a, b = f
             emit(("eq", b, a), "eq-symmetric", (f,))
             emit(("le", a, b), "eq-both-ways", (f,))
             emit(("le", b, a), "eq-both-ways", (f,))
-        for f in new_rel["ne"]:
+        for f in new_rel.get("ne", ()):
             _, a, b = f
             emit(("ne", b, a), "ne-symmetric", (f,))
-        for f in new_rel["inc"]:
+        for f in new_rel.get("inc", ()):
             _, a, b = f
             emit(("inc", b, a), "incomparable-symmetric", (f,))
             emit(("nle", a, b), "incomparable-means-no-map", (f,))
             emit(("nle", b, a), "incomparable-means-no-map", (f,))
-        for f in new_rel["le"]:
+        for f in new_les:
             _, a, b = f
             emit(("lestar", a, b), "injection-gives-surjection", (f,))
-        # transitive and mixed rules
-        for f in les:
+        # transitive and mixed rules.  An old le(a, b) joins a new fact only
+        # if b starts a new le (which le(b, a) does) or is a term of a new ne
+        below = [rhs.get(("le", b), ()) for b in {g[1] for g in new_les}]
+        for f in walk(new_les, *below):
             _, a, b = f
-            for g in (lhs if f in new else new_lhs)["le", b]:
-                emit(("le", a, g[2]), "le-transitive", (f, g))
+            for g in (lhs if f in new else new_lhs).get(("le", b), ()):
+                if (h := ("le", a, g[2])) not in trace:
+                    emit(h, "le-transitive", (f, g))
             if ("le", b, a) in pos:
                 emit(("eq", a, b), "cantor-bernstein", (f, ("le", b, a)))
-        for f in les:
+        ne_terms = {t for g in new_rel.get("ne", ()) for t in g[1:]}
+        for f in walk(new_les, *below, *(rhs.get(("le", t), ()) for t in ne_terms)):
             _, a, b = f
             if f in new:
-                ups = walk(lhs["ne", b], rhs["ne", b])
+                ups = walk(lhs.get(("ne", b), ()), rhs.get(("ne", b), ()))
             else:  # a new ne fact at b, or an old one beside a new le(b, c)
-                cs = [h[2] for h in new_lhs["le", b]]
+                cs = [h[2] for h in new_lhs.get(("le", b), ())]
                 via = [g for c in cs for g in (("ne", b, c), ("ne", c, b)) if g in pos]
-                ups = walk(new_lhs["ne", b], new_rhs["ne", b], via)
+                ups = walk(new_lhs.get(("ne", b), ()), new_rhs.get(("ne", b), ()), via)
             for g in ups:
                 c = g[2] if g[1] == b else g[1]
-                if ("le", b, c) in pos:
-                    emit(("ne", a, c), "strictness-travels-up", (f, ("le", b, c), g))
-            for g in walk(g for g in (("ne", a, b), ("ne", b, a)) if g in pos):
-                for h in (lhs if f in new or g in new else new_lhs)["le", b]:
-                    emit(("ne", a, h[2]), "strictness-travels-down", (f, g, h))
-        for f in by_rel["nle"]:
+                if ("le", b, c) in pos and (h := ("ne", a, c)) not in trace:
+                    emit(h, "strictness-travels-up", (f, ("le", b, c), g))
+            for g in walk({("ne", a, b), ("ne", b, a)} & pos.keys()):
+                for h in (lhs if f in new or g in new else new_lhs).get(("le", b), ()):
+                    if (k := ("ne", a, h[2])) not in trace:
+                        emit(k, "strictness-travels-down", (f, g, h))
+        for f in by_rel.get("nle", ()):
             _, a, b = f
             into, out = (rhs, lhs) if f in new else (new_rhs, new_lhs)
-            for g in walk(into["le", b], out["le", a]):
+            for g in walk(into.get(("le", b), ()), out.get(("le", a), ())):
                 if g[2] == b:
                     emit(("nle", a, g[1]), "no-map-into-smaller", (f, g))
                 if g[1] == a:
                     emit(("nle", g[2], b), "no-map-from-larger", (f, g))
             if ("nle", b, a) in cl.facts:
                 emit(("inc", a, b), "mutually-unmapped", (f, ("nle", b, a)))
-        # equality substitution
-        for f in by_rel["eq"]:
+        # equality substitution, where an old eq(a, b) joins only the new
+        # facts that mention a
+        for f in walk(new_eqs, *(lhs.get(("eq", t), ()) for t in new_touch)):
             _, a, b = f
-            for g in (touch if f in new else new_touch)[a]:
+            for g in (touch if f in new else new_touch).get(a, ()):
                 rel, x, y = g
-                if x == a:
-                    emit((rel, b, y), "substitute-equal", (f, g))
-                if y == a:
-                    emit((rel, x, b), "substitute-equal", (f, g))
+                if x == a and (h := (rel, b, y)) not in trace:
+                    emit(h, "substitute-equal", (f, g))
+                if y == a and (h := (rel, x, b)) not in trace:
+                    emit(h, "substitute-equal", (f, g))
         # power monotone under surjections
-        for f in new_rel["lestar"]:
+        for f in new_rel.get("lestar", ()):
             _, a, b = f
             emit(("le", _built("pow", a), _built("pow", b)), "power-of-surjection", (f,))
         # sequences agreeing forces a countable subset
-        for f in new_rel["eq"]:
+        for f in new_eqs:
             _, a, b = f
             if a.op == "injseq" and b.op == "anyseq" and a.inner == b.inner:
                 emit(("le", ALEPH0, a.inner), "repeats-give-counting", (f,))
         # a countable power side kills sequence codings
-        for f in new_rel["le"]:
+        for f in new_les:
             _, a, b = f
             if a == ALEPH0 and b.op == "pow":
                 emit(("nle", b, _built("injseq", b.inner)), "no-power-into-one-to-one-sequences", (f,))
-        for f in new_rel["le"]:
+        for f in new_les:
             _, a, b = f
             if a == ALEPH0:
                 emit(("nle", _built("pow", b), _built("anyseq", b)), "no-power-into-sequences", (f,))
         # Dedekind-finite power: strict surplus and partition growth
-        for f in new_rel["nle"]:
+        for f in new_rel.get("nle", ()):
             _, a, b = f
             if a == ALEPH0 and b.op == "pow":
                 copies = [_built("times", b, n) for n in range(1, 10)]
                 for small, big in zip(copies, copies[1:]):
                     emit(("ne", small, big), "surplus-copy-is-new", (f,))
                 emit(("ne", b, _built("part", b.inner)), "partitions-outgrow-subsets", (f,))
-        changed = len(cl.trace) > len(pos)
+        changed = len(trace) > len(pos)
 
 
 def _check_contra(cl: Closure, fact: Fact):

@@ -50,6 +50,9 @@ class _HF:
 
     __delattr__ = __setattr__
 
+    def __reduce__(self):  # copy and pickle rebuild it: `__setattr__` refuses
+        return type(self), (self.items,)
+
     def __eq__(self, other):
         return isinstance(other, type(self)) and self.items == other.items
 

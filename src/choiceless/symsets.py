@@ -121,6 +121,9 @@ class SupportedSubset:
 
     __delattr__ = __setattr__
 
+    def __reduce__(self):  # copy and pickle rebuild it: `__setattr__` refuses
+        return SupportedSubset, (self.structure, self.support, self.mask)
+
     # construction helpers
 
     @staticmethod

@@ -474,7 +474,7 @@ def _categorical_sample():
     return s
 
 
-@pytest.mark.parametrize(
+EACH_UNIVERSE = pytest.mark.parametrize(
     "make",
     [
         lambda: PureSetStructure(3),
@@ -484,6 +484,10 @@ def _categorical_sample():
     ],
     ids=["pure_set", "dense_order", "pair_model", "categorical"],
 )
+ROUND_TRIPS = [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))]
+
+
+@EACH_UNIVERSE
 def test_universe_json_roundtrip_and_materialise(make):
     s = make()
     data = s.to_json()
@@ -502,6 +506,16 @@ def test_universe_json_roundtrip_and_materialise(make):
         assert a not in other
         assert other.materialise(a) == a
         assert a in other
+
+
+@EACH_UNIVERSE
+@pytest.mark.parametrize("trip", ROUND_TRIPS, ids=["copy", "deepcopy", "pickle"])
+def test_atoms_survive_copy_and_pickle(make, trip):
+    s = make()
+    for a in s.atoms():
+        b = trip(a)
+        assert type(b) is Atom and b == a and hash(b) == hash(a) and repr(b) == repr(a)
+        assert b in s and b.sort_key() == a.sort_key()
 
 
 def test_materialise_refuses_an_atom_of_another_universe():

@@ -1,4 +1,6 @@
+import copy
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -206,15 +208,17 @@ def assert_same_closure(make):
     return fast
 
 
-def depth_two_groups():
+OPS = [fin, injseq, anyseq, power, pairs2, square, partitions]
+DEPTH_TWO = [f(g(M)) for f in OPS for g in OPS]
+
+
+def depth_two_groups(seed=0):
     """Each model with the 49 depth-2 terms, shuffled by a seeded generator
     and dealt into 4 fixed groups."""
-    ops = [fin, injseq, anyseq, power, pairs2, square, partitions]
-    terms = [f(g(M)) for f in ops for g in ops]
-    rng = random.Random(0)
+    rng = random.Random(seed)
     out = []
     for name in MODELS:
-        order = terms[:]
+        order = DEPTH_TWO[:]
         rng.shuffle(order)
         out.extend((name, order[k::4]) for k in range(4))
     return out
@@ -235,6 +239,47 @@ class TestSemiNaiveClosure:
         for extra in groups:
             terms = model_extra_terms(name) + extra
             assert_same_closure(lambda: close(model_axioms(name), extra_terms=terms))
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_second_depth_two_grouping_matches_naive(self, name):
+        for model, extra in depth_two_groups(seed=1):
+            if model == name:
+                terms = model_extra_terms(name) + extra
+                assert_same_closure(lambda: close(model_axioms(name), extra_terms=terms))
+
+    def test_equalities_over_depth_two_terms_match_naive(self):
+        # mostly eq axioms over depth-2 terms, beside order facts whose
+        # consequences touch those terms rounds later: old eq facts must
+        # still meet every fact a later round derives at their left side
+        rels = ["eq"] * 5 + ["le", "le", "lt", "ne", "nle", "inc", "lestar"]
+        rng = random.Random(3)
+        clashes = 0
+        for _ in range(30):
+            axioms = [
+                (rng.choice(rels), rng.choice(DEPTH_TWO), rng.choice(DEPTH_TWO), "r")
+                for _ in range(rng.randint(3, 9))
+            ]
+            extra = rng.sample(DEPTH_TWO, 6)
+            cl = assert_same_closure(lambda: close(axioms, extra_terms=extra))
+            clashes += cl.contradiction is not None
+        assert 0 < clashes < 30
+
+    def test_reverse_embeddings_arriving_later_match_naive(self):
+        # a cycle of embeddings: each le(a, b) is old by the time le(b, a)
+        # arrives through transitivity, and Cantor-Bernstein must join them
+        pool = [M, fin(M), injseq(M), anyseq(M), power(M), pairs2(M), square(M), partitions(M)]
+        rng = random.Random(5)
+        late = 0
+        for _ in range(12):
+            cycle = rng.sample(pool, rng.randint(3, 6))
+            axioms = [("le", a, b, "r") for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+            axioms += [("ne", rng.choice(pool), rng.choice(pool), "r") for _ in range(rng.randint(0, 2))]
+            cl = assert_same_closure(lambda: close(axioms))
+            late += any(
+                rule == "cantor-bernstein" and cl.trace[premises[1]][0] == "le-transitive"
+                for rule, premises in cl.trace.values()
+            )
+        assert late
 
     def test_late_order_fact_meets_old_strictness(self):
         # le(b, c) arrives in round 2, when ne(b, c) and ne(c, b) are both
@@ -327,6 +372,67 @@ print(growth)
 """
 
 
+def _at(t, e):
+    """The schema term t with e for the term it ranges over, if built: the
+    recursive walk that the compiled rows of `_add_schemas` replace."""
+    if t is cardtable._E:
+        return e
+    if t.inner is None:
+        return t
+    inner = _at(t.inner, e)
+    return None if inner is None else cardtable._built(t.op, inner, t.n)
+
+
+def schemas_by_walk(cl):
+    """`_add_schemas` over the schema rows as written, through `_at`."""
+    U = cl.universe
+    for e in sorted(U, key=CExpr.key):
+        for rel, lhs, rhs, name in cardtable._SCHEMAS:
+            a, b = _at(lhs, e), _at(rhs, e)
+            if a in U and b in U:
+                cl.add((rel, a, b), f"schema:{name}")
+
+
+def test_compiled_schema_rows_match_the_walk():
+    # every model, alone and with each depth-2 group, and the forbidden
+    # pattern, with the rounds left out so that the schemas alone show
+    groups = [(m, []) for m in MODELS] + depth_two_groups()
+    makers = [
+        lambda m=m, extra=extra: close(model_axioms(m), extra_terms=model_extra_terms(m) + extra)
+        for m, extra in groups
+    ]
+    with mock.patch.object(cardtable, "_fixpoint", lambda cl: None):
+        for make in makers + [forbidden_pattern_closure]:
+            fast = make()
+            with mock.patch.object(cardtable, "_add_schemas", schemas_by_walk):
+                slow = make()
+            assert any(rule.startswith("schema:") for rule, _ in fast.trace.values())
+            assert list(fast.trace.items()) == list(slow.trace.items())
+
+
+def display_by_walk(e):
+    """The rendering `display` caches, rebuilt from the parts."""
+    if e.op == "times":
+        return f"{e.n}*{display_by_walk(e.inner)}"
+    forms = {
+        "fin": "Fin({})", "injseq": "Seq({})", "anyseq": "seq({})", "pow": "2^({})",
+        "pairs2": "[{}]^2", "square": "({})^2", "part": "Part({})",
+    }
+    if e.op in forms:
+        return forms[e.op].format(display_by_walk(e.inner))
+    return {"base": "m", "aleph0": "aleph0", "e": "e"}[e.op]
+
+
+def test_cached_display_matches_the_walk():
+    # the depth-2 terms are built at import, each model's terms here
+    for name in MODELS:
+        model_closure(name)
+    exprs = list(CExpr._table.values())
+    assert len(exprs) > 100
+    for e in exprs:
+        assert display(e) == repr(e) == display_by_walk(e)
+
+
 class TestCExpr:
     def test_structural_equality_and_hash(self):
         # hash-consed: building an expression twice gives the one object
@@ -359,6 +465,13 @@ class TestCExpr:
         with pytest.raises(AttributeError):
             setattr(e, attr, None)
         assert e == power(fin(M))
+
+    @pytest.mark.parametrize("trip", [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))])
+    def test_copies_and_pickles_give_the_interned_object(self, trip):
+        for e in (M, ALEPH0, power(fin(M)), times(3, power(M)), partitions(square(M))):
+            assert trip(e) is e
+        fact = trip(("le", fin(M), power(M)))
+        assert fact[1] is fin(M) and fact[2] is power(M)
 
     def test_multipliers_differ(self):
         assert times(2, M) != times(3, M)

@@ -1,6 +1,8 @@
 import ast
+import copy
 import itertools
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -172,6 +174,16 @@ class TestHFObjects:
         ):
             with pytest.raises(TypeError, match="not an HF object"):
                 build()
+
+    @pytest.mark.parametrize("trip", [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))])
+    def test_copy_and_pickle_round_trips(self, trip):
+        s = PairStructure(2)
+        a, b = s.atoms()
+        p = s.pair_atom(1, a, b, 1)
+        for x in (hftuple(a, 7, hfset(p)), hfset(hftuple(a, b), hfset(p), hfset(), 3), hfset(), hftuple()):
+            y = trip(x)
+            assert type(y) is type(x) and y == x and hash(y) == hash(x)
+            assert y.items == x.items and hf_key(y) == hf_key(x)
 
     def test_json_roundtrip(self, pure4):
         _, (a, b, c, d) = pure4

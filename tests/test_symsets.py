@@ -1,5 +1,7 @@
+import copy
 import itertools
 import json
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -16,6 +18,8 @@ from choiceless.atoms import (
     StructureMismatch,
     TypeBudgetExceeded,
     extend_fixing,
+    f_lt,
+    f_rel,
     fresh_realizer,
 )
 from choiceless.cli import main
@@ -605,3 +609,32 @@ def test_union_supports_agree(b1, b2):
     S1 = SupportedSubset.from_bits(s, E, b1 % (1 << 9))
     S2 = SupportedSubset.from_bits(s, E, b2 % (1 << 9))
     assert (S1 == S2) == (S1.bits() == S2.bits())
+
+
+def _categorical_sample():
+    s = CategoricalStructure()
+    e0, e1 = s.fresh(2)
+    fresh_realizer(s, [f_rel(1, (e0, e1)), f_lt(e0)])
+    return s
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: PureSetStructure(3),
+        lambda: DenseOrderStructure([Fraction(-1), Fraction(0), Fraction(1)]),
+        _categorical_sample,
+    ],
+    ids=["pure_set", "dense_order", "categorical"],
+)
+def test_supported_subsets_survive_copy_and_pickle(make):
+    s = make()
+    S = SupportedSubset(s, s.atoms()[:2], 0b101)
+    assert copy.copy(S) == S and copy.copy(S).structure is s
+    # a deep copy or a pickle copies the structure too, and the subset
+    # rebuilt over the copy has the same support, mask and canonical key
+    for s2, S2 in (copy.deepcopy((s, S)), pickle.loads(pickle.dumps((s, S)))):
+        assert S2.structure is s2 and s2 is not s and s2.atoms() == s.atoms()
+        assert (S2.support, S2.mask) == (S.support, S.mask)
+        assert S2.canonical_key() == S.canonical_key() and least_support(S2) == least_support(S)
+        assert S2 == SupportedSubset(s2, S.support, S.mask)
