@@ -11,6 +11,7 @@ derived fact carries a replayable trace.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter, defaultdict
 from math import factorial
@@ -284,11 +285,10 @@ def _add_schemas(cl: Closure):
                 cl.add((rel, a, b), rule)
 
 
-def _index(facts: Iterable[Fact], index=None):
+def _index(facts: Iterable[Fact]):
     """Facts by relation, by (relation, lhs), by (relation, rhs) and by each
-    term they mention, every list in the order the facts come in.  Given
-    an index, appends the facts to it; otherwise starts a new one."""
-    by_rel, lhs, rhs, touch = index or (defaultdict(list) for _ in range(4))
+    term they mention, every list in the order the facts come in."""
+    by_rel, lhs, rhs, touch = index = tuple(defaultdict(list) for _ in range(4))
     for f in facts:
         rel, a, b = f
         by_rel[rel].append(f)
@@ -297,7 +297,7 @@ def _index(facts: Iterable[Fact], index=None):
         touch[a].append(f)
         if b != a:
             touch[b].append(f)
-    return by_rel, lhs, rhs, touch
+    return index
 
 
 def _fixpoint(cl: Closure):
@@ -305,10 +305,10 @@ def _fixpoint(cl: Closure):
     against the facts known at its start, found through indexes; a join of
     old facts alone would only re-derive what the last round recorded.
     So a two-premise rule visits the new facts and only those old ones that
-    a new fact can join.  Each rule walks its matches in derivation order,
-    so a round records the same facts, in the same order and from the same
-    premises, as joining all pairs, and the trace is the same in every
-    process.  A derivation of a known fact costs one lookup."""
+    a new fact can join.  Each rule walks its matches in trace order, the
+    order of every index list, so a round records the same facts, in the
+    same order and from the same premises, as joining all pairs, and the
+    trace is the same in every process.  Re-deriving a fact costs one lookup."""
     U, trace = cl.universe, cl.trace
 
     def emit(fact, rule, premises):
@@ -317,19 +317,34 @@ def _fixpoint(cl: Closure):
             _check_contra(cl, fact)
 
     pos: Dict[Fact, int] = {}  # round-start facts by trace position
-    index = None  # the same facts, indexed; both grow by each round's batch
+    by_rel, lhs, rhs, touch = index = _index(())  # the same, each list in trace order
     changed = True
     while changed:
         cl.rounds += 1
         batch = list(itertools.islice(trace, len(pos), None))
         pos.update(zip(batch, itertools.count(len(pos))))
-        by_rel, lhs, rhs, touch = index = _index(batch, index)
-        new_rel, new_lhs, new_rhs, new_touch = _index(batch)
+        new_index = new_rel, new_lhs, new_rhs, new_touch = _index(batch)
+        for old, part in zip(index, new_index):
+            for k, v in part.items():
+                old[k] += v
         new = set(batch)
         new_les, new_eqs = new_rel.get("le", ()), new_rel.get("eq", ())
 
         def walk(*groups):
-            return sorted(set(itertools.chain(*groups)), key=pos.__getitem__)
+            """The facts of index lists in trace order, each once: one list as
+            it is, several merged (the sort finds their runs)."""
+            groups = [g for g in groups if g]
+            if len(groups) == 1:
+                return groups[0]
+            return sorted(dict.fromkeys(itertools.chain(*groups)), key=pos.__getitem__)
+
+        @functools.cache
+        def ups(b):
+            """Each known ne(b, c) or ne(c, b) where le(b, c) is known, with c, in
+            trace order, found from the le side, usually the smaller.  Shared by the
+            round's le(a, b): an old one meets old pairs too, which derive nothing new."""
+            gcs = {g: h[2] for h in lhs.get(("le", b), ()) for g in (("ne", b, h[2]), ("ne", h[2], b)) if g in pos}
+            return sorted(gcs.items(), key=lambda gc: pos[gc[0]])
 
         # symmetry and definitional components
         for f in new_eqs:
@@ -361,18 +376,12 @@ def _fixpoint(cl: Closure):
         ne_terms = {t for g in new_rel.get("ne", ()) for t in g[1:]}
         for f in walk(new_les, *below, *(rhs.get(("le", t), ()) for t in ne_terms)):
             _, a, b = f
-            if f in new:
-                ups = walk(lhs.get(("ne", b), ()), rhs.get(("ne", b), ()))
-            else:  # a new ne fact at b, or an old one beside a new le(b, c)
-                cs = [h[2] for h in new_lhs.get(("le", b), ())]
-                via = [g for c in cs for g in (("ne", b, c), ("ne", c, b)) if g in pos]
-                ups = walk(new_lhs.get(("ne", b), ()), new_rhs.get(("ne", b), ()), via)
-            for g in ups:
-                c = g[2] if g[1] == b else g[1]
-                if ("le", b, c) in pos and (h := ("ne", a, c)) not in trace:
+            for g, c in ups(b):
+                if (h := ("ne", a, c)) not in trace:
                     emit(h, "strictness-travels-up", (f, ("le", b, c), g))
-            for g in walk({("ne", a, b), ("ne", b, a)} & pos.keys()):
-                for h in (lhs if f in new or g in new else new_lhs).get(("le", b), ()):
+            ab, ba = ("ne", a, b), ("ne", b, a)
+            for g in (ab, ba) if pos.get(ab, -1) < pos.get(ba, -1) else (ba, ab):
+                for h in (lhs if f in new or g in new else new_lhs).get(("le", b), ()) if g in pos else ():
                     if (k := ("ne", a, h[2])) not in trace:
                         emit(k, "strictness-travels-down", (f, g, h))
         for f in by_rel.get("nle", ()):

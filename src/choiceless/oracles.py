@@ -301,10 +301,10 @@ ENGINES: Dict[str, object] = {
         lambda: (FinDom(AtomsDom()), AtomsDom()),
         {
             "fresh-max": Builtin(
-                True, lambda s, *_: lambda x: s.atom(max((a.payload for a in x), default=Fraction(-1)) + 1)
+                True, lambda s, *_: lambda x: s.atom(max((a.payload for a in x.members), default=Fraction(-1)) + 1)
             ),
             "max-or-zero": Builtin(
-                False, lambda s, *_: lambda x: s.atom(max((a.payload for a in x), default=Fraction(0)))
+                False, lambda s, *_: lambda x: s.atom(max((a.payload for a in x.members), default=Fraction(0)))
             ),
         },
         run=lambda name, T, copies: refute.extract_fin_to_atom_mostowski(

@@ -490,13 +490,14 @@ def extract_from_surplus(n: int, oracle: InjectionOracle, count: int) -> StreamR
     if n > CAPS["copies"]:
         raise BudgetExceeded("copies", n, f"a surplus of {n} copies", "copies")
     values: List[frozenset] = [frozenset()]
+    known = set(values)
     try:
         while len(values) < count:
-            known = set(values)
             for value, label in itertools.product(list(values), range(n + 1)):
                 y = oracle.query((label, value))
                 if y[1] not in known:
                     values.append(y[1])
+                    known.add(y[1])
                     break
             else:
                 raise EngineBug("sweep ended without escape or repeat")

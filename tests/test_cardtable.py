@@ -210,6 +210,7 @@ def assert_same_closure(make):
 
 OPS = [fin, injseq, anyseq, power, pairs2, square, partitions]
 DEPTH_TWO = [f(g(M)) for f in OPS for g in OPS]
+DEPTH_THREE = [f(t) for f in OPS for t in DEPTH_TWO]
 
 
 def depth_two_groups(seed=0):
@@ -246,6 +247,17 @@ class TestSemiNaiveClosure:
             if model == name:
                 terms = model_extra_terms(name) + extra
                 assert_same_closure(lambda: close(model_axioms(name), extra_terms=terms))
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_depth_three_group_matches_naive(self, name):
+        # the first of 16 groups dealt from the 343 depth-3 terms shuffled
+        # with seed 0, closed in every model
+        order = DEPTH_THREE[:]
+        random.Random(0).shuffle(order)
+        extra = order[::16]
+        assert len(set(DEPTH_THREE)) == 343 and len(extra) == 22
+        terms = model_extra_terms(name) + extra
+        assert_same_closure(lambda: close(model_axioms(name), extra_terms=terms))
 
     def test_equalities_over_depth_two_terms_match_naive(self):
         # mostly eq axioms over depth-2 terms, beside order facts whose
@@ -288,6 +300,23 @@ class TestSemiNaiveClosure:
         axioms = [("le", a, b), ("le", b, x), ("le", x, y), ("le", y, c), ("ne", b, c)]
         cl = assert_same_closure(lambda: close([(*f, "t") for f in axioms]))
         assert cl.trace[("ne", a, c)][0] == "strictness-travels-up"
+
+    @pytest.mark.parametrize("crowd", [0, 12])
+    def test_new_order_fact_meets_both_old_ne_facts(self, crowd):
+        # le(a, b) arrives in round 2, through power-of-surjection, when
+        # ne(c, b), ne(b, c) and le(b, c) are all old: strictness-travels-up
+        # joins it from the le(b, c) side and must cite the earlier ne fact,
+        # also where b has an ne fact with each of a crowd of other terms
+        x, y, c = pairs2(M), square(M), anyseq(M)
+        a, b = power(x), power(y)
+        others = [t for t in DEPTH_TWO if t not in (a, b, c)][:crowd]
+        axioms = [("ne", b, t) for t in others] + [("ne", c, b), ("ne", b, c), ("le", b, c), ("lestar", x, y)]
+        cl = assert_same_closure(lambda: close([(*f, "t") for f in axioms], extra_terms=[a]))
+        assert cl.trace[("le", a, b)] == ("power-of-surjection", (("lestar", x, y),))
+        assert cl.trace[("ne", a, c)] == ("strictness-travels-up", (("le", a, b), ("le", b, c), ("ne", c, b)))
+        ne_at_b = [f for f in cl.facts if f[0] == "ne" and b in f[1:]]
+        le_from_b = [f for f in cl.facts if f[0] == "le" and f[1] == b]
+        assert len(ne_at_b) > 3 * len(le_from_b) or not crowd
 
     def test_contradictions_mid_round_match_naive(self):
         pool = [M, ALEPH0, fin(M), injseq(M), anyseq(M), power(M), pairs2(M)]

@@ -809,6 +809,21 @@ class TestExtractors:
         rc = extract_fin_to_atom_mostowski(oracles.builtin_oracle("fin-to-atom", "max-or-zero", t2), 100)
         assert not rc.ok
 
+    @pytest.mark.parametrize("name", sorted(oracles.EXTRACT["fin-to-atom"].oracles))
+    def test_fin_to_atom_answer_ignores_insertion_order(self, name):
+        # the oracles read a set's members in the frozenset's order, which
+        # may follow insertion order; the answer must not
+        t = DenseOrderStructure()
+        answer = oracles.EXTRACT["fin-to-atom"].oracles[name].answers(t, (), random.Random(0))
+        atoms = [t.atom(Rational(k, 7)) for k in range(-20, 30, 3)] + [t.atom(5), t.atom(0), t.atom(Rational(1, 3))]
+        rng = random.Random(1)
+        for size in (0, 1, 2, 9, len(atoms)):
+            members = atoms[:size]
+            want = answer(hfset(sorted(members, key=lambda a: a.payload)))
+            for _ in range(6):
+                rng.shuffle(members)
+                assert answer(HFSet(members)) == want
+
     def test_fin_to_atom_collapse_verifies(self):
         t = DenseOrderStructure()
         o = oracles.builtin_oracle("fin-to-atom", "max-or-zero", t)
