@@ -27,6 +27,7 @@ import bisect
 import itertools
 from fractions import Fraction
 from functools import lru_cache, partial
+from operator import ge, gt, le, lt
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 PURE_SET = "pure_set"
@@ -136,6 +137,12 @@ def _pair_key(atom: Atom):
     return (lvl, _pair_key(x), _pair_key(y), eps)
 
 
+def _cross(op):
+    """`Rational`'s `op`: by cross products against an exact Rational (denominators are positive), else as a Fraction."""
+    slow = getattr(Fraction, f"__{op.__name__}__")
+    return lambda p, q: op(p._numerator * q._denominator, q._numerator * p._denominator) if type(q) is Rational else slow(p, q)
+
+
 class Rational(Fraction):
     """A dense atom's payload: a `Fraction` whose slots refuse assignment and deletion,
     so an atom keeps its hash.  It takes `Fraction`'s arguments, as copy and pickle do."""
@@ -152,6 +159,8 @@ class Rational(Fraction):
         raise AttributeError("a dense payload is immutable")
 
     __delattr__ = __setattr__
+
+    __lt__, __le__, __gt__, __ge__ = map(_cross, (lt, le, gt, ge))
 
 
 def _fraction_json(q: Fraction) -> str:
@@ -1107,10 +1116,10 @@ class LiftedAutomorphism(PartialAutomorphism):
         self.state = structure.lift_state(self.pairs)
 
     def apply(self, atom: Atom) -> Atom:
-        if atom in self.pairs:
-            return self.pairs[atom]
-        self.structure.check_owns(atom)
-        image = self.pairs[atom] = self.structure.lift_image(self, atom)
+        image = self.pairs.get(atom)  # a recorded image is an atom, never None
+        if image is None:
+            self.structure.check_owns(atom)
+            image = self.pairs[atom] = self.structure.lift_image(self, atom)
         return image
 
 

@@ -279,10 +279,11 @@ def _add_schemas(cl: Closure):
             a, b = a or e, b or e
             for op, n in lsteps:
                 a = get((op, a, n))
-            for op, n in rsteps:
-                b = get((op, b, n))
-            if a in U and b in U:
-                cl.add((rel, a, b), rule)
+            if a in U:
+                for op, n in rsteps:
+                    b = get((op, b, n))
+                if b in U:
+                    cl.add((rel, a, b), rule)
 
 
 def _index(facts: Iterable[Fact]):

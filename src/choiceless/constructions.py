@@ -155,7 +155,7 @@ def act(pi, x):
     if isinstance(x, Atom):
         return pi.apply(x)
     if isinstance(x, (HFTuple, HFSet)):
-        return type(x)(act(pi, i) for i in x.items)
+        return type(x)(pi.apply(i) if type(i) is Atom else act(pi, i) for i in x.items)
     if isinstance(x, SupportedSubset):
         return x.apply(pi)
     if isinstance(x, (int, frozenset, tuple)):

@@ -280,11 +280,11 @@ def check_injections(seed: int, probes: int = 100) -> List[dict]:
     t = DenseOrderStructure()
     anchors = default_anchors(t)
     universe = [t.atom(100 + i) for i in range(5)]
-    images = {}
+    images, subsets = {}, {}  # both keyed by (support, bits), so no canonical key is hashed
     for k in range(3):
         for sup in itertools.combinations(universe, k):
             for bits in range(1 << (2 * k + 1)):
-                S = SupportedSubset.from_bits(t, sup, bits)
+                S = subsets[(sup, bits)] = SupportedSubset.from_bits(t, sup, bits)
                 if least_support(S) == tuple(sup):
                     images[(sup, bits)] = mostowski_power_to_seq(S, anchors)
     moves = (random_dense_automorphism(t, anchors, universe, rng) for _ in range(probes))
@@ -299,7 +299,7 @@ def check_injections(seed: int, probes: int = 100) -> List[dict]:
             and _commutes(
                 moves,
                 images,
-                lambda pi, key: mostowski_power_to_seq(SupportedSubset.from_bits(t, *key).apply(pi), anchors),
+                lambda pi, key: mostowski_power_to_seq(subsets[key].apply(pi), anchors),
                 list(images)[:: max(1, len(images) // 8)],
             ),
             subsets=len(images),

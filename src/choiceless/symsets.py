@@ -106,15 +106,22 @@ class SupportedSubset:
 
     __slots__ = ("structure", "support", "mask", "_ckey", "_least")
 
-    def __init__(self, structure: AtomStructure, support: Iterable[Atom], mask: int):
+    def __new__(cls, structure: AtomStructure, support: Iterable[Atom], mask: int):
+        return cls._sorted(structure, sort_support(structure, support), mask)
+
+    @classmethod
+    def _sorted(cls, structure: AtomStructure, support: Tuple[Atom, ...], mask: int) -> "SupportedSubset":
+        """The subset over a support that `sort_support` or a checked subset gave: only the mask is checked."""
+        self = object.__new__(cls)
         _set_structure(self, structure)
-        _set_support(self, sort_support(structure, support))
+        _set_support(self, support)
         n = self._width()
         if not 0 <= mask < 1 << n:
             raise ValueError(f"mask {mask} selects outside the {n} types over the support")
         _set_mask(self, mask)
         _set_ckey(self, None)
         _set_least(self, None)
+        return self
 
     def __setattr__(self, *_):
         raise AttributeError("a supported subset is immutable; its least support and key are cached")
@@ -150,7 +157,7 @@ class SupportedSubset:
         E = sort_support(structure, atoms)
         ts = types_over(structure, E)
         eq = sum(1 << ts.index(("eq", j)) for j in range(len(E)))
-        return SupportedSubset(structure, E, eq)
+        return SupportedSubset._sorted(structure, E, eq)
 
     # basic views
 
@@ -183,7 +190,7 @@ class SupportedSubset:
         """The same subset presented over its support plus `support`."""
         big = sort_support(self.structure, tuple(self.support) + tuple(support))
         table = restriction_table(self.structure, big, self.support)
-        return SupportedSubset(self.structure, big, _pull(table, self.mask))
+        return SupportedSubset._sorted(self.structure, big, _pull(table, self.mask))
 
     def is_supported_by(self, candidate: Iterable[Atom]) -> bool:
         """Is the (sub)set of atoms `candidate` already a support?"""
@@ -198,7 +205,7 @@ class SupportedSubset:
         least = least_support(self)
         if least == self.support:
             return self
-        return SupportedSubset(self.structure, least, self._least[1])
+        return SupportedSubset._sorted(self.structure, least, self._least[1])
 
     def canonical_key(self) -> tuple:
         if self._ckey is None:
@@ -221,7 +228,7 @@ class SupportedSubset:
 
     def complement(self) -> "SupportedSubset":
         full = (1 << self._width()) - 1
-        return SupportedSubset(self.structure, self.support, full ^ self.mask)
+        return SupportedSubset._sorted(self.structure, self.support, full ^ self.mask)
 
     def _aligned(self, other: "SupportedSubset"):
         E = tuple(set(self.support) | set(other.support))
@@ -229,11 +236,11 @@ class SupportedSubset:
 
     def union(self, other: "SupportedSubset") -> "SupportedSubset":
         a, b = self._aligned(other)
-        return SupportedSubset(a.structure, a.support, a.mask | b.mask)
+        return SupportedSubset._sorted(a.structure, a.support, a.mask | b.mask)
 
     def intersection(self, other: "SupportedSubset") -> "SupportedSubset":
         a, b = self._aligned(other)
-        return SupportedSubset(a.structure, a.support, a.mask & b.mask)
+        return SupportedSubset._sorted(a.structure, a.support, a.mask & b.mask)
 
     # group action
 
@@ -251,7 +258,7 @@ class SupportedSubset:
         for j, k in enumerate(eq):
             if self.mask >> k & 1:
                 mask |= 1 << eq[where[images[j]]]
-        return SupportedSubset(s, new_support, mask)
+        return SupportedSubset._sorted(s, new_support, mask)
 
     def to_json(self) -> dict:
         return {

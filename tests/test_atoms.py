@@ -1,6 +1,8 @@
+import bisect
 import copy
 import itertools
 import json
+import operator
 import pickle
 import random
 from fractions import Fraction
@@ -606,3 +608,92 @@ def test_lazy_bare_set_probe_matches_the_listing(ids):
                 assert got == listing_probe_atoms(listing, count, avoid), (avoid, count)
                 assert [a.world for a in got] == [PURE_SET] * count
                 assert lazy.to_json() == listing.to_json()
+
+
+class TestRationalComparisons:
+    """`Rational` compares two exact Rationals by cross-multiplying; `Fraction` is the
+    slow path it must agree with, and it still serves every mixed comparison."""
+
+    OPS = ("__lt__", "__le__", "__gt__", "__ge__", "__eq__", "__ne__")
+
+    @staticmethod
+    def values(seed=0, n=120):
+        """Seeded fractions: negatives, zero, large terms, and equal values built several ways."""
+        rng = random.Random(seed)
+        qs = [Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for _ in range(n)]
+        qs += [Fraction(rng.randint(-(10**40), 10**40), rng.randint(1, 10**30)) for _ in range(n // 4)]
+        qs += [Fraction(0), Fraction(-1, 3), Fraction(2, 6), Fraction("1/3"), Fraction(10**50 + 1, 10**50)]
+        return qs
+
+    @staticmethod
+    def rationals(qs, seed=1):
+        # each value built from another spelling: an unreduced pair, a string or the Fraction itself
+        rng = random.Random(seed)
+        out = []
+        for q in qs:
+            k = rng.randint(1, 9)
+            out.append(rng.choice([Rational(q), Rational(q.numerator * k, q.denominator * k), Rational(str(q))]))
+        return out
+
+    def test_exact_rationals_never_reach_fractions_comparison(self, monkeypatch):
+        qs = self.values()[:20]
+        rs = self.rationals(qs)
+        want = [[getattr(p, op)(q) for op in self.OPS[:4]] for p in qs for q in qs]
+        monkeypatch.setattr(Fraction, "_richcmp", lambda *_: pytest.fail("a Rational pair took the slow path"))
+        assert [[getattr(p, op)(q) for op in self.OPS[:4]] for p in rs for q in rs] == want
+
+    def test_comparisons_match_fraction_on_either_side(self):
+        qs = self.values()
+        rs = self.rationals(qs)
+        others = [5, -3, 0, 10**45, Fraction(7, 2), Fraction(-1, 3), 2.5, -0.125]
+        ops = [getattr(operator, op.strip("_")) for op in self.OPS]
+        for (p, r), (q, s) in itertools.product(zip(qs, rs), repeat=2):
+            assert [op(r, s) for op in ops] == [op(p, q) for op in ops], (p, q)
+        for (p, r), x in itertools.product(zip(qs, rs), others):
+            assert [op(r, x) for op in ops] == [op(p, x) for op in ops], (p, x)
+            assert [op(x, r) for op in ops] == [op(x, p) for op in ops], (x, p)
+        assert all(hash(r) == hash(q) for q, r in zip(qs, rs))
+
+    def test_sorted_min_max_and_bisect_match_fraction(self):
+        qs = self.values(seed=2)
+        rs = self.rationals(qs, seed=3)
+        # stable orders of equal keys must agree too, so compare the orders of indices
+        order = sorted(range(len(qs)), key=qs.__getitem__)
+        assert sorted(range(len(rs)), key=rs.__getitem__) == order
+        assert min(range(len(rs)), key=rs.__getitem__) == min(range(len(qs)), key=qs.__getitem__)
+        assert max(range(len(rs)), key=rs.__getitem__) == max(range(len(qs)), key=qs.__getitem__)
+        line_q, line_r = [qs[i] for i in order], [rs[i] for i in order]
+        for x in qs[:40] + rs[:40] + [0, -7, 10**41, Fraction(1, 3), Fraction(10**50 + 1, 10**50)]:
+            for find in (bisect.bisect_left, bisect.bisect_right):
+                assert find(line_r, x) == find(line_q, x), x
+
+
+class _CountedReads(dict):
+    """A dict that logs how it is read."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reads = []
+
+    def get(self, *args):
+        self.reads.append("get")
+        return super().get(*args)
+
+    def __contains__(self, key):
+        self.reads.append("in")
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self.reads.append("[]")
+        return super().__getitem__(key)
+
+
+def test_a_lift_reads_a_recorded_image_once():
+    s, (a, b, c, d) = dense(0, 1, 2, 5)
+    pi = extend_fixing(s, [a], {b: c})
+    pi.pairs = _CountedReads(pi.pairs)
+    assert pi.apply(b) == c and pi.pairs.reads == ["get"]
+    image = pi.apply(d)  # unrecorded: one read, then the lift records it
+    assert type(image) is Atom and pi.pairs[d] == image
+    pi.pairs.reads.clear()
+    assert pi.apply(d) == image and pi.pairs.reads == ["get"]

@@ -745,6 +745,79 @@ def test_act_on_nested_objects():
     assert act(pi, 5) == 5
 
 
+def act_by_chain(pi, x):
+    """The reference for `act`: an isinstance chain that recurses into every member, atoms included."""
+    if isinstance(x, Atom):
+        return pi.apply(x)
+    if isinstance(x, (HFTuple, HFSet)):
+        return type(x)(act_by_chain(pi, i) for i in x.items)
+    if isinstance(x, SupportedSubset):
+        return x.apply(pi)
+    if isinstance(x, (int, frozenset, tuple)):
+        return x
+    raise TypeError(f"cannot act on {x!r}")
+
+
+def _lifted(kind):
+    """Atoms of one universe and a lift that has recorded a few of them.  Built
+    the same way on every call, so two calls give two lifts that start equal."""
+    if kind == "pure_set":
+        s = PureSetStructure(8)
+        xs = s.atoms()
+        return s, xs, extend_fixing(s, [], {xs[0]: xs[1], xs[1]: xs[0]})
+    if kind == "dense_order":
+        s = DenseOrderStructure(Fraction(k, 3) for k in range(-4, 8))
+        xs = s.atoms()
+        return s, xs, extend_fixing(s, xs[:2], {xs[5]: s.atom(Fraction(7, 2))})
+    if kind == "pair_model":
+        s = PairStructure(4)
+        b = [s.base_atom(i) for i in range(4)]
+        low = [s.pair_atom(1, b[0], b[1], 0), s.pair_atom(1, b[2], b[3], 1), s.pair_atom(1, b[0], b[2], 0)]
+        xs = b + low + [s.pair_atom(2, low[2], b[3], 1)]
+        return s, xs, extend_fixing(s, [], {b[0]: b[1], b[1]: b[0], low[0]: s.pair_atom(1, b[1], b[0], 1)})
+    s = CategoricalStructure()
+    xs = [fresh_realizer(s, []) for _ in range(6)]
+    s.declare_rel([xs[1], xs[2]])
+    s.declare_rel([xs[3], xs[0], xs[4]])
+    return s, xs, extend_fixing(s, xs[4:], {xs[0]: labchecks.same_type_realizer(s, xs[0], xs[4:])})
+
+
+def _nested(xs, rng, depth):
+    """A random HF value over the atoms xs, naturals among them, nested up to `depth`."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(xs) if rng.random() < 0.8 else rng.randint(0, 5)
+    return rng.choice((HFTuple, HFSet))(_nested(xs, rng, depth - 1) for _ in range(rng.randint(0, 4)))
+
+
+class _TaggedTuple(HFTuple):
+    __slots__ = ()
+
+
+class _TaggedAtom(Atom):
+    __slots__ = ()
+
+
+@pytest.mark.parametrize("kind", ["pure_set", "dense_order", "pair_model", "categorical"])
+def test_act_matches_the_recursive_chain(kind):
+    # two lifts built alike, one driven by `act` and one by the chain: the same
+    # images, asked in the same order, so the lifts record the same pairs
+    rng = random.Random(27)
+    s, xs, pi = _lifted(kind)
+    _, _, rho = _lifted(kind)
+    values = [_nested(xs, rng, 3) for _ in range(60)]
+    values += [_TaggedTuple(xs[:3]), _TaggedAtom(xs[-1].world, xs[-1].payload), 7, frozenset({1, 2}), (3, frozenset())]
+    if kind != "pair_model":
+        values += [SupportedSubset(s, xs[2:4], 0b101), SupportedSubset(s, xs[:1], 0b1)]
+    for x in values:
+        got, want = act(pi, x), act_by_chain(rho, x)
+        assert got == want and type(got) is type(want), x
+    assert [(a.payload, b.payload) for a, b in pi.items()] == [(a.payload, b.payload) for a, b in rho.items()]
+    assert all(type(b) is Atom for b in pi.pairs.values())
+    for bad in ("a", 2.5, [xs[0]], None):
+        with pytest.raises(TypeError):
+            act(pi, bad)
+
+
 def test_act_asks_a_lift_in_canonical_order():
     # the categorical lift picks each image when asked, so the images of
     # a set's members must not depend on how the set hashes them

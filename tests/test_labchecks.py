@@ -127,6 +127,24 @@ class TestProbe:
         assert not labchecks._commutes([swap], images, lambda pi, x: hfset(hfset(c), hfset(a, c)), images)
         assert labchecks._commutes([swap], images, lambda pi, x: hfset(hfset(c), hfset(b, c)), images)
 
+    def test_probed_subsets_are_built_once_whatever_the_moves(self, monkeypatch):
+        # the dense power-to-sequence probes reuse the subsets built for the
+        # images, so more moves build no more subsets, and the verdicts hold
+        built = []
+        real = labchecks.SupportedSubset.from_bits
+
+        def counted(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(labchecks.SupportedSubset, "from_bits", staticmethod(counted))
+        counts = []
+        for probes in (10, 100):
+            built.clear()
+            assert all(verdicts(labchecks.check_injections(0, probes)).values())
+            counts.append(len(built))
+        assert counts[0] == counts[1]
+
     def test_nested_sets_equal_and_hash_alike_whatever_the_order_built(self):
         s = PureSetStructure(2)
         a, b = s.atoms()

@@ -11,10 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choiceless.atoms import (
+    DENSE_ORDER,
+    Atom,
     CategoricalStructure,
     DenseOrderStructure,
     PairStructure,
     PureSetStructure,
+    Rational,
     StructureMismatch,
     TypeBudgetExceeded,
     extend_fixing,
@@ -448,6 +451,36 @@ class TestSupportedSubset:
             # reversing the support renames every ("eq", j) bit to n-1-j
             S = SupportedSubset(s, E, 0b0011)
             assert S.apply(pi).support == S.support and S.apply(pi).bits() == "0110"
+
+    @pytest.mark.parametrize("kind", ["pure_set", "dense_order", "categorical"])
+    def test_internal_results_match_a_public_rebuild(self, kind):
+        # these results skip `sort_support`: each must hold the support and mask
+        # that the public constructor gives when it sorts and checks them again
+        s, E, pool, pi = self._algebra_case(kind)
+        rng = random.Random(5)
+        extra = E[::-1] if kind == "categorical" else pool[-2:][::-1]  # two atoms carry 6,146 types there
+        results = []
+        for support in (E, E[:1], E[::-1], []):
+            full = (1 << s._type_count(len(support))) - 1
+            for mask in {0, full, rng.randint(0, full), rng.randint(0, full)}:
+                S = SupportedSubset(s, support, mask)
+                T = SupportedSubset(s, E[-1:], rng.randint(0, (1 << s._type_count(1)) - 1))
+                results += [S.apply(pi), S.reencode(extra), S.canonical(), S.complement()]
+                results += [S.union(T), S.intersection(T), SupportedSubset.of_atoms(s, support[::-1])]
+        for R in results:
+            public = SupportedSubset(s, R.support, R.mask)
+            assert type(R.support) is tuple and (R.support, R.mask) == (public.support, public.mask)
+            assert R.canonical_key() == public.canonical_key()
+
+    def test_public_constructor_still_checks_its_support(self):
+        s, E, pool, pi = self._algebra_case("dense_order")
+        for support in ([*E, PureSetStructure(1).atoms()[0]], [*E, Atom(DENSE_ORDER, Rational(99))]):
+            with pytest.raises(StructureMismatch):
+                SupportedSubset(s, support, 0)
+        for mask in (-1, 1 << 7):
+            with pytest.raises(ValueError):
+                SupportedSubset(s, E, mask)
+        assert SupportedSubset(s, E[::-1] + E, (1 << 7) - 1).support == tuple(E)
 
     def test_denotation_invariant_under_support_fixers(self):
         s = PureSetStructure(10)
