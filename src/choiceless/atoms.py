@@ -778,7 +778,7 @@ class CategoricalStructure(AtomStructure):
     repr_format = "n{}"
 
     def __init__(self):
-        self._pos: Dict[int, Fraction] = {}
+        self._pos: Dict[int, Rational] = {}  # so the order compares in integers
         self._rfacts: set = set()  # (n, (node ids...)) with len(ids) == n + 1
         self._next = 0
 
@@ -789,7 +789,7 @@ class CategoricalStructure(AtomStructure):
             raise ValueError("positions must be pairwise distinct")
         nid = self._next
         self._next += 1
-        self._pos[nid] = position
+        self._pos[nid] = Rational(position)
         return Atom(CATEGORICAL, nid)
 
     def _realize(self, position: Fraction, rels) -> Atom:
@@ -1007,7 +1007,7 @@ class CategoricalStructure(AtomStructure):
     def from_json(cls, data: dict) -> "CategoricalStructure":
         s = cls()
         for node in data["nodes"]:
-            s._pos[_nat_id(node["node"])] = Fraction(node["pos"])
+            s._pos[_nat_id(node["node"])] = Rational(node["pos"])
         s._next = max(s._pos, default=-1) + 1
         for n, ids in data["rfacts"]:
             if n != len(ids) - 1:
@@ -1066,6 +1066,8 @@ class PartialAutomorphism:
         worlds = {a.world for a in self.pairs} | {b.world for b in self.pairs.values()}
         if len(worlds) > 1:
             raise StructureMismatch(f"mixed atom worlds {sorted(worlds)}")
+        if {type(b) for b in self.pairs.values()} - {Atom}:  # `act` builds HF values from images unchecked
+            raise TypeError("every image must be exactly an Atom")
 
     def items(self):
         return sorted(self.pairs.items(), key=lambda kv: kv[0].sort_key())
@@ -1107,13 +1109,9 @@ def extendable(structure: AtomStructure, pa: PartialAutomorphism) -> bool:
 class LiftedAutomorphism(PartialAutomorphism):
     """A partial automorphism that knows how to grow: images of further
     atoms are produced on demand, staying consistent with one extension
-    to the whole countable structure.  The recorded pairs always form an
-    extendable finite map."""
-
-    def __init__(self, structure: AtomStructure, mapping: Dict[Atom, Atom]):
-        super().__init__(dict(mapping))
-        self.structure = structure
-        self.state = structure.lift_state(self.pairs)
+    to the whole countable structure.  Only `extend_fixing` builds one: it
+    sets the structure and state once `extendable` has passed the pairs,
+    so the recorded pairs always form an extendable finite map."""
 
     def apply(self, atom: Atom) -> Atom:
         image = self.pairs.get(atom)  # a recorded image is an atom, never None
@@ -1135,7 +1133,8 @@ def extend_fixing(
         if mapping.get(a, b) != b:
             return None
         mapping[a] = b
-    candidate = PartialAutomorphism(mapping)
-    if not extendable(structure, candidate):
+    lift = LiftedAutomorphism(mapping)
+    if not extendable(structure, lift):
         return None
-    return LiftedAutomorphism(structure, mapping)
+    lift.structure, lift.state = structure, structure.lift_state(lift.pairs)
+    return lift

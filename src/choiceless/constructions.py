@@ -9,11 +9,15 @@ by the test-suite probes rather than by construction.
 
 HF values are immutable.  An `HFSet` keeps its members in the frozenset
 `members` and sorts them into the canonical order `items` only when read.
+Sets are hash-consed: the weak `HFSet._table` keeps one live set per
+value, so `==` is `is`.  A public build checks member types even on a
+hit, as {True} == {1}; `act` maps checked members, so skips the check.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from math import factorial
 from typing import Iterable, Optional, Sequence, Set, Tuple
 
@@ -73,20 +77,38 @@ class HFTuple(_HF):
     __slots__ = ()
     tag, brackets = "t", "<>"
 
-    def __init__(self, items: Iterable):
-        object.__setattr__(self, "items", _hf_only(tuple(items)))
+    def __new__(cls, items: Iterable):
+        return cls._trusted(_hf_only(tuple(items)))
+
+    @classmethod
+    def _trusted(cls, items: Iterable):
+        self = object.__new__(cls)
+        object.__setattr__(self, "items", tuple(items))
+        return self
 
 
 class HFSet(_HF):
-    """Extensional finite set.  `members` is its frozenset of members, which
-    equality, hashing, `len` and `in` read.  `items` is the canonical order,
-    sorted by `hf_key` on first read and kept."""
+    """Extensional finite set, one object per value.  `members` is its
+    frozenset of members, which hashing, `len` and `in` read.  `items` is
+    the canonical order, sorted by `hf_key` on first read and kept."""
 
-    __slots__ = ("members",)
+    __slots__ = ("members", "__weakref__")
     tag, brackets = "s", "{}"
+    _table: "weakref.WeakValueDictionary[frozenset, HFSet]" = weakref.WeakValueDictionary()
 
-    def __init__(self, items: Iterable):
-        object.__setattr__(self, "members", _hf_only(frozenset(items)))
+    def __new__(cls, items: Iterable):
+        return cls._trusted(_hf_only(frozenset(items)))
+
+    def __init_subclass__(cls, **kwargs):
+        raise TypeError("HFSet is interned by its members alone, so it has no subclasses")
+
+    @classmethod
+    def _trusted(cls, items: Iterable):
+        members = frozenset(items)
+        if (self := cls._table.get(members)) is None:
+            self = cls._table[members] = object.__new__(cls)
+            object.__setattr__(self, "members", members)
+        return self
 
     def __getattr__(self, name):  # reached only while `items` is unset
         if name != "items":
@@ -95,7 +117,7 @@ class HFSet(_HF):
         return self.items
 
     def __eq__(self, other):
-        return isinstance(other, HFSet) and self.members == other.members
+        return self is other
 
     def __hash__(self):
         return hash(self.members)
@@ -155,7 +177,7 @@ def act(pi, x):
     if isinstance(x, Atom):
         return pi.apply(x)
     if isinstance(x, (HFTuple, HFSet)):
-        return type(x)(pi.apply(i) if type(i) is Atom else act(pi, i) for i in x.items)
+        return type(x)._trusted(pi.apply(i) if type(i) is Atom else act(pi, i) for i in x.items)
     if isinstance(x, SupportedSubset):
         return x.apply(pi)
     if isinstance(x, (int, frozenset, tuple)):
@@ -355,7 +377,7 @@ class PartitionDom(Domain):
 def kuratowski(x: Atom, y: Atom) -> HFSet:
     """Ordered pair as the two-set {{x},{x,y}}; collapses to {{x}} on the
     diagonal, stays injective on ordered pairs."""
-    return hfset(hfset(x), hfset(x, y))
+    return HFSet((HFSet((x,)), HFSet((x, y))))
 
 
 def seq_to_chain(s) -> HFSet:
@@ -385,10 +407,7 @@ def pairmodel_pair_to_unordered(structure: PairStructure, x: Atom, y: Atom) -> H
     the two decorated atoms one level above both components."""
     structure.check_owns(x, y)
     lvl = x.level + y.level + 1
-    return hfset(
-        structure.pair_atom(lvl, x, y, 0),
-        structure.pair_atom(lvl, x, y, 1),
-    )
+    return HFSet((structure.pair_atom(lvl, x, y, 0), structure.pair_atom(lvl, x, y, 1)))
 
 
 def nth_permutation(items: Sequence, k: int) -> Tuple:
@@ -504,7 +523,7 @@ def mostowski_power_to_seq(
     if n >= 11:
         return HFTuple(nth_permutation(E, k))
     taken = set(E)
-    unused = [c for c in anchors if c not in taken][:10]
+    unused = [c for c in anchors[: 10 + n] if c not in taken][:10]  # E takes at most n of them
     tail = nth_permutation(unused, factorial(10) - k)
     return HFTuple(tuple(E) + tail)
 

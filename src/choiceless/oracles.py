@@ -18,6 +18,7 @@ is a total table revealed lazily.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -56,21 +57,19 @@ from .refute import InjectionOracle, OracleAnswerError
 from .symsets import SupportedSubset, count_supported
 
 
-def _up_to(words: Callable) -> Callable[[Sequence[Atom], int], List[HFTuple]]:
-    """The builder of every tuple `words(atoms, k)` gives for k up to a length, shortest first."""
-    return lambda atoms, max_len: [hftuple(p) for k in range(max_len + 1) for p in words(atoms, k)]
+def _up_to(words: Callable) -> Callable[[Sequence[Atom], int], Tuple[Callable, List[tuple]]]:
+    """The pool of every tuple `words(atoms, k)` gives for k up to a length, shortest first."""
+    return lambda atoms, max_len: (HFTuple, [p for k in range(max_len + 1) for p in words(atoms, k)])
 
 
 _seqs_up_to = _up_to(itertools.permutations)
 _tuples_up_to = _up_to(lambda atoms, k: itertools.product(atoms, repeat=k))
 
 
-def _subsets_over(structure, supports: Sequence[Sequence[Atom]]) -> List[SupportedSubset]:
-    out = []
-    for sup in supports:
-        for bits in range(count_supported(structure, sup)):
-            out.append(SupportedSubset.from_bits(structure, sup, bits))
-    return out
+def _subsets_over(structure, supports: Sequence[Sequence[Atom]]) -> Tuple[Callable, List[tuple]]:
+    """The pool of every subset over each support in turn, by bits."""
+    keys = [(tuple(sup), bits) for sup in supports for bits in range(count_supported(structure, sup))]
+    return lambda key: SupportedSubset.from_bits(structure, *key), keys
 
 
 class Builtin(NamedTuple):
@@ -91,13 +90,17 @@ _CONST_EMPTY = Builtin(False, lambda *_: lambda x: hftuple(()))
 
 
 def _random(n_fresh: int, pool: Callable) -> Callable:
-    """A seeded random adversary: each answer is drawn from
-    `pool(structure, E, extra)`, with `extra` the `n_fresh` fresh atoms."""
+    """A seeded random adversary: each answer is drawn from the pool
+    `pool(structure, E, extra)`, with `extra` the `n_fresh` fresh atoms.
+    A pool is the function that builds a key's answer and a list of keys,
+    so only drawn answers are built, each once; `rng.choice` reads only
+    the number of keys, so it draws as from the list of answers."""
 
     def answers(structure, support, rng):
         E = list(support)
-        offered = pool(structure, E, structure.fresh(n_fresh, avoid=E))
-        return lambda x: rng.choice(offered)
+        build, keys = pool(structure, E, structure.fresh(n_fresh, avoid=E))
+        build = functools.lru_cache(maxsize=None)(build)
+        return lambda x: build(rng.choice(keys))
 
     return answers
 
@@ -163,7 +166,7 @@ def _sequence_pool(tuples):
 
         def answers(x):
             alphabet = _by_payload(set(support) | set(getattr(x, "items", x)) | {outsider})
-            return tuples(alphabet, 2)
+            return list(map(*tuples(alphabet, 2)))
 
         return answers
 
@@ -172,7 +175,7 @@ def _sequence_pool(tuples):
 
 def _nat_power_pool(structure, support):
     outsider = structure.fresh(1)[0]
-    pool = _subsets_over(structure, [(), support[:1], (outsider,), support[:1] + (outsider,)])
+    pool = list(map(*_subsets_over(structure, [(), support[:1], (outsider,), support[:1] + (outsider,)])))
     return lambda n: pool
 
 

@@ -40,7 +40,6 @@ from .constructions import (
     hf_from_json,
     hf_key,
     hf_to_json,
-    hfset,
     hftuple,
 )
 from .symsets import SupportedSubset, least_support
@@ -346,7 +345,7 @@ def refute_fin_to_seq_fraenkel(oracle: InjectionOracle):
     for _ in range(seq_count(len(E)) + 1):
         a0, a1 = s.probe_atoms(2, used)
         used |= {a0, a1}
-        x = hfset(E + [a0, a1])
+        x = HFSet(E + [a0, a1])
         _escape_break(oracle, x, oracle.query(x), used, swap=(a0, a1))
     raise EngineBug("probe bound exhausted without witness")
 
@@ -366,7 +365,7 @@ def refute_fin_to_seqstar_fraenkel(oracle: InjectionOracle):
         nonlocal used
         p = s.probe_atoms(2, used)
         used |= set(p)
-        x = hfset(p)
+        x = HFSet(p)
         y = oracle.query(x)
         _escape_break(oracle, x, y, used, swap=p)
         return p, x, y
@@ -449,7 +448,7 @@ def extract_fin_to_atom_mostowski(oracle: InjectionOracle, count: int) -> Stream
     emitted: List[Atom] = []
     try:
         for _ in range(count):
-            emitted.append(oracle.query(hfset(emitted)))
+            emitted.append(oracle.query(HFSet(emitted)))
     except Refuted as done:
         return StreamResult(emitted, done.witness)
     return StreamResult(emitted)
@@ -611,7 +610,7 @@ def refute_unordered_to_ordered_pairmodel(oracle: InjectionOracle, budget: int):
 
     # probe every pair; the oracle collapses eagerly on a repeated value
     answer: Dict[Tuple[int, int], HFTuple] = {
-        (i, j): oracle.query(hfset(sample[i], sample[j]))
+        (i, j): oracle.query(HFSet((sample[i], sample[j])))
         for i, j in itertools.combinations(range(len(sample)), 2)
     }
 
@@ -633,7 +632,7 @@ def refute_unordered_to_ordered_pairmodel(oracle: InjectionOracle, budget: int):
 
     def try_case(iA: int, iB: int, iC: int, colours: Tuple[int, int]):
         xA, xB, xC = sample[iA], sample[iB], sample[iC]
-        x = hfset(xA, xB)
+        x = HFSet((xA, xB))
         y = answer[(iA, iB)]
         if set(colours) == {k, k + 1}:
             _break(oracle, extend_fixing(s, E, {xA: xB, xB: xA}), x, x, y)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from choiceless import atoms
 from choiceless.atoms import (
     CAPS,
     CATEGORICAL,
@@ -697,3 +698,43 @@ def test_a_lift_reads_a_recorded_image_once():
     assert type(image) is Atom and pi.pairs[d] == image
     pi.pairs.reads.clear()
     assert pi.apply(d) == image and pi.pairs.reads == ["get"]
+
+
+def test_extend_fixing_checks_the_one_lift_it_returns(monkeypatch):
+    s, (a, b, c, d) = dense(0, 1, 2, 5)
+    seen, built = [], []
+    real_extendable, real_init = atoms.extendable, PartialAutomorphism.__init__
+    monkeypatch.setattr(atoms, "extendable", lambda st, pa: seen.append(pa) or real_extendable(st, pa))
+    monkeypatch.setattr(PartialAutomorphism, "__init__", lambda pa, m: built.append(pa) or real_init(pa, m))
+    pi = extend_fixing(s, [a], {b: c})
+    assert seen == built == [pi] and pi.structure is s and pi.apply(d) in s
+    assert extend_fixing(s, [a, c], {b: d}) is None  # b < c but d > c
+    assert len(seen) == len(built) == 2
+
+
+def test_a_lift_refuses_an_image_that_is_not_exactly_an_atom():
+    class Tagged(Atom):
+        __slots__ = ()
+
+    s, (a, b, c, d) = dense(0, 1, 2, 5)
+    for bad in ({b: Tagged(b.world, b.payload)}, {Tagged(b.world, b.payload): Tagged(c.world, c.payload)}):
+        with pytest.raises(TypeError, match="exactly an Atom"):
+            extend_fixing(s, [a], bad)
+    # a key may be any equal atom: only images become members of HF values
+    assert extend_fixing(s, [a], {Tagged(b.world, b.payload): c}).apply(b) == c
+
+
+def test_homogeneous_positions_are_rationals_and_compare_in_integers(monkeypatch):
+    cs = CategoricalStructure()
+    xs = [fresh_realizer(cs, []) for _ in range(4)]
+    cs.declare_rel([xs[1], xs[2]])
+    fresh_realizer(cs, [f_lt(xs[0])])
+    pi = extend_fixing(cs, xs[3:], {xs[1]: fresh_realizer(cs, [f_lt(xs[3]), f_rel(0, (xs[2],))])})
+    back = structure_from_json(cs.to_json())
+    monkeypatch.setattr(Fraction, "_richcmp", lambda *_: pytest.fail("a position took Fraction's comparison"))
+    pi.apply(xs[0]), pi.apply(xs[2])  # each image realised inside a cut
+    for t in (cs, back):
+        assert all(type(q) is Rational for q in t._pos.values())
+        order = t.sorted_by_order(t.atoms())
+        assert all(t.lt(u, v) for u, v in zip(order, order[1:]))
+    assert back.to_json() == structure_from_json(back.to_json()).to_json()

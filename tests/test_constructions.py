@@ -394,6 +394,19 @@ class TestMostowskiPowerToSeq:
         S = SupportedSubset.of_atoms(s, [s.atom(100)])
         assert mostowski_power_to_seq(S, list(reversed(anchors))) == mostowski_power_to_seq(S, anchors)
 
+    def test_unused_anchors_match_a_scan_of_all_twenty(self):
+        # a support among the anchors pushes the first ten unused ones right
+        s = DenseOrderStructure()
+        anchors = default_anchors(s)
+        rng = random.Random(28)
+        for n in range(11):
+            E = sorted(rng.sample(list(anchors[: n + 2]) + [s.atom(100)], n), key=lambda a: a.payload)
+            S = SupportedSubset.of_atoms(s, E)
+            k, support = class_rank(S)
+            unused = [c for c in anchors if c not in set(support)][:10]
+            want = tuple(support) + nth_permutation(unused, factorial(10) - k)
+            assert mostowski_power_to_seq(S, anchors).items == want
+
     def test_nineteen_anchors_are_refused(self):
         s = DenseOrderStructure()
         with pytest.raises(ValueError, match="exactly 20 distinct"):
@@ -873,16 +886,18 @@ def to_old(x):
 
 
 def built_during(monkeypatch, run):
-    """Every HF value constructed while `run()` runs, in order."""
+    """Every HF value constructed while `run()` runs, in order.  The hook
+    sits where `__new__` and `act` both build, the class's `_trusted`; a
+    set found interned is recorded again, as the same object."""
     built = []
     with monkeypatch.context() as m:
         for cls in (HFSet, HFTuple):
 
-            def init(self, items, _init=cls.__init__):
-                _init(self, items)
-                built.append(self)
+            def trusted(cls, items, _trusted=cls._trusted.__func__):
+                built.append(_trusted(cls, items))
+                return built[-1]
 
-            m.setattr(cls, "__init__", init)
+            m.setattr(cls, "_trusted", classmethod(trusted))
         run()
     return built
 
@@ -912,3 +927,69 @@ class TestFrozensetSets:
             assert first_same_key.setdefault(hf_key(v), i) == j
             assert first_old_equal.setdefault(old, i) == j
         assert 1 < len(first_equal) < len(values)
+
+
+class TestInternedSets:
+    @staticmethod
+    def nested(xs):
+        return hfset(hftuple(xs[0], 3), hfset(xs[1], hfset(xs[2])), hfset(), 0)
+
+    def test_equal_sets_are_one_object_however_built(self, pure4):
+        s, xs = pure4
+        x = self.nested(xs)
+        pi = extend_fixing(s, xs)  # the identity: act rebuilds every member
+        builds = [
+            HFSet(reversed(x.items)),
+            hfset(*x.items),
+            hfset(list(x.items)),
+            act(pi, x),
+            copy.copy(x),
+            copy.deepcopy(x),
+            pickle.loads(pickle.dumps(x)),
+            hf_from_json(hf_to_json(x)),
+            hf_from_json(hf_to_json(x), s),
+        ]
+        assert all(y is x for y in builds)
+        assert HFSet([xs[0], xs[1]]) is kuratowski(xs[0], xs[1]).items[1]
+        assert HFSet(x.items[:2]) is not x and HFSet(x.items[:2]) != x
+
+    def test_hashes_are_those_of_the_member_frozensets(self, pure4):
+        _, xs = pure4
+        x = self.nested(xs)
+        for y in (x, *x.members, hfset(), hfset(xs), hfset(0, 1, 2)):
+            if isinstance(y, HFSet):
+                assert hash(y) == hash(y.members) == hash(frozenset(y.items))
+        assert hash(hfset(xs)) == hash(frozenset(xs))
+
+    def test_a_set_leaves_the_table_with_its_last_reference(self, pure4):
+        _, xs = pure4
+        mark = 10**9 + 7  # a member nobody else builds
+
+        def marked():
+            sets = list(HFSet._table.values())
+            return sorted(len(v) for v in sets if any(mark in getattr(m, "members", {m}) for m in v.members))
+
+        x = hfset(xs[0], hfset(mark))
+        x.items  # the cached canonical order makes no cycle
+        held = marked()
+        del x
+        assert held == [1, 2] and marked() == []
+
+    def test_interned_sets_still_refuse_a_bool_or_a_float(self):
+        one = hfset(1)
+        for bad in ([True], [1.0], [one, True], (hfset(), 1, False)):
+            with pytest.raises(TypeError, match="not an HF object"):
+                HFSet(bad)
+        assert HFSet([1]) is one and HFSet._table[frozenset({True})] is one
+
+    def test_hf_set_takes_no_subclass(self):
+        with pytest.raises(TypeError, match="no subclasses"):
+            type("Tagged", (HFSet,), {"__slots__": ()})
+
+    def test_a_lift_never_gives_act_an_unchecked_member(self, pure4):
+        s, (a, b, c, d) = pure4
+        # a lift's images are exactly atoms, so `act` may skip the type check
+        with pytest.raises(TypeError, match="exactly an Atom"):
+            extend_fixing(s, [], {a: _TaggedAtom(b.world, b.payload)})
+        pi = extend_fixing(s, [], {a: b, b: a})
+        assert act(pi, hfset(a, hftuple(b, 2))) is hfset(b, hftuple(a, 2))

@@ -71,7 +71,7 @@ from choiceless.refute import (
     verify_witness_json,
     witness_to_json,
 )
-from choiceless.symsets import SupportedSubset
+from choiceless.symsets import SupportedSubset, count_supported
 
 
 # every built-in refutation oracle at every built-in support size
@@ -1027,3 +1027,45 @@ class TestFiniteCombinatorics:
     def test_partition_edges_rejects_overlap(self):
         with pytest.raises(ValueError):
             partition_to_edges([{0, 1}, {1, 2}])
+
+
+class TestAnswerPools:
+    """A pool lists cheap keys and builds an answer per key; item i must be
+    the eager list's item i, so `rng.choice` draws the answers it drew."""
+
+    @staticmethod
+    def cases():
+        s = PureSetStructure(8)
+        xs = s.atoms()
+        for n in range(6):
+            for max_len in range(3):
+                yield oracles._seqs_up_to(xs[:n], max_len), [
+                    hftuple(p) for k in range(max_len + 1) for p in itertools.permutations(xs[:n], k)
+                ]
+                yield oracles._tuples_up_to(xs[:n], max_len), [
+                    hftuple(p) for k in range(max_len + 1) for p in itertools.product(xs[:n], repeat=k)
+                ]
+        for n in range(3):
+            E, extra = xs[:n], xs[6:]
+            supports = [(), E[:1], E[:2], extra, E[:1] + extra, E]
+            eager = [SupportedSubset.from_bits(s, sup, b) for sup in supports for b in range(count_supported(s, sup))]
+            yield oracles._subsets_over(s, supports), eager
+
+    def test_item_i_is_the_eager_lists_item_i(self):
+        for (build, keys), eager in self.cases():
+            assert len(keys) == len(eager) > 0
+            assert [build(key) for key in keys] == eager
+
+    def test_draws_match_the_eager_lists(self):
+        for (build, keys), eager in self.cases():
+            for seed in range(3):
+                by_key, by_list = random.Random(seed), random.Random(seed)
+                assert [build(by_key.choice(keys)) for _ in range(20)] == [by_list.choice(eager) for _ in range(20)]
+
+    @pytest.mark.parametrize("engine", ["fin-to-seq", "fin-to-seqstar"])
+    def test_a_random_adversary_builds_each_drawn_answer_once(self, engine):
+        # word answers are equal exactly when their keys are, so equal draws must be one object
+        s = PureSetStructure(0)
+        fn = oracles.REFUTE[engine].oracles["random"].answers(s, tuple(s.fresh(1)), random.Random(5))
+        draws = [fn(None) for _ in range(300)]
+        assert len({id(y) for y in draws}) == len(set(draws)) < len(draws)
