@@ -230,6 +230,18 @@ def _cat_rel_formulas(n: int) -> Tuple[tuple, ...]:
     return tuple(out)
 
 
+def _cat_remap(n: int, positions: Tuple[int, ...]) -> List[int]:
+    """Entry k is the bit, over the atoms at `positions` of an n-atom
+    support, of the k-th relation formula over the support renamed onto
+    them, or 0 where one of its parameters lies outside them."""
+    slot = {j: i for i, j in enumerate(positions)}
+    bits = {f: k for k, f in enumerate(_cat_rel_formulas(len(positions)))}
+    return [
+        1 << bits[("rel", m, i, tuple(slot[j] for j in seq))] if all(j in slot for j in seq) else 0
+        for _, m, i, seq in _cat_rel_formulas(n)
+    ]
+
+
 def _cat_type_count(n: int) -> int:
     """Types over an n-atom categorical support, refused past the `types` cap before listing."""
     count = n + (n + 1) * 2 ** len(_cat_rel_formulas(n))
@@ -242,6 +254,18 @@ def _positions(E: Sequence[Atom], sub: Sequence[Atom]) -> Tuple[int, ...]:
     """Where each atom of the sub-support sits in the support E."""
     where = {e: j for j, e in enumerate(E)}
     return tuple(where[e] for e in sub)
+
+
+def fibres_of(table: Sequence[int]) -> Tuple[int, ...]:
+    """Entry g is the int whose bit k is set iff table[k] == g, for every g
+    up to the largest entry: the table's fibres, through which `symsets`
+    moves mask bits.  One pass over the table, then one bytes-to-int
+    conversion per fibre, where OR-ing in bit by bit would copy a fibre
+    per bit."""
+    rows = [bytearray((len(table) + 7) >> 3) for _ in range(max(table, default=-1) + 1)]
+    for k, g in enumerate(table):
+        rows[g][k >> 3] |= 1 << (k & 7)
+    return tuple(int.from_bytes(row, "little") for row in rows)
 
 
 def _unused_ints(used: set, count: int) -> List[int]:
@@ -279,10 +303,11 @@ class AtomStructure:
     once per size (`_type_list`).  Projection tables (`projection`) are
     computed by index arithmetic from the shape of the pair of supports:
     the size of E and the positions of the sub-support inside it.  The
-    bare set and the dense order keep one table per shape for the whole
-    class; the homogeneous structure shares the part that does not
-    depend on its relation facts.  What is computed from one support's
-    tables alone (`by_shape`) is memoised per class where they allow."""
+    kernels read a table's fibres (`fibres`).  The bare set and the dense
+    order keep one table and its fibres per shape for the whole class; the
+    homogeneous structure shares the part that does not depend on its
+    relation facts.  What is computed from one support's fibres alone
+    (`by_shape`) is memoised per class where they allow."""
 
     kind: str = ""
     atom_tag: str = ""  # "world" of the atom JSON
@@ -376,16 +401,27 @@ class AtomStructure:
         `positions`, where it depends on nothing else."""
         raise NotImplementedError
 
+    @classmethod
+    @lru_cache(maxsize=None)
+    def _shape_fibres(cls, n: int, positions: Tuple[int, ...]) -> Tuple[int, ...]:
+        """`fibres_of(_shape_table(n, positions))`, built once per class and shape."""
+        return fibres_of(cls._shape_table(n, positions))
+
+    def fibres(self, E: Tuple[Atom, ...], sub: Tuple[Atom, ...]) -> Tuple[int, ...]:
+        """`fibres_of(projection(E, sub))`, read from the class's cache per shape."""
+        return self._shape_fibres(len(E), _positions(E, sub))
+
     def by_shape(self, fn: Callable, E: Tuple[Atom, ...], mask: int):
-        """fn(table, len(E), mask), where table(positions) projects the sorted
-        support E onto its atoms at `positions`.  Here that reads only the
-        shape, so the value is memoised for the class by (len(E), mask)."""
+        """fn(fibres, len(E), mask), where fibres(positions) are those of the
+        projection of the sorted support E onto its atoms at `positions`.
+        Here that reads only the shape, so the value is memoised for the
+        class by (len(E), mask)."""
         return self._shape_memo(fn, len(E), mask)
 
     @classmethod
     @lru_cache(maxsize=SHAPE_MEMO_SIZE)
     def _shape_memo(cls, fn: Callable, n: int, mask: int):
-        return fn(partial(cls._shape_table, n), n, mask)
+        return fn(partial(cls._shape_fibres, n), n, mask)
 
     def type_of(self, atom: Atom, E: Tuple[Atom, ...]) -> tuple:
         """The 1-type over E of an atom outside E."""
@@ -950,48 +986,75 @@ class CategoricalStructure(AtomStructure):
                 local.append(("rel", m, i, tuple(sub_index[p] for p in params)))
         return ("typ", below, frozenset(local))
 
-    def projection(self, E, sub):
-        # ("typ", gap, rels) sits at len(E) + gap * 2^F + mask, where bit k
-        # of mask says whether rels holds the k-th of the F formulas over E
-        _cat_type_count(len(E))
-        positions = _positions(E, sub)
+    def _head(self, E, sub, positions):
         # an atom of E outside sub has the type over sub that the
         # relation facts give it, so this head is not shared; only such
         # an atom needs the type list over sub
-        head = (
+        _cat_type_count(len(E))
+        return [
             positions.index(j)
             if j in positions
             else self._type_list(len(sub)).index(self.type_of(e, sub))
             for j, e in enumerate(E)
-        )
-        return tuple(head) + self._shape_table(len(E), positions)
+        ]
+
+    def projection(self, E, sub):
+        # ("typ", gap, rels) sits at len(E) + gap * 2^F + mask, where bit k
+        # of mask says whether rels holds the k-th of the F formulas over E
+        positions = _positions(E, sub)
+        return tuple(self._head(E, sub, positions)) + self._shape_table(len(E), positions)
+
+    def fibres(self, E, sub):
+        # the shared tail's fibres moved up past the head, then the head's bits
+        positions = _positions(E, sub)
+        head = self._head(E, sub, positions)
+        out = [f << len(E) for f in self._shape_fibres(len(E), positions)]
+        for j, g in enumerate(head):
+            out[g] |= 1 << j
+        return tuple(out)
 
     def by_shape(self, fn, E, mask):
         # the projection reads the relation facts, so each support answers for itself
-        return fn(lambda keep: self.projection(E, tuple(E[j] for j in keep)), len(E), mask)
+        return fn(lambda keep: self.fibres(E, tuple(E[j] for j in keep)), len(E), mask)
 
     @staticmethod
     @lru_cache(maxsize=None)
     def _shape_table(n, positions):
-        # the ("typ", gap, rels) entries: keep the formulas whose
-        # parameters all lie in sub, renamed to their bits over sub
-        slot = {j: i for i, j in enumerate(positions)}
-        bits = {f: k for k, f in enumerate(_cat_rel_formulas(len(positions)))}
-        remap = [
-            1 << bits[("rel", m, i, tuple(slot[j] for j in seq))]
-            if all(j in slot for j in seq)
-            else 0
-            for _, m, i, seq in _cat_rel_formulas(n)
-        ]
+        # the ("typ", gap, rels) entries: each relation mask over E is
+        # remapped, formula by formula, to its mask over sub
+        remap = _cat_remap(n, positions)
         new_mask = [0] * (1 << len(remap))
         for mask in range(1, len(new_mask)):
             low = mask & -mask
             new_mask[mask] = new_mask[mask ^ low] | remap[low.bit_length() - 1]
-        width = 1 << len(bits)
+        width = 1 << len(_cat_rel_formulas(len(positions)))
         out: List[int] = []
         for gap in range(n + 1):
             base = len(positions) + bisect.bisect_left(positions, gap) * width
             out.extend(base + x for x in new_mask)
+        return tuple(out)
+
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def _shape_fibres(n, positions):
+        # fibres_of(_shape_table(n, positions)) without the table: a mask
+        # over sub is hit by the masks over E that set its kept formulas'
+        # bits plus any of the dropped ones, so every fibre is one pattern
+        # of the dropped bits, moved to a kept combination in a gap block
+        remap = _cat_remap(n, positions)
+        pattern, kept, rels = 1, [0], [0]
+        for k, r in enumerate(remap):
+            if r:
+                kept += [x | 1 << k for x in kept]
+                rels += [y | r for y in rels]
+            else:
+                pattern |= pattern << (1 << k)
+        width = len(rels)
+        out = [0] * (len(positions) + (len(positions) + 1) * width)
+        for gap in range(n + 1):
+            base = len(positions) + bisect.bisect_left(positions, gap) * width
+            for x, y in zip(kept, rels):
+                out[base + y] |= pattern << (gap << len(remap) | x)
         return tuple(out)
 
     def to_json(self):

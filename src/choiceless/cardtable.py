@@ -199,7 +199,10 @@ class Closure:
         return dict(sorted(Counter(rule for rule, _ in self.trace.values()).items()))
 
     def sorted_facts(self) -> List[Fact]:
-        return sorted(self.facts, key=lambda f: (f[0], f[1].key(), f[2].key()))
+        """The facts by relation, then by the `CExpr.key` order of each side,
+        each term ranked once."""
+        rank = {t: r for r, t in enumerate(sorted(self.universe, key=CExpr.key))}
+        return sorted(self.facts, key=lambda f: (f[0], rank[f[1]], rank[f[2]]))
 
 
 def close(

@@ -415,47 +415,43 @@ def nth_permutation(items: Sequence, k: int) -> Tuple:
     as given, via factorial-base digits."""
     items = list(items)
     n = len(items)
-    if not 1 <= k <= factorial(n):
+    step = factorial(n)
+    if not 1 <= k <= step:
         raise ValueError(f"permutation index {k} out of range for {n} items")
     k -= 1
     out = []
     for i in range(n, 0, -1):
-        idx, k = divmod(k, factorial(i - 1))
+        step //= i  # (i - 1)!
+        idx, k = divmod(k, step)
         out.append(items.pop(idx))
     return tuple(out)
 
 
-def _constant_patterns_below(groups: Sequence[int], v: int) -> int:
-    """Count integers w < v, over len(groups) bit positions, whose bits are
-    constant inside each group.
+def _constant_patterns_below(fibres: Sequence[int], v: int) -> int:
+    """Count the integers w < v whose bits are constant on each fibre
+    (entry g of `fibres` holds the bit positions of group g; an empty
+    entry is no group).
 
-    Every such w is 0 from bit L = v.bit_length() up, which pins each group
-    occurring there to 0.  Walk the bits of v below L from the top along
-    the tight path, which pins the group of every visited position;
-    dropping a forced 1 to 0 ends the comparison, so the unpinned groups
-    living entirely below that point are free."""
+    Every such w is 0 from bit L = v.bit_length() up, which pins each
+    fibre reaching there to 0.  Along the tight path from the top, every
+    other fibre is fixed at its top bit to v's bit there, and the path
+    ends at the top bit where v differs from the union of the fibres
+    fixed to 1.  Each 1 of v met on the way, at a fibre's top or where the
+    path ends, counts the patterns that drop it to 0 and agree with v
+    above it: the fibres whose top lies lower are then free."""
     L = v.bit_length()
-    if L > len(groups):
-        return 1 << len(set(groups))
-    assigned = dict.fromkeys(groups[L:], 0)
-    top = dict(zip(groups[:L], range(L)))  # each group's last position below L
-    below = [0] * (L + 1)
-    for g, m in top.items():
-        if g not in assigned:
-            below[m + 1] += 1
-    for pos in range(1, L + 1):
-        below[pos] += below[pos - 1]
-    total = 0
-    for pos in range(L - 1, -1, -1):
-        g = groups[pos]
-        if v >> pos & 1:
-            if assigned.get(g, 0) == 0:
-                total += 1 << below[pos]
-            if assigned.setdefault(g, 1) != 1:
-                return total  # tight path broken
-        else:
-            if assigned.setdefault(g, 0) != 0:
-                return total
+    tops = sorted(((f.bit_length() - 1, f) for f in fibres if f and not f >> L), reverse=True)
+    tight = sum(f for top, f in tops if v >> top & 1)
+    end = (tight ^ v).bit_length() - 1  # -1: v itself is on the path
+    total, free = 0, len(tops)
+    for top, _ in tops:
+        if top < end:
+            break
+        free -= 1
+        if v >> top & 1:
+            total += 1 << free
+    if end >= 0 and v >> end & 1:
+        total += 1 << free
     return total
 
 
@@ -471,15 +467,15 @@ def class_rank(S: SupportedSubset) -> Tuple[int, Tuple[Atom, ...]]:
     return S.structure.by_shape(_rank_shape, S0.support, S0.mask), S0.support
 
 
-def _rank_shape(table, n: int, v: int) -> int:
+def _rank_shape(fibres, n: int, v: int) -> int:
     """`class_rank` of the mask v over an n-atom least support whose
-    projections `table` gives by positions."""
+    projections' fibres `fibres` gives by positions."""
     # E itself has the identity table, below which every w < v counts
     rank = 1 + v
     for keep in range(n):
         sign = -1 if (n - keep) % 2 else 1
         for sub in itertools.combinations(range(n), keep):
-            rank += sign * _constant_patterns_below(table(sub), v)
+            rank += sign * _constant_patterns_below(fibres(sub), v)
     return rank
 
 

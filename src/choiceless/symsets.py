@@ -8,13 +8,18 @@ every supported subset has a canonical bit vector, a canonical rank,
 and a decidable equality.  What needs only the width of a mask reads
 the structure's type count, and only what names a type lists them.
 
-Restriction to a sub-support is read from a table (`restriction_table`)
-that maps each type position over the support to a type position over
-the sub-support, and subsets are re-encoded, shrunk and tested for
-support by moving mask bits along it.  The structure computes the table
-by index arithmetic from the size of the support and the positions of
-the sub-support inside it.  `restrict_type` restricts one type; it is
-the oracle the tables are tested against.
+Restriction to a sub-support is a table (`restriction_table`) that maps
+each type position over the support to a type position over the
+sub-support.  Subsets are re-encoded, shrunk and tested for support by
+moving mask bits fibre by fibre: the structure hands over the table's
+fibres (`fibres`), entry g the int whose bit k is set iff the table
+sends k to g, so a move costs one big-int step per fibre, not one per
+type.  The structure computes them by index arithmetic from the size of
+the support and the positions of the sub-support inside it, once per
+such shape; the homogeneous structure moves its cached fibres of the
+non-support types up past the support atoms and sets each support
+atom's bit.  `restriction_table` and `restrict_type`, which restricts
+one type, are the oracles the fibres are tested against.
 
 `least_support` (with the canonical mask, which `canonical` reads) and
 `class_rank` each make one call to the structure's `by_shape`, which
@@ -79,25 +84,23 @@ def count_least_supported(structure: AtomStructure, support: Iterable[Atom]) -> 
 # -- supported subsets --------------------------------------------------------
 
 
-def _pull(table: Sequence[int], mask: int) -> int:
+def _pull(fibres: Sequence[int], mask: int) -> int:
     """Re-encode a mask over the sub-support onto the support whose
-    restriction table is `table`: bit k is bit table[k] of `mask`.  A
-    table is onto, so no entry reaches past len(table)."""
-    bits = format(mask, f"0{len(table)}b")[::-1]
-    return int("".join(map(bits.__getitem__, table))[::-1] or "0", 2)
+    restriction table has these fibres: the union of the fibres that
+    `mask` selects.  Bits of `mask` at or past len(fibres) select none."""
+    return sum(f for g, f in enumerate(fibres) if mask >> g & 1)  # disjoint, so the sum is the union
 
 
-def _push(table: Sequence[int], mask: int) -> int:
+def _push(fibres: Sequence[int], mask: int) -> int:
     """The mask over the sub-support that selects each type whose fibre
-    under `table` holds a selected bit of `mask`."""
-    hit = {g for g, b in zip(table, format(mask, "b")[::-1]) if b == "1"}
-    return sum(1 << g for g in hit)
+    holds a selected bit of `mask`."""
+    return sum(1 << g for g, f in enumerate(fibres) if mask & f)
 
 
-def _fibred(table: Sequence[int], mask: int) -> bool:
-    """Is the selection a union of fibres of `table`, that is, does the
-    sub-support behind the table support the subset?"""
-    return _pull(table, _push(table, mask)) == mask
+def _fibred(fibres: Sequence[int], mask: int) -> bool:
+    """Is the selection a union of fibres, that is, does the sub-support
+    behind them support the subset?  No fibre holds a bit past the table."""
+    return _pull(fibres, _push(fibres, mask)) == mask
 
 
 class SupportedSubset:
@@ -189,15 +192,19 @@ class SupportedSubset:
     def reencode(self, support: Iterable[Atom]) -> "SupportedSubset":
         """The same subset presented over its support plus `support`."""
         big = sort_support(self.structure, tuple(self.support) + tuple(support))
-        table = restriction_table(self.structure, big, self.support)
-        return SupportedSubset._sorted(self.structure, big, _pull(table, self.mask))
+        if big == self.support:  # no new atom, and no identity fibres to build
+            return self
+        fibres = self.structure.fibres(big, self.support)
+        return SupportedSubset._sorted(self.structure, big, _pull(fibres, self.mask))
 
     def is_supported_by(self, candidate: Iterable[Atom]) -> bool:
         """Is the (sub)set of atoms `candidate` already a support?"""
         sub = sort_support(self.structure, candidate)
+        if sub == self.support:
+            return True
         if not set(sub) <= set(self.support):
             return self.reencode(sub).is_supported_by(sub)
-        return _fibred(restriction_table(self.structure, self.support, sub), self.mask)
+        return _fibred(self.structure.fibres(self.support, sub), self.mask)
 
     def canonical(self) -> "SupportedSubset":
         """S over its least support: the types over it whose fibre holds a
@@ -314,12 +321,12 @@ def least_support(S: SupportedSubset) -> Tuple[Atom, ...]:
     return S._least[0]
 
 
-def _least_shape(table, n: int, mask: int) -> Tuple[Tuple[int, ...], int]:
+def _least_shape(fibres, n: int, mask: int) -> Tuple[Tuple[int, ...], int]:
     """The positions of the least support of `mask` over an n-atom
-    support whose projections `table` gives, and the canonical mask over
-    them: `least_support` and `canonical` by index arithmetic."""
-    keep = tuple(j for j in range(n) if not _fibred(table(tuple(k for k in range(n) if k != j)), mask))
-    return keep, mask if len(keep) == n else _push(table(keep), mask)
+    support whose projections' fibres `fibres` gives, and the canonical
+    mask over them: `least_support` and `canonical` by index arithmetic."""
+    keep = tuple(j for j in range(n) if not _fibred(fibres(tuple(k for k in range(n) if k != j)), mask))
+    return keep, mask if len(keep) == n else _push(fibres(keep), mask)
 
 
 class FraenkelClass:

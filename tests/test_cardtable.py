@@ -462,6 +462,26 @@ def test_cached_display_matches_the_walk():
         assert display(e) == repr(e) == display_by_walk(e)
 
 
+class TestSortedFacts:
+    @staticmethod
+    def _closures():
+        # every seed-0 and seed-1 workload closure, then the depth-3 group
+        # of `test_depth_three_group_matches_naive` in the richest model
+        for seed in (0, 1):
+            for name, extra in depth_two_groups(seed):
+                yield close(model_axioms(name), extra_terms=model_extra_terms(name) + extra)
+        order = DEPTH_THREE[:]
+        random.Random(0).shuffle(order)
+        yield close(model_axioms("mostowski"), extra_terms=model_extra_terms("mostowski") + order[::16])
+
+    def test_rank_order_is_the_key_tuple_order(self):
+        closures = list(self._closures())
+        assert len(closures) == 49
+        for cl in closures:
+            want = sorted(cl.facts, key=lambda f: (f[0], f[1].key(), f[2].key()))
+            assert cl.sorted_facts() == want
+
+
 class TestCExpr:
     def test_structural_equality_and_hash(self):
         # hash-consed: building an expression twice gives the one object

@@ -23,6 +23,7 @@ from choiceless.atoms import (
     extend_fixing,
     f_lt,
     f_rel,
+    fibres_of,
     fresh_realizer,
 )
 from choiceless.constructions import (
@@ -338,6 +339,16 @@ class TestPermutationUnranking:
             for k, ref in enumerate(itertools.permutations(items), start=1):
                 assert nth_permutation(items, k) == ref
 
+    def test_first_and_last_up_to_ten_items(self):
+        # the items as given, then reversed, and nothing past either end
+        for n in range(11):
+            items = [f"x{j}" for j in range(n)]
+            assert nth_permutation(items, 1) == tuple(items)
+            assert nth_permutation(items, factorial(n)) == tuple(reversed(items))
+            for k in (0, factorial(n) + 1):
+                with pytest.raises(ValueError):
+                    nth_permutation(items, k)
+
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             nth_permutation([1, 2], 3)
@@ -644,7 +655,7 @@ def class_rank_by_sub_supports(S: SupportedSubset):
     for keep in range(len(E)):
         for sub in itertools.combinations(E, keep):
             sign = -1 if (len(E) - keep) % 2 else 1
-            rank += sign * _constant_patterns_below(restriction_table(S.structure, E, sub), v)
+            rank += sign * _constant_patterns_below(fibres_of(restriction_table(S.structure, E, sub)), v)
     return rank, E
 
 
@@ -734,7 +745,7 @@ def test_pattern_counting_matches_bruteforce():
             assign = dict(zip(ids, bits))
             if sum(assign[g] << p for p, g in enumerate(groups)) < v:
                 brute += 1
-        assert _constant_patterns_below(groups, v) == brute, (groups, v)
+        assert _constant_patterns_below(fibres_of(groups), v) == brute, (groups, v)
 
 
 def test_pattern_counting_matches_full_walk_on_long_tables():
@@ -746,7 +757,39 @@ def test_pattern_counting_matches_full_walk_on_long_tables():
         groups = tuple(rng.randint(0, rng.randint(0, n)) for _ in range(n))
         v = rng.randrange(1 << 8)
         want = _constant_patterns_below_by_full_walk(groups, v)
-        assert _constant_patterns_below(groups, v) == want, (groups, v)
+        assert _constant_patterns_below(fibres_of(groups), v) == want, (groups, v)
+
+
+def test_pattern_counting_accepts_groups_outside_zero_to_g():
+    """Group ids with gaps leave empty fibres, which are no group."""
+    rng = random.Random(2)
+    for _ in range(300):
+        n = rng.randint(0, 12)
+        groups = tuple(rng.choice((0, 3, 7, 40)) for _ in range(n))
+        fibres = fibres_of(groups)
+        assert len(fibres) == max(groups, default=-1) + 1
+        for v in (rng.randrange((1 << n) + 4), rng.getrandbits(n + 2)):
+            assert _constant_patterns_below(fibres, v) == _constant_patterns_below_by_full_walk(groups, v)
+
+
+@pytest.mark.parametrize("facts", [False, True], ids=["no-facts", "fact"])
+@pytest.mark.parametrize("keep", [0, 1])
+def test_pattern_counting_matches_full_walk_on_two_atom_homogeneous_tables(keep, facts):
+    """Vectors of the full width over both projections of a two-atom
+    homogeneous support onto one atom: 6,146 positions in 17 fibres."""
+    rng = random.Random(f"wide-{keep}-{facts}")
+    s = CategoricalStructure()
+    E = sort_support(s, s.fresh(2))
+    if facts:
+        s.declare_rel(E[::-1])
+    sub = E[keep : keep + 1]
+    table = restriction_table(s, E, sub)
+    fibres = s.fibres(E, sub)
+    assert len(table) == 6146 and fibres == fibres_of(table)
+    for _ in range(12):
+        union = sum(f for f in fibres if rng.getrandbits(1))
+        for v in (rng.getrandbits(6146), union, union ^ 1 << rng.randrange(6146), rng.randrange(1 << 8), 1 << 6146):
+            assert _constant_patterns_below(fibres, v) == _constant_patterns_below_by_full_walk(table, v)
 
 
 def test_act_on_nested_objects():

@@ -201,3 +201,35 @@ class TestPoolCap:
         with pytest.raises(BudgetExceeded, match="17-atom pool"):
             labchecks.invariant_subsets_bruteforce(CAPS["max_atoms"] + 1, 0)
         assert issubclass(BudgetExceeded, RuntimeError)
+
+
+class TestTypeLayerCounts:
+    def test_injections_kernel_work_is_pinned(self, monkeypatch):
+        # from cold shape caches, one seed-0 injections check builds these
+        # fibres and calls each mask kernel this often, on every machine
+        from choiceless import constructions, symsets
+        from choiceless.atoms import AtomStructure
+
+        calls = dict.fromkeys(("_pull", "_push", "_fibred", "_constant_patterns_below", "fibres"), 0)
+
+        def counted(owner, name):
+            fn = getattr(owner, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for name in ("_pull", "_push", "_fibred"):
+            counted(symsets, name)
+        counted(constructions, "_constant_patterns_below")
+        counted(CategoricalStructure, "fibres")  # the support's own fibres, composed per call
+        caches = (AtomStructure._shape_fibres, CategoricalStructure._shape_fibres, AtomStructure._shape_memo)
+        for cache in caches:
+            cache.cache_clear()
+        assert all(verdicts(labchecks.check_injections(0)).values())
+        misses = [cache.cache_info().misses for cache in caches]
+        assert misses == [4, 4, 68]
+        # each _fibred call pushes the mask down and pulls it back up
+        assert calls == {"_pull": 157, "_push": 177, "_fibred": 157, "_constant_patterns_below": 92, "fibres": 121}

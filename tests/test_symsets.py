@@ -23,6 +23,7 @@ from choiceless.atoms import (
     extend_fixing,
     f_lt,
     f_rel,
+    fibres_of,
     fresh_realizer,
 )
 from choiceless.cli import main
@@ -34,6 +35,7 @@ from choiceless.constructions import (
 )
 from choiceless.symsets import (
     SupportedSubset,
+    _fibred,
     _pull,
     _push,
     classify_fraenkel,
@@ -213,6 +215,35 @@ class TestTypeCounts:
             if make is not CategoricalStructure:
                 assert mine is theirs
 
+    @pytest.mark.parametrize(
+        "make",
+        [PureSetStructure, DenseOrderStructure, CategoricalStructure],
+        ids=["pure_set", "dense_order", "categorical"],
+    )
+    def test_fibres_built_once_per_shape(self, make):
+        # two supports of one shape in two structures: the second reads the
+        # fibres the first built, and both are the fibres of the table
+        s, t = make(), make()
+        E = sort_support(s, s.fresh(2))
+        t.fresh(3)
+        F = sort_support(t, t.fresh(2))
+        fibres = make._shape_fibres.cache_info
+        make._shape_fibres.cache_clear()
+        for built, keep in enumerate(((), (0,), (1,), (0, 1)), start=1):
+            mine = s.fibres(E, tuple(E[j] for j in keep))
+            assert fibres().misses == built
+            theirs = t.fibres(F, tuple(F[j] for j in keep))
+            assert fibres().misses == built
+            assert mine == theirs == fibres_of(restriction_table(s, E, tuple(E[j] for j in keep)))
+
+    def test_categorical_fibres_are_those_of_the_shape_tables(self):
+        # built from the relation masks' pattern, never from the table
+        for n in range(3):
+            for keep in range(n + 1):
+                for positions in itertools.combinations(range(n), keep):
+                    table = CategoricalStructure._shape_table(n, positions)
+                    assert CategoricalStructure._shape_fibres(n, positions) == fibres_of(table)
+
     def test_types_partition_materialised_atoms(self):
         s = DenseOrderStructure()
         E = [s.atom(i) for i in range(3)]
@@ -291,22 +322,86 @@ class TestMaskMoves:
         for keep in range(len(E) + 1):
             for sub in itertools.combinations(E, keep):
                 table = restriction_table(s, E, sub)
+                fibres = fibres_of(table)
+                assert s.fibres(E, sub) == fibres
                 below = len(types_over(s, sub))
                 for _ in range(12):
                     # masks over the sub-support, pulled up onto E
                     small = rng.getrandbits(min(below, 6))
                     for mask in (small, rng.getrandbits(below)):
-                        assert _pull(table, mask) == _pull_by_genexpr(table, mask)
+                        assert _pull(fibres, mask) == _pull_by_genexpr(table, mask)
                     # masks over E, pushed down and tested for support
-                    pulled = _pull(table, rng.getrandbits(below))
+                    pulled = _pull(fibres, rng.getrandbits(below))
                     for mask in (rng.getrandbits(6), rng.getrandbits(width), pulled):
-                        assert _push(table, mask) == _push_by_genexpr(table, mask)
+                        assert _push(fibres, mask) == _push_by_genexpr(table, mask)
                         S = SupportedSubset(s, E, mask)
                         assert S.is_supported_by(sub) == _is_supported_by_genexpr(S, sub)
                     assert SupportedSubset(s, E, pulled).is_supported_by(sub)
 
 
+    @pytest.mark.parametrize("kind", ["pure_set", "dense_order", "categorical"])
+    def test_kernels_ignore_bits_past_their_width(self, kind):
+        # _pull reads the mask bits below the sub-support's type count,
+        # _push those below the table width, and _fibred refuses a bit past
+        # the table width, as the genexpr oracles do
+        rng = random.Random(kind)
+        s, atoms = _structure_with_support(kind)
+        E = sort_support(s, atoms)
+        for keep in range(len(E) + 1):
+            for sub in itertools.combinations(E, keep):
+                table = restriction_table(s, E, sub)
+                fibres = s.fibres(E, sub)
+                below, width = len(types_over(s, sub)), len(table)
+                for _ in range(6):
+                    small, big = rng.getrandbits(below), rng.getrandbits(width)
+                    high = small | 1 << below + rng.randrange(8)
+                    assert _pull(fibres, high) == _pull(fibres, small) == _pull_by_genexpr(table, high)
+                    for mask in (big, _pull(fibres, small)):
+                        wide = mask | 1 << width + rng.randrange(8)
+                        assert _push(fibres, wide) == _push(fibres, mask) == _push_by_genexpr(table, wide)
+                        oracle = _pull_by_genexpr(table, _push_by_genexpr(table, mask)) == mask
+                        assert _fibred(fibres, mask) == oracle
+                        assert not _fibred(fibres, wide)
+
+    @pytest.mark.parametrize("facts", [False, True], ids=["no-facts", "fact"])
+    @pytest.mark.parametrize("keep", [0, 1])
+    def test_kernels_match_the_oracles_on_two_atom_homogeneous_tables(self, keep, facts):
+        # a two-atom homogeneous support onto either of its atoms: 6,146
+        # table positions in 17 fibres, with masks of the full width
+        rng = random.Random(f"wide-{keep}-{facts}")
+        s = CategoricalStructure()
+        E = sort_support(s, s.fresh(2))
+        if facts:
+            s.declare_rel(E[::-1])
+        sub = E[keep : keep + 1]
+        table = restriction_table(s, E, sub)
+        fibres = s.fibres(E, sub)
+        assert (len(table), len(fibres)) == (6146, 17)
+        assert fibres == fibres_of(table)
+        for _ in range(24):
+            small = rng.getrandbits(17)
+            assert _pull(fibres, small) == _pull_by_genexpr(table, small)
+            pulled = _pull(fibres, small)
+            for mask in (rng.getrandbits(6146), pulled, pulled ^ 1 << rng.randrange(6146)):
+                assert _push(fibres, mask) == _push_by_genexpr(table, mask)
+                oracle = _pull_by_genexpr(table, _push_by_genexpr(table, mask)) == mask
+                assert _fibred(fibres, mask) == oracle
+            assert _fibred(fibres, pulled)
+
+
 class TestSupportedSubset:
+    def test_the_own_support_needs_no_fibres(self):
+        # re-encoding onto atoms of the support, or asking whether the
+        # support supports the subset, builds no identity fibres
+        s = CategoricalStructure()
+        E = sort_support(s, s.fresh(2))
+        S = SupportedSubset(s, E, 12345)
+        built = CategoricalStructure._shape_fibres.cache_info().misses
+        union = S.union(S.reencode(E[:1]))
+        assert (union.support, union.mask) == (E, S.mask)
+        assert S.is_supported_by(E[::-1])
+        assert CategoricalStructure._shape_fibres.cache_info().misses == built
+
     def test_a_subset_refuses_reassignment(self):
         # its least support and canonical key are cached, so a changed mask
         # or support would leave them stale
