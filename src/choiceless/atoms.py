@@ -230,12 +230,18 @@ def _cat_rel_formulas(n: int) -> Tuple[tuple, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _cat_formula_bits(n: int) -> Dict[tuple, int]:
+    """Each relation formula over n parameters -> its index in `_cat_rel_formulas(n)`."""
+    return {f: k for k, f in enumerate(_cat_rel_formulas(n))}
+
+
 def _cat_remap(n: int, positions: Tuple[int, ...]) -> List[int]:
     """Entry k is the bit, over the atoms at `positions` of an n-atom
     support, of the k-th relation formula over the support renamed onto
     them, or 0 where one of its parameters lies outside them."""
     slot = {j: i for i, j in enumerate(positions)}
-    bits = {f: k for k, f in enumerate(_cat_rel_formulas(len(positions)))}
+    bits = _cat_formula_bits(len(positions))
     return [
         1 << bits[("rel", m, i, tuple(slot[j] for j in seq))] if all(j in slot for j in seq) else 0
         for _, m, i, seq in _cat_rel_formulas(n)
@@ -300,7 +306,8 @@ class AtomStructure:
     realizers are the one orbit of the pointwise stabiliser of E that it
     names, so the types over E partition the atoms.  The type list over
     E depends only on the class and on len(E), so each class builds it
-    once per size (`_type_list`).  Projection tables (`projection`) are
+    once per size (`_type_list`) and finds a type's position in it by
+    index arithmetic (`_type_position`).  Projection tables (`projection`) are
     computed by index arithmetic from the shape of the pair of supports:
     the size of E and the positions of the sub-support inside it.  The
     kernels read a table's fibres (`fibres`).  The bare set and the dense
@@ -388,6 +395,11 @@ class AtomStructure:
     @staticmethod
     def _type_count(n: int) -> int:
         """len(_type_list(n)), counted without listing the types."""
+        raise NotImplementedError
+
+    @staticmethod
+    def _type_position(n: int, t: tuple) -> int:
+        """_type_list(n).index(t), found without listing the types."""
         raise NotImplementedError
 
     def projection(self, E: Tuple[Atom, ...], sub: Tuple[Atom, ...]) -> Tuple[int, ...]:
@@ -508,6 +520,10 @@ class PureSetStructure(AtomStructure):
     def _type_count(n):
         return n + 1
 
+    @staticmethod
+    def _type_position(n, t):
+        return t[1] if t[0] == "eq" else n
+
     def type_of(self, atom, E):
         return ("free",)
 
@@ -593,6 +609,11 @@ class DenseOrderStructure(AtomStructure):
     @staticmethod
     def _type_count(n):
         return 2 * n + 1
+
+    @staticmethod
+    def _type_position(n, t):
+        # ("gap", g) sits at 2g and ("eq", j) at 2j + 1
+        return 2 * t[1] + (t[0] == "eq")
 
     def type_of(self, atom, E):
         return ("gap", sum(1 for x in E if x.payload < atom.payload))
@@ -763,10 +784,10 @@ class PairStructure(AtomStructure):
         return self.pair_atom(lvl, ix, iy, eps ^ bits.get(lvl, 0))
 
     @staticmethod
-    def _type_list(n):
+    def _type_list(*_):
         raise StructureMismatch("the pair model has no 1-types")
 
-    _type_count = _type_list
+    _type_count = _type_position = _type_list
 
     @staticmethod
     def payload_repr(payload) -> str:
@@ -969,6 +990,15 @@ class CategoricalStructure(AtomStructure):
 
     _type_count = staticmethod(_cat_type_count)
 
+    @staticmethod
+    def _type_position(n, t):
+        # ("typ", gap, rels) sits at n + gap * 2^F + mask, where bit k of
+        # mask says whether rels holds the k-th of the F formulas
+        if t[0] == "eq":
+            return t[1]
+        bits = _cat_formula_bits(n)
+        return n + (t[1] << len(bits)) + sum(1 << bits[f] for f in t[2])
+
     def type_of(self, atom, E):
         # the relation formulas off the atom's facts, parameters renamed to their positions in E
         below = sum(1 for x in E if self.lt(x, atom))
@@ -988,13 +1018,12 @@ class CategoricalStructure(AtomStructure):
 
     def _head(self, E, sub, positions):
         # an atom of E outside sub has the type over sub that the
-        # relation facts give it, so this head is not shared; only such
-        # an atom needs the type list over sub
+        # relation facts give it, so this head is not shared
         _cat_type_count(len(E))
         return [
             positions.index(j)
             if j in positions
-            else self._type_list(len(sub)).index(self.type_of(e, sub))
+            else self._type_position(len(sub), self.type_of(e, sub))
             for j, e in enumerate(E)
         ]
 

@@ -10,8 +10,9 @@ by the test-suite probes rather than by construction.
 HF values are immutable.  An `HFSet` keeps its members in the frozenset
 `members` and sorts them into the canonical order `items` only when read.
 Sets are hash-consed: the weak `HFSet._table` keeps one live set per
-value, so `==` is `is`.  A public build checks member types even on a
-hit, as {True} == {1}; `act` maps checked members, so skips the check.
+value, so `==` is `is`, and a set keys itself once (`key`).  A public
+build checks member types even on a hit, as {True} == {1}; `act` maps
+checked members, so skips the check.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .atoms import (
     DenseOrderStructure,
     PairStructure,
     StructureMismatch,
-    _cat_rel_formulas,
+    _cat_formula_bits,
     _is_nat,
     atom_from_json,
     atom_to_json,
@@ -90,9 +91,9 @@ class HFTuple(_HF):
 class HFSet(_HF):
     """Extensional finite set, one object per value.  `members` is its
     frozenset of members, which hashing, `len` and `in` read.  `items` is
-    the canonical order, sorted by `hf_key` on first read and kept."""
+    the canonical order and `key` its `hf_key`, both kept from first read."""
 
-    __slots__ = ("members", "__weakref__")
+    __slots__ = ("members", "key", "__weakref__")
     tag, brackets = "s", "{}"
     _table: "weakref.WeakValueDictionary[frozenset, HFSet]" = weakref.WeakValueDictionary()
 
@@ -110,11 +111,15 @@ class HFSet(_HF):
             object.__setattr__(self, "members", members)
         return self
 
-    def __getattr__(self, name):  # reached only while `items` is unset
-        if name != "items":
+    def __getattr__(self, name):  # reached only while `items` or `key` is unset
+        if name == "items":
+            value = tuple(sorted(self.members, key=hf_key))
+        elif name == "key":
+            value = (2, len(self.members), tuple(map(hf_key, self.items)))
+        else:
             raise AttributeError(name)
-        object.__setattr__(self, "items", tuple(sorted(self.members, key=hf_key)))
-        return self.items
+        object.__setattr__(self, name, value)
+        return value
 
     def __eq__(self, other):
         return self is other
@@ -155,8 +160,10 @@ def hftuple(*items) -> HFTuple:
 def hf_key(x):
     if isinstance(x, Atom):
         return (0, x.world, x.sort_key())
-    if isinstance(x, (HFTuple, HFSet)):
-        return (1 if isinstance(x, HFTuple) else 2, len(x.items), tuple(map(hf_key, x.items)))
+    if type(x) is HFSet:
+        return x.key
+    if isinstance(x, HFTuple):
+        return (1, len(x.items), tuple(map(hf_key, x.items)))
     if isinstance(x, int):
         return (3, x)
     raise TypeError(f"not an HF object: {x!r}")
@@ -183,6 +190,25 @@ def act(pi, x):
     if isinstance(x, (int, frozenset, tuple)):
         return x
     raise TypeError(f"cannot act on {x!r}")
+
+
+def record(pi, x):
+    """Ask pi for the image of each atom that `act(pi, x)` asks for, in
+    the same order, and build no image: a lift then records the pairs
+    `act` would have left in it."""
+    if isinstance(x, Atom):
+        pi.apply(x)
+    elif isinstance(x, (HFTuple, HFSet)):
+        for i in x.items:
+            if type(i) is Atom:
+                pi.apply(i)
+            else:
+                record(pi, i)
+    elif isinstance(x, SupportedSubset):
+        for e in x.support:  # as `SupportedSubset.apply` asks
+            pi.apply(e)
+    elif not isinstance(x, (int, frozenset, tuple)):
+        raise TypeError(f"cannot act on {x!r}")
 
 
 def hf_to_json(x):
@@ -251,6 +277,9 @@ class FinDom(Domain):
         )
 
 
+_ATOMS = AtomsDom()  # the entry domain of the sequence domains
+
+
 class SeqDom(Domain):
     """Finite sequences of atoms in which every entry appears at most once."""
 
@@ -259,7 +288,7 @@ class SeqDom(Domain):
     def contains(self, x, structure=None):
         if not isinstance(x, HFTuple):
             return False
-        if not all(AtomsDom().contains(i, structure) for i in x):
+        if not all(_ATOMS.contains(i, structure) for i in x):
             return False
         return len(set(x.items)) == len(x.items)
 
@@ -269,7 +298,7 @@ class SeqStarDom(Domain):
 
     def contains(self, x, structure=None):
         return isinstance(x, HFTuple) and all(
-            AtomsDom().contains(i, structure) for i in x
+            _ATOMS.contains(i, structure) for i in x
         )
 
 
@@ -537,8 +566,7 @@ def categorical_seq_to_power(
     # The type count raises TypeBudgetExceeded before any string is built.
     width = structure._type_count(len(E))
     index = {e: j for j, e in enumerate(E)}
-    formulas = _cat_rel_formulas(len(E))
-    b = formulas.index(("rel", len(ys), 0, tuple(index[y] for y in ys)))
+    b = _cat_formula_bits(len(E))[("rel", len(ys), 0, tuple(index[y] for y in ys))]
     # ("typ", gap, rels) sits at len(E) + gap * 2^F + m, and rels holds the
     # formula iff bit b of m is set: read from the top, the 2^F entries of
     # each gap are runs of 2^b selected and 2^b unselected types.  No

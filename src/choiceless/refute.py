@@ -41,6 +41,7 @@ from .constructions import (
     hf_key,
     hf_to_json,
     hftuple,
+    record,
 )
 from .symsets import SupportedSubset, least_support
 
@@ -72,14 +73,14 @@ class Refuted(Exception):
 def oracle_key(x):
     """A canonical key for an oracle value, built apart from the values'
     own equality: `verify_witness` compares by it."""
-    if isinstance(x, (HFTuple, HFSet, Atom)):
-        return ("hf", hf_key(x))
+    if isinstance(x, int):
+        if isinstance(x, bool):
+            raise TypeError("booleans are not oracle values")
+        return ("n", x)
     if isinstance(x, SupportedSubset):
         return ("ss", x.canonical_key())
-    if isinstance(x, bool):
-        raise TypeError("booleans are not oracle values")
-    if isinstance(x, int):
-        return ("n", x)
+    if isinstance(x, (HFTuple, HFSet, Atom)):
+        return ("hf", hf_key(x))
     if isinstance(x, tuple):
         return ("tu",) + tuple(oracle_key(i) for i in x)
     if isinstance(x, frozenset):
@@ -152,14 +153,23 @@ class InjectionOracle:
 
 
 class _Witness:
-    """A contradiction witness.  Each field it cites is set once, in
-    `__init__`, so a witness stays as it was checked; only the `details`
-    it reports may be replaced."""
+    """A contradiction witness.  `__init__` writes the cited fields past
+    the guard that refuses every later write, and copy and pickle rebuild
+    through it; only the reported `details` may be replaced."""
 
     __slots__ = ("details",)
 
+    def __init__(self, *cited):
+        for name, value in zip(self.__slots__, cited, strict=True):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "details", {})
+
+    def __reduce__(self):
+        cited = tuple(getattr(self, name) for name in self.__slots__)
+        return type(self), cited, (None, {"details": self.details})
+
     def __setattr__(self, name, value):
-        if name != "details" and hasattr(self, name):
+        if name != "details":
             raise WitnessTampered(f"the cited field {name!r} of a witness is read-only")
         object.__setattr__(self, name, value)
 
@@ -170,10 +180,6 @@ class _Witness:
 class InjectivityCollapse(_Witness):
     kind = "injectivity-collapse"
     __slots__ = ("x1", "x2", "y")
-
-    def __init__(self, x1, x2, y):
-        self.x1, self.x2, self.y = x1, x2, y
-        self.details: dict = {}
 
     def __repr__(self):
         return f"InjectivityCollapse({self.x1!r}, {self.x2!r} -> {self.y!r})"
@@ -195,6 +201,9 @@ class _CitedMap(PartialAutomorphism):
     def __init__(self, pi: PartialAutomorphism):
         object.__setattr__(self, "pairs", _CitedPairs(pi.pairs))
 
+    def __reduce__(self):
+        return _CitedMap, (PartialAutomorphism(self.pairs),)
+
     __setattr__ = __delattr__ = _CitedPairs._refuse
 
 
@@ -203,10 +212,7 @@ class EquivarianceBreak(_Witness):
     __slots__ = ("pi", "fixed", "x")
 
     def __init__(self, pi: PartialAutomorphism, fixed, x):
-        self.pi = _CitedMap(pi)
-        self.fixed = tuple(fixed)
-        self.x = x
-        self.details: dict = {}
+        super().__init__(_CitedMap(pi), tuple(fixed), x)
 
     def __repr__(self):
         return f"EquivarianceBreak(x={self.x!r}, pi={self.pi!r})"
@@ -291,10 +297,10 @@ def refutation_engine(run):
 
 def _break(oracle: InjectionOracle, pi, x, *moved):
     """End the run with the verified equivariance break that cites pi at
-    the input x, once pi's images of the objects in `moved` are
-    materialised."""
+    the input x, once pi has recorded, not built, the images of the
+    objects in `moved`; `verify_witness` builds and checks them."""
     for value in moved:
-        act(pi, value)
+        record(pi, value)
     raise Refuted(_checked(EquivarianceBreak(pi, oracle.support, x), oracle))
 
 

@@ -6,7 +6,8 @@ of the selected types' realizer sets.  The type list depends only on
 the universe and on the size of E, in a frozen canonical order, so
 every supported subset has a canonical bit vector, a canonical rank,
 and a decidable equality.  What needs only the width of a mask reads
-the structure's type count, and only what names a type lists them.
+the structure's type count, what needs one type's bit its position
+(`_type_position`), and only what names every type lists them.
 
 Restriction to a sub-support is a table (`restriction_table`) that maps
 each type position over the support to a type position over the
@@ -158,8 +159,7 @@ class SupportedSubset:
     @staticmethod
     def of_atoms(structure, atoms: Iterable[Atom]) -> "SupportedSubset":
         E = sort_support(structure, atoms)
-        ts = types_over(structure, E)
-        eq = sum(1 << ts.index(("eq", j)) for j in range(len(E)))
+        eq = sum(1 << structure._type_position(len(E), ("eq", j)) for j in range(len(E)))
         return SupportedSubset._sorted(structure, E, eq)
 
     # basic views
@@ -171,6 +171,10 @@ class SupportedSubset:
         """len(self.types()), read without listing the types."""
         return self.structure._type_count(len(self.support))
 
+    def _position(self, t: tuple) -> int:
+        """self.types().index(t), found without listing the types."""
+        return self.structure._type_position(len(self.support), t)
+
     def bits(self) -> str:
         return format(self.mask, f"0{self._width()}b")[::-1]
 
@@ -178,7 +182,7 @@ class SupportedSubset:
         s, E = self.structure, self.support
         s.check_owns(atom)
         t = ("eq", E.index(atom)) if atom in E else s.type_of(atom, E)
-        return bool(self.mask >> self.types().index(t) & 1)
+        return bool(self.mask >> self._position(t) & 1)
 
     def denote(self, pool: Optional[Iterable[Atom]] = None) -> List[Atom]:
         pool = list(pool) if pool is not None else self.structure.atoms()
@@ -259,8 +263,7 @@ class SupportedSubset:
         # Only the ("eq", j) bits need renaming: an automorphism of an
         # ordered universe preserves the order that sorts a support, so
         # gap and relation descriptors keep their indices.
-        ts = self.types()
-        eq = [ts.index(("eq", j)) for j in range(len(images))]
+        eq = [self._position(("eq", j)) for j in range(len(images))]
         mask = self.mask & ~sum(1 << k for k in eq)
         for j, k in enumerate(eq):
             if self.mask >> k & 1:
@@ -345,10 +348,9 @@ def classify_fraenkel(S: SupportedSubset) -> FraenkelClass:
     subset of its support) or co-finite (complement inside the support)."""
     if not isinstance(S.structure, PureSetStructure):
         raise StructureMismatch("dichotomy applies to the bare atom set only")
-    ts = S.types()
-    cofinite = bool(S.mask >> ts.index(("free",)) & 1)
+    cofinite = bool(S.mask >> S._position(("free",)) & 1)
     # the set itself, or its complement, as the support atoms it selects
     members = tuple(
-        e for j, e in enumerate(S.support) if bool(S.mask >> ts.index(("eq", j)) & 1) != cofinite
+        e for j, e in enumerate(S.support) if bool(S.mask >> S._position(("eq", j)) & 1) != cofinite
     )
     return FraenkelClass("cofinite" if cofinite else "finite", members)

@@ -126,11 +126,13 @@ PINNED_VERIFY_ALL = {
 
 
 def test_injections_report_is_the_same_under_python_O():
-    # a self-check that lived in an assert statement would vanish under -O
-    args = ("-m", "choiceless.cli", "verify", "--suite", "injections", "--json")
-    plain = run_module(*args)
-    assert json.loads(plain)["failures"] == 0
-    assert run_module("-O", *args) == plain
+    # a self-check that lived in an assert statement would vanish under -O;
+    # the refutation suite re-checks every witness its engines return
+    for suite in ("injections", "refutation"):
+        args = ("-m", "choiceless.cli", "verify", "--suite", suite, "--json")
+        plain = run_module(*args)
+        assert json.loads(plain)["failures"] == 0
+        assert run_module("-O", *args) == plain
 
 
 @pytest.mark.parametrize("seed", sorted(PINNED_VERIFY_ALL))

@@ -54,6 +54,7 @@ from choiceless.constructions import (
     mostowski_power_to_seq,
     nth_permutation,
     pairmodel_pair_to_unordered,
+    record,
     seq_to_chain,
     size_class_map,
 )
@@ -125,15 +126,21 @@ TYPE_LIST_SIZES = """
 from choiceless import labchecks
 from choiceless.atoms import CategoricalStructure
 
-listed, sizes = CategoricalStructure._type_list, set()
+listed, counted = set(), set()
 
-def recording(n):
-    sizes.add(n)
-    return listed(n)
+def recording(name, sizes):
+    method = getattr(CategoricalStructure, name)
 
-CategoricalStructure._type_list = staticmethod(recording)
+    def recorded(n):
+        sizes.add(n)
+        return method(n)
+
+    setattr(CategoricalStructure, name, staticmethod(recorded))
+
+recording("_type_list", listed)
+recording("_type_count", counted)
 labchecks.check_injections(0)
-print(sorted(sizes))
+print((sorted(listed), sorted(counted)))
 """
 
 
@@ -157,6 +164,15 @@ class TestHFObjects:
         assert UnordPairsDom(AtomsDom()).contains(hfset(a, b))
         assert not UnordPairsDom(AtomsDom()).contains(hfset(a))
         assert PairDom(AtomsDom(), AtomsDom()).contains(hftuple(a, a))
+
+    @pytest.mark.parametrize("dom", [SeqDom(), SeqStarDom()], ids=["Seq", "SeqStar"])
+    def test_sequence_domains_refuse_what_is_not_a_sequence_of_owned_atoms(self, pure4, dom):
+        s, (a, b, c, d) = pure4
+        dense = DenseOrderStructure([0]).atoms()[0]
+        assert dom.contains(hftuple(a, b), s) and dom.contains(hftuple(), s) and dom.contains(hftuple(a, dense))
+        for bad in (hfset(a, b), (a, b), a, 3, hftuple(a, 3), hftuple(a, hftuple(b)), hftuple(hfset(a))):
+            assert not dom.contains(bad) and not dom.contains(bad, s)
+        assert not dom.contains(hftuple(a, dense), s) and not dom.contains(hftuple(dense), s)
 
     def test_pow_membership(self):
         s = PureSetStructure(2)
@@ -498,8 +514,8 @@ class TestMostowskiPowerToSeq:
             text=True,
             check=True,
         ).stdout
-        sizes = ast.literal_eval(out.strip())
-        assert sizes and 2 not in sizes
+        listed, counted = ast.literal_eval(out.strip())
+        assert 2 in counted and 2 not in listed
 
     def test_restriction_tables_restrict_no_type(self, monkeypatch):
         made = []
@@ -891,6 +907,55 @@ def test_act_asks_a_lift_in_canonical_order():
     assert [(a.payload, b.payload) for a, b in pi.items()] == [(a.payload, b.payload) for a, b in rho.items()]
 
 
+@pytest.mark.parametrize("kind", ["pure_set", "dense_order", "pair_model", "categorical"])
+def test_record_asks_a_lift_what_act_asks(kind):
+    # two lifts built alike, one driven by `record` and one by `act`: the
+    # same atoms asked in the same order, so after every value the lifts
+    # hold the same pairs in the same order
+    rng = random.Random(30)
+    s, xs, pi = _lifted(kind)
+    _, _, rho = _lifted(kind)
+    values = []
+    if kind != "pair_model":  # first, while their atoms have no image yet
+        values += [SupportedSubset(s, xs[-2:], 0b11), SupportedSubset(s, xs[2:4], 0b101), SupportedSubset(s, xs[:1], 0b1)]
+    values += [_nested(xs, rng, 3) for _ in range(60)]
+    values += [_TaggedTuple(xs[:3]), _TaggedAtom(xs[-1].world, xs[-1].payload), 7, frozenset({1, 2}), (3, frozenset())]
+    asked = 0
+    for x in values:
+        assert record(pi, x) is None
+        act(rho, x)
+        pairs = [(a.payload, b.payload) for a, b in pi.pairs.items()]
+        assert pairs == [(a.payload, b.payload) for a, b in rho.pairs.items()], x
+        asked = max(asked, len(pairs))
+    assert asked > len(_lifted(kind)[2].pairs)  # the values asked for new images
+    for bad in ("a", 2.5, [xs[0]], None):
+        with pytest.raises(TypeError):
+            record(pi, bad)
+
+
+def hf_key_by_recursion(x):
+    """The reference for `hf_key`: the key of every member rebuilt on every call."""
+    if isinstance(x, Atom):
+        return (0, x.world, x.sort_key())
+    if isinstance(x, (HFTuple, HFSet)):
+        return (1 if isinstance(x, HFTuple) else 2, len(x.items), tuple(map(hf_key_by_recursion, x.items)))
+    if isinstance(x, int):
+        return (3, x)
+    raise TypeError(f"not an HF object: {x!r}")
+
+
+@pytest.mark.parametrize("kind", ["pure_set", "dense_order", "pair_model", "categorical"])
+def test_cached_key_matches_the_recursion(kind):
+    rng = random.Random(30)
+    _, xs, _ = _lifted(kind)
+    values = [_nested(xs, rng, 4) for _ in range(80)] + [hfset(), hftuple(), hfset(hfset())]
+    for x in values:
+        assert hf_key(x) == hf_key_by_recursion(x)
+        if type(x) is HFSet:
+            assert hf_key(x) is x.key is hf_key(x)  # read once, then kept
+    assert sum(type(x) is HFSet for x in values) > 10
+
+
 class OldHF:
     """HF values as they were built before sets kept a frozenset: a set
     dedupes its items by `old_key`, then sorts them by it.  The reference
@@ -1024,6 +1089,19 @@ class TestInternedSets:
             with pytest.raises(TypeError, match="not an HF object"):
                 HFSet(bad)
         assert HFSet([1]) is one and HFSet._table[frozenset({True})] is one
+
+    def test_the_cached_key_refuses_writes_and_survives_copies(self, pure4):
+        _, xs = pure4
+        x = self.nested(xs)
+        with pytest.raises(AttributeError):
+            x.key = (2, 0, ())  # not even before its first read
+        key = hf_key(x)
+        assert x.key is key == hf_key_by_recursion(x)
+        for write in (lambda: setattr(x, "key", (2, 0, ())), lambda: delattr(x, "key")):
+            with pytest.raises(AttributeError):
+                write()
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert y is x and y.key is key
 
     def test_hf_set_takes_no_subclass(self):
         with pytest.raises(TypeError, match="no subclasses"):

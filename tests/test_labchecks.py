@@ -233,3 +233,31 @@ class TestTypeLayerCounts:
         assert misses == [4, 4, 68]
         # each _fibred call pushes the mask down and pulls it back up
         assert calls == {"_pull": 157, "_push": 177, "_fibred": 157, "_constant_patterns_below": 92, "fibres": 121}
+
+
+class TestEngineLayerCounts:
+    def test_refutation_witness_work_is_pinned(self, monkeypatch):
+        # one seed-0 refutation suite, on every machine: a break records the
+        # images of the values it cites without building them, so each
+        # subset image is built once, by `verify_witness`; the recording
+        # asks the lifts for as many images as building them did
+        from choiceless import refute
+        from choiceless.atoms import LiftedAutomorphism
+        from choiceless.symsets import SupportedSubset
+
+        calls = dict.fromkeys(("SupportedSubset.apply", "verify_witness", "LiftedAutomorphism.apply"), 0)
+
+        def counted(owner, name, label):
+            fn = vars(owner)[name] if isinstance(owner, type) else getattr(owner, name)
+
+            def wrapper(*args):
+                calls[label] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(SupportedSubset, "apply", "SupportedSubset.apply")
+        counted(refute, "verify_witness", "verify_witness")
+        counted(LiftedAutomorphism, "apply", "LiftedAutomorphism.apply")
+        assert all(verdicts(labchecks.run_suite("refutation", {"seed": 0})).values())
+        assert calls == {"SupportedSubset.apply": 333, "verify_witness": 883, "LiftedAutomorphism.apply": 1655}

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import json
+import pickle
 import random
 
 import pytest
@@ -410,6 +411,48 @@ class TestWitnessVerification:
         assert w.details == {"seen": 1} and o.vouches_for(w)
         o.query(hfset(s.fresh(2)))
         assert not o.vouches_for(w)
+
+    def test_fields_written_in_init_still_refuse_every_later_write(self):
+        s, E, o = oracles.build_refute_oracle("fin-to-seq", "sort", 1, 0)
+        w = refute_fin_to_seq_fraenkel(o)
+        x, y = o.transcript[0]
+        c = InjectivityCollapse(x, x, y)
+        b = EquivarianceBreak(w.pi, list(E), x)
+        assert (c.x1, c.x2, c.y, c.details) == (x, x, y, {})
+        assert (b.fixed, b.x, b.details) == (tuple(E), x, {}) and b.pi.pairs == w.pi.pairs and b.pi is not w.pi
+        for witness, fields in ((c, ("x1", "x2", "y")), (b, ("pi", "fixed", "x")), (w, ("pi", "fixed", "x"))):
+            for field in fields:
+                before = getattr(witness, field)
+                with pytest.raises(WitnessTampered, match=f"cited field '{field}'"):
+                    setattr(witness, field, before)
+                with pytest.raises(WitnessTampered, match=f"cited field '{field}'"):
+                    delattr(witness, field)
+                assert getattr(witness, field) is before
+            witness.details = {"kept": True}
+            assert witness.details == {"kept": True}
+        with pytest.raises(ValueError):
+            InjectivityCollapse(x, x)
+
+    @pytest.mark.parametrize("oracle,kind", [("const-empty", "injectivity-collapse"), ("sort", "equivariance-break")])
+    def test_copies_and_pickles_rebuild_a_witness_that_still_verifies(self, oracle, kind):
+        s, E, o = oracles.build_refute_oracle("fin-to-seq", oracle, 1, 0)
+        w = refute_fin_to_seq_fraenkel(o)
+        assert w.kind == kind
+        w.details = {"kept": [1]}
+        for rebuild in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+            twin = rebuild(w)
+            assert type(twin) is type(w) and twin is not w and twin.details == {"kept": [1]}
+            for field in type(w).__slots__:
+                before = getattr(twin, field)
+                if field == "pi":
+                    assert type(before) is type(w.pi) and before.pairs == w.pi.pairs
+                    with pytest.raises(WitnessTampered):
+                        before.pairs[E[0]] = E[0]
+                else:
+                    assert before == getattr(w, field)
+                with pytest.raises(WitnessTampered, match=f"cited field '{field}'"):
+                    setattr(twin, field, before)
+            assert verify_witness(twin, s, E, o.transcript)
 
     def test_tampered_collapse_rejected(self):
         s, E, o = oracles.build_refute_oracle("fin-to-seq", "const-empty", 0, 0)

@@ -402,6 +402,32 @@ class TestSupportedSubset:
         assert S.is_supported_by(E[::-1])
         assert CategoricalStructure._shape_fibres.cache_info().misses == built
 
+    @pytest.mark.parametrize("make", [PureSetStructure, DenseOrderStructure, CategoricalStructure])
+    def test_type_positions_are_those_in_the_type_list(self, make):
+        # every type of every shape up to two atoms, the 6,146 homogeneous
+        # types over two atoms among them
+        s = make()
+        atoms = sort_support(s, s.fresh(2))
+        for n in range(3):
+            S = SupportedSubset(s, atoms[:n], 0)
+            ts = S.types()
+            assert [S._position(t) for t in ts] == [ts.index(t) for t in ts] == list(range(len(ts)))
+            assert [s._type_position(n, t) for t in ts] == list(range(len(ts)))
+
+    def test_membership_reads_the_type_list_position(self):
+        s = CategoricalStructure()
+        e = sort_support(s, s.fresh(2))
+        for formulas in ([], [f_lt(e[0])], [f_lt(e[1])], [f_rel(0, e[:1])], [f_rel(1, e[1:]), f_lt(e[1])],
+                         [f_rel(2, e), f_rel(0, e[::-1]), f_lt(e[0])], [f_rel(1, (e[1], e[0])), f_rel(0, ())]):
+            fresh_realizer(s, formulas)
+        rng = random.Random(30)
+        for S in [SupportedSubset(s, e, rng.getrandbits(6146)) for _ in range(4)] + [SupportedSubset(s, e[1:], 0b101010101)]:
+            E = S.support
+            for a in s.atoms():
+                t = ("eq", E.index(a)) if a in E else s.type_of(a, E)
+                assert S.contains(a) == bool(S.mask >> S.types().index(t) & 1)
+            assert 0 < len(S.denote()) < len(s.atoms())
+
     def test_a_subset_refuses_reassignment(self):
         # its least support and canonical key are cached, so a changed mask
         # or support would leave them stale
