@@ -51,8 +51,8 @@ CAPS = {
     "level": 8,  # levels of pair atoms
 }
 
-# most (class, function, support size, mask) values the shape memo
-# behind `AtomStructure.by_shape` keeps; the injections check meets 68
+# most (class, function, shape, mask) values the shape memo
+# behind `AtomStructure.by_shape` keeps; the injections check meets 115
 SHAPE_MEMO_SIZE = 1024
 
 
@@ -307,14 +307,12 @@ class AtomStructure:
     names, so the types over E partition the atoms.  The type list over
     E depends only on the class and on len(E), so each class builds it
     once per size (`_type_list`) and finds a type's position in it by
-    index arithmetic (`_type_position`).  Projection tables (`projection`) are
-    computed by index arithmetic from the shape of the pair of supports:
-    the size of E and the positions of the sub-support inside it.  The
-    kernels read a table's fibres (`fibres`).  The bare set and the dense
-    order keep one table and its fibres per shape for the whole class; the
-    homogeneous structure shares the part that does not depend on its
-    relation facts.  What is computed from one support's fibres alone
-    (`by_shape`) is memoised per class where they allow."""
+    index arithmetic (`_type_position`).  A projection table (`projection`)
+    and its fibres (`fibres`), which the kernels read, depend on a pair of
+    supports only through the shape of E (`shape_of`) and the positions of
+    the sub-support inside it, so each class computes them by index
+    arithmetic once per such pair.  What is computed from one support's
+    fibres alone (`by_shape`) is memoised per class by shape and mask."""
 
     kind: str = ""
     atom_tag: str = ""  # "world" of the atom JSON
@@ -402,38 +400,41 @@ class AtomStructure:
         """_type_list(n).index(t), found without listing the types."""
         raise NotImplementedError
 
+    def shape_of(self, E: Tuple[Atom, ...]):
+        """What the projections from the sorted support E read of it: here its size."""
+        return len(E)
+
     def projection(self, E: Tuple[Atom, ...], sub: Tuple[Atom, ...]) -> Tuple[int, ...]:
         """Entry k is the position in `types(sub)` of the restriction of
         `_type_list(len(E))[k]`, for sorted supports with `sub` inside E."""
-        return self._shape_table(len(E), _positions(E, sub))
+        return self._shape_table(self.shape_of(E), _positions(E, sub))
 
     @staticmethod
-    def _shape_table(n: int, positions: Tuple[int, ...]) -> Tuple[int, ...]:
-        """The projection from an n-atom support onto its atoms at
-        `positions`, where it depends on nothing else."""
+    def _shape_table(shape, positions: Tuple[int, ...]) -> Tuple[int, ...]:
+        """The projection from a support of this shape onto its atoms at `positions`."""
         raise NotImplementedError
 
     @classmethod
     @lru_cache(maxsize=None)
-    def _shape_fibres(cls, n: int, positions: Tuple[int, ...]) -> Tuple[int, ...]:
-        """`fibres_of(_shape_table(n, positions))`, built once per class and shape."""
-        return fibres_of(cls._shape_table(n, positions))
+    def _shape_fibres(cls, shape, positions: Tuple[int, ...]) -> Tuple[int, ...]:
+        """`fibres_of(_shape_table(shape, positions))`, built once per class and shape."""
+        return fibres_of(cls._shape_table(shape, positions))
 
     def fibres(self, E: Tuple[Atom, ...], sub: Tuple[Atom, ...]) -> Tuple[int, ...]:
         """`fibres_of(projection(E, sub))`, read from the class's cache per shape."""
-        return self._shape_fibres(len(E), _positions(E, sub))
+        return self._shape_fibres(self.shape_of(E), _positions(E, sub))
 
     def by_shape(self, fn: Callable, E: Tuple[Atom, ...], mask: int):
         """fn(fibres, len(E), mask), where fibres(positions) are those of the
         projection of the sorted support E onto its atoms at `positions`.
-        Here that reads only the shape, so the value is memoised for the
-        class by (len(E), mask)."""
-        return self._shape_memo(fn, len(E), mask)
+        That reads only the shape, so the value is memoised for the class
+        by (shape, mask)."""
+        return self._shape_memo(fn, len(E), self.shape_of(E), mask)
 
     @classmethod
     @lru_cache(maxsize=SHAPE_MEMO_SIZE)
-    def _shape_memo(cls, fn: Callable, n: int, mask: int):
-        return fn(partial(cls._shape_fibres, n), n, mask)
+    def _shape_memo(cls, fn: Callable, n: int, shape, mask: int):
+        return fn(partial(cls._shape_fibres, shape), n, mask)
 
     def type_of(self, atom: Atom, E: Tuple[Atom, ...]) -> tuple:
         """The 1-type over E of an atom outside E."""
@@ -1016,60 +1017,60 @@ class CategoricalStructure(AtomStructure):
                 local.append(("rel", m, i, tuple(sub_index[p] for p in params)))
         return ("typ", below, frozenset(local))
 
-    def _head(self, E, sub, positions):
-        # an atom of E outside sub has the type over sub that the
-        # relation facts give it, so this head is not shared
+    def shape_of(self, E):
+        # the size and the diagram: the relation facts among E, each atom
+        # renamed to its position.  The structure is homogeneous, so supports
+        # with one diagram lie in one orbit and share their projections; the
+        # cap leaves 19 diagrams, so the shape caches stay small.
         _cat_type_count(len(E))
-        return [
-            positions.index(j)
-            if j in positions
-            else self._type_position(len(sub), self.type_of(e, sub))
-            for j, e in enumerate(E)
-        ]
-
-    def projection(self, E, sub):
-        # ("typ", gap, rels) sits at len(E) + gap * 2^F + mask, where bit k
-        # of mask says whether rels holds the k-th of the F formulas over E
-        positions = _positions(E, sub)
-        return tuple(self._head(E, sub, positions)) + self._shape_table(len(E), positions)
-
-    def fibres(self, E, sub):
-        # the shared tail's fibres moved up past the head, then the head's bits
-        positions = _positions(E, sub)
-        head = self._head(E, sub, positions)
-        out = [f << len(E) for f in self._shape_fibres(len(E), positions)]
-        for j, g in enumerate(head):
-            out[g] |= 1 << j
-        return tuple(out)
-
-    def by_shape(self, fn, E, mask):
-        # the projection reads the relation facts, so each support answers for itself
-        return fn(lambda keep: self.fibres(E, tuple(E[j] for j in keep)), len(E), mask)
+        where = {e.payload: j for j, e in enumerate(E)}
+        return len(E), frozenset(tuple(map(where.get, ids)) for _, ids in self._rfacts if all(i in where for i in ids))
 
     @staticmethod
+    def _head(shape, positions):
+        # an atom of E outside sub has the type ("typ", gap, rels) over sub:
+        # the gap of sub below it, and a formula for each fact of the diagram
+        # on it whose other entries sub keeps, placed as `_type_position` does
+        n, diagram = shape
+        slot = {j: i for i, j in enumerate(positions)}
+        bits = _cat_formula_bits(len(positions))
+        head = [slot[j] if j in slot else len(positions) + (bisect.bisect_left(positions, j) << len(bits)) for j in range(n)]
+        for ids in diagram:
+            dropped = [i for i, j in enumerate(ids) if j not in slot]
+            if len(dropped) == 1:
+                i = dropped[0]
+                head[ids[i]] += 1 << bits[("rel", len(ids) - 1, i, tuple(slot[j] for j in ids if j in slot))]
+        return head
+
+    @classmethod
     @lru_cache(maxsize=None)
-    def _shape_table(n, positions):
-        # the ("typ", gap, rels) entries: each relation mask over E is
-        # remapped, formula by formula, to its mask over sub
+    def _shape_table(cls, shape, positions):
+        # the head, then ("typ", gap, rels) at n + gap * 2^F + mask, where bit
+        # k of mask says whether rels holds the k-th of the F formulas over E:
+        # each relation mask over E is remapped, formula by formula, to its
+        # mask over sub
+        n = shape[0]
         remap = _cat_remap(n, positions)
         new_mask = [0] * (1 << len(remap))
         for mask in range(1, len(new_mask)):
             low = mask & -mask
             new_mask[mask] = new_mask[mask ^ low] | remap[low.bit_length() - 1]
         width = 1 << len(_cat_rel_formulas(len(positions)))
-        out: List[int] = []
+        out = cls._head(shape, positions)
         for gap in range(n + 1):
             base = len(positions) + bisect.bisect_left(positions, gap) * width
             out.extend(base + x for x in new_mask)
         return tuple(out)
 
-    @staticmethod
+    @classmethod
     @lru_cache(maxsize=None)
-    def _shape_fibres(n, positions):
-        # fibres_of(_shape_table(n, positions)) without the table: a mask
+    def _shape_fibres(cls, shape, positions):
+        # fibres_of(_shape_table(shape, positions)) without the table: a mask
         # over sub is hit by the masks over E that set its kept formulas'
         # bits plus any of the dropped ones, so every fibre is one pattern
-        # of the dropped bits, moved to a kept combination in a gap block
+        # of the dropped bits, moved past the head to a kept combination in a
+        # gap block; then each head entry sets its own bit
+        n = shape[0]
         remap = _cat_remap(n, positions)
         pattern, kept, rels = 1, [0], [0]
         for k, r in enumerate(remap):
@@ -1083,7 +1084,9 @@ class CategoricalStructure(AtomStructure):
         for gap in range(n + 1):
             base = len(positions) + bisect.bisect_left(positions, gap) * width
             for x, y in zip(kept, rels):
-                out[base + y] |= pattern << (gap << len(remap) | x)
+                out[base + y] |= pattern << (n + (gap << len(remap) | x))
+        for j, g in enumerate(cls._head(shape, positions)):
+            out[g] |= 1 << j
         return tuple(out)
 
     def to_json(self):

@@ -354,6 +354,9 @@ class NatSetDom(Domain):
         return isinstance(x, frozenset) and all(map(_is_nat, x))
 
 
+_NAT_SETS = NatSetDom()  # the set domain of the labelled pairs
+
+
 class LabeledNatSetDom(Domain):
     """Pairs (label, finite set of naturals) with label < k."""
 
@@ -367,7 +370,7 @@ class LabeledNatSetDom(Domain):
             and len(x) == 2
             and _is_nat(x[0])
             and x[0] < self.k
-            and NatSetDom().contains(x[1])
+            and _NAT_SETS.contains(x[1])
         )
 
 

@@ -9,27 +9,23 @@ and a decidable equality.  What needs only the width of a mask reads
 the structure's type count, what needs one type's bit its position
 (`_type_position`), and only what names every type lists them.
 
-Restriction to a sub-support is a table (`restriction_table`) that maps
-each type position over the support to a type position over the
-sub-support.  Subsets are re-encoded, shrunk and tested for support by
-moving mask bits fibre by fibre: the structure hands over the table's
-fibres (`fibres`), entry g the int whose bit k is set iff the table
-sends k to g, so a move costs one big-int step per fibre, not one per
-type.  The structure computes them by index arithmetic from the size of
-the support and the positions of the sub-support inside it, once per
-such shape; the homogeneous structure moves its cached fibres of the
-non-support types up past the support atoms and sets each support
-atom's bit.  `restriction_table` and `restrict_type`, which restricts
-one type, are the oracles the fibres are tested against.
+Restriction to a sub-support is a table (`projection`) that maps each
+type position over the support to a type position over the sub-support.
+Subsets are re-encoded, shrunk and tested for support by moving mask
+bits fibre by fibre: the structure hands over the table's fibres
+(`fibres`), entry g the int whose bit k is set iff the table sends k to
+g, so a move costs one big-int step per fibre, not one per type.  The
+structure computes them by index arithmetic from the shape of the
+support (`shape_of`: its size, and for the homogeneous structure also
+its diagram) and the positions of the sub-support inside it, once per
+such pair.  The table and `restrict_type`, which restricts one type, are
+the oracles the fibres are tested against.
 
 `least_support` (with the canonical mask, which `canonical` reads) and
 `class_rank` each make one call to the structure's `by_shape`, which
-alone decides whether to memoise.  On the bare set and the dense order a
-table depends on nothing but its shape, so the answer is memoised per
-class by (support size, mask), at most `SHAPE_MEMO_SIZE` values; the
-homogeneous structure's tables read its relation facts, so it computes
-from the support's own tables.  The pair model has no 1-types:
-`types_over` and `SupportedSubset` raise `StructureMismatch` for it.
+memoises the answer per class by (shape, mask), at most
+`SHAPE_MEMO_SIZE` values.  The pair model has no 1-types: `types_over`
+and `SupportedSubset` raise `StructureMismatch` for it.
 """
 
 from __future__ import annotations
@@ -301,16 +297,6 @@ def restrict_type(
     """The 1-type over a sub-support induced by the type t over the
     support."""
     return structure.restrict(t, sort_support(structure, support), sort_support(structure, sub))
-
-
-def restriction_table(
-    structure: AtomStructure, support: Tuple[Atom, ...], sub: Tuple[Atom, ...]
-) -> Tuple[int, ...]:
-    """Entry k is the position in types_over(sub) of the restriction of
-    types_over(support)[k] to the sub-support.  Both supports must be
-    sorted, as `sort_support` returns them, and `sub` must lie inside
-    `support`; neither is checked again here."""
-    return structure.projection(support, sub)
 
 
 def least_support(S: SupportedSubset) -> Tuple[Atom, ...]:

@@ -58,7 +58,7 @@ from choiceless.constructions import (
     seq_to_chain,
     size_class_map,
 )
-from choiceless.symsets import SupportedSubset, least_support, restriction_table, sort_support, types_over
+from choiceless.symsets import SupportedSubset, least_support, sort_support, types_over
 
 
 def class_rank_by_scan(S: SupportedSubset, scan_budget: int = 1 << 16) -> int:
@@ -659,7 +659,7 @@ def canonical_by_walk(S: SupportedSubset):
     """S over its walked least support: the types whose fibre under the
     restriction table holds a selected type."""
     least = least_support_by_walk(S)
-    table = restriction_table(S.structure, S.support, least)
+    table = S.structure.projection(S.support, least)
     return least, sum(1 << g for g in {g for k, g in enumerate(table) if S.mask >> k & 1})
 
 
@@ -671,7 +671,7 @@ def class_rank_by_sub_supports(S: SupportedSubset):
     for keep in range(len(E)):
         for sub in itertools.combinations(E, keep):
             sign = -1 if (len(E) - keep) % 2 else 1
-            rank += sign * _constant_patterns_below(fibres_of(restriction_table(S.structure, E, sub)), v)
+            rank += sign * _constant_patterns_below(fibres_of(S.structure.projection(E, sub)), v)
     return rank, E
 
 
@@ -728,13 +728,24 @@ class TestShapeMemo:
         E = sort_support(s, (a, b))
         rng = random.Random(0)
         width = s._type_count(2)
-        entries = _memo().currsize
-        for mask in [*range(64), *(rng.getrandbits(width) for _ in range(4))]:
+        AtomStructure._shape_memo.cache_clear()
+        masks = [*range(64), *(rng.getrandbits(width) for _ in range(4))]
+        for mask in masks:
             S = SupportedSubset(s, E, mask)
             assert s.by_shape(_rank_shape, *canonical_by_walk(S)) == class_rank_by_sub_supports(S)[0]
             assert (least_support(S), S.canonical().mask) == canonical_by_walk(S)
             assert class_rank(S) == class_rank_by_sub_supports(S)
-        assert _memo().currsize == entries
+        # keyed by diagram: new atoms with E's facts among them hit the
+        # memo, and the same atoms with the reverse fact miss it
+        d, e = s.fresh(2)
+        for args, hit in (((d, e), True), ((e, d), False)):
+            t = CategoricalStructure.from_json(s.to_json())
+            if facts or not hit:
+                t.declare_rel(args)
+            for mask in masks:
+                S, before = SupportedSubset(t, (d, e), mask), _memo()
+                assert least_support(S) == least_support_by_walk(S)
+                assert (_memo().hits - before.hits, _memo().misses - before.misses) == ((1, 0) if hit else (0, 1))
 
     def test_categorical_ranks_are_unchanged(self):
         # the values the categorical path gave before the memo
@@ -745,6 +756,70 @@ class TestShapeMemo:
             S = SupportedSubset.from_bits(s, E, bits)
             got.append((tuple(E.index(a) for a in least_support(S)), S.canonical().mask, class_rank(S)[0]))
         assert got == [((), 0, 1), ((0,), 1, 1), ((1,), 1, 1)] + [((0, 1), v, v - 2) for v in range(3, 64)]
+
+
+def _head_by_walk(s: CategoricalStructure, E, sub):
+    """The head of the homogeneous `projection(E, sub)` as it was read off
+    the atoms before tables were keyed by diagram: an atom of E outside sub
+    sits at the position of its own type over sub."""
+    return tuple(sub.index(e) if e in sub else s._type_position(len(sub), s.type_of(e, sub)) for e in E)
+
+
+def _random_categorical(seed: int, size: int = 5) -> CategoricalStructure:
+    """`size` nodes with random relation facts of arity 1 to 4."""
+    rng = random.Random(seed)
+    s = CategoricalStructure()
+    atoms = s.fresh(size)
+    for _ in range(rng.randrange(6, 14)):
+        s.declare_rel(rng.sample(atoms, rng.randint(1, 4)))
+    return s
+
+
+def _supports_by_diagram(seeds):
+    """The two-atom supports of the seeded structures, grouped by shape."""
+    groups = {}
+    for seed in seeds:
+        s = _random_categorical(seed)
+        for E in itertools.combinations(s.atoms(), 2):
+            E = sort_support(s, E)
+            groups.setdefault(s.shape_of(E), []).append((s, E))
+    return groups
+
+
+class TestDiagramKeys:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tables_and_fibres_match_the_atom_walk(self, seed):
+        # every support of at most two atoms onto every sub-support: the
+        # walked head, then the tail that no relation fact touches
+        s = _random_categorical(seed)
+        for n in range(3):
+            for E in itertools.combinations(s.atoms(), n):
+                E = sort_support(s, E)
+                for k in range(n + 1):
+                    for sub in itertools.combinations(E, k):
+                        positions = tuple(E.index(e) for e in sub)
+                        tail = CategoricalStructure._shape_table((n, frozenset()), positions)[n:]
+                        want = _head_by_walk(s, E, sub) + tail
+                        assert s.projection(E, sub) == want
+                        assert s.fibres(E, sub) == fibres_of(want)
+
+    def test_equal_diagrams_share_one_memo_entry(self):
+        groups = _supports_by_diagram(range(4))
+        # some diagram recurs across structures, and not every one is equal
+        assert len(groups) > 1 and any(len({id(s) for s, _ in group}) > 1 for group in groups.values())
+        for mask in (27, 63, random.Random(0).getrandbits(6146)):
+            AtomStructure._shape_memo.cache_clear()
+            for group in groups.values():
+                for s, E in group:
+                    S = SupportedSubset(s, E, mask)
+                    assert (least_support(S), S.canonical().mask) == canonical_by_walk(S)
+            assert (_memo().currsize, _memo().misses) == (len(groups), len(groups))
+
+    def test_class_rank_matches_the_scan(self):
+        for s, E in (group[0] for group in _supports_by_diagram(range(4)).values()):
+            for mask in range(0, 64, 9):
+                S = SupportedSubset(s, E, mask)
+                assert class_rank(S)[0] == class_rank_by_scan(S)
 
 
 def test_pattern_counting_matches_bruteforce():
@@ -799,7 +874,7 @@ def test_pattern_counting_matches_full_walk_on_two_atom_homogeneous_tables(keep,
     if facts:
         s.declare_rel(E[::-1])
     sub = E[keep : keep + 1]
-    table = restriction_table(s, E, sub)
+    table = s.projection(E, sub)
     fibres = s.fibres(E, sub)
     assert len(table) == 6146 and fibres == fibres_of(table)
     for _ in range(12):

@@ -210,7 +210,7 @@ class TestTypeLayerCounts:
         from choiceless import constructions, symsets
         from choiceless.atoms import AtomStructure
 
-        calls = dict.fromkeys(("_pull", "_push", "_fibred", "_constant_patterns_below", "fibres"), 0)
+        calls = dict.fromkeys(("_pull", "_push", "_fibred", "_constant_patterns_below"), 0)
 
         def counted(owner, name):
             fn = getattr(owner, name)
@@ -224,15 +224,16 @@ class TestTypeLayerCounts:
         for name in ("_pull", "_push", "_fibred"):
             counted(symsets, name)
         counted(constructions, "_constant_patterns_below")
-        counted(CategoricalStructure, "fibres")  # the support's own fibres, composed per call
         caches = (AtomStructure._shape_fibres, CategoricalStructure._shape_fibres, AtomStructure._shape_memo)
         for cache in caches:
             cache.cache_clear()
         assert all(verdicts(labchecks.check_injections(0)).values())
-        misses = [cache.cache_info().misses for cache in caches]
-        assert misses == [4, 4, 68]
+        infos = [cache.cache_info() for cache in caches]
+        assert [i.misses for i in infos] == [4, 4, 115]
+        # the fibres handed to the kernels, the homogeneous ones read by shape too
+        assert [i.hits + i.misses for i in infos[:2]] == [148, 72]
         # each _fibred call pushes the mask down and pulls it back up
-        assert calls == {"_pull": 157, "_push": 177, "_fibred": 157, "_constant_patterns_below": 92, "fibres": 121}
+        assert calls == {"_pull": 108, "_push": 128, "_fibred": 108, "_constant_patterns_below": 92}
 
 
 class TestEngineLayerCounts:

@@ -147,6 +147,19 @@ class TestOracleShell:
     def test_nat_domains_refuse_bools(self, domain, good, bad):
         assert domain.contains(good) and not domain.contains(bad)
 
+    @pytest.mark.parametrize("bad", [True, False, -1, 1.0, "2"], ids=repr)
+    def test_nat_domains_refuse_non_naturals(self, bad):
+        # a bool, a negative int or a non-int, as the value, as a set
+        # member, or as a label or a member of a labelled set
+        cases = [
+            (NatDom(), 2, bad),
+            (NatSetDom(), frozenset({0, 2}), frozenset({2, bad})),
+            (LabeledNatSetDom(2), (1, frozenset({2})), (1, frozenset({bad}))),
+            (LabeledNatSetDom(2), (0, frozenset()), (bad, frozenset())),
+        ]
+        for domain, good, refused in cases:
+            assert domain.contains(good) and not domain.contains(refused)
+
     def test_codomain_enforced(self):
         s = PureSetStructure(2)
         a, b = s.atoms()

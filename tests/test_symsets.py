@@ -43,7 +43,6 @@ from choiceless.symsets import (
     count_supported,
     least_support,
     restrict_type,
-    restriction_table,
     sort_support,
     types_over,
 )
@@ -72,7 +71,7 @@ def _push_by_genexpr(table, mask: int) -> int:
 
 
 def _is_supported_by_genexpr(S: SupportedSubset, sub) -> bool:
-    table = restriction_table(S.structure, S.support, sub)
+    table = S.structure.projection(S.support, sub)
     return _pull_by_genexpr(table, _push_by_genexpr(table, S.mask)) == S.mask
 
 
@@ -159,7 +158,7 @@ class TestTypeCounts:
         ts = types_over(s, E)
         for keep in range(len(E) + 1):
             for sub in itertools.combinations(E, keep):
-                table = restriction_table(s, E, sub)
+                table = s.projection(E, sub)
                 assert len(table) == len(ts)
                 below = types_over(s, sub)
                 for k, t in enumerate(ts):
@@ -179,7 +178,7 @@ class TestTypeCounts:
             for args in facts:
                 s.declare_rel([E[i] for i in args])
             self._assert_tables_match_restrict_type(s, E)
-            tables.append([restriction_table(s, E, sub) for sub in (E[:1], E[1:])])
+            tables.append([s.projection(E, sub) for sub in (E[:1], E[1:])])
         for plain, related in zip(*tables):
             assert plain[:2] != related[:2]
             assert plain[2:] == related[2:]
@@ -187,9 +186,9 @@ class TestTypeCounts:
     def test_categorical_table_sees_facts_declared_later(self):
         s = CategoricalStructure()
         E = sort_support(s, s.fresh(2))
-        before = restriction_table(s, E, E[:1])
+        before = s.projection(E, E[:1])
         s.declare_rel([E[1], E[0]])
-        assert restriction_table(s, E, E[:1]) != before
+        assert s.projection(E, E[:1]) != before
         self._assert_tables_match_restrict_type(s, E)
 
     @pytest.mark.parametrize(
@@ -207,13 +206,11 @@ class TestTypeCounts:
         assert [a.payload for a in E] != [a.payload for a in F]
         shapes = make._shape_table.cache_info
         for keep in ((), (0,), (1,), (0, 1)):
-            mine = restriction_table(s, E, tuple(E[j] for j in keep))
+            mine = s.projection(E, tuple(E[j] for j in keep))
             built = shapes().misses
-            theirs = restriction_table(t, F, tuple(F[j] for j in keep))
+            theirs = t.projection(F, tuple(F[j] for j in keep))
             assert shapes().misses == built
-            assert mine == theirs
-            if make is not CategoricalStructure:
-                assert mine is theirs
+            assert mine is theirs
 
     @pytest.mark.parametrize(
         "make",
@@ -234,15 +231,19 @@ class TestTypeCounts:
             assert fibres().misses == built
             theirs = t.fibres(F, tuple(F[j] for j in keep))
             assert fibres().misses == built
-            assert mine == theirs == fibres_of(restriction_table(s, E, tuple(E[j] for j in keep)))
+            assert mine == theirs == fibres_of(s.projection(E, tuple(E[j] for j in keep)))
 
     def test_categorical_fibres_are_those_of_the_shape_tables(self):
-        # built from the relation masks' pattern, never from the table
+        # built from the relation masks' pattern, never from the table, for
+        # every diagram on up to two atoms
         for n in range(3):
-            for keep in range(n + 1):
-                for positions in itertools.combinations(range(n), keep):
-                    table = CategoricalStructure._shape_table(n, positions)
-                    assert CategoricalStructure._shape_fibres(n, positions) == fibres_of(table)
+            facts = [ids for m in (1, 2) for ids in itertools.permutations(range(n), m)]
+            for chosen in itertools.product((False, True), repeat=len(facts)):
+                shape = (n, frozenset(ids for ids, on in zip(facts, chosen) if on))
+                for keep in range(n + 1):
+                    for positions in itertools.combinations(range(n), keep):
+                        table = CategoricalStructure._shape_table(shape, positions)
+                        assert CategoricalStructure._shape_fibres(shape, positions) == fibres_of(table)
 
     def test_types_partition_materialised_atoms(self):
         s = DenseOrderStructure()
@@ -321,7 +322,7 @@ class TestMaskMoves:
         width = len(types_over(s, E))
         for keep in range(len(E) + 1):
             for sub in itertools.combinations(E, keep):
-                table = restriction_table(s, E, sub)
+                table = s.projection(E, sub)
                 fibres = fibres_of(table)
                 assert s.fibres(E, sub) == fibres
                 below = len(types_over(s, sub))
@@ -349,7 +350,7 @@ class TestMaskMoves:
         E = sort_support(s, atoms)
         for keep in range(len(E) + 1):
             for sub in itertools.combinations(E, keep):
-                table = restriction_table(s, E, sub)
+                table = s.projection(E, sub)
                 fibres = s.fibres(E, sub)
                 below, width = len(types_over(s, sub)), len(table)
                 for _ in range(6):
@@ -374,7 +375,7 @@ class TestMaskMoves:
         if facts:
             s.declare_rel(E[::-1])
         sub = E[keep : keep + 1]
-        table = restriction_table(s, E, sub)
+        table = s.projection(E, sub)
         fibres = s.fibres(E, sub)
         assert (len(table), len(fibres)) == (6146, 17)
         assert fibres == fibres_of(table)
@@ -728,8 +729,8 @@ class TestCategoricalTypes:
             lambda: SupportedSubset(s, E, 0),
             lambda: SupportedSubset.from_bits(s, E, "0"),
             lambda: SupportedSubset.of_atoms(s, E),
-            lambda: restriction_table(s, E, E[:2]),
-            lambda: restriction_table(s, E, ()),
+            lambda: s.projection(E, E[:2]),
+            lambda: s.projection(E, ()),
             lambda: class_rank(SupportedSubset.of_atoms(s, E)),
             lambda: categorical_seq_to_power(s, E),
             lambda: categorical_seq_to_power(s, E[::-1]),
