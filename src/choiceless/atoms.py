@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import weakref
 from fractions import Fraction
 from functools import lru_cache, partial
 from operator import ge, gt, le, lt
@@ -85,16 +86,43 @@ class MissingImage(KeyError):
     """A finite partial automorphism was asked to act outside its domain."""
 
 
+def intern_weak(table: dict, key, value):
+    """`value`, recorded under `key` in an intern table of weak references.  Each
+    reference carries (table, key), so one callback serves every entry, with no
+    function object per entry: the entry goes when the value dies, unless a
+    newer value holds the key by then."""
+    table[key] = weakref.KeyedRef(value, _drop_dead, (table, key))
+    return value
+
+
+def _drop_dead(ref):
+    table, key = ref.key
+    if table.get(key) is ref:
+        del table[key]
+
+
 class Atom:
-    """A single urelement.  Identity is structural: equal payloads are
-    the same atom, no matter how many times they were materialised."""
+    """A single urelement, one object per (world, payload): `Atom(...)` returns
+    the live one from `Atom._table`, so `==` and `hash` are identity, in C.  A
+    new atom's payload takes its universe's form first (`payload_of`)."""
 
-    __slots__ = ("world", "payload", "_hash")
+    __slots__ = ("world", "payload", "__weakref__")
+    _table: dict[tuple, weakref.ref[Atom]] = {}
 
-    def __init__(self, world: str, payload):
-        object.__setattr__(self, "world", world)
-        object.__setattr__(self, "payload", payload)
-        object.__setattr__(self, "_hash", hash((world, payload)))
+    def __new__(cls, world: str, payload):
+        ref = Atom._table.get((world, payload))
+        if ref is None or (self := ref()) is None:
+            # the universe's form may be live under another key: s.atom("1/2")
+            payload = UNIVERSES[world].payload_of(payload)
+            ref = Atom._table.get((world, payload))
+            if ref is None or (self := ref()) is None:
+                self = intern_weak(Atom._table, (world, payload), object.__new__(cls))
+                object.__setattr__(self, "world", world)
+                object.__setattr__(self, "payload", payload)
+        return self
+
+    def __init_subclass__(cls, **kwargs):
+        raise TypeError("Atom is interned by world and payload alone, so it has no subclasses")
 
     def __setattr__(self, *_):
         raise AttributeError("atoms are immutable")
@@ -103,16 +131,6 @@ class Atom:
 
     def __reduce__(self):  # copy and pickle rebuild it: `__setattr__` refuses
         return Atom, (self.world, self.payload)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Atom)
-            and self.world == other.world
-            and self.payload == other.payload
-        )
-
-    def __hash__(self):
-        return self._hash
 
     @property
     def level(self) -> int:
@@ -145,7 +163,7 @@ def _cross(op):
 
 class Rational(Fraction):
     """A dense atom's payload: a `Fraction` whose slots refuse assignment and deletion,
-    so an atom keeps its hash.  It takes `Fraction`'s arguments, as copy and pickle do."""
+    so its key in `Atom._table` keeps its hash.  It takes `Fraction`'s arguments, as copy and pickle do."""
 
     __slots__ = ()
 
@@ -319,13 +337,17 @@ class AtomStructure:
     atom_key: str = ""  # the payload's field in the atom JSON
     json_tag: str = ""  # "kind" of the structure JSON
     repr_format: str = ""
+    # the materialised atoms, which hash by identity, where a payload (a
+    # Fraction, a pair) would be rehashed at every membership test; the
+    # homogeneous structure keeps node positions instead
+    _atoms: set
 
     def __contains__(self, atom: Atom) -> bool:
-        raise NotImplementedError
+        return atom in self._atoms
 
     def atoms(self) -> List[Atom]:
         """Materialised universe, canonically sorted."""
-        raise NotImplementedError
+        return sorted(self._atoms, key=Atom.sort_key)
 
     def check_owns(self, *atoms: Atom):
         for a in atoms:
@@ -335,6 +357,12 @@ class AtomStructure:
                 raise StructureMismatch(f"{a!r} is not materialised")
 
     # -- atoms --------------------------------------------------------------
+
+    def atom(self, payload) -> Atom:
+        """The atom with this payload, materialised."""
+        atom = Atom(self.kind, payload)
+        self._atoms.add(atom)
+        return atom
 
     def fresh(self, count: int = 1, avoid: Iterable[Atom] = ()) -> List[Atom]:
         """Newly materialised atoms, none of them in `avoid`."""
@@ -458,7 +486,16 @@ class AtomStructure:
             return self.type_of(e, sub)
         return self._restrict_outside(t, E, sub_index)
 
-    # -- JSON ---------------------------------------------------------------
+    # -- payloads and JSON --------------------------------------------------
+
+    @staticmethod
+    def payload_of(payload):
+        """The payload a new atom keeps: an int id, or a pair atom's (level, pair,
+        bit) of ints.  The table matches payloads by `==`, so a bool, a float or
+        a Fraction equal to an id is refused, lest every later atom 1 read `true`."""
+        if {*map(type, payload[::2] if type(payload) is tuple else (payload,))} != {int}:
+            raise TypeError(f"an atom payload takes ints, not {payload!r}")
+        return payload
 
     @classmethod
     def payload_repr(cls, payload) -> str:
@@ -485,26 +522,11 @@ class PureSetStructure(AtomStructure):
     repr_format = "u{}"
 
     def __init__(self, size: int = 0):
-        self._ids = set(range(size))
-
-    def atom(self, i: int) -> Atom:
-        self._ids.add(i)
-        return Atom(PURE_SET, i)
+        self._atoms = {Atom(PURE_SET, i) for i in range(size)}
 
     def fresh(self, count: int = 1, avoid: Iterable[Atom] = ()) -> List[Atom]:
-        used = self._ids | {a.payload for a in avoid}
+        used = {a.payload for a in itertools.chain(self._atoms, avoid)}
         return [self.atom(i) for i in _unused_ints(used, count)]
-
-    def __contains__(self, atom):
-        return atom.world == PURE_SET and atom.payload in self._ids
-
-    def atoms(self):
-        return [Atom(PURE_SET, i) for i in sorted(self._ids)]
-
-    def _probe_pool(self, avoid):
-        # by id, so that only the atoms offered are built
-        taken = {a.payload for a in avoid if a.world == PURE_SET}
-        return (Atom(PURE_SET, i) for i in sorted(self._ids) if i not in taken)
 
     def is_extendable(self, mapping):
         return True
@@ -540,12 +562,12 @@ class PureSetStructure(AtomStructure):
         return tuple(slot.get(j, free) for j in range(n)) + (free,)
 
     def to_json(self):
-        return {"kind": "pure", "atoms": sorted(self._ids)}
+        return {"kind": "pure", "atoms": sorted(a.payload for a in self._atoms)}
 
     @classmethod
     def from_json(cls, data: dict) -> "PureSetStructure":
         s = cls()
-        s._ids.update(map(_nat_id, data["atoms"]))
+        s._atoms.update(Atom(PURE_SET, i) for i in map(_nat_id, data["atoms"]))
         return s
 
 
@@ -557,27 +579,14 @@ class DenseOrderStructure(AtomStructure):
     repr_format = "a({})"
 
     def __init__(self, positions: Iterable = ()):
-        # the materialised atoms themselves: their hash is cached, where a
-        # Fraction payload would be rehashed at every membership test
         self._atoms = set()
         for q in positions:
             self.atom(q)
-
-    def atom(self, q) -> Atom:
-        atom = Atom(DENSE_ORDER, Rational(q))
-        self._atoms.add(atom)
-        return atom
 
     def fresh(self, count: int = 1, avoid: Iterable[Atom] = ()) -> List[Atom]:
         """Fresh points above everything materialised so far."""
         top = max((a.payload for a in itertools.chain(self._atoms, avoid)), default=Fraction(0))
         return [self.atom(top + i) for i in range(1, count + 1)]
-
-    def __contains__(self, atom):
-        return atom in self._atoms
-
-    def atoms(self):
-        return sorted(self._atoms, key=Atom.sort_key)
 
     def is_extendable(self, mapping):
         srcs = sorted(mapping, key=lambda a: a.payload)
@@ -635,13 +644,15 @@ class DenseOrderStructure(AtomStructure):
             out.append(2 * below[j + 1])
         return tuple(out)
 
+    payload_of = Rational  # a Fraction payload would compare slowly and could change
+
     @staticmethod
     def payload_to_json(payload) -> dict:
         return {"world": "dense", "q": _fraction_json(payload)}
 
     @staticmethod
     def payload_from_json(data: dict) -> Atom:
-        return Atom(DENSE_ORDER, Rational(data["q"]))
+        return Atom(DENSE_ORDER, data["q"])
 
     def to_json(self):
         return {"kind": "dense", "atoms": [_fraction_json(a.payload) for a in self.atoms()]}
@@ -670,18 +681,13 @@ class PairStructure(AtomStructure):
     atom_tag = json_tag = "pairs"
 
     def __init__(self, base_size: int = 0):
-        self._payloads = set(range(base_size))
+        self._atoms = {Atom(PAIR_MODEL, i) for i in range(base_size)}
 
-    def base_atom(self, i: int) -> Atom:
-        self._payloads.add(i)
-        return Atom(PAIR_MODEL, i)
-
-    atom = base_atom  # what `materialise` registers a level-0 atom with
+    base_atom = AtomStructure.atom  # a level-0 atom, as `materialise` registers it
 
     def fresh(self, count: int = 1, avoid: Iterable[Atom] = ()) -> List[Atom]:
         """Fresh level-0 atoms."""
-        used = {p for p in self._payloads if isinstance(p, int)}
-        used |= {a.payload for a in avoid if isinstance(a.payload, int)}
+        used = {a.payload for a in itertools.chain(self._atoms, avoid) if isinstance(a.payload, int)}
         return [self.base_atom(i) for i in _unused_ints(used, count)]
 
     def pair_atom(self, level: int, x: Atom, y: Atom, bit: int) -> Atom:
@@ -693,7 +699,7 @@ class PairStructure(AtomStructure):
         if level > CAPS["level"]:
             raise LevelBudgetExceeded("level", level, f"a level-{level} pair atom", "levels")
         atom = Atom(PAIR_MODEL, (level, (x, y), bit))
-        self._payloads.add(atom.payload)
+        self._atoms.add(atom)
         return atom
 
     def materialise(self, atom: Atom) -> Atom:
@@ -702,14 +708,6 @@ class PairStructure(AtomStructure):
             return super().materialise(atom)
         lvl, (x, y), eps = atom.payload
         return self.pair_atom(lvl, self.materialise(x), self.materialise(y), eps)
-
-    def __contains__(self, atom):
-        return atom.world == PAIR_MODEL and atom.payload in self._payloads
-
-    def atoms(self):
-        out = [Atom(PAIR_MODEL, p) for p in self._payloads]
-        out.sort(key=_pair_key)
-        return out
 
     def _probe_pool(self, avoid):
         return (a for a in self.atoms() if a.level == 0 and a not in avoid)

@@ -9,10 +9,12 @@ by the test-suite probes rather than by construction.
 
 HF values are immutable.  An `HFSet` keeps its members in the frozenset
 `members` and sorts them into the canonical order `items` only when read.
-Sets are hash-consed: the weak `HFSet._table` keeps one live set per
-value, so `==` is `is`, and a set keys itself once (`key`).  A public
-build checks member types even on a hit, as {True} == {1}; `act` maps
-checked members, so skips the check.
+Sets are hash-consed as atoms are: `HFSet._table`, a dict of weak
+references, keeps one live set per value, so `==` and `hash` are
+identity, and a set keys itself once (`key`).  A public build checks
+member types even on a hit, as {True} == {1}; `act` maps checked
+members, so skips the check.  `HFTuple` is not interned: most tuples
+are short-lived, and each would miss the table and then leave it.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .atoms import (
     _is_nat,
     atom_from_json,
     atom_to_json,
+    intern_weak,
 )
 from .symsets import SupportedSubset, sort_support
 
@@ -58,12 +61,6 @@ class _HF:
     def __reduce__(self):  # copy and pickle rebuild it: `__setattr__` refuses
         return type(self), (self.items,)
 
-    def __eq__(self, other):
-        return isinstance(other, type(self)) and self.items == other.items
-
-    def __hash__(self):
-        return hash((self.tag, self.items))
-
     def __len__(self):
         return len(self.items)
 
@@ -87,6 +84,12 @@ class HFTuple(_HF):
         object.__setattr__(self, "items", tuple(items))
         return self
 
+    def __eq__(self, other):
+        return isinstance(other, type(self)) and self.items == other.items
+
+    def __hash__(self):
+        return hash((self.tag, self.items))
+
 
 class HFSet(_HF):
     """Extensional finite set, one object per value.  `members` is its
@@ -95,7 +98,7 @@ class HFSet(_HF):
 
     __slots__ = ("members", "key", "__weakref__")
     tag, brackets = "s", "{}"
-    _table: "weakref.WeakValueDictionary[frozenset, HFSet]" = weakref.WeakValueDictionary()
+    _table: dict[frozenset, weakref.ref[HFSet]] = {}
 
     def __new__(cls, items: Iterable):
         return cls._trusted(_hf_only(frozenset(items)))
@@ -106,8 +109,9 @@ class HFSet(_HF):
     @classmethod
     def _trusted(cls, items: Iterable):
         members = frozenset(items)
-        if (self := cls._table.get(members)) is None:
-            self = cls._table[members] = object.__new__(cls)
+        ref = HFSet._table.get(members)
+        if ref is None or (self := ref()) is None:
+            self = intern_weak(HFSet._table, members, object.__new__(cls))
             object.__setattr__(self, "members", members)
         return self
 
@@ -120,12 +124,6 @@ class HFSet(_HF):
             raise AttributeError(name)
         object.__setattr__(self, name, value)
         return value
-
-    def __eq__(self, other):
-        return self is other
-
-    def __hash__(self):
-        return hash(self.members)
 
     def __len__(self):
         return len(self.members)
@@ -347,11 +345,14 @@ class NatDom(Domain):
         return _is_nat(x)
 
 
+_NAT_TYPE = frozenset({int})  # exactly: a bool is not a natural
+
+
 class NatSetDom(Domain):
     name = "P(N)"
 
     def contains(self, x, structure=None):
-        return isinstance(x, frozenset) and all(map(_is_nat, x))
+        return isinstance(x, frozenset) and _NAT_TYPE.issuperset(map(type, x)) and (not x or min(x) >= 0)
 
 
 _NAT_SETS = NatSetDom()  # the set domain of the labelled pairs

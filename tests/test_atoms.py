@@ -712,16 +712,29 @@ def test_extend_fixing_checks_the_one_lift_it_returns(monkeypatch):
     assert len(seen) == len(built) == 2
 
 
+class _Impostor:
+    """Not an atom, though it carries an atom's fields."""
+
+    __slots__ = ("world", "payload")
+
+    def __init__(self, atom):
+        self.world, self.payload = atom.world, atom.payload
+
+
 def test_a_lift_refuses_an_image_that_is_not_exactly_an_atom():
-    class Tagged(Atom):
-        __slots__ = ()
+    with pytest.raises(TypeError, match="no subclasses"):
+
+        class Tagged(Atom):
+            __slots__ = ()
 
     s, (a, b, c, d) = dense(0, 1, 2, 5)
-    for bad in ({b: Tagged(b.world, b.payload)}, {Tagged(b.world, b.payload): Tagged(c.world, c.payload)}):
+    for bad in ({b: _Impostor(c)}, {_Impostor(b): _Impostor(c)}):
         with pytest.raises(TypeError, match="exactly an Atom"):
             extend_fixing(s, [a], bad)
-    # a key may be any equal atom: only images become members of HF values
-    assert extend_fixing(s, [a], {Tagged(b.world, b.payload): c}).apply(b) == c
+    # an impostor key is no atom the structure owns; an atom built anew is the key itself
+    with pytest.raises(StructureMismatch, match="does not belong"):
+        extend_fixing(s, [a], {_Impostor(b): c})
+    assert extend_fixing(s, [a], {Atom(b.world, b.payload): c}).apply(b) is c
 
 
 def test_homogeneous_positions_are_rationals_and_compare_in_integers(monkeypatch):

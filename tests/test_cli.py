@@ -17,13 +17,13 @@ from choiceless.constructions import hf_to_json, hfset, hftuple
 from choiceless.refute import BudgetExhausted, EngineBug, EquivarianceBreak, InjectivityCollapse, WitnessInvalid
 
 
-def run_module(*args, timeout=300):
+def run_module(*args, timeout=300, hash_seed="0"):
     """stdout of `python ARGS` in a fresh process that imports the
     program from this checkout."""
     src = os.path.dirname(os.path.dirname(labchecks.__file__))
     return subprocess.run(
         [sys.executable, *args],
-        env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="0"),
+        env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed),
         capture_output=True,
         check=True,
         timeout=timeout,
@@ -133,6 +133,15 @@ def test_injections_report_is_the_same_under_python_O():
         plain = run_module(*args)
         assert json.loads(plain)["failures"] == 0
         assert run_module("-O", *args) == plain
+
+
+def test_injections_and_refutation_reports_do_not_depend_on_the_process():
+    # atoms and HF sets hash by address, so their set orders change from one
+    # process to the next, and strings hash by PYTHONHASHSEED: neither may
+    # reach a report
+    for suite in ("injections", "refutation"):
+        args = ("-m", "choiceless.cli", "verify", "--suite", suite, "--json")
+        assert run_module(*args, hash_seed="1") == run_module(*args) == run_module(*args)
 
 
 @pytest.mark.parametrize("seed", sorted(PINNED_VERIFY_ALL))

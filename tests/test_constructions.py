@@ -1,11 +1,13 @@
 import ast
 import copy
 import itertools
+import json
 import os
 import pickle
 import random
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from math import factorial
 
@@ -13,6 +15,10 @@ import pytest
 
 from choiceless import labchecks, oracles
 from choiceless.atoms import (
+    CATEGORICAL,
+    DENSE_ORDER,
+    PAIR_MODEL,
+    PURE_SET,
     SHAPE_MEMO_SIZE,
     Atom,
     AtomStructure,
@@ -20,11 +26,15 @@ from choiceless.atoms import (
     DenseOrderStructure,
     PairStructure,
     PureSetStructure,
+    Rational,
+    atom_from_json,
+    atom_to_json,
     extend_fixing,
     f_lt,
     f_rel,
     fibres_of,
     fresh_realizer,
+    intern_weak,
 )
 from choiceless.constructions import (
     AtomsDom,
@@ -940,8 +950,13 @@ class _TaggedTuple(HFTuple):
     __slots__ = ()
 
 
-class _TaggedAtom(Atom):
-    __slots__ = ()
+class _Impostor:
+    """Not an atom, though it carries an atom's fields."""
+
+    __slots__ = ("world", "payload")
+
+    def __init__(self, atom):
+        self.world, self.payload = atom.world, atom.payload
 
 
 @pytest.mark.parametrize("kind", ["pure_set", "dense_order", "pair_model", "categorical"])
@@ -952,7 +967,7 @@ def test_act_matches_the_recursive_chain(kind):
     s, xs, pi = _lifted(kind)
     _, _, rho = _lifted(kind)
     values = [_nested(xs, rng, 3) for _ in range(60)]
-    values += [_TaggedTuple(xs[:3]), _TaggedAtom(xs[-1].world, xs[-1].payload), 7, frozenset({1, 2}), (3, frozenset())]
+    values += [_TaggedTuple(xs[:3]), 7, frozenset({1, 2}), (3, frozenset())]
     if kind != "pair_model":
         values += [SupportedSubset(s, xs[2:4], 0b101), SupportedSubset(s, xs[:1], 0b1)]
     for x in values:
@@ -994,7 +1009,7 @@ def test_record_asks_a_lift_what_act_asks(kind):
     if kind != "pair_model":  # first, while their atoms have no image yet
         values += [SupportedSubset(s, xs[-2:], 0b11), SupportedSubset(s, xs[2:4], 0b101), SupportedSubset(s, xs[:1], 0b1)]
     values += [_nested(xs, rng, 3) for _ in range(60)]
-    values += [_TaggedTuple(xs[:3]), _TaggedAtom(xs[-1].world, xs[-1].payload), 7, frozenset({1, 2}), (3, frozenset())]
+    values += [_TaggedTuple(xs[:3]), 7, frozenset({1, 2}), (3, frozenset())]
     asked = 0
     for x in values:
         assert record(pi, x) is None
@@ -1136,34 +1151,41 @@ class TestInternedSets:
         assert HFSet([xs[0], xs[1]]) is kuratowski(xs[0], xs[1]).items[1]
         assert HFSet(x.items[:2]) is not x and HFSet(x.items[:2]) != x
 
-    def test_hashes_are_those_of_the_member_frozensets(self, pure4):
+    def test_hash_and_eq_are_identity(self, pure4):
         _, xs = pure4
+        assert HFSet.__eq__ is object.__eq__ and HFSet.__hash__ is object.__hash__
         x = self.nested(xs)
-        for y in (x, *x.members, hfset(), hfset(xs), hfset(0, 1, 2)):
-            if isinstance(y, HFSet):
-                assert hash(y) == hash(y.members) == hash(frozenset(y.items))
-        assert hash(hfset(xs)) == hash(frozenset(xs))
+        sets = [y for y in (x, *x.members, hfset(), hfset(xs), hfset(0, 1, 2)) if isinstance(y, HFSet)]
+        again = [HFSet(reversed(y.items)) for y in sets]
+        for y, z in itertools.product(sets, sets + again):
+            assert (y == z) is (y is z) is (hash(y) == hash(z)) is (hf_key(y) == hf_key(z))
+        assert all(y is z for y, z in zip(sets, again))
 
     def test_a_set_leaves_the_table_with_its_last_reference(self, pure4):
         _, xs = pure4
         mark = 10**9 + 7  # a member nobody else builds
 
+        def has_mark(members):
+            return any(mark in getattr(m, "members", {m}) for m in members)
+
         def marked():
-            sets = list(HFSet._table.values())
-            return sorted(len(v) for v in sets if any(mark in getattr(m, "members", {m}) for m in v.members))
+            sets = [v for v in (ref() for ref in HFSet._table.values()) if v is not None]
+            return sorted(len(v) for v in sets if has_mark(v.members))
 
         x = hfset(xs[0], hfset(mark))
         x.items  # the cached canonical order makes no cycle
         held = marked()
+        assert sum(map(has_mark, HFSet._table)) == 2
         del x
-        assert held == [1, 2] and marked() == []
+        # each entry went with its set, not only the set it referred to
+        assert held == [1, 2] and marked() == [] and not any(map(has_mark, HFSet._table))
 
     def test_interned_sets_still_refuse_a_bool_or_a_float(self):
         one = hfset(1)
         for bad in ([True], [1.0], [one, True], (hfset(), 1, False)):
             with pytest.raises(TypeError, match="not an HF object"):
                 HFSet(bad)
-        assert HFSet([1]) is one and HFSet._table[frozenset({True})] is one
+        assert HFSet([1]) is one and HFSet._table[frozenset({True})]() is one
 
     def test_the_cached_key_refuses_writes_and_survives_copies(self, pure4):
         _, xs = pure4
@@ -1184,8 +1206,129 @@ class TestInternedSets:
 
     def test_a_lift_never_gives_act_an_unchecked_member(self, pure4):
         s, (a, b, c, d) = pure4
-        # a lift's images are exactly atoms, so `act` may skip the type check
+        # a lift's images are exactly atoms, so `act` may skip the type check;
+        # and an atom's subclass, which would pass `_hf_only`'s check, cannot be defined
         with pytest.raises(TypeError, match="exactly an Atom"):
-            extend_fixing(s, [], {a: _TaggedAtom(b.world, b.payload)})
+            extend_fixing(s, [], {a: _Impostor(b)})
+        with pytest.raises(TypeError, match="no subclasses"):
+            type("Tagged", (Atom,), {"__slots__": ()})
         pi = extend_fixing(s, [], {a: b, b: a})
         assert act(pi, hfset(a, hftuple(b, 2))) is hfset(b, hftuple(a, 2))
+
+
+KINDS = ["pure_set", "dense_order", "pair_model", "categorical"]
+
+
+class TestInternedAtoms:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_equal_atoms_are_one_object_however_built(self, kind):
+        s, xs, _ = _lifted(kind)
+        for a in xs:
+            builds = [
+                Atom(a.world, a.payload),
+                s.materialise(Atom(a.world, a.payload)),
+                atom_from_json(atom_to_json(a)),
+                copy.copy(a),
+                copy.deepcopy(a),
+                pickle.loads(pickle.dumps(a)),
+            ]
+            if kind in ("pure_set", "dense_order"):
+                builds.append(s.atom(a.payload))
+            if kind == "dense_order":
+                builds += [s.atom(Fraction(a.payload)), s.atom(str(a.payload))]
+            assert all(b is a for b in builds), a
+
+    def test_hash_and_eq_are_identity(self):
+        assert Atom.__eq__ is object.__eq__ and Atom.__hash__ is object.__hash__
+        assert Atom.__slots__ == ("world", "payload", "__weakref__")
+
+    def test_atom_takes_no_subclass(self):
+        with pytest.raises(TypeError, match="no subclasses"):
+            type("Tagged", (Atom,), {"__slots__": ()})
+
+    def test_an_atom_leaves_the_table_with_its_last_reference(self):
+        big = 10**9 + 7  # ids nobody else builds
+        s = PairStructure()
+        x, y = s.base_atom(big), s.base_atom(big + 1)
+        top = s.pair_atom(1, x, y, 0)
+        first = weakref.ref(x)
+
+        def entries():  # the table's keys that name an atom built here
+            return sum(any(str(i) in repr(key) for i in (big, big + 1)) for key in Atom._table)
+
+        assert Atom._table[PAIR_MODEL, big]() is x and Atom._table[PAIR_MODEL, top.payload]() is top
+        assert entries() == 3
+        del s, x, y  # `top` holds its components through its payload
+        assert first() is not None and entries() == 3
+        del top
+        assert first() is None and entries() == 0
+        again = Atom(PAIR_MODEL, big)  # a new object, under the one live entry
+        assert first() is None and Atom._table[PAIR_MODEL, big]() is again and entries() == 1
+
+    def test_a_late_callback_keeps_the_newer_entry(self):
+        class Value:
+            pass
+
+        table, old, new = {}, Value(), Value()
+        intern_weak(table, "k", old)
+        stale = table["k"]  # held, so its callback runs when `old` dies
+        intern_weak(table, "k", new)
+        del old
+        assert stale() is None and table["k"]() is new
+        del new
+        assert table == {}
+
+    def test_a_dense_payload_is_a_rational_whoever_builds_it_first(self, monkeypatch):
+        monkeypatch.setattr(Atom, "_table", {})  # so that 7/2 and 9/2 are first built here
+        a = Atom(DENSE_ORDER, Fraction(7, 2))
+        s = DenseOrderStructure()
+        assert s.atom(Fraction(7, 2)) is a is s.atom("7/2") is s.atom(3.5) is atom_from_json(atom_to_json(a))
+        b = Atom(DENSE_ORDER, "9/2")
+        assert Atom(DENSE_ORDER, Fraction(9, 2)) is b is s.atom(Rational(9, 2))
+        assert type(a.payload) is Rational and type(b.payload) is Rational
+        assert len(Atom._table) == 2
+
+    def test_a_bool_or_other_non_int_id_is_refused_not_pinned(self, monkeypatch):
+        monkeypatch.setattr(Atom, "_table", {})  # so that the bool form is built first
+        for world, bad in itertools.product((PURE_SET, PAIR_MODEL, CATEGORICAL), (True, 1.0, Fraction(1))):
+            with pytest.raises(TypeError, match="takes ints"):
+                Atom(world, bad)
+        one = Atom(PURE_SET, 1)
+        assert type(one.payload) is int and json.dumps(atom_to_json(one)) == '{"world": "pure", "id": 1}'
+        # a pair atom's level and bit are matched by `==` too
+        s = PairStructure(2)
+        b0, b1 = s.atoms()
+        with pytest.raises(TypeError, match="takes ints"):
+            s.pair_atom(1, b0, b1, True)
+        data = {"world": "pairs", "level": True, "pair": [atom_to_json(b0), atom_to_json(b1)], "bit": 0}
+        with pytest.raises(TypeError, match="takes ints"):
+            atom_from_json(data)
+        p = s.pair_atom(1, b0, b1, 1)
+        text = json.dumps(atom_to_json(p))
+        assert type(p.payload[0]) is type(p.payload[2]) is int
+        assert '"level": 1' in text and '"bit": 1' in text and "true" not in text
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_object_exactly_when_the_keys_agree(self, kind):
+        # differential: identity, the fast path, against `hf_key`, the slow
+        # one, over values built by three independent paths: the generator,
+        # JSON, and the generator again over a structure built anew
+        _, xs, _ = _lifted(kind)
+        _, ys, _ = _lifted(kind)
+        rng = random.Random(32)
+        values = [_nested(xs, rng, 3) for _ in range(60)] + xs
+        rng = random.Random(32)
+        rebuilt = [_nested(ys, rng, 3) for _ in range(60)] + [hf_from_json(hf_to_json(x)) for x in values]
+
+        def same(x, y):  # one object, but for tuples, which are not interned
+            if type(x) is type(y) is HFTuple:
+                return len(x) == len(y) and all(map(same, x.items, y.items))
+            return x is y
+
+        agreeing = 0
+        for x, y in itertools.product(values, rebuilt):
+            agree = hf_key(x) == hf_key(y)
+            assert same(x, y) is (x == y) is agree, (x, y)
+            agreeing += agree
+        # each value agrees with its two rebuilds, and some with other values
+        assert 2 * len(values) < agreeing < len(values) * len(rebuilt) // 4
