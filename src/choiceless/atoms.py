@@ -119,6 +119,8 @@ class Atom:
                 self = intern_weak(Atom._table, (world, payload), object.__new__(cls))
                 object.__setattr__(self, "world", world)
                 object.__setattr__(self, "payload", payload)
+        elif type(payload) is not int and UNIVERSES[world].payload_of is AtomStructure.payload_of:
+            AtomStructure.payload_of(payload)  # a hit refuses what a miss refuses; a dense hit builds nothing
         return self
 
     def __init_subclass__(cls, **kwargs):

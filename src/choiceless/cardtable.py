@@ -11,7 +11,6 @@ derived fact carries a replayable trace.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections import Counter, defaultdict
 from math import factorial
@@ -142,12 +141,18 @@ class Contradiction(Exception):
 
 
 class Closure:
-    """Least fixed point of the rule set over a finite term universe."""
+    """Least fixed point of the rule set over a finite term universe.  `trace`
+    is the one ordered fact store, and bit masks over the terms in `CExpr.key`
+    order index it: bit j of `out[rel][i]` and bit i of `into[rel][j]` are set
+    iff (rel, terms[i], terms[j]) is a fact."""
 
     def __init__(self, universe: Set[CExpr]):
         self.universe = universe
-        # each fact's first derivation, in the order the facts were found;
-        # the one fact store, read as a set through `facts`
+        self.terms = sorted(universe, key=CExpr.key)
+        self.rank = {t: i for i, t in enumerate(self.terms)}
+        self.out = {rel: [0] * len(self.terms) for rel in sorted(_RELS)}
+        self.into = {rel: [0] * len(self.terms) for rel in sorted(_RELS)}
+        # each fact's first derivation, in the order the facts were found
         self.trace: Dict[Fact, Tuple[str, Tuple[Fact, ...]]] = {}
         self.facts: KeysView[Fact] = self.trace.keys()
         self.contradiction: Optional[List[Fact]] = None
@@ -156,13 +161,20 @@ class Closure:
         self.contradiction_round: Optional[int] = None
 
     def add(self, fact: Fact, rule: str, premises: Tuple[Fact, ...] = ()) -> bool:
-        if fact in self.trace:
+        rel, a, b = fact
+        i, j = self.rank[a], self.rank[b]
+        row = self.out[rel]
+        if row[i] >> j & 1:
             return False
+        row[i] |= 1 << j
+        self.into[rel][j] |= 1 << i
         self.trace[fact] = (rule, premises)
         return True
 
     def has(self, rel: str, a: CExpr, b: CExpr) -> bool:
-        return all(f in self.facts for f in expand(rel, a, b))
+        """Whether each component fact's bit is set (a term outside the universe has none)."""
+        rank = self.rank
+        return all(x in rank and y in rank and self.out[r][rank[x]] >> rank[y] & 1 for r, x, y in expand(rel, a, b))
 
     def holds_between(self, a: CExpr, b: CExpr) -> Set[str]:
         """Human-level relation symbols the closure settles for the pair."""
@@ -200,9 +212,10 @@ class Closure:
 
     def sorted_facts(self) -> List[Fact]:
         """The facts by relation, then by the `CExpr.key` order of each side,
-        each term ranked once."""
-        rank = {t: r for r, t in enumerate(sorted(self.universe, key=CExpr.key))}
-        return sorted(self.facts, key=lambda f: (f[0], rank[f[1]], rank[f[2]]))
+        read off the masks with no sort: relations in name order, rows in
+        rank order, each row's set bits from low to high."""
+        terms = self.terms
+        return [(rel, a, terms[j]) for rel, rows in self.out.items() for a, row in zip(terms, rows) if row for j in _bits(row)]
 
 
 def close(
@@ -276,8 +289,8 @@ def _add_schemas(cl: Closure):
     of its sides are in the universe.  Each step of a side is one lookup
     in the intern table, which builds nothing: a side never built is in
     no universe."""
-    U, get = cl.universe, CExpr._table.get
-    for e in sorted(U, key=CExpr.key):
+    U, get = cl.rank, CExpr._table.get
+    for e in cl.terms:
         for rel, (a, lsteps), (b, rsteps), rule in _ROWS:
             a, b = a or e, b or e
             for op, n in lsteps:
@@ -289,66 +302,50 @@ def _add_schemas(cl: Closure):
                     cl.add((rel, a, b), rule)
 
 
-def _index(facts: Iterable[Fact]):
-    """Facts by relation, by (relation, lhs), by (relation, rhs) and by each
-    term they mention, every list in the order the facts come in."""
-    by_rel, lhs, rhs, touch = index = tuple(defaultdict(list) for _ in range(4))
-    for f in facts:
-        rel, a, b = f
-        by_rel[rel].append(f)
-        lhs[rel, a].append(f)
-        rhs[rel, b].append(f)
-        touch[a].append(f)
-        if b != a:
-            touch[b].append(f)
-    return index
+def _bits(mask: int) -> List[int]:
+    """The places of a mask's set bits, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _fixpoint(cl: Closure):
     """Semi-naive rounds.  A round joins the facts new since the last round
-    against the facts known at its start, found through indexes; a join of
-    old facts alone would only re-derive what the last round recorded.
-    So a two-premise rule visits the new facts and only those old ones that
-    a new fact can join.  Each rule walks its matches in trace order, the
-    order of every index list, so a round records the same facts, in the
-    same order and from the same premises, as joining all pairs, and the
-    trace is the same in every process.  Re-deriving a fact costs one lookup."""
-    U, trace = cl.universe, cl.trace
+    against the facts known at its start, read off the round-start masks
+    less the partners whose conclusion is known: a join meets only partners
+    that derive a new fact, and a pair of old facts never does.  Each rule
+    meets them in trace order, sorted by position, so a round records the
+    same facts, in the same order and from the same premises, as joining
+    all pairs, and the trace is the same in every process."""
+    trace, terms, rank, out, into = cl.trace, cl.terms, cl.rank, cl.out, cl.into
+    le, ne, eq, nle, nle_in = out["le"], out["ne"], out["eq"], out["nle"], into["nle"]
+    powers = [rank.get(_built("pow", t)) for t in terms]
 
     def emit(fact, rule, premises):
-        if fact not in trace and fact[1] in U and fact[2] in U:
-            trace[fact] = (rule, premises)
+        if fact[1] in rank and fact[2] in rank and cl.add(fact, rule, premises):
             _check_contra(cl, fact)
 
+    def in_order(rel, pairs):
+        """The round-start facts (rel, terms[i], terms[j]) of the pairs, in trace order."""
+        return sorted([(rel, terms[i], terms[j]) for i, j in pairs], key=pos.__getitem__)
+
     pos: Dict[Fact, int] = {}  # round-start facts by trace position
-    by_rel, lhs, rhs, touch = index = _index(())  # the same, each list in trace order
     changed = True
     while changed:
         cl.rounds += 1
-        batch = list(itertools.islice(trace, len(pos), None))
+        batch = list(itertools.islice(reversed(trace), len(trace) - len(pos)))[::-1]  # from the end
         pos.update(zip(batch, itertools.count(len(pos))))
-        new_index = new_rel, new_lhs, new_rhs, new_touch = _index(batch)
-        for old, part in zip(index, new_index):
-            for k, v in part.items():
-                old[k] += v
-        new = set(batch)
-        new_les, new_eqs = new_rel.get("le", ()), new_rel.get("eq", ())
-
-        def walk(*groups):
-            """The facts of index lists in trace order, each once: one list as
-            it is, several merged (the sort finds their runs)."""
-            groups = [g for g in groups if g]
-            if len(groups) == 1:
-                return groups[0]
-            return sorted(dict.fromkeys(itertools.chain(*groups)), key=pos.__getitem__)
-
-        @functools.cache
-        def ups(b):
-            """Each known ne(b, c) or ne(c, b) where le(b, c) is known, with c, in
-            trace order, found from the le side, usually the smaller.  Shared by the
-            round's le(a, b): an old one meets old pairs too, which derive nothing new."""
-            gcs = {g: h[2] for h in lhs.get(("le", b), ()) for g in (("ne", b, h[2]), ("ne", h[2], b)) if g in pos}
-            return sorted(gcs.items(), key=lambda gc: pos[gc[0]])
+        new_rel = defaultdict(list)
+        for f in batch:
+            new_rel[f[0]].append(f)
+        new_les, new_eqs, new_nles = new_rel["le"], new_rel["eq"], new_rel["nle"]
+        out0 = {rel: rows[:] for rel, rows in out.items()}  # the masks at the round's start
+        into0 = {rel: rows[:] for rel, rows in into.items()}
+        le0, le0_in, ne0_any = out0["le"], into0["le"], [x | y for x, y in zip(out0["ne"], into0["ne"])]
+        near = [x & y for x, y in zip(le0, ne0_any)]  # le(b, c) with ne(b, c) or ne(c, b)
 
         # symmetry and definitional components
         for f in new_eqs:
@@ -356,10 +353,10 @@ def _fixpoint(cl: Closure):
             emit(("eq", b, a), "eq-symmetric", (f,))
             emit(("le", a, b), "eq-both-ways", (f,))
             emit(("le", b, a), "eq-both-ways", (f,))
-        for f in new_rel.get("ne", ()):
+        for f in new_rel["ne"]:
             _, a, b = f
             emit(("ne", b, a), "ne-symmetric", (f,))
-        for f in new_rel.get("inc", ()):
+        for f in new_rel["inc"]:
             _, a, b = f
             emit(("inc", b, a), "incomparable-symmetric", (f,))
             emit(("nle", a, b), "incomparable-means-no-map", (f,))
@@ -369,49 +366,66 @@ def _fixpoint(cl: Closure):
             emit(("lestar", a, b), "injection-gives-surjection", (f,))
         # transitive and mixed rules.  An old le(a, b) joins a new fact only
         # if b starts a new le (which le(b, a) does) or is a term of a new ne
-        below = [rhs.get(("le", b), ()) for b in {g[1] for g in new_les}]
-        for f in walk(new_les, *below):
+        heads = {rank[g[1]] for g in new_les}
+        pairs = {(rank[f[1]], rank[f[2]]) for f in new_les} | {(i, j) for j in heads for i in _bits(le0_in[j])}
+        for f in in_order("le", [(i, j) for i, j in pairs if le0[j] & ~le[i] or le0[j] >> i & 1 and not eq[i] >> j & 1]):
             _, a, b = f
-            for g in (lhs if f in new else new_lhs).get(("le", b), ()):
-                if (h := ("le", a, g[2])) not in trace:
-                    emit(h, "le-transitive", (f, g))
-            if ("le", b, a) in pos:
+            i, j = rank[a], rank[b]
+            for g in in_order("le", [(j, c) for c in _bits(le0[j] & ~le[i])]):
+                emit(("le", a, g[2]), "le-transitive", (f, g))
+            if le0[j] >> i & 1:
                 emit(("eq", a, b), "cantor-bernstein", (f, ("le", b, a)))
-        ne_terms = {t for g in new_rel.get("ne", ()) for t in g[1:]}
-        for f in walk(new_les, *below, *(rhs.get(("le", t), ()) for t in ne_terms)):
+        # strictness: le(a, b) meets the le(b, c) with an ne fact between b
+        # and c, and every le(b, c) if there is one between a and b
+        pairs |= {(i, j) for j in {rank[t] for g in new_rel["ne"] for t in g[1:]} for i in _bits(le0_in[j])}
+        for f in in_order("le", [(i, j) for i, j in pairs if (le0[j] if ne0_any[i] >> j & 1 else near[j]) & ~ne[i]]):
             _, a, b = f
-            for g, c in ups(b):
-                if (h := ("ne", a, c)) not in trace:
-                    emit(h, "strictness-travels-up", (f, ("le", b, c), g))
-            ab, ba = ("ne", a, b), ("ne", b, a)
-            for g in (ab, ba) if pos.get(ab, -1) < pos.get(ba, -1) else (ba, ab):
-                for h in (lhs if f in new or g in new else new_lhs).get(("le", b), ()) if g in pos else ():
-                    if (k := ("ne", a, h[2])) not in trace:
-                        emit(k, "strictness-travels-down", (f, g, h))
-        for f in by_rel.get("nle", ()):
+            i, j = rank[a], rank[b]
+            # each c cites the earlier of ne(b, c) and ne(c, b)
+            ups = [min((g for g in (("ne", b, terms[c]), ("ne", terms[c], b)) if g in pos), key=pos.__getitem__)
+                   for c in _bits(near[j] & ~ne[i])]
+            for g in sorted(ups, key=pos.__getitem__):
+                c = g[1] if g[2] is b else g[2]
+                emit(("ne", a, c), "strictness-travels-up", (f, ("le", b, c), g))
+            for g in sorted({g for g in (("ne", a, b), ("ne", b, a)) if g in pos}, key=pos.__getitem__):
+                for h in in_order("le", [(j, c) for c in _bits(le0[j] & ~ne[i])]):
+                    emit(("ne", a, h[2]), "strictness-travels-down", (f, g, h))
+        # an old nle(a, b) joins a new le fact only at a or b, and meets an nle(b, a) no earlier
+        # round saw only where nle(b, a) is new (one the loop records is later than every old one)
+        nle0, nle0_in, tails = out0["nle"], into0["nle"], {rank[g[2]] for g in new_les}
+        news = {(rank[f[1]], rank[f[2]]) for f in new_nles}
+        olds = {(i, y) for i in heads for y in _bits(nle0[i])} | {(x, j) for j in tails for x in _bits(nle0_in[j])}
+        for f in in_order("nle", news | olds | {(j, i) for i, j in news if nle0[j] >> i & 1}):
             _, a, b = f
-            into, out = (rhs, lhs) if f in new else (new_rhs, new_lhs)
-            for g in walk(into.get(("le", b), ()), out.get(("le", a), ())):
-                if g[2] == b:
+            i, j = rank[a], rank[b]
+            into_b = {(x, j) for x in _bits(le0_in[j] & ~nle[i])}
+            for g in in_order("le", into_b | {(i, y) for y in _bits(le0[i] & ~nle_in[j])}):
+                if g[2] is b:
                     emit(("nle", a, g[1]), "no-map-into-smaller", (f, g))
-                if g[1] == a:
+                if g[1] is a:
                     emit(("nle", g[2], b), "no-map-from-larger", (f, g))
-            if ("nle", b, a) in cl.facts:
+            if nle[j] >> i & 1:
                 emit(("inc", a, b), "mutually-unmapped", (f, ("nle", b, a)))
         # equality substitution, where an old eq(a, b) joins only the new
         # facts that mention a
-        for f in walk(new_eqs, *(lhs.get(("eq", t), ()) for t in new_touch)):
+        touched = {rank[t] for _, a, b in batch for t in (a, b)}
+        pairs = {(rank[f[1]], rank[f[2]]) for f in new_eqs} | {(i, y) for i in touched for y in _bits(out0["eq"][i])}
+        for f in in_order("eq", pairs):
             _, a, b = f
-            for g in (touch if f in new else new_touch).get(a, ()):
+            i, j = rank[a], rank[b]
+            gs = {(rel, a, terms[y]) for rel, rows in out0.items() if (d := rows[i] & ~out[rel][j]) for y in _bits(d)}
+            gs |= {(rel, terms[x], a) for rel, rows in into0.items() if (d := rows[i] & ~into[rel][j]) for x in _bits(d)}
+            for g in sorted(gs, key=pos.__getitem__):
                 rel, x, y = g
-                if x == a and (h := (rel, b, y)) not in trace:
-                    emit(h, "substitute-equal", (f, g))
-                if y == a and (h := (rel, x, b)) not in trace:
-                    emit(h, "substitute-equal", (f, g))
+                if x is a:
+                    emit((rel, b, y), "substitute-equal", (f, g))
+                if y is a:
+                    emit((rel, x, b), "substitute-equal", (f, g))
         # power monotone under surjections
-        for f in new_rel.get("lestar", ()):
-            _, a, b = f
-            emit(("le", _built("pow", a), _built("pow", b)), "power-of-surjection", (f,))
+        for f in new_rel["lestar"]:
+            p, q = powers[rank[f[1]]], powers[rank[f[2]]]
+            if p is not None and q is not None and not le[p] >> q & 1:
+                emit(("le", terms[p], terms[q]), "power-of-surjection", (f,))
         # sequences agreeing forces a countable subset
         for f in new_eqs:
             _, a, b = f
@@ -427,7 +441,7 @@ def _fixpoint(cl: Closure):
             if a == ALEPH0:
                 emit(("nle", _built("pow", b), _built("anyseq", b)), "no-power-into-sequences", (f,))
         # Dedekind-finite power: strict surplus and partition growth
-        for f in new_rel.get("nle", ()):
+        for f in new_nles:
             _, a, b = f
             if a == ALEPH0 and b.op == "pow":
                 copies = [_built("times", b, n) for n in range(1, 10)]
@@ -437,22 +451,20 @@ def _fixpoint(cl: Closure):
         changed = len(trace) > len(pos)
 
 
+# the relation that clashes with each one on the same pair, listed in name order
+_CLASHES = {"le": "nle", "nle": "le", "eq": "ne", "ne": "eq"}
+
+
 def _check_contra(cl: Closure, fact: Fact):
     rel, a, b = fact
-    clash = None
-    if rel == "ne" and a == b:
+    if rel == "ne" and a is b:
         clash = [fact]
-    elif rel == "le" and ("nle", a, b) in cl.facts:
-        clash = [fact, ("nle", a, b)]
-    elif rel == "nle" and ("le", a, b) in cl.facts:
-        clash = [("le", a, b), fact]
-    elif rel == "eq" and ("ne", a, b) in cl.facts:
-        clash = [fact, ("ne", a, b)]
-    elif rel == "ne" and ("eq", a, b) in cl.facts:
-        clash = [("eq", a, b), fact]
-    if clash:
-        cl.contradiction_round = cl.rounds
-        raise Contradiction(clash, cl)
+    elif rel in _CLASHES and cl.out[_CLASHES[rel]][cl.rank[a]] >> cl.rank[b] & 1:
+        clash = sorted([fact, (_CLASHES[rel], a, b)])
+    else:
+        return
+    cl.contradiction_round = cl.rounds
+    raise Contradiction(clash, cl)
 
 
 # ---------------------------------------------------------------------------

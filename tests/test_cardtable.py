@@ -1,4 +1,5 @@
 import copy
+import itertools
 import os
 import pickle
 import random
@@ -15,6 +16,7 @@ from choiceless.cardtable import (
     MODELS,
     TABLE_TERMS,
     CExpr,
+    Contradiction,
     anyseq,
     check_summary_table,
     close,
@@ -331,6 +333,29 @@ class TestSemiNaiveClosure:
             clashes += assert_same_closure(lambda: close(axioms)).contradiction is not None
         assert 0 < clashes < 40
 
+    def test_old_no_map_fact_meets_its_new_reverse(self):
+        # nle(b, a) arrives in round 2, through no-map-into-smaller, when
+        # nle(a, b) is old: mutually-unmapped must join the two in round 2
+        a, b, c = square(M), partitions(M), anyseq(M)
+        axioms = [("nle", a, b), ("nle", b, c), ("le", a, c)]
+        cl = assert_same_closure(lambda: close([(*f, "t") for f in axioms]))
+        assert cl.trace[("nle", b, a)] == ("no-map-into-smaller", (("nle", b, c), ("le", a, c)))
+        assert cl.trace[("inc", a, b)] == ("mutually-unmapped", (("nle", a, b), ("nle", b, a)))
+
+    def test_no_map_facts_match_naive(self):
+        # mostly nle and le axioms: an old nle(a, b) must still meet an
+        # nle(b, a) that the last round derived
+        rels = ["nle"] * 4 + ["le"] * 4 + ["inc", "eq", "ne", "lestar"]
+        pool = [M, ALEPH0, *(f(M) for f in OPS), *DEPTH_TWO[:16]]
+        rng = random.Random(0)
+        unmapped = 0
+        for _ in range(40):
+            axioms = [(rng.choice(rels), rng.choice(pool), rng.choice(pool), "r") for _ in range(rng.randint(2, 14))]
+            extra = rng.sample(pool, 5)
+            cl = assert_same_closure(lambda: close(axioms, extra_terms=extra))
+            unmapped += any(rule == "mutually-unmapped" for rule, _ in cl.trace.values())
+        assert unmapped
+
     def test_closure_statistics(self):
         cl = forbidden_pattern_closure()
         assert (cl.rounds, cl.contradiction_round) == (2, 2)
@@ -480,6 +505,124 @@ class TestSortedFacts:
         for cl in closures:
             want = sorted(cl.facts, key=lambda f: (f[0], f[1].key(), f[2].key()))
             assert cl.sorted_facts() == want
+
+
+def masks_by_rebuild(cl):
+    """The term ranks and bit masks of a closure, rebuilt from its fact set."""
+    rank = {t: i for i, t in enumerate(sorted(cl.universe, key=CExpr.key))}
+    out = {rel: [0] * len(rank) for rel in sorted(cardtable._RELS)}
+    into = copy.deepcopy(out)
+    for rel, a, b in cl.facts:
+        out[rel][rank[a]] |= 1 << rank[b]
+        into[rel][rank[b]] |= 1 << rank[a]
+    return rank, out, into
+
+
+def has_by_lookup(cl, rel, a, b):
+    """`Closure.has` as the fact-set lookups the masks replaced."""
+    return all(f in cl.facts for f in cardtable.expand(rel, a, b))
+
+
+def holds_between_by_lookup(cl, a, b):
+    """`Closure.holds_between` through `has_by_lookup`."""
+    out = {sym for sym, f in (("=", ("eq", a, b)), ("<", ("lt", a, b)), (">", ("lt", b, a)), ("!=", ("ne", a, b)))
+           if has_by_lookup(cl, *f)}
+    if has_by_lookup(cl, "inc", a, b) or has_by_lookup(cl, "inc", b, a):
+        out.add("||")
+    return out
+
+
+def clash_by_lookup(cl, fact):
+    """The clash `_check_contra` raises on for a fact, by fact-set lookups."""
+    rel, a, b = fact
+    if rel == "ne" and a == b:
+        return [fact]
+    if rel == "le" and ("nle", a, b) in cl.facts:
+        return [fact, ("nle", a, b)]
+    if rel == "nle" and ("le", a, b) in cl.facts:
+        return [("le", a, b), fact]
+    if rel == "eq" and ("ne", a, b) in cl.facts:
+        return [fact, ("ne", a, b)]
+    if rel == "ne" and ("eq", a, b) in cl.facts:
+        return [("eq", a, b), fact]
+    return None
+
+
+def clash_by_masks(cl, fact):
+    round_ = cl.contradiction_round
+    try:
+        cardtable._check_contra(cl, fact)
+    except Contradiction as c:
+        return c.facts
+    finally:
+        cl.contradiction_round = round_
+    return None
+
+
+def assert_masks_index_the_facts(cl, pairs):
+    """The masks equal a rebuild from the facts, and `has`, `holds_between`
+    and `_check_contra` answer as the lookups they replaced, on the pairs."""
+    rank, out, into = masks_by_rebuild(cl)
+    assert cl.terms == list(rank) and cl.rank == rank
+    assert cl.out == out and cl.into == into
+    for a, b in pairs:
+        for rel in ("lt", "gt", *cardtable._RELS):
+            assert cl.has(rel, a, b) == has_by_lookup(cl, rel, a, b)
+            if rel in cardtable._RELS and a in rank and b in rank:  # it sees recorded facts only
+                assert clash_by_masks(cl, (rel, a, b)) == clash_by_lookup(cl, (rel, a, b))
+        assert cl.holds_between(a, b) == holds_between_by_lookup(cl, a, b)
+
+
+def mid_round_axiom_sets():
+    """The 40 seeded axiom sets of `test_contradictions_mid_round_match_naive`."""
+    pool = [M, ALEPH0, fin(M), injseq(M), anyseq(M), power(M), pairs2(M)]
+    rels = ["le", "ne", "eq", "lestar", "nle", "inc", "lt", "gt"]
+    rng = random.Random(7)
+    return [[(rng.choice(rels), rng.choice(pool), rng.choice(pool), "r") for _ in range(rng.randint(1, 6))]
+            for _ in range(40)]
+
+
+class TestMasks:
+    # a term built but in no universe of these closures: no fact names it
+    OUTSIDE = power(power(power(power(M))))
+
+    def test_workload_closures(self):
+        # every pair of table terms, aleph0 and a term outside the universe
+        terms = TABLE_TERMS + [ALEPH0, self.OUTSIDE]
+        closures = list(TestSortedFacts._closures())
+        for cl in closures:
+            assert_masks_index_the_facts(cl, itertools.product(terms, repeat=2))
+        assert sum(len(cl.facts) for cl in closures) > 10000
+
+    def test_closures_made_by_the_naive_oracle(self):
+        # the oracle records every fact through `Closure.add`
+        with mock.patch.object(cardtable, "_fixpoint", naive_fixpoint):
+            closures = [model_closure(name) for name in MODELS] + [forbidden_pattern_closure()]
+            for cl in closures:
+                assert_masks_index_the_facts(cl, itertools.product(cl.terms[:12] + [self.OUTSIDE], repeat=2))
+        assert closures[-1].contradiction
+
+    def test_mid_round_contradictions(self):
+        clashes = 0
+        for axioms in mid_round_axiom_sets():
+            cl = close(axioms)
+            assert_masks_index_the_facts(cl, itertools.product(cl.terms + [self.OUTSIDE], repeat=2))
+            clashes += cl.contradiction is not None
+        assert 0 < clashes < 40
+
+    def test_a_fact_recorded_without_its_bits_is_caught(self):
+        # seeded fault: `add` keeps the trace but not the masks, so no fact
+        # is indexed and the joins of the rounds find no partner
+        def add_without_bits(cl, fact, rule, premises=()):
+            if fact in cl.trace:
+                return False
+            cl.trace[fact] = (rule, premises)
+            return True
+
+        with mock.patch.object(cardtable.Closure, "add", add_without_bits):
+            with pytest.raises(AssertionError):
+                assert_same_closure(lambda: model_closure("vc"))
+        assert_same_closure(lambda: model_closure("vc"))
 
 
 class TestCExpr:

@@ -10,7 +10,7 @@ from typing import Callable, NamedTuple
 
 import pytest
 
-from choiceless import labchecks, oracles, refute
+from choiceless import cardtable, labchecks, oracles, refute
 from choiceless.atoms import CAPS, BudgetExceeded, CategoricalStructure, PairStructure, atom_to_json
 from choiceless.cli import build_parser, main
 from choiceless.constructions import hf_to_json, hfset, hftuple
@@ -127,8 +127,9 @@ PINNED_VERIFY_ALL = {
 
 def test_injections_report_is_the_same_under_python_O():
     # a self-check that lived in an assert statement would vanish under -O;
-    # the refutation suite re-checks every witness its engines return
-    for suite in ("injections", "refutation"):
+    # the refutation suite re-checks every witness its engines return, and
+    # the closure suite reads every fact through the closure's bit masks
+    for suite in ("injections", "refutation", "closure"):
         args = ("-m", "choiceless.cli", "verify", "--suite", suite, "--json")
         plain = run_module(*args)
         assert json.loads(plain)["failures"] == 0
@@ -155,6 +156,32 @@ def test_verify_all_report_is_pinned(seed, capsys):
 def test_verify_all_report_is_pinned_in_a_fresh_process(seed):
     out = run_module("-m", "choiceless.cli", "verify", "--suite", "all", "--json", "--seed", seed)
     assert hashlib.sha256(out).hexdigest() == PINNED_VERIFY_ALL[seed]
+
+
+# sha256 of `table ... --json` stdout: every fact of each model closure in
+# sorted order, the summary table, and the forbidden pattern's trace, none of
+# which `verify --suite all` prints
+PINNED_TABLE = {
+    "--model fraenkel": "ab2a4917e9bac4016f5f7b0bef4fd1d60887b4579ed914a1928274cef1d56bfd",
+    "--model mostowski": "9ad0661429aac7db2f6e91a49cb08adf4049a7210e1019818c6b573e1e360b26",
+    "--model vs": "d5bba9ea042efc5e7f870422322a9d82d537d41325003e75c82600591828d33c",
+    "--model vc": "2912031cd4fcbfde2afce73551230ae935c631a3d67c27499a3ec2959f943874",
+    "--model vp": "00cb443655004d4394b361206dd7cd22639779f97717c5b6f5ee30787411ee25",
+    "--model aleph0": "a3ad814d22466e119f657b671de66b9ef60660140925e5813919e8c41169d530",
+    "": "8f41c5a136a1b87a6924422dfd5d5952e4b240d17af2c3b098d1a2958aa6cad2",
+    "--scenario forbidden": "c879000a48c099c616d3f50e440bbaa6876ca93692538d6f4f1534774754bc15",
+}
+
+
+def test_every_model_table_is_pinned():
+    assert {argv.split()[-1] for argv in PINNED_TABLE if argv.startswith("--model")} == set(cardtable.MODELS)
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_TABLE))
+def test_table_report_is_pinned(argv, capsys):
+    code, out = run(capsys, "table", *argv.split(), "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_TABLE[argv]
 
 
 class TestVerify:

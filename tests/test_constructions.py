@@ -1308,6 +1308,30 @@ class TestInternedAtoms:
         assert type(p.payload[0]) is type(p.payload[2]) is int
         assert '"level": 1' in text and '"bit": 1' in text and "true" not in text
 
+    def test_a_live_atom_does_not_let_a_loose_payload_through(self, monkeypatch):
+        # the same refusals as above, with the int form built first: a hit in
+        # the table must refuse what a miss refuses, not return the live atom
+        monkeypatch.setattr(Atom, "_table", {})
+        for world in (PURE_SET, PAIR_MODEL, CATEGORICAL):
+            one = Atom(world, 1)
+            for bad in (True, 1.0, Fraction(1)):
+                with pytest.raises(TypeError, match="takes ints"):
+                    Atom(world, bad)
+            assert Atom(world, 1) is one and type(one.payload) is int
+        s = PairStructure(2)
+        b0, b1 = s.atoms()
+        p = s.pair_atom(1, b0, b1, 1)
+        for level, bit in ((1, True), (True, 1), (1.0, 1), (1, 1.0)):
+            with pytest.raises(TypeError, match="takes ints"):
+                Atom(PAIR_MODEL, (level, (b0, b1), bit))
+        with pytest.raises(TypeError, match="takes ints"):
+            s.pair_atom(1, b0, b1, True)
+        assert s.pair_atom(1, b0, b1, 1) is p
+        # a dense hit still takes an equal Fraction or int, and builds no Rational
+        q, r = Atom(DENSE_ORDER, Fraction(7, 2)), Atom(DENSE_ORDER, 3)
+        monkeypatch.setattr(Rational, "__new__", None)
+        assert Atom(DENSE_ORDER, Fraction(7, 2)) is q and Atom(DENSE_ORDER, 3) is r is Atom(DENSE_ORDER, Fraction(6, 2))
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_one_object_exactly_when_the_keys_agree(self, kind):
         # differential: identity, the fast path, against `hf_key`, the slow
