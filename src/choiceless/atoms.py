@@ -217,13 +217,9 @@ def structure_from_json(data: dict) -> "AtomStructure":
 # 1-types
 
 
-# categorical 1-type formulas: ("eq", e), ("lt", e), ("rel", n, i, (e0..en-1))
+# categorical 1-type formulas: ("lt", e), ("rel", n, i, (e0..en-1))
 # where the relation formula asserts the n+1-ary fact with x inserted at
 # slot i among the parameters.
-
-
-def f_eq(e: Atom):
-    return ("eq", e)
 
 
 def f_lt(e: Atom):
@@ -915,8 +911,6 @@ class CategoricalStructure(AtomStructure):
 
     def formula_holds(self, formula, atom: Atom) -> bool:
         tag = formula[0]
-        if tag == "eq":
-            return atom == formula[1]
         if tag == "lt":
             return self.lt(atom, formula[1])
         _, n, i, params = formula
@@ -1121,27 +1115,21 @@ _BY_JSON_TAG = {cls.json_tag: cls for cls in UNIVERSES.values()}
 
 
 def fresh_realizer(structure: CategoricalStructure, formulas) -> Atom:
-    """Materialise an atom realising at least the given positive formulas.
+    """Materialise an atom realising at least the given positive formulas,
+    each an `lt` or a `rel` formula; any other is refused.
 
     The new atom receives no relation fact that was not requested, so the
-    universe keeps its minimal positive diagram.  An equality formula
-    short-circuits to the named parameter, provided the rest of the type
-    already holds of it.
+    universe keeps its minimal positive diagram.
     """
     if not isinstance(structure, CategoricalStructure):
         raise StructureMismatch("fresh_realizer needs a categorical structure")
     formulas = list(formulas)
-    eqs = [f for f in formulas if f[0] == "eq"]
+    for f in formulas:
+        if f[0] not in ("lt", "rel"):
+            raise ValueError(f"a fresh atom realises lt and rel formulas, not {f!r}")
+        structure.check_owns(*((f[1],) if f[0] == "lt" else f[3]))
     uppers = [f[1] for f in formulas if f[0] == "lt"]
     rels = [f for f in formulas if f[0] == "rel"]
-    for f in formulas:
-        structure.check_owns(*((f[1],) if f[0] in ("eq", "lt") else f[3]))
-    if eqs:
-        target = eqs[0][1]
-        for f in formulas:
-            if not structure.formula_holds(f, target):
-                raise UnsatisfiableType(f"{f} fails for {target!r}")
-        return target
     for _, n, i, params in rels:
         if len(set(params)) != len(params):
             raise UnsatisfiableType("relation parameters must be pairwise distinct")

@@ -46,6 +46,8 @@ class CExpr:
     def __setattr__(self, *_):
         raise AttributeError("expressions are immutable")
 
+    __delattr__ = __setattr__
+
     def __reduce__(self):  # rebuilding finds the one interned object
         return CExpr, (self.op, self.inner, self.n)
 

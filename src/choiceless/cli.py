@@ -17,7 +17,6 @@ from .refute import (
     EngineBug,
     OracleAnswerError,
     WitnessInvalid,
-    verify_witness_json,
     witness_to_json,
 )
 from .symsets import count_least_supported, count_supported
@@ -185,7 +184,7 @@ def cmd_verify_witness(args) -> int:
     except (OSError, ValueError) as exc:
         return _usage_error(f"cannot read witness {args.path}: {exc}")
     try:
-        verify_witness_json(data)
+        oracles.replay_witness(data)
     except Exception as exc:  # noqa: BLE001 - outcome, not crash
         print(f"INVALID witness: {exc}")
         return 1

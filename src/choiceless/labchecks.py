@@ -204,24 +204,27 @@ def same_type_realizer(structure: CategoricalStructure, atom: Atom, over: Sequen
     return fresh_realizer(structure, formulas + structure.rel_formulas(atom, over))
 
 
-def _injective(images: dict) -> bool:
-    """No two keys share an image."""
-    return len(set(images.values())) == len(images)
-
-
-def _commutes(moves, images: dict, image_of: Callable, keys) -> bool:
-    """Every move pi commutes with the map on `keys`: pi acting on the
+def equivariance_check(cid: str, claim: str, params: dict, maps: list, moves, details: dict) -> dict:
+    """The check that each map `(images, image_of, keys)` is injective and
+    that every move pi commutes with it on its keys: pi acting on the
     image of x equals `image_of(pi, x)`, the image of pi acting on x.  A
-    None move, one that no automorphism extends, fails.  `moves` may be
-    a generator, so each move is drawn just before it is probed."""
-    return all(
-        pi is not None and all(act(pi, images[x]) == image_of(pi, x) for x in keys) for pi in moves
+    None move, one that no automorphism extends, fails.  Every map is
+    tested for injectivity, then map by map for commutation, up to the
+    first failure.  A list of moves serves every map; a generator is drawn
+    once, each move just before it is probed, so it serves the first map."""
+    ok = all(len(set(images.values())) == len(images) for images, _, _ in maps) and all(
+        pi is not None and all(act(pi, images[x]) == image_of(pi, x) for x in keys)
+        for images, image_of, keys in maps
+        for pi in moves
     )
+    return check(cid, claim, params, ok, **details)
 
 
 def check_injections(seed: int, probes: int = 100) -> List[dict]:
+    """The `inject-*` checks: one row per construction, each row the
+    arguments of `equivariance_check`."""
     rng = random.Random(seed)
-    out = []
+    rows = []
 
     # chains and two-sets over a 4-atom pool
     s = PureSetStructure(4)
@@ -233,20 +236,18 @@ def check_injections(seed: int, probes: int = 100) -> List[dict]:
         shuffled = pool[:]
         rng.shuffle(shuffled)
         moves.append(extend_fixing(s, [], dict(zip(pool, shuffled))))
-    out.append(
-        check(
-            "inject-two-set-and-chain",
-            "two-set pairing and chain-of-initial-segments are injective and "
-            "commute with every atom permutation",
-            {"pool": 4, "probes": probes},
-            _injective(kur)
-            and _injective(chains)
-            and _commutes(moves, kur, lambda pi, xy: kuratowski(*map(pi.apply, xy)), kur)
-            and _commutes(moves, chains, lambda pi, seq: seq_to_chain(map(pi.apply, seq)), list(chains)[:8]),
-            pairs=len(kur),
-            chains=len(chains),
-        )
-    )
+    rows.append((
+        "inject-two-set-and-chain",
+        "two-set pairing and chain-of-initial-segments are injective and "
+        "commute with every atom permutation",
+        {"pool": 4, "probes": probes},
+        [
+            (kur, lambda pi, xy: kuratowski(*map(pi.apply, xy)), kur),
+            (chains, lambda pi, seq: seq_to_chain(map(pi.apply, seq)), list(chains)[:8]),
+        ],
+        moves,
+        {"pairs": len(kur), "chains": len(chains)},
+    ))
 
     # decorated pairs over the pair model
     p = PairStructure(4)
@@ -260,21 +261,16 @@ def check_injections(seed: int, probes: int = 100) -> List[dict]:
             u0, flipped = p.pair_atom(1, *bases[:2], 0), p.pair_atom(1, *shuffled[:2], rng.choice((0, 1)))
             yield extend_fixing(p, [], {**dict(zip(bases, shuffled)), u0: flipped})
 
-    out.append(
-        check(
-            "inject-decorated-pairs",
-            "the decorated-pair map is injective on all 16 ordered pairs and "
-            "commutes with the pair-model automorphisms",
-            {"pool": 4, "probes": probes},
-            _injective(imgs)
-            and _commutes(
-                pair_moves(),
-                imgs,
-                lambda pi, xy: pairmodel_pair_to_unordered(p, *map(pi.apply, xy)),
-                [(bases[0], bases[1]), (bases[2], bases[1])],
-            ),
-        )
-    )
+    probed = [(bases[0], bases[1]), (bases[2], bases[1])]
+    rows.append((
+        "inject-decorated-pairs",
+        "the decorated-pair map is injective on all 16 ordered pairs and "
+        "commutes with the pair-model automorphisms",
+        {"pool": 4, "probes": probes},
+        [(imgs, lambda pi, xy: pairmodel_pair_to_unordered(p, *map(pi.apply, xy)), probed)],
+        pair_moves(),
+        {},
+    ))
 
     # dense-order power-to-sequence over a 5-point support universe
     t = DenseOrderStructure()
@@ -287,49 +283,31 @@ def check_injections(seed: int, probes: int = 100) -> List[dict]:
                 S = subsets[(sup, bits)] = SupportedSubset.from_bits(t, sup, bits)
                 if least_support(S) == tuple(sup):
                     images[(sup, bits)] = mostowski_power_to_seq(S, anchors)
-    moves = (random_dense_automorphism(t, anchors, universe, rng) for _ in range(probes))
-    out.append(
-        check(
-            "inject-dense-power-to-seq",
-            "the power-to-sequence map over the dense order is injective on "
-            "all small-support subsets and commutes with anchored "
-            "order automorphisms",
-            {"supports": "size <= 2 over 5 points", "probes": probes},
-            _injective(images)
-            and _commutes(
-                moves,
-                images,
-                lambda pi, key: mostowski_power_to_seq(subsets[key].apply(pi), anchors),
-                list(images)[:: max(1, len(images) // 8)],
-            ),
-            subsets=len(images),
-        )
-    )
+    probed = list(images)[:: max(1, len(images) // 8)]
+    rows.append((
+        "inject-dense-power-to-seq",
+        "the power-to-sequence map over the dense order is injective on "
+        "all small-support subsets and commutes with anchored "
+        "order automorphisms",
+        {"supports": "size <= 2 over 5 points", "probes": probes},
+        [(images, lambda pi, key: mostowski_power_to_seq(subsets[key].apply(pi), anchors), probed)],
+        (random_dense_automorphism(t, anchors, universe, rng) for _ in range(probes)),
+        {"subsets": len(images)},
+    ))
 
     # homogeneous-structure maps, over nodes that carry no relation facts
     cs = CategoricalStructure()
     nodes = [fresh_realizer(cs, []) for _ in range(5)]
-    ok, sequences, subsets = homogeneous_maps(cs, nodes, min(probes, 24), [(nodes[0],)])
-    out.append(
-        check(
-            "inject-homogeneous-maps",
-            "relation tagging embeds sequences into the power object, rank "
-            "padding embeds it back into sequences, both injectively and "
-            "stably under moving parameters to same-type atoms",
-            {"sequences": sequences, "subsets": subsets},
-            ok,
-        )
-    )
-    return out
+    rows.append(homogeneous_maps(cs, nodes, min(probes, 24), [(nodes[0],)]))
+    return [equivariance_check(*row) for row in rows]
 
 
-def homogeneous_maps(cs: CategoricalStructure, e: Sequence[Atom], probes: int, moved: list) -> Tuple[bool, int, int]:
-    """(ok, sequences, subsets): the sequence map over e[:2] and the rank map with markers
-    e[3:5] are injective, and the sequence map commutes on the inputs `moved` with
-    `probes` moves that send e[0] to a fresh atom of its type over the markers."""
+def homogeneous_maps(cs: CategoricalStructure, e: Sequence[Atom], probes: int, moved: list) -> tuple:
+    """The row of `inject-homogeneous-maps`: the sequence map over e[:2] and the rank map
+    with markers e[3:5], and `probes` moves that send e[0] to a fresh atom of its type over
+    the markers, with which the sequence map must commute on the inputs `moved`."""
     markers = list(e[3:5])
-    phi_in = [ys for k in range(3) for ys in itertools.permutations(e[:2], k)]
-    phis = {ys: categorical_seq_to_power(cs, ys) for ys in phi_in}
+    phis = {ys: categorical_seq_to_power(cs, ys) for k in range(3) for ys in itertools.permutations(e[:2], k)}
     psis = {}
     for sup in [(), (e[0],), (e[0], e[1])]:
         ranks = 0
@@ -341,11 +319,16 @@ def homogeneous_maps(cs: CategoricalStructure, e: Sequence[Atom], probes: int, m
             ranks += 1
             if ranks >= 8:
                 break
-    moves = (extend_fixing(cs, markers, {e[0]: same_type_realizer(cs, e[0], markers)}) for _ in range(probes))
-    ok = _injective(phis) and _injective(psis) and _commutes(
-        moves, phis, lambda pi, ys: categorical_seq_to_power(cs, tuple(map(pi.apply, ys))), moved
+    return (
+        "inject-homogeneous-maps",
+        "relation tagging embeds sequences into the power object, rank "
+        "padding embeds it back into sequences, both injectively and "
+        "stably under moving parameters to same-type atoms",
+        {"sequences": len(phis), "subsets": len(psis)},
+        [(phis, lambda pi, ys: categorical_seq_to_power(cs, tuple(map(pi.apply, ys))), moved), (psis, None, ())],
+        (extend_fixing(cs, markers, {e[0]: same_type_realizer(cs, e[0], markers)}) for _ in range(probes)),
+        {},
     )
-    return ok, len(phi_in), len(psis)
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ from .constructions import (
     hf_from_json,
     hftuple,
 )
-from .refute import InjectionOracle, OracleAnswerError
+from .refute import InjectionOracle, OracleAnswerError, Refuted, WitnessInvalid
 from .symsets import SupportedSubset, count_supported
 
 
@@ -404,3 +404,21 @@ def scripted_refute_oracle(engine: str, data: dict):
     dom, cod = ENGINES[engine].domains()
     oracle = InjectionOracle(fn, dom, cod, support=support, structure=structure, name="scripted")
     return structure, support, oracle
+
+
+def replay_witness(data: dict) -> bool:
+    """Re-check a certificate file.  Its transcript is the table of the
+    engine's scripted oracle, and each input is queried in order, so the
+    engine's domains, the codomain and universe checks and collapse
+    detection run as they do in process; the witness is then verified
+    against the replayed transcript.  Raises on the first failed check."""
+    if data["engine"] not in REFUTE:
+        raise WitnessInvalid(f"unknown engine {data['engine']!r}")
+    structure, support, oracle = scripted_refute_oracle(data["engine"], {**data, "table": data["transcript"]})
+    for x, _ in data["transcript"]:
+        try:
+            oracle.query(hf_from_json(x, structure))
+        except Refuted:  # a collapse, verified; the replay goes on
+            pass
+    witness = refute.witness_from_json(data["witness"], structure, support)
+    return refute.verify_witness(witness, structure, support, oracle.transcript)

@@ -24,11 +24,9 @@ from .atoms import (
     MissingImage,
     PairStructure,
     PartialAutomorphism,
-    atom_from_json,
     atom_to_json,
     extend_fixing,
     extendable,
-    structure_from_json,
 )
 from .cardtable import ramsey_upper
 from .constructions import (
@@ -722,34 +720,15 @@ def witness_to_json(witness, engine: str, oracle: InjectionOracle) -> dict:
     return out
 
 
-def witness_from_json(data: dict):
-    structure = structure_from_json(data["structure"])
-    support = tuple(atom_from_json(a) for a in data["support"])
-    transcript = [
-        (hf_from_json(x, structure), hf_from_json(y, structure))
-        for x, y in data["transcript"]
-    ]
-    w = data["witness"]
+def witness_from_json(w: dict, structure: AtomStructure, support: Sequence[Atom]):
+    """The witness of a certificate's `witness` block, over its structure and support."""
     if w["kind"] == InjectivityCollapse.kind:
-        witness = InjectivityCollapse(
-            hf_from_json(w["x1"], structure),
-            hf_from_json(w["x2"], structure),
-            hf_from_json(w["y"], structure),
-        )
-    elif w["kind"] == EquivarianceBreak.kind:
-        witness = EquivarianceBreak(
-            PartialAutomorphism.from_json(w["pi"]), support, hf_from_json(w["x"], structure)
-        )
-    elif w["kind"] == BudgetExhausted.kind:
-        witness = BudgetExhausted(w["needed"], w["budget"])
-    else:
-        raise ValueError(f"unknown witness kind {w['kind']!r}")
-    return witness, structure, support, transcript
-
-
-def verify_witness_json(data: dict) -> bool:
-    witness, structure, support, transcript = witness_from_json(data)
-    return verify_witness(witness, structure, support, transcript)
+        return InjectivityCollapse(*(hf_from_json(w[k], structure) for k in ("x1", "x2", "y")))
+    if w["kind"] == EquivarianceBreak.kind:
+        return EquivarianceBreak(PartialAutomorphism.from_json(w["pi"]), support, hf_from_json(w["x"], structure))
+    if w["kind"] == BudgetExhausted.kind:
+        return BudgetExhausted(w["needed"], w["budget"])
+    raise ValueError(f"unknown witness kind {w['kind']!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ from choiceless.atoms import (
     atom_to_json,
     extend_fixing,
     extendable,
-    f_eq,
     f_lt,
     f_rel,
     fresh_realizer,
@@ -283,16 +282,14 @@ class TestCategorical:
         assert s.rel_holds((a, e0, e1))
         assert not s.rel_holds((a, e1, e0))
 
-    def test_equality_type_returns_parameter(self):
+    @pytest.mark.parametrize("tag", ["eq", "gt", "free"])
+    def test_only_lt_and_rel_formulas_are_realised(self, tag):
         s = CategoricalStructure()
         e0 = fresh_realizer(s, [])
-        assert fresh_realizer(s, [f_eq(e0)]) == e0
-
-    def test_equality_type_with_false_fact_rejected(self):
-        s = CategoricalStructure()
-        e0, e1 = s.fresh(2)
-        with pytest.raises(UnsatisfiableType):
-            fresh_realizer(s, [f_eq(e0), f_rel(0, (e1,))])
+        before = s.atoms()
+        with pytest.raises(ValueError, match="realises lt and rel formulas"):
+            fresh_realizer(s, [f_lt(e0), (tag, e0)])
+        assert s.atoms() == before
 
     def test_duplicate_relation_parameters_rejected(self):
         s = CategoricalStructure()
@@ -580,6 +577,27 @@ def test_pair_level_budget():
     with pytest.raises(LevelBudgetExceeded, match="level-9 pair atom exceeds the cap of 8 levels"):
         s.pair_atom(CAPS["level"] + 1, u, a, 0)
     assert issubclass(LevelBudgetExceeded, BudgetExceeded)
+
+
+@pytest.mark.parametrize(
+    "level,below,bit,message",
+    [
+        (1, 0, 2, "bit must be 0 or 1"),
+        (1, 0, -1, "bit must be 0 or 1"),
+        (0, 0, 0, "below level n"),
+        (1, 1, 0, "below level n"),
+    ],
+    ids=["bit-2", "bit-minus-1", "level-0", "component-at-level"],
+)
+def test_pair_atom_refuses_a_bad_bit_or_level(level, below, bit, message):
+    # `below` is the level of the first component
+    s = PairStructure(2)
+    a, b = s.base_atom(0), s.base_atom(1)
+    x = s.pair_atom(below, a, b, 0) if below else a
+    before = s.atoms()
+    with pytest.raises(ValueError, match=message):
+        s.pair_atom(level, x, b, bit)
+    assert s.atoms() == before
 
 
 def listing_probe_atoms(structure, count, avoid):

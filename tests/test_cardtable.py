@@ -651,12 +651,14 @@ class TestCExpr:
     def test_key_value(self):
         assert power(fin(M)).key() == ("pow", ("fin", ("base", None, None), None), None)
 
-    @pytest.mark.parametrize("attr", ["op", "inner", "n", "_key", "_hash", "other"])
+    @pytest.mark.parametrize("attr", ["op", "inner", "n", "_key", "_show", "_hash", "other"])
     def test_immutable(self, attr):
         e = power(fin(M))
         with pytest.raises(AttributeError):
             setattr(e, attr, None)
-        assert e == power(fin(M))
+        with pytest.raises(AttributeError):
+            delattr(e, attr)
+        assert e == power(fin(M)) and (e.op, e.inner, e.n) == ("pow", fin(M), None) and repr(e) == "2^(Fin(m))"
 
     @pytest.mark.parametrize("trip", [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))])
     def test_copies_and_pickles_give_the_interned_object(self, trip):

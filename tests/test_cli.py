@@ -100,8 +100,31 @@ def commuting_image(data):
     data["transcript"].append([{"set": [{"atom": _atom(0)}, {"atom": _atom(2)}]}, _seq(0, 2)])
 
 
+def naturals_collapse(data):
+    """A collapse whose inputs are the naturals 1 and 2, not finite sets."""
+    for i, entry in enumerate(data["transcript"]):
+        entry[0] = {"nat": i + 1}
+    data["witness"].update(x1={"nat": 1}, x2={"nat": 2})
+
+
+def repeating_answers(data):
+    """A collapse whose common answer <u0, u0> is no one-to-one sequence."""
+    for entry in data["transcript"]:
+        entry[1] = _seq(0, 0)
+    data["witness"]["y"] = _seq(0, 0)
+
+
+def relabelled_engine(data):
+    data["engine"] = "nat-to-power"
+
+
+def unknown_engine(data):
+    data["engine"] = "no-such-engine"
+
+
 # each tampering, the fin-to-seq oracle whose certificate it edits, and
-# the rejection `verify_witness` must name
+# the rejection `verify-witness` must name: the first six fail the
+# witness, the last four the replay of the transcript through the engine
 TAMPERINGS = [
     (answers_differ, "const-empty", "collapse answers differ"),
     (wrong_common_value, "const-empty", "cited common value does not match the transcript"),
@@ -109,6 +132,10 @@ TAMPERINGS = [
     (short_map, "sort", "cited map does not cover the cited objects"),
     (unprobed_image, "sort", "image input was never probed"),
     (commuting_image, "sort", "oracle commutes with the cited map here"),
+    (naturals_collapse, "const-empty", "query 1 outside domain Fin(A)"),
+    (repeating_answers, "const-empty", "scripted answered <u0, u0> outside Seq(A)"),
+    (relabelled_engine, "sort", "query {u0, u1} outside domain N"),
+    (unknown_engine, "sort", "unknown engine 'no-such-engine'"),
 ]
 
 
@@ -392,10 +419,10 @@ class TestRefuteCommand:
         code, out = run(capsys, "refute", "unordered-to-ordered", "--budget", "0", "--emit-witness", str(wfile))
         assert code == 1 and out.startswith("[FAIL]")
         data = json.loads(wfile.read_text())
-        witness, *_ = refute.witness_from_json(data)
+        witness = refute.witness_from_json(data["witness"], None, ())
         assert isinstance(witness, BudgetExhausted)
         assert (witness.budget, data["witness"]["needed"]) == (0, witness.needed) and witness.needed > 0
-        assert refute.verify_witness_json(data)  # well formed, yet no refutation
+        assert oracles.replay_witness(data)  # well formed, yet no refutation
         assert run(capsys, "verify-witness", str(wfile)) == (1, "budget exhausted: a budget result refutes nothing\n")
 
     @pytest.mark.parametrize("fallback", ["stray", "rotation"])

@@ -1,5 +1,5 @@
 """The lab's own checks can fail: each is run against a broken counterpart
-of what it checks and must report FAIL.  Also the two steps the injection
+of what it checks and must report FAIL.  Also the driver the injection
 checks share, the homogeneous probes over relation facts, the one
 extractor verdict, and the cap on `--max-atoms`."""
 
@@ -25,6 +25,11 @@ from choiceless.symsets import FraenkelClass
 
 def verdicts(checks):
     return {c["id"]: c["ok"] for c in checks}
+
+
+def equivariant(moves, images, image_of, keys):
+    """The driver's verdict on one map and its moves."""
+    return labchecks.equivariance_check("probe", "", {}, [(images, image_of, keys)], moves, {})["ok"]
 
 
 class TestCounting:
@@ -89,8 +94,16 @@ class TestBuiltinRefutations:
 
 class TestProbe:
     def test_injective(self):
-        assert labchecks._injective({1: "a", 2: "b"})
-        assert not labchecks._injective({1: "a", 2: "a"})
+        assert equivariant([], {1: "a", 2: "b"}, None, ())
+        assert not equivariant([], {1: "a", 2: "a"}, None, ())
+
+        # every map is tested for injectivity before any move is drawn
+        def moves():
+            raise AssertionError("a move was drawn")
+            yield
+
+        maps = [({1: "a"}, None, (1,)), ({1: "a", 2: "a"}, None, ())]
+        assert not labchecks.equivariance_check("probe", "", {}, maps, moves(), {})["ok"]
 
     def test_commutes_fails_a_map_that_ignores_the_move(self):
         s = PureSetStructure(3)
@@ -104,19 +117,19 @@ class TestProbe:
         def unmoved(pi, seq):
             return chains[seq]
 
-        assert labchecks._commutes([swap], chains, moved, chains)
-        assert not labchecks._commutes([swap], chains, unmoved, chains)
+        assert equivariant([swap], chains, moved, chains)
+        assert not equivariant([swap], chains, unmoved, chains)
         # a move that no automorphism extends fails whatever the map
-        assert not labchecks._commutes([swap, None], chains, moved, chains)
-        assert labchecks._commutes([], chains, unmoved, chains)
+        assert not equivariant([swap, None], chains, moved, chains)
+        assert equivariant([], chains, unmoved, chains)
 
     def test_commutes_fails_a_map_that_swaps_its_arguments(self):
         s = PureSetStructure(3)
         a, b, c = s.atoms()
         swap = extend_fixing(s, [c], {a: b, b: a})
         kur = {xy: kuratowski(*xy) for xy in [(a, c), (c, b)]}
-        assert labchecks._commutes([swap], kur, lambda pi, xy: kuratowski(*map(pi.apply, xy)), kur)
-        assert not labchecks._commutes([swap], kur, lambda pi, xy: kuratowski(*map(pi.apply, xy[::-1])), kur)
+        assert equivariant([swap], kur, lambda pi, xy: kuratowski(*map(pi.apply, xy)), kur)
+        assert not equivariant([swap], kur, lambda pi, xy: kuratowski(*map(pi.apply, xy[::-1])), kur)
 
     def test_commutes_fails_images_that_differ_inside_a_nested_set(self):
         s = PureSetStructure(3)
@@ -124,8 +137,8 @@ class TestProbe:
         swap = extend_fixing(s, [c], {a: b, b: a})
         images = {(a,): hfset(hfset(c), hfset(a, c))}
         # the same outer size and the same first member; only {b, c} differs
-        assert not labchecks._commutes([swap], images, lambda pi, x: hfset(hfset(c), hfset(a, c)), images)
-        assert labchecks._commutes([swap], images, lambda pi, x: hfset(hfset(c), hfset(b, c)), images)
+        assert not equivariant([swap], images, lambda pi, x: hfset(hfset(c), hfset(a, c)), images)
+        assert equivariant([swap], images, lambda pi, x: hfset(hfset(c), hfset(b, c)), images)
 
     def test_probed_subsets_are_built_once_whatever_the_moves(self, monkeypatch):
         # the dense power-to-sequence probes reuse the subsets built for the
@@ -174,17 +187,52 @@ class TestHomogeneousMaps:
 
             monkeypatch.setattr(CategoricalStructure, name, counted)
         moved = [ys for k in range(3) for ys in itertools.permutations(e[:2], k)]
-        return labchecks.homogeneous_maps(cs, e, 24, moved), calls
+        return labchecks.equivariance_check(*labchecks.homogeneous_maps(cs, e, 24, moved)), calls
 
     def test_the_maps_pass_over_relation_facts(self, monkeypatch):
-        (ok, sequences, subsets), calls = self.probe(monkeypatch)
-        assert (ok, sequences, subsets) == (True, 5, 20)
+        check, calls = self.probe(monkeypatch)
+        assert (check["ok"], check["params"]) == (True, {"sequences": 5, "subsets": 20})
         # the moves realise e[0]'s facts over the markers, and the lifts place the other nodes
         assert calls["declare_rel"] > 0 and calls["lift_image"] > 0
 
     def test_a_realizer_that_drops_the_facts_fails(self, monkeypatch):
         monkeypatch.setattr(labchecks, "same_type_realizer", lambda cs, atom, over: fresh_realizer(cs, []))
-        assert self.probe(monkeypatch)[0][0] is False
+        assert self.probe(monkeypatch)[0]["ok"] is False
+
+
+class TestDisjointify:
+    """`disjointify-random` fails classes that overlap, miss a point, or
+    straddle a listed subset; each edit keeps the other two conditions
+    and never lowers the number of classes."""
+
+    @staticmethod
+    def overlapping(m, classes):
+        return classes + classes[:1]
+
+    @staticmethod
+    def incomplete(m, classes):
+        return [c - {m[0]} for c in classes]
+
+    @staticmethod
+    def straddling(m, classes):
+        # a point moves to a class of another signature
+        if len(classes) < 2:
+            return classes
+        x = min(classes[0])
+        return [classes[0] - {x}, classes[1] | {x}, *classes[2:]]
+
+    @pytest.mark.parametrize("edit", ["overlapping", "incomplete", "straddling"])
+    def test_a_bad_class_list_fails(self, monkeypatch, edit):
+        assert verdicts(labchecks.check_disjointify(20, 0)) == {"disjointify-random": True}
+        real = labchecks.disjointify_finite
+
+        def edited(m, ps):
+            d = real(m, ps)
+            d.classes = getattr(self, edit)(list(m), d.classes)
+            return d
+
+        monkeypatch.setattr(labchecks, "disjointify_finite", edited)
+        assert verdicts(labchecks.check_disjointify(20, 0)) == {"disjointify-random": False}
 
 
 class TestExtractorVerdict:

@@ -69,7 +69,6 @@ from choiceless.refute import (
     seq_count,
     surjection_to_power_injection,
     verify_witness,
-    verify_witness_json,
     witness_to_json,
 )
 from choiceless.symsets import SupportedSubset, count_supported
@@ -159,6 +158,28 @@ class TestOracleShell:
         ]
         for domain, good, refused in cases:
             assert domain.contains(good) and not domain.contains(refused)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {frozenset({0, 1}), frozenset({2, 3})},
+            [frozenset({0, 1}), frozenset({2, 3})],
+            frozenset({frozenset(), frozenset({0, 1, 2, 3})}),
+            frozenset({(0, 1), frozenset({2, 3})}),
+            frozenset({frozenset({0, 1, 2}), frozenset({2, 3})}),
+        ],
+        ids=["set", "list", "empty-block", "tuple-block", "overlapping-blocks"],
+    )
+    def test_partition_domain_refuses_non_partitions(self, bad):
+        domain = PartitionDom(frozenset(range(4)))
+        assert domain.contains(frozenset({frozenset({0, 1}), frozenset({2, 3})}))
+        assert not domain.contains(bad)
+
+    @pytest.mark.parametrize("value", [True, False, (0, True), frozenset({False})], ids=repr)
+    def test_oracle_key_refuses_a_bool(self, value):
+        # True == 1, so a bool keyed as a natural would meet 1's entry
+        with pytest.raises(TypeError, match="booleans are not oracle values"):
+            oracle_key(value)
 
     def test_codomain_enforced(self):
         s = PureSetStructure(2)
@@ -512,7 +533,7 @@ class TestWitnessVerification:
         w = oracles.REFUTE[engine].run(o, budget=6)
         path = tmp_path / f"{engine}.json"
         path.write_text(json.dumps(witness_to_json(w, engine, o), sort_keys=True))
-        assert verify_witness_json(json.loads(path.read_text()))
+        assert oracles.replay_witness(json.loads(path.read_text()))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_honest_oracles_fall_by_equivariance_break(self, seed):
@@ -531,7 +552,7 @@ class TestWitnessVerification:
         # drop the probed entry the witness cites
         data["transcript"] = []
         with pytest.raises(WitnessInvalid):
-            verify_witness_json(data)
+            oracles.replay_witness(data)
 
 
 POOLED = [engine for engine, spec in oracles.REFUTE.items() if spec.pool is not None]
