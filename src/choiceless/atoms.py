@@ -10,10 +10,12 @@ carrying a linear order plus a family of irreflexive relations.
 Each universe is one structure class.  It owns everything that differs
 between universes: fresh atoms and `materialise`, the extension test,
 one step of a lifted automorphism, the canonical order of a support,
-and the JSON of its atoms and of itself.  All but the pair model also
-own the 1-types over a support: plain descriptor tuples, listed once
-per support size, with their realisation, restriction and projection
-onto a sub-support.  The pair model has lifts but no 1-types.
+and the closure model it realises.  The two universes a refutation
+engine argues in, the bare set and the pair model, also own the JSON of
+their atoms and of themselves; the others have none.  All but the pair
+model also own the 1-types over a support: plain descriptor tuples, one
+list per support size, with their realisation, restriction and
+projection onto a sub-support.  The pair model has lifts but no 1-types.
 
 A group element is never written out in full.  A finite injective map
 (`PartialAutomorphism`) plus an extension test (`extendable`) stands in
@@ -183,10 +185,6 @@ class Rational(Fraction):
     __lt__, __le__, __gt__, __ge__ = map(_cross, (lt, le, gt, ge))
 
 
-def _fraction_json(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
-
-
 def _is_nat(x) -> bool:
     """Is x a natural?  A bool is not, though Python counts it an int."""
     return isinstance(x, int) and not isinstance(x, bool) and x >= 0
@@ -200,17 +198,16 @@ def _nat_id(x) -> int:
 
 
 def atom_to_json(atom: Atom) -> dict:
-    return UNIVERSES[atom.world].payload_to_json(atom.payload)
+    cls = UNIVERSES[atom.world]
+    if not cls.json_tag:
+        raise ValueError(f"{atom!r}: a {cls.kind} atom has no JSON")
+    return cls.payload_to_json(atom.payload)
 
 
 def atom_from_json(data: dict) -> Atom:
-    return _BY_ATOM_TAG[data["world"]].payload_from_json(data)
-
-
-def structure_from_json(data: dict) -> "AtomStructure":
-    if data["kind"] not in _BY_JSON_TAG:
-        raise ValueError(f"unknown structure kind {data['kind']!r}")
-    return _BY_JSON_TAG[data["kind"]].from_json(data)
+    if data["world"] not in _BY_JSON_TAG:
+        raise ValueError(f"no universe reads atoms of world {data['world']!r}")
+    return _BY_JSON_TAG[data["world"]].payload_from_json(data)
 
 
 # ---------------------------------------------------------------------------
@@ -321,19 +318,18 @@ class AtomStructure:
     E only by index: ("free",), ("gap", g) or ("typ", gap, rels).  Its
     realizers are the one orbit of the pointwise stabiliser of E that it
     names, so the types over E partition the atoms.  The type list over
-    E depends only on the class and on len(E), so each class builds it
-    once per size (`_type_list`) and finds a type's position in it by
-    index arithmetic (`_type_position`).  A projection table (`projection`)
-    and its fibres (`fibres`), which the kernels read, depend on a pair of
-    supports only through the shape of E (`shape_of`) and the positions of
-    the sub-support inside it, so each class computes them by index
-    arithmetic once per such pair.  What is computed from one support's
-    fibres alone (`by_shape`) is memoised per class by shape and mask."""
+    E depends only on the class and on len(E) (`_type_list`), and a
+    type's position in it is found by index arithmetic (`_type_position`).
+    A projection table (`projection`) and its fibres (`fibres`), which the
+    kernels read, depend on a pair of supports only through the shape of
+    E (`shape_of`) and the positions of the sub-support inside it, so
+    each class computes the fibres by index arithmetic once per such
+    pair.  What is computed from one support's fibres alone (`by_shape`)
+    is memoised per class by shape and mask."""
 
     kind: str = ""
-    atom_tag: str = ""  # "world" of the atom JSON
-    atom_key: str = ""  # the payload's field in the atom JSON
-    json_tag: str = ""  # "kind" of the structure JSON
+    model: str = ""  # the `cardtable.MODELS` closure the universe realises
+    json_tag: str = ""  # "kind" of its JSON and "world" of its atoms'; empty where it has none
     repr_format: str = ""
     # the materialised atoms, which hash by identity, where a payload (a
     # Fraction, a pair) would be rehashed at every membership test; the
@@ -484,7 +480,7 @@ class AtomStructure:
             return self.type_of(e, sub)
         return self._restrict_outside(t, E, sub_index)
 
-    # -- payloads and JSON --------------------------------------------------
+    # -- payloads -----------------------------------------------------------
 
     @staticmethod
     def payload_of(payload):
@@ -499,24 +495,13 @@ class AtomStructure:
     def payload_repr(cls, payload) -> str:
         return cls.repr_format.format(payload)
 
-    @classmethod
-    def payload_to_json(cls, payload) -> dict:
-        return {"world": cls.atom_tag, cls.atom_key: payload}
-
-    @classmethod
-    def payload_from_json(cls, data: dict) -> Atom:
-        return Atom(cls.kind, _nat_id(data[cls.atom_key]))
-
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
 
 class PureSetStructure(AtomStructure):
     """Countable bare set; every permutation is an automorphism."""
 
     kind = PURE_SET
-    atom_tag = json_tag = "pure"
-    atom_key = "id"
+    model = "fraenkel"
+    json_tag = "pure"
     repr_format = "u{}"
 
     def __init__(self, size: int = 0):
@@ -533,7 +518,6 @@ class PureSetStructure(AtomStructure):
         return _complete_cycle(atom, lift.pairs)
 
     @staticmethod
-    @lru_cache(maxsize=None)
     def _type_list(n):
         return tuple(("eq", j) for j in range(n)) + (("free",),)
 
@@ -552,12 +536,19 @@ class PureSetStructure(AtomStructure):
         return ("free",)
 
     @staticmethod
-    @lru_cache(maxsize=None)
     def _shape_table(n, positions):
         # ("eq", j) keeps its atom's index in sub, or becomes free
         free = len(positions)
         slot = {j: i for i, j in enumerate(positions)}
         return tuple(slot.get(j, free) for j in range(n)) + (free,)
+
+    @staticmethod
+    def payload_to_json(payload) -> dict:
+        return {"world": "pure", "id": payload}
+
+    @staticmethod
+    def payload_from_json(data: dict) -> Atom:
+        return Atom(PURE_SET, _nat_id(data["id"]))
 
     def to_json(self):
         return {"kind": "pure", "atoms": sorted(a.payload for a in self._atoms)}
@@ -573,7 +564,7 @@ class DenseOrderStructure(AtomStructure):
     """Points of a dense linear order without endpoints (exact rationals)."""
 
     kind = DENSE_ORDER
-    atom_tag = json_tag = "dense"
+    model = "mostowski"
     repr_format = "a({})"
 
     def __init__(self, positions: Iterable = ()):
@@ -606,7 +597,6 @@ class DenseOrderStructure(AtomStructure):
         return self.atom(y0 + (q - x0) * (y1 - y0) / (x1 - x0))
 
     @staticmethod
-    @lru_cache(maxsize=None)
     def _type_list(n):
         # geometric left-to-right order: gap 0, e0, gap 1, e1, ..., gap n
         out = [("gap", 0)]
@@ -630,7 +620,6 @@ class DenseOrderStructure(AtomStructure):
         return ("gap", sum(1 for x in E[: t[1]] if x in sub_index))
 
     @staticmethod
-    @lru_cache(maxsize=None)
     def _shape_table(n, positions):
         # ("gap", g) sits at 2g and ("eq", j) at 2j + 1; a gap, or an atom
         # outside sub, falls into the gap of sub below which it lies
@@ -643,21 +632,6 @@ class DenseOrderStructure(AtomStructure):
         return tuple(out)
 
     payload_of = Rational  # a Fraction payload would compare slowly and could change
-
-    @staticmethod
-    def payload_to_json(payload) -> dict:
-        return {"world": "dense", "q": _fraction_json(payload)}
-
-    @staticmethod
-    def payload_from_json(data: dict) -> Atom:
-        return Atom(DENSE_ORDER, data["q"])
-
-    def to_json(self):
-        return {"kind": "dense", "atoms": [_fraction_json(a.payload) for a in self.atoms()]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "DenseOrderStructure":
-        return cls(Fraction(q) for q in data["atoms"])
 
 
 class PairStructure(AtomStructure):
@@ -676,7 +650,8 @@ class PairStructure(AtomStructure):
     """
 
     kind = PAIR_MODEL
-    atom_tag = json_tag = "pairs"
+    model = "vp"
+    json_tag = "pairs"
 
     def __init__(self, base_size: int = 0):
         self._atoms = {Atom(PAIR_MODEL, i) for i in range(base_size)}
@@ -826,9 +801,6 @@ class CategoricalStructure(AtomStructure):
     the relation facts that were requested for it."""
 
     kind = CATEGORICAL
-    atom_tag = "cat"
-    atom_key = "node"
-    json_tag = "categorical"
     repr_format = "n{}"
 
     def __init__(self):
@@ -969,10 +941,9 @@ class CategoricalStructure(AtomStructure):
         # back-and-forth step stays sound.
         return self._realize(self._free_position(lo, hi), want)
 
-    # -- 1-types and JSON ---------------------------------------------------
+    # -- 1-types ------------------------------------------------------------
 
     @staticmethod
-    @lru_cache(maxsize=None)
     def _type_list(n):
         _cat_type_count(n)
         formulas = _cat_rel_formulas(n)
@@ -1037,7 +1008,6 @@ class CategoricalStructure(AtomStructure):
         return head
 
     @classmethod
-    @lru_cache(maxsize=None)
     def _shape_table(cls, shape, positions):
         # the head, then ("typ", gap, rels) at n + gap * 2^F + mask, where bit
         # k of mask says whether rels holds the k-th of the F formulas over E:
@@ -1083,35 +1053,13 @@ class CategoricalStructure(AtomStructure):
             out[g] |= 1 << j
         return tuple(out)
 
-    def to_json(self):
-        return {
-            "kind": "categorical",
-            "nodes": [
-                {"node": i, "pos": _fraction_json(q)} for i, q in sorted(self._pos.items())
-            ],
-            "rfacts": sorted([n, list(ids)] for n, ids in self._rfacts),
-        }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "CategoricalStructure":
-        s = cls()
-        for node in data["nodes"]:
-            s._pos[_nat_id(node["node"])] = Rational(node["pos"])
-        s._next = max(s._pos, default=-1) + 1
-        for n, ids in data["rfacts"]:
-            if n != len(ids) - 1:
-                raise ValueError(f"relation fact {ids} is not {n}-indexed")
-            s.declare_rel([Atom(CATEGORICAL, _nat_id(i)) for i in ids])
-        return s
-
-
-# the one world -> class table; the JSON tags index into it
+# the one world -> class table; the JSON tags of the universes that have JSON index into it
 UNIVERSES = {
     cls.kind: cls
     for cls in (PureSetStructure, DenseOrderStructure, PairStructure, CategoricalStructure)
 }
-_BY_ATOM_TAG = {cls.atom_tag: cls for cls in UNIVERSES.values()}
-_BY_JSON_TAG = {cls.json_tag: cls for cls in UNIVERSES.values()}
+_BY_JSON_TAG = {cls.json_tag: cls for cls in UNIVERSES.values() if cls.json_tag}
 
 
 def fresh_realizer(structure: CategoricalStructure, formulas) -> Atom:

@@ -24,7 +24,7 @@ from .symsets import count_least_supported, count_supported
 USAGE_ERROR = 2
 # the verify settings that are sizes, each with its own option
 SIZE_SETTINGS = ("max_support", "max_atoms", "trials", "stream_length")
-COUNT_MODELS = {"mostowski": DenseOrderStructure, "fraenkel": PureSetStructure}
+COUNT_MODELS = {cls.model: cls for cls in (DenseOrderStructure, PureSetStructure)}
 
 
 def _report(command: str, config: dict, checks: List[dict]) -> dict:
@@ -80,8 +80,8 @@ def cmd_refute(args) -> int:
     engine = args.engine
     spec = oracles.REFUTE[engine]
     name = args.oracle or next(iter(spec.oracles))
-    if args.model and args.model != spec.model:
-        return _usage_error(f"engine {engine} argues inside the {spec.model!r} model")
+    if args.model and args.model != spec.structure.model:
+        return _usage_error(f"engine {engine} argues inside the {spec.structure.model!r} model")
     if name.startswith("@"):
         try:
             table = _read_json(name[1:])

@@ -2,7 +2,7 @@
 
 Every engine the lab runs is declared once, in `ENGINES`: how to run
 it, its domain and codomain, its built-in oracles and, for a refutation
-engine, the model it argues in, its built-in support sizes and the
+engine, the universe it argues in, its built-in support sizes and the
 answer pool of its exhaustive search.  Each built-in oracle is one
 `Builtin` entry there, honest or a cheat, and `builtin_oracle` is the
 only way to build one.  The CLI, the checks and the tests read this
@@ -33,7 +33,6 @@ from .atoms import (
     PairStructure,
     PureSetStructure,
     atom_from_json,
-    structure_from_json,
 )
 from .constructions import (
     AtomsDom,
@@ -150,16 +149,6 @@ def _fresh_singleton(structure, support, rng, ground):
 # the engine registry
 
 
-def _pure_set(n: int):
-    structure = PureSetStructure(n)
-    return structure, tuple(structure.atoms())
-
-
-def _pair_model(n: int):
-    structure = PairStructure(0)
-    return structure, tuple(structure.fresh(n))
-
-
 def _sequence_pool(tuples):
     def make(structure, support):
         outsider = structure.fresh(1)[0]
@@ -185,8 +174,10 @@ class RefuteSpec(NamedTuple):
     `run(oracle, budget=...)` gives the engine's witness; only the pair
     engine reads `budget`, its sample size.  It reaches the engine by
     its name in `refute` when called, never through a stored reference.
-    `universe(n)` gives a structure and an n-atom support, and `oracles`
-    names the built-in oracles over them.
+    `structure` is the class of the universe the engine argues in, whose
+    `model` it refutes in; a scripted table over another is refused.
+    `universe(n)` gives a new structure of it and an n-atom support, and
+    `oracles` names the built-in oracles over them.
     The built-in checks run every size in `sizes`; the CLI defaults to
     the first, and random trial t uses `sizes[t % len(sizes)]`.
     `random_trials` puts the engine in the seeded random-table check.
@@ -199,14 +190,17 @@ class RefuteSpec(NamedTuple):
     there gives the smallest ids a run does not avoid, materialised or
     not, so each run sees the atoms that a new structure would give it."""
 
-    model: str
     domains: Callable[[], Tuple[Domain, Domain]]
     oracles: Dict[str, Builtin]
     run: Callable
-    universe: Callable[[int], tuple] = _pure_set
+    structure: type = PureSetStructure
     sizes: Tuple[int, ...] = (0, 1)
     random_trials: bool = True
     pool: Optional[Callable] = None
+
+    def universe(self, n: int):
+        structure = self.structure(n)
+        return structure, tuple(structure.atoms())
 
 
 class ExtractSpec(NamedTuple):
@@ -234,7 +228,6 @@ def _extract_partition(name: str, T: int, copies: int):
 
 ENGINES: Dict[str, object] = {
     "fin-to-seq": RefuteSpec(
-        "fraenkel",
         lambda: (FinDom(AtomsDom()), SeqDom()),
         {
             "sort": Builtin(True, lambda *_: lambda x: hftuple(_by_payload(x))),
@@ -248,7 +241,6 @@ ENGINES: Dict[str, object] = {
         pool=_sequence_pool(_seqs_up_to),
     ),
     "fin-to-seqstar": RefuteSpec(
-        "fraenkel",
         lambda: (FinDom(AtomsDom()), SeqStarDom()),
         {
             "const-empty": _CONST_EMPTY,
@@ -260,7 +252,6 @@ ENGINES: Dict[str, object] = {
         pool=_sequence_pool(_tuples_up_to),
     ),
     "seq-to-power": RefuteSpec(
-        "fraenkel",
         lambda: (SeqDom(), PowDom()),
         {
             "atoms-of-input": Builtin(False, lambda s, *_: lambda x: SupportedSubset.of_atoms(s, list(x))),
@@ -273,7 +264,6 @@ ENGINES: Dict[str, object] = {
         sizes=(4,),
     ),
     "nat-to-power": RefuteSpec(
-        "fraenkel",
         lambda: (NatDom(), PowDom()),
         {
             "first-n-atoms": Builtin(True, _first_n_atoms),
@@ -286,7 +276,6 @@ ENGINES: Dict[str, object] = {
         pool=_nat_power_pool,
     ),
     "unordered-to-ordered": RefuteSpec(
-        "vp",
         lambda: (UnordPairsDom(AtomsDom()), PairDom(AtomsDom(), AtomsDom())),
         {
             "base-id-order": Builtin(True, lambda *_: lambda x: hftuple(_by_payload(x))),
@@ -296,7 +285,7 @@ ENGINES: Dict[str, object] = {
             "random": Builtin(False, _pair_random),
         },
         run=lambda o, **kw: refute.refute_unordered_to_ordered_pairmodel(o, **kw),
-        universe=_pair_model,
+        structure=PairStructure,
         sizes=(0,),
         random_trials=False,
     ),
@@ -383,8 +372,12 @@ def build_refute_oracle(
 
 def scripted_refute_oracle(engine: str, data: dict):
     """Oracle backed by a table file: {"structure": ..., "support": [...],
-    "table": [[query, answer], ...]} with the usual JSON encodings."""
-    structure = structure_from_json(data["structure"])
+    "table": [[query, answer], ...]} with the usual JSON encodings.  A
+    structure of another universe than the engine's is refused first."""
+    cls, kind = REFUTE[engine].structure, data["structure"]["kind"]
+    if kind != cls.json_tag:
+        raise ValueError(f"{engine} argues over {cls.json_tag!r} structures, not {kind!r}")
+    structure = cls.from_json(data["structure"])
     support = tuple(atom_from_json(a) for a in data.get("support", []))
     table = {
         hf_from_json(x, structure): hf_from_json(y, structure)
@@ -401,7 +394,7 @@ def scripted_refute_oracle(engine: str, data: dict):
         except KeyError:
             raise OracleAnswerError(f"scripted table has no entry for {x!r}")
 
-    dom, cod = ENGINES[engine].domains()
+    dom, cod = REFUTE[engine].domains()
     oracle = InjectionOracle(fn, dom, cod, support=support, structure=structure, name="scripted")
     return structure, support, oracle
 

@@ -149,10 +149,6 @@ class SupportedSubset:
         return SupportedSubset(structure, (), 0)
 
     @staticmethod
-    def all_atoms(structure) -> "SupportedSubset":
-        return SupportedSubset(structure, (), (1 << structure._type_count(0)) - 1)
-
-    @staticmethod
     def of_atoms(structure, atoms: Iterable[Atom]) -> "SupportedSubset":
         E = sort_support(structure, atoms)
         eq = sum(1 << structure._type_position(len(E), ("eq", j)) for j in range(len(E)))
@@ -160,15 +156,12 @@ class SupportedSubset:
 
     # basic views
 
-    def types(self) -> Tuple[tuple, ...]:
-        return self.structure._type_list(len(self.support))
-
     def _width(self) -> int:
-        """len(self.types()), read without listing the types."""
+        """The number of types over the support, counted without listing them."""
         return self.structure._type_count(len(self.support))
 
     def _position(self, t: tuple) -> int:
-        """self.types().index(t), found without listing the types."""
+        """The position of t in the types over the support, found without listing them."""
         return self.structure._type_position(len(self.support), t)
 
     def bits(self) -> str:

@@ -11,10 +11,11 @@ from typing import Callable, NamedTuple
 import pytest
 
 from choiceless import cardtable, labchecks, oracles, refute
-from choiceless.atoms import CAPS, BudgetExceeded, CategoricalStructure, PairStructure, atom_to_json
+from choiceless.atoms import CAPS, BudgetExceeded, CategoricalStructure, PairStructure, TypeBudgetExceeded, atom_to_json
 from choiceless.cli import build_parser, main
 from choiceless.constructions import hf_to_json, hfset, hftuple
 from choiceless.refute import BudgetExhausted, EngineBug, EquivarianceBreak, InjectivityCollapse, WitnessInvalid
+from choiceless.symsets import SupportedSubset, count_supported
 
 
 def run_module(*args, timeout=300, hash_seed="0"):
@@ -547,7 +548,12 @@ class TestRefuteCommand:
             ("fin-to-seq", {"kind": "pure", "atoms": [0, "y"]}, []),
             ("fin-to-seq", {"kind": "pure", "atoms": [0, 1]}, [{"world": "pure", "id": True}]),
             ("unordered-to-ordered", {"kind": "pairs", "atoms": []}, [{"world": "pairs", "base": "z"}]),
-            ("fin-to-seq", {"kind": "categorical", "nodes": [{"node": "n", "pos": "0/1"}], "rfacts": []}, []),
+            # a string id at a node below a pair atom
+            (
+                "unordered-to-ordered",
+                {"kind": "pairs", "atoms": []},
+                [{"world": "pairs", "level": 1, "pair": [{"world": "pairs", "base": "n"}, {"world": "pairs", "base": 1}], "bit": 0}],
+            ),
         ],
         ids=["string-id", "string-atom", "bool-id", "string-base", "string-node"],
     )
@@ -636,6 +642,101 @@ class TestRefuteCommand:
         assert code == 0
         report = json.loads(out)
         assert report["checks"][0]["details"]["witness"]["kind"] == "equivariance-break"
+
+
+# ---------------------------------------------------------------------------
+# tables and certificates of another universe than the engine's
+
+# each universe's name in a subset record, its atom record for id k and its
+# structure record over ids 0..n-1: the engines' two as the program writes
+# them, the dense order's and the homogeneous structure's as a file may carry them
+UNIVERSE_JSON = {
+    "pure": ("pure_set", lambda k: {"world": "pure", "id": k}, lambda n: {"kind": "pure", "atoms": list(range(n))}),
+    "pairs": (
+        "pair_model",
+        lambda k: {"world": "pairs", "base": k},
+        lambda n: {"kind": "pairs", "atoms": [{"world": "pairs", "base": k} for k in range(n)]},
+    ),
+    "dense": (
+        "dense_order",
+        lambda k: {"world": "dense", "q": f"{k}/1"},
+        lambda n: {"kind": "dense", "atoms": [f"{k}/1" for k in range(n)]},
+    ),
+    "categorical": (
+        "categorical",
+        lambda k: {"world": "cat", "node": k},
+        lambda n: {"kind": "categorical", "nodes": [{"node": k, "pos": f"{k}/1"} for k in range(n)], "rfacts": []},
+    ),
+}
+
+
+def _moved(data: dict, kind: str) -> dict:
+    """A certificate moved into the universe `kind`: each distinct atom record
+    becomes that universe's atom of the next id, each subset names the
+    universe, and the structure holds every atom used."""
+    subset_kind, atom, structure = UNIVERSE_JSON[kind]
+    ids: dict = {}
+
+    def move(x):
+        if isinstance(x, list):
+            return [move(v) for v in x]
+        if not isinstance(x, dict):
+            return x
+        if "world" in x:
+            return atom(ids.setdefault(json.dumps(x, sort_keys=True), len(ids)))
+        return {k: subset_kind if k == "structure" else move(v) for k, v in x.items()}
+
+    moved = move({k: v for k, v in data.items() if k != "structure"})
+    return {**moved, "structure": structure(len(ids))}
+
+
+@pytest.mark.parametrize(
+    "engine,kind",
+    [
+        pytest.param(engine, kind, id=f"{engine}-{kind}")
+        for engine, spec in sorted(oracles.REFUTE.items())
+        for kind in UNIVERSE_JSON
+        if kind != spec.structure.json_tag
+    ],
+)
+def test_a_table_or_certificate_of_another_universe_is_refused(engine, kind, tmp_path, capsys):
+    # the certificate of the engine's first built-in oracle, moved into another
+    # universe, as a scripted table and as a certificate; each is refused before
+    # it is parsed.  Read as if over the engine's universe, fin-to-seq-pairs and
+    # the fin-to-seqstar tables pass, fin-to-seq-dense and -categorical crash the
+    # engine, and those four certificates and unordered-to-ordered-pure's verify.
+    wfile, tfile = tmp_path / "w.json", tmp_path / "t.json"
+    run(capsys, "refute", engine, "--emit-witness", str(wfile))
+    data = _moved(json.loads(wfile.read_text()), kind)
+    wfile.write_text(json.dumps(data))
+    tfile.write_text(json.dumps({"structure": data["structure"], "support": data["support"], "table": data["transcript"]}))
+    refusal = f"{engine} argues over {oracles.REFUTE[engine].structure.json_tag!r} structures, not {kind!r}"
+    code = main(["refute", engine, "--oracle", f"@{tfile}"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"cannot read oracle table {tfile}: {refusal}\n")
+    assert run(capsys, "verify-witness", str(wfile)) == (1, f"INVALID witness: {refusal}\n")
+
+
+def test_the_dense_table_that_crashed_nat_to_power_is_refused(tmp_path, capsys):
+    # read as if over the bare set, two singletons over the dense order send
+    # the engine to a swap that no order automorphism makes, and it crashes on
+    # the missing lift
+    def singleton(q):
+        return {"subset": {"structure": "dense_order", "support": [{"world": "dense", "q": q}], "bits": "010"}}
+
+    tfile = tmp_path / "t.json"
+    tfile.write_text(
+        json.dumps(
+            {
+                "structure": UNIVERSE_JSON["dense"][2](2),
+                "support": [],
+                "table": [[{"nat": 0}, singleton("0/1")], [{"nat": 1}, singleton("1/1")]],
+            }
+        )
+    )
+    code = main(["refute", "nat-to-power", "--oracle", f"@{tfile}"])
+    refusal = f"cannot read oracle table {tfile}: nat-to-power argues over 'pure' structures, not 'dense'\n"
+    assert (code, capsys.readouterr().err) == (2, refusal)
 
 
 class TestExtractCommand:
@@ -810,15 +911,6 @@ def _pair_chain(level):
     return {"structure": {"kind": "pairs", "atoms": [atom]}, "table": []}
 
 
-def _categorical_answer(size):
-    """0 answered by a subset over a homogeneous support of `size` atoms;
-    past two atoms the type count is refused before the bits are read."""
-    width = CategoricalStructure._type_count(size) if size <= 2 else 1
-    subset = {"structure": "categorical", "support": [{"world": "cat", "node": i} for i in range(size)], "bits": "0" * width}
-    structure = {"kind": "categorical", "nodes": [{"node": i, "pos": str(i)} for i in range(size)], "rfacts": []}
-    return {"structure": structure, "table": [[{"nat": 0}, {"subset": subset}]]}
-
-
 def _counts(model, n, types, least):
     return json.dumps({"least": least, "model": model, "n": n, "supported": 2**types}, sort_keys=True) + "\n"
 
@@ -827,9 +919,10 @@ STREAM = "--stream-length 501: a stream of 501 values exceeds the cap of 500 val
 TRIALS = "--trials 2001: a run of 2001 trials exceeds the cap of 2000 trials"
 
 # Per row of CAPS, each way the CLI reaches it.  `n` caps 1-types, so its
-# sizes are the largest -n each model takes; `types` and `level` cap sizes
-# the library meets, which a scripted table reaches, and the size at the
-# `types` cap is the largest support it admits.
+# sizes are the largest -n each model takes; `level` caps a size the library
+# meets, which a scripted table reaches.  No command reaches the rows in
+# NO_COMMAND, so each is driven in process by its own test.
+NO_COMMAND = {"types"}
 SWEEP = {
     "max_support": {
         "verify": Cap(
@@ -887,12 +980,6 @@ SWEEP = {
             "-n 14000: a 14000-atom fraenkel support with 14001 1-types exceeds the cap of 14000 1-types",
         ),
     },
-    "types": {
-        "scripted": Cap(
-            _scripted("nat-to-power", _categorical_answer), 2, FAIL,
-            "a 3-atom support with 2251799813685251 types exceeds the cap of 65536 types",
-        ),
-    },
     "level": {
         "scripted": Cap(
             _scripted("unordered-to-ordered", _pair_chain), 8, FAIL,
@@ -904,7 +991,8 @@ SWEEP = {
 
 class TestSizeCaps:
     @pytest.mark.parametrize(
-        "setting,case", [pytest.param(k, c, id=f"{k}-{c}") for k in CAPS for c in SWEEP.get(k, ["no-argv"])]
+        "setting,case",
+        [pytest.param(k, c, id=f"{k}-{c}") for k in CAPS if k not in NO_COMMAND for c in SWEEP.get(k, ["no-argv"])],
     )
     def test_at_and_past_the_cap(self, setting, case, tmp_path):
         # each run in a fresh process under run_capped's memory cap and timeout
@@ -921,4 +1009,18 @@ class TestSizeCaps:
         sizes = {a.dest for p in sub.choices.values() for a in p._actions if a.type is int}
         sizes.remove("seed")  # a seed is not a size
         assert sizes <= set(CAPS)
-        assert set(SWEEP) == set(CAPS)
+        assert set(SWEEP) == set(CAPS) - NO_COMMAND
+
+    def test_types_at_and_past_the_cap_in_process(self):
+        # only the homogeneous structure has that many types over a few atoms,
+        # and no command reads or builds one: two atoms are the largest
+        # support it admits, and a third is refused before anything is listed
+        s = CategoricalStructure()
+        E = s.fresh(3)
+        assert CategoricalStructure._type_count(2) == 6146 <= CAPS["types"]
+        assert count_supported(s, E[:2]) == 1 << 6146
+        assert SupportedSubset.from_bits(s, E[:2], "0" * 6146).mask == 0
+        for past in (lambda: count_supported(s, E), lambda: SupportedSubset.from_bits(s, E, "0")):
+            with pytest.raises(TypeBudgetExceeded) as refused:
+                past()
+            assert str(refused.value) == "a 3-atom support with 2251799813685251 types exceeds the cap of 65536 types"
