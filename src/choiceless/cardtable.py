@@ -146,7 +146,8 @@ class Closure:
     """Least fixed point of the rule set over a finite term universe.  `trace`
     is the one ordered fact store, and bit masks over the terms in `CExpr.key`
     order index it: bit j of `out[rel][i]` and bit i of `into[rel][j]` are set
-    iff (rel, terms[i], terms[j]) is a fact."""
+    iff (rel, terms[i], terms[j]) is a fact.  `put`, addressed by term rank,
+    is the one writer of both; `add` looks the ranks up and calls it."""
 
     def __init__(self, universe: Set[CExpr]):
         self.universe = universe
@@ -164,13 +165,16 @@ class Closure:
 
     def add(self, fact: Fact, rule: str, premises: Tuple[Fact, ...] = ()) -> bool:
         rel, a, b = fact
-        i, j = self.rank[a], self.rank[b]
+        return self.put(rel, self.rank[a], self.rank[b], rule, premises)
+
+    def put(self, rel: str, i: int, j: int, rule: str, premises: Tuple[Fact, ...] = ()) -> bool:
+        """Record (rel, terms[i], terms[j]) unless its bit is set; whether it was new."""
         row = self.out[rel]
         if row[i] >> j & 1:
             return False
         row[i] |= 1 << j
         self.into[rel][j] |= 1 << i
-        self.trace[fact] = (rule, premises)
+        self.trace[rel, self.terms[i], self.terms[j]] = (rule, premises)
         return True
 
     def has(self, rel: str, a: CExpr, b: CExpr) -> bool:
@@ -286,22 +290,45 @@ def _steps(t: CExpr) -> Tuple[Optional[CExpr], Tuple[Tuple[str, Optional[int]], 
 _ROWS = [(rel, _steps(lhs), _steps(rhs), f"schema:{name}") for rel, lhs, rhs, name in _SCHEMAS]
 
 
+def _index_rows() -> Dict[Tuple[str, Optional[int]], list]:
+    """The rows by the outermost (op, n) of their deeper side over e, each
+    as (row index, the steps below that one, outermost first, row)."""
+    index: Dict[Tuple[str, Optional[int]], list] = defaultdict(list)
+    for k, row in enumerate(_ROWS):
+        deep = max((steps for start, steps in row[1:3] if start is None), key=len)
+        index[deep[-1]].append((k, deep[-2::-1], row))
+    return dict(index)
+
+
+_ROW_INDEX = _index_rows()
+
+
 def _add_schemas(cl: Closure):
-    """Record each schema row at every term e, in term order, where both
-    of its sides are in the universe.  Each step of a side is one lookup
-    in the intern table, which builds nothing: a side never built is in
-    no universe."""
+    """Record each schema row at every term e where both of its sides are
+    in the universe, in the order of e's rank, then of the row.  A term t
+    meets only the rows indexed by its outermost (op, n), and unwinds to
+    the row's e, which is in the universe with t.  Each step of a side
+    built from e is one lookup in the intern table, which builds nothing:
+    a side never built is in no universe."""
     U, get = cl.rank, CExpr._table.get
-    for e in cl.terms:
-        for rel, (a, lsteps), (b, rsteps), rule in _ROWS:
-            a, b = a or e, b or e
-            for op, n in lsteps:
-                a = get((op, a, n))
-            if a in U:
+    found = []
+    for t in cl.terms:
+        for k, below, (rel, (a, lsteps), (b, rsteps), rule) in _ROW_INDEX.get((t.op, t.n), ()):
+            e = t.inner
+            for op, n in below:
+                if e.op != op or e.n != n:
+                    break
+                e = e.inner
+            else:
+                a, b = a or e, b or e
+                for op, n in lsteps:
+                    a = get((op, a, n))
                 for op, n in rsteps:
                     b = get((op, b, n))
-                if b in U:
-                    cl.add((rel, a, b), rule)
+                if a in U and b in U:
+                    found.append((U[e], k, rel, U[a], U[b], rule))
+    for _, _, rel, i, j, rule in sorted(found):
+        cl.put(rel, i, j, rule)
 
 
 def _bits(mask: int) -> List[int]:
@@ -321,14 +348,20 @@ def _fixpoint(cl: Closure):
     that derive a new fact, and a pair of old facts never does.  Each rule
     meets them in trace order, sorted by position, so a round records the
     same facts, in the same order and from the same premises, as joining
-    all pairs, and the trace is the same in every process."""
+    all pairs, and the trace is the same in every process.  A conclusion
+    goes to `Closure.put` by the ranks of its terms; only the rules that
+    look a term up with `_built` test its membership first, in `emit`."""
     trace, terms, rank, out, into = cl.trace, cl.terms, cl.rank, cl.out, cl.into
     le, ne, eq, nle, nle_in = out["le"], out["ne"], out["eq"], out["nle"], into["nle"]
     powers = [rank.get(_built("pow", t)) for t in terms]
 
-    def emit(fact, rule, premises):
-        if fact[1] in rank and fact[2] in rank and cl.add(fact, rule, premises):
-            _check_contra(cl, fact)
+    def put(rel, i, j, rule, premises):
+        if cl.put(rel, i, j, rule, premises):
+            _check_contra(cl, rel, i, j)
+
+    def emit(rel, a, b, rule, premises):
+        if a in rank and b in rank:
+            put(rel, rank[a], rank[b], rule, premises)
 
     def in_order(rel, pairs):
         """The round-start facts (rel, terms[i], terms[j]) of the pairs, in trace order."""
@@ -351,21 +384,19 @@ def _fixpoint(cl: Closure):
 
         # symmetry and definitional components
         for f in new_eqs:
-            _, a, b = f
-            emit(("eq", b, a), "eq-symmetric", (f,))
-            emit(("le", a, b), "eq-both-ways", (f,))
-            emit(("le", b, a), "eq-both-ways", (f,))
+            i, j = rank[f[1]], rank[f[2]]
+            put("eq", j, i, "eq-symmetric", (f,))
+            put("le", i, j, "eq-both-ways", (f,))
+            put("le", j, i, "eq-both-ways", (f,))
         for f in new_rel["ne"]:
-            _, a, b = f
-            emit(("ne", b, a), "ne-symmetric", (f,))
+            put("ne", rank[f[2]], rank[f[1]], "ne-symmetric", (f,))
         for f in new_rel["inc"]:
-            _, a, b = f
-            emit(("inc", b, a), "incomparable-symmetric", (f,))
-            emit(("nle", a, b), "incomparable-means-no-map", (f,))
-            emit(("nle", b, a), "incomparable-means-no-map", (f,))
+            i, j = rank[f[1]], rank[f[2]]
+            put("inc", j, i, "incomparable-symmetric", (f,))
+            put("nle", i, j, "incomparable-means-no-map", (f,))
+            put("nle", j, i, "incomparable-means-no-map", (f,))
         for f in new_les:
-            _, a, b = f
-            emit(("lestar", a, b), "injection-gives-surjection", (f,))
+            put("lestar", rank[f[1]], rank[f[2]], "injection-gives-surjection", (f,))
         # transitive and mixed rules.  An old le(a, b) joins a new fact only
         # if b starts a new le (which le(b, a) does) or is a term of a new ne
         heads = {rank[g[1]] for g in new_les}
@@ -374,9 +405,9 @@ def _fixpoint(cl: Closure):
             _, a, b = f
             i, j = rank[a], rank[b]
             for g in in_order("le", [(j, c) for c in _bits(le0[j] & ~le[i])]):
-                emit(("le", a, g[2]), "le-transitive", (f, g))
+                put("le", i, rank[g[2]], "le-transitive", (f, g))
             if le0[j] >> i & 1:
-                emit(("eq", a, b), "cantor-bernstein", (f, ("le", b, a)))
+                put("eq", i, j, "cantor-bernstein", (f, ("le", b, a)))
         # strictness: le(a, b) meets the le(b, c) with an ne fact between b
         # and c, and every le(b, c) if there is one between a and b
         pairs |= {(i, j) for j in {rank[t] for g in new_rel["ne"] for t in g[1:]} for i in _bits(le0_in[j])}
@@ -384,14 +415,16 @@ def _fixpoint(cl: Closure):
             _, a, b = f
             i, j = rank[a], rank[b]
             # each c cites the earlier of ne(b, c) and ne(c, b)
-            ups = [min((g for g in (("ne", b, terms[c]), ("ne", terms[c], b)) if g in pos), key=pos.__getitem__)
-                   for c in _bits(near[j] & ~ne[i])]
-            for g in sorted(ups, key=pos.__getitem__):
-                c = g[1] if g[2] is b else g[2]
-                emit(("ne", a, c), "strictness-travels-up", (f, ("le", b, c), g))
+            ups = []
+            for c in _bits(near[j] & ~ne[i]):
+                g, h = ("ne", b, terms[c]), ("ne", terms[c], b)
+                p, q = pos.get(g), pos.get(h)
+                ups.append((p, c, g) if q is None or p is not None and p < q else (q, c, h))
+            for _, c, g in sorted(ups):
+                put("ne", i, c, "strictness-travels-up", (f, ("le", b, terms[c]), g))
             for g in sorted({g for g in (("ne", a, b), ("ne", b, a)) if g in pos}, key=pos.__getitem__):
                 for h in in_order("le", [(j, c) for c in _bits(le0[j] & ~ne[i])]):
-                    emit(("ne", a, h[2]), "strictness-travels-down", (f, g, h))
+                    put("ne", i, rank[h[2]], "strictness-travels-down", (f, g, h))
         # an old nle(a, b) joins a new le fact only at a or b, and meets an nle(b, a) no earlier
         # round saw only where nle(b, a) is new (one the loop records is later than every old one)
         nle0, nle0_in, tails = out0["nle"], into0["nle"], {rank[g[2]] for g in new_les}
@@ -403,15 +436,16 @@ def _fixpoint(cl: Closure):
             into_b = {(x, j) for x in _bits(le0_in[j] & ~nle[i])}
             for g in in_order("le", into_b | {(i, y) for y in _bits(le0[i] & ~nle_in[j])}):
                 if g[2] is b:
-                    emit(("nle", a, g[1]), "no-map-into-smaller", (f, g))
+                    put("nle", i, rank[g[1]], "no-map-into-smaller", (f, g))
                 if g[1] is a:
-                    emit(("nle", g[2], b), "no-map-from-larger", (f, g))
+                    put("nle", rank[g[2]], j, "no-map-from-larger", (f, g))
             if nle[j] >> i & 1:
-                emit(("inc", a, b), "mutually-unmapped", (f, ("nle", b, a)))
+                put("inc", i, j, "mutually-unmapped", (f, ("nle", b, a)))
         # equality substitution, where an old eq(a, b) joins only the new
-        # facts that mention a
-        touched = {rank[t] for _, a, b in batch for t in (a, b)}
-        pairs = {(rank[f[1]], rank[f[2]]) for f in new_eqs} | {(i, y) for i in touched for y in _bits(out0["eq"][i])}
+        # facts that mention a: with no eq fact known, the batch goes unread
+        eq0 = out0["eq"]
+        touched = {rank[t] for _, a, b in batch for t in (a, b)} if any(eq0) else ()
+        pairs = {(rank[f[1]], rank[f[2]]) for f in new_eqs} | {(i, y) for i in touched for y in _bits(eq0[i])}
         for f in in_order("eq", pairs):
             _, a, b = f
             i, j = rank[a], rank[b]
@@ -420,36 +454,36 @@ def _fixpoint(cl: Closure):
             for g in sorted(gs, key=pos.__getitem__):
                 rel, x, y = g
                 if x is a:
-                    emit((rel, b, y), "substitute-equal", (f, g))
+                    put(rel, j, rank[y], "substitute-equal", (f, g))
                 if y is a:
-                    emit((rel, x, b), "substitute-equal", (f, g))
+                    put(rel, rank[x], j, "substitute-equal", (f, g))
         # power monotone under surjections
         for f in new_rel["lestar"]:
             p, q = powers[rank[f[1]]], powers[rank[f[2]]]
-            if p is not None and q is not None and not le[p] >> q & 1:
-                emit(("le", terms[p], terms[q]), "power-of-surjection", (f,))
+            if p is not None and q is not None:
+                put("le", p, q, "power-of-surjection", (f,))
         # sequences agreeing forces a countable subset
         for f in new_eqs:
             _, a, b = f
             if a.op == "injseq" and b.op == "anyseq" and a.inner == b.inner:
-                emit(("le", ALEPH0, a.inner), "repeats-give-counting", (f,))
+                put("le", rank[ALEPH0], rank[a.inner], "repeats-give-counting", (f,))
         # a countable power side kills sequence codings
         for f in new_les:
             _, a, b = f
             if a == ALEPH0 and b.op == "pow":
-                emit(("nle", b, _built("injseq", b.inner)), "no-power-into-one-to-one-sequences", (f,))
+                emit("nle", b, _built("injseq", b.inner), "no-power-into-one-to-one-sequences", (f,))
         for f in new_les:
             _, a, b = f
             if a == ALEPH0:
-                emit(("nle", _built("pow", b), _built("anyseq", b)), "no-power-into-sequences", (f,))
+                emit("nle", _built("pow", b), _built("anyseq", b), "no-power-into-sequences", (f,))
         # Dedekind-finite power: strict surplus and partition growth
         for f in new_nles:
             _, a, b = f
             if a == ALEPH0 and b.op == "pow":
                 copies = [_built("times", b, n) for n in range(1, 10)]
                 for small, big in zip(copies, copies[1:]):
-                    emit(("ne", small, big), "surplus-copy-is-new", (f,))
-                emit(("ne", b, _built("part", b.inner)), "partitions-outgrow-subsets", (f,))
+                    emit("ne", small, big, "surplus-copy-is-new", (f,))
+                emit("ne", b, _built("part", b.inner), "partitions-outgrow-subsets", (f,))
         changed = len(trace) > len(pos)
 
 
@@ -457,12 +491,13 @@ def _fixpoint(cl: Closure):
 _CLASHES = {"le": "nle", "nle": "le", "eq": "ne", "ne": "eq"}
 
 
-def _check_contra(cl: Closure, fact: Fact):
-    rel, a, b = fact
-    if rel == "ne" and a is b:
-        clash = [fact]
-    elif rel in _CLASHES and cl.out[_CLASHES[rel]][cl.rank[a]] >> cl.rank[b] & 1:
-        clash = sorted([fact, (_CLASHES[rel], a, b)])
+def _check_contra(cl: Closure, rel: str, i: int, j: int):
+    """Raise `Contradiction` if (rel, terms[i], terms[j]) clashes with itself or with a fact."""
+    if rel == "ne" and i == j:
+        clash = [(rel, cl.terms[i], cl.terms[j])]
+    elif rel in _CLASHES and cl.out[_CLASHES[rel]][i] >> j & 1:
+        a, b = cl.terms[i], cl.terms[j]
+        clash = sorted([(rel, a, b), (_CLASHES[rel], a, b)])
     else:
         return
     cl.contradiction_round = cl.rounds

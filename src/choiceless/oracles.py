@@ -32,6 +32,7 @@ from .atoms import (
     DenseOrderStructure,
     PairStructure,
     PureSetStructure,
+    StructureMismatch,
     atom_from_json,
 )
 from .constructions import (
@@ -172,10 +173,11 @@ class RefuteSpec(NamedTuple):
     """A refutation engine.
 
     `run(oracle, budget=...)` gives the engine's witness; only the pair
-    engine reads `budget`, its sample size.  It reaches the engine by
-    its name in `refute` when called, never through a stored reference.
+    engine reads `budget`, its sample size.  `engine` reaches the engine
+    by its name in `refute` when called, never through a stored reference.
     `structure` is the class of the universe the engine argues in, whose
-    `model` it refutes in; a scripted table over another is refused.
+    `model` it refutes in; `run` refuses an oracle over another before
+    its first probe, and a scripted table over another is refused.
     `universe(n)` gives a new structure of it and an n-atom support, and
     `oracles` names the built-in oracles over them.
     The built-in checks run every size in `sizes`; the CLI defaults to
@@ -192,7 +194,7 @@ class RefuteSpec(NamedTuple):
 
     domains: Callable[[], Tuple[Domain, Domain]]
     oracles: Dict[str, Builtin]
-    run: Callable
+    engine: Callable
     structure: type = PureSetStructure
     sizes: Tuple[int, ...] = (0, 1)
     random_trials: bool = True
@@ -201,6 +203,13 @@ class RefuteSpec(NamedTuple):
     def universe(self, n: int):
         structure = self.structure(n)
         return structure, tuple(structure.atoms())
+
+    def run(self, oracle: InjectionOracle, **kw):
+        if not isinstance(oracle.structure, self.structure):
+            raise StructureMismatch(
+                f"the engine argues over {self.structure.__name__}, not {type(oracle.structure).__name__}"
+            )
+        return self.engine(oracle, **kw)
 
 
 class ExtractSpec(NamedTuple):
@@ -237,7 +246,7 @@ ENGINES: Dict[str, object] = {
             ),
             "random": Builtin(False, _random(4, lambda s, E, extra: _seqs_up_to(E + extra, 2))),
         },
-        run=lambda o, **_: refute.refute_fin_to_seq_fraenkel(o),
+        engine=lambda o, **_: refute.refute_fin_to_seq_fraenkel(o),
         pool=_sequence_pool(_seqs_up_to),
     ),
     "fin-to-seqstar": RefuteSpec(
@@ -248,7 +257,7 @@ ENGINES: Dict[str, object] = {
             "support-only": Builtin(False, lambda s, E, rng: lambda x: hftuple(E * 2)),
             "random": Builtin(False, _random(4, lambda s, E, extra: _tuples_up_to(E + extra, 2))),
         },
-        run=lambda o, **_: refute.refute_fin_to_seqstar_fraenkel(o),
+        engine=lambda o, **_: refute.refute_fin_to_seqstar_fraenkel(o),
         pool=_sequence_pool(_tuples_up_to),
     ),
     "seq-to-power": RefuteSpec(
@@ -260,7 +269,7 @@ ENGINES: Dict[str, object] = {
                 False, _random(1, lambda s, E, extra: _subsets_over(s, [(), E[:1], E[:2], extra, E[:1] + extra]))
             ),
         },
-        run=lambda o, **_: refute.refute_seq_to_power_fraenkel(o),
+        engine=lambda o, **_: refute.refute_seq_to_power_fraenkel(o),
         sizes=(4,),
     ),
     "nat-to-power": RefuteSpec(
@@ -272,7 +281,7 @@ ENGINES: Dict[str, object] = {
                 False, _random(1, lambda s, E, extra: _subsets_over(s, [(), E[:1], extra, E[:1] + extra]))
             ),
         },
-        run=lambda o, **_: refute.refute_nat_to_power_fraenkel(o),
+        engine=lambda o, **_: refute.refute_nat_to_power_fraenkel(o),
         pool=_nat_power_pool,
     ),
     "unordered-to-ordered": RefuteSpec(
@@ -284,7 +293,7 @@ ENGINES: Dict[str, object] = {
             "stray-per-pair": Builtin(True, _stray_per_pair),
             "random": Builtin(False, _pair_random),
         },
-        run=lambda o, **kw: refute.refute_unordered_to_ordered_pairmodel(o, **kw),
+        engine=lambda o, **kw: refute.refute_unordered_to_ordered_pairmodel(o, **kw),
         structure=PairStructure,
         sizes=(0,),
         random_trials=False,

@@ -489,21 +489,24 @@ def extract_from_surplus(n: int, oracle: InjectionOracle, count: int) -> StreamR
     extract pairwise-distinct subsets, the empty set first: each sweep
     over the labelled current values has more inputs than answers, so the
     first sweep without an escaping second component repeats an answer.
+    After an escape the sweep goes on from the first input not yet
+    queried, where a fresh sweep would arrive through known answers.
     An n past the `copies` cap is refused before the first query."""
     if n > CAPS["copies"]:
         raise BudgetExceeded("copies", n, f"a surplus of {n} copies", "copies")
     values: List[frozenset] = [frozenset()]
     known = set(values)
+    swept = 0  # the inputs queried, in (value, label) order
     try:
         while len(values) < count:
-            for value, label in itertools.product(list(values), range(n + 1)):
-                y = oracle.query((label, value))
-                if y[1] not in known:
-                    values.append(y[1])
-                    known.add(y[1])
-                    break
-            else:
+            if swept == len(values) * (n + 1):
                 raise EngineBug("sweep ended without escape or repeat")
+            k, label = divmod(swept, n + 1)
+            swept += 1
+            y = oracle.query((label, values[k]))
+            if y[1] not in known:
+                values.append(y[1])
+                known.add(y[1])
     except Refuted as done:
         return StreamResult(values, done.witness)
     return StreamResult(values[:count])
@@ -593,8 +596,6 @@ def refute_unordered_to_ordered_pairmodel(oracle: InjectionOracle, budget: int):
     sample smaller than the coloring guarantee the engine may report
     budget exhaustion, never a wrong witness."""
     s = oracle.structure
-    if not isinstance(s, PairStructure):
-        raise ValueError("this engine runs over the pair model")
     if budget < 0:
         raise ValueError(f"the sample budget must be at least 0, not {budget}")
     if budget > CAPS["budget"]:

@@ -76,7 +76,7 @@ def naive_fixpoint(cl):
             return
         added = cl.add(fact, rule, premises)
         if added:
-            cardtable._check_contra(cl, fact)
+            cardtable._check_contra(cl, rel, cl.rank[a], cl.rank[b])
 
     changed = True
     while changed:
@@ -447,21 +447,68 @@ def schemas_by_walk(cl):
                 cl.add((rel, a, b), f"schema:{name}")
 
 
-def test_compiled_schema_rows_match_the_walk():
-    # every model, alone and with each depth-2 group, and the forbidden
-    # pattern, with the rounds left out so that the schemas alone show
-    groups = [(m, []) for m in MODELS] + depth_two_groups()
-    makers = [
-        lambda m=m, extra=extra: close(model_axioms(m), extra_terms=model_extra_terms(m) + extra)
-        for m, extra in groups
+def naive_schemas(cl):
+    """`_add_schemas` as the loop the row index replaced: every compiled row
+    at every term e, in term order.  Test-only oracle."""
+    U, get = cl.rank, CExpr._table.get
+    for e in cl.terms:
+        for rel, (a, lsteps), (b, rsteps), rule in cardtable._ROWS:
+            a, b = a or e, b or e
+            for op, n in lsteps:
+                a = get((op, a, n))
+            if a in U:
+                for op, n in rsteps:
+                    b = get((op, b, n))
+                if b in U:
+                    cl.add((rel, a, b), rule)
+
+
+def schema_closures():
+    """Makers of the closures the schema oracles are checked on: every
+    model, the forbidden pattern, the seed-0 and seed-1 depth-2 groups, and
+    every model over all 343 depth-3 terms."""
+    groups = depth_two_groups(0) + depth_two_groups(1) + [(m, DEPTH_THREE) for m in MODELS]
+    return [lambda m=m: model_closure(m) for m in MODELS] + [forbidden_pattern_closure] + [
+        lambda m=m, extra=extra: close(model_axioms(m), extra_terms=model_extra_terms(m) + extra) for m, extra in groups
     ]
+
+
+def schema_mismatches(oracle):
+    """How many of the `schema_closures` record other facts, or the same
+    facts in another order, than with the oracle for `_add_schemas`, with
+    the rounds left out so that the axioms and schemas alone show."""
+    mismatches = 0
     with mock.patch.object(cardtable, "_fixpoint", lambda cl: None):
-        for make in makers + [forbidden_pattern_closure]:
+        for make in schema_closures():
             fast = make()
-            with mock.patch.object(cardtable, "_add_schemas", schemas_by_walk):
+            with mock.patch.object(cardtable, "_add_schemas", oracle):
                 slow = make()
-            assert any(rule.startswith("schema:") for rule, _ in fast.trace.values())
-            assert list(fast.trace.items()) == list(slow.trace.items())
+            assert any(rule.startswith("schema:") for rule, _ in slow.trace.values())
+            mismatches += list(fast.trace.items()) != list(slow.trace.items())
+    return mismatches
+
+
+def test_compiled_schema_rows_match_the_walk():
+    assert schema_mismatches(schemas_by_walk) == 0
+
+
+class TestSchemaIndex:
+    def test_the_index_records_what_the_loop_over_every_row_does(self):
+        assert len(schema_closures()) == 7 + 48 + 6
+        assert schema_mismatches(naive_schemas) == 0
+
+    def test_a_row_left_out_of_the_index_is_caught(self):
+        # seeded fault: the index drops the pair-as-nested-set row, whose
+        # deeper side fin(fin(e)) unwinds two steps to e
+        (k,) = [k for k, row in enumerate(cardtable._ROWS) if row[3] == "schema:pair-as-nested-set"]
+        index = {key: [entry for entry in rows if entry[0] != k] for key, rows in cardtable._ROW_INDEX.items()}
+        assert index != cardtable._ROW_INDEX
+        with mock.patch.object(cardtable, "_ROW_INDEX", index):
+            assert schema_mismatches(naive_schemas) > 0
+
+    def test_every_row_is_indexed_once(self):
+        entries = sorted(entry[0] for rows in cardtable._ROW_INDEX.values() for entry in rows)
+        assert entries == list(range(len(cardtable._ROWS)))
 
 
 def display_by_walk(e):
@@ -550,8 +597,9 @@ def clash_by_lookup(cl, fact):
 
 def clash_by_masks(cl, fact):
     round_ = cl.contradiction_round
+    rel, a, b = fact
     try:
-        cardtable._check_contra(cl, fact)
+        cardtable._check_contra(cl, rel, cl.rank[a], cl.rank[b])
     except Contradiction as c:
         return c.facts
     finally:
@@ -611,15 +659,16 @@ class TestMasks:
         assert 0 < clashes < 40
 
     def test_a_fact_recorded_without_its_bits_is_caught(self):
-        # seeded fault: `add` keeps the trace but not the masks, so no fact
-        # is indexed and the joins of the rounds find no partner
-        def add_without_bits(cl, fact, rule, premises=()):
+        # seeded fault: the writer keeps the trace but not the masks, so no
+        # fact is indexed and the joins of the rounds find no partner
+        def put_without_bits(cl, rel, i, j, rule, premises=()):
+            fact = (rel, cl.terms[i], cl.terms[j])
             if fact in cl.trace:
                 return False
             cl.trace[fact] = (rule, premises)
             return True
 
-        with mock.patch.object(cardtable.Closure, "add", add_without_bits):
+        with mock.patch.object(cardtable.Closure, "put", put_without_bits):
             with pytest.raises(AssertionError):
                 assert_same_closure(lambda: model_closure("vc"))
         assert_same_closure(lambda: model_closure("vc"))

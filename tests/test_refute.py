@@ -11,10 +11,12 @@ from choiceless.atoms import (
     CAPS,
     Atom,
     BudgetExceeded,
+    CategoricalStructure,
     DenseOrderStructure,
     PairStructure,
     PureSetStructure,
     Rational,
+    StructureMismatch,
 )
 from choiceless.constructions import (
     AtomsDom,
@@ -187,6 +189,29 @@ class TestOracleShell:
         )
         with pytest.raises(OracleAnswerError):
             o.query(hfset(a))
+
+
+UNIVERSE_CLASSES = (PureSetStructure, DenseOrderStructure, PairStructure, CategoricalStructure)
+
+
+@pytest.mark.parametrize(
+    "engine,cls",
+    [
+        pytest.param(engine, cls, id=f"{engine}-{cls.__name__}")
+        for engine, spec in sorted(oracles.REFUTE.items())
+        for cls in UNIVERSE_CLASSES
+        if cls is not spec.structure
+    ],
+)
+def test_an_oracle_over_another_universe_is_refused_before_its_first_probe(engine, cls):
+    # the engine's first built-in oracle over a structure of another universe;
+    # fin-to-seq's sort oracle over the dense order ended in AttributeError
+    spec = oracles.REFUTE[engine]
+    o = oracles.builtin_oracle(engine, next(iter(spec.oracles)), cls(), (), random.Random(0))
+    refusal = f"the engine argues over {spec.structure.__name__}, not {cls.__name__}"
+    with pytest.raises(StructureMismatch, match=refusal):
+        spec.run(o, budget=6)
+    assert o.transcript == []
 
 
 class TestFinToSeq:
@@ -714,7 +739,7 @@ class TestExhaustiveTables:
             calls.append(args[0])
             return verify(*args)
 
-        run = oracles.REFUTE[engine].run
+        run = oracles.REFUTE[engine].engine
 
         def leaf(o, **kw):
             w = run(o, **kw)
@@ -723,7 +748,7 @@ class TestExhaustiveTables:
 
         monkeypatch.setattr(refute, "verify_witness", counted)
         monkeypatch.setattr(labchecks, "verify_witness", counted)
-        monkeypatch.setitem(oracles.REFUTE, engine, oracles.REFUTE[engine]._replace(run=leaf))
+        monkeypatch.setitem(oracles.REFUTE, engine, oracles.REFUTE[engine]._replace(engine=leaf))
         stats = exhaustive_refutation_paths(engine, 1)
         assert "failure" not in stats and len(leaves) > 0
         assert [id(w) for w in calls] == [id(w) for w in leaves]
@@ -910,6 +935,34 @@ class TestExtractors:
             o = oracles.builtin_oracle("surplus", "shift-encode", params=(n,))
             r = extract_from_surplus(n, o, 100)
             assert r.ok and len(set(r.values)) == 100
+
+    @pytest.fixture
+    def queries(self, monkeypatch):
+        """Every input `InjectionOracle.query` is asked, in order."""
+        asked = []
+        query = InjectionOracle.query
+        monkeypatch.setattr(InjectionOracle, "query", lambda self, x: asked.append(x) or query(self, x))
+        return asked
+
+    @pytest.mark.parametrize("n", (1, 2))
+    def test_surplus_sweep_queries_each_input_once(self, n, queries):
+        # after each escape the sweep goes on from the first input not yet
+        # queried; restarting it made 4,950 queries here, 99 of them new
+        o = oracles.builtin_oracle("surplus", "shift-encode", params=(n,))
+        r = extract_from_surplus(n, o, 100)
+        assert r.ok and len(queries) == len(o.transcript) == 99
+
+    def test_surplus_sweep_resumes_past_known_answers(self, queries):
+        # label 0 answers its own value, which is known; label 1 escapes
+        from choiceless.constructions import LabeledNatSetDom
+
+        def fn(x):
+            label, value = x
+            return (label, value if label == 0 else value | {len(value) + 10})
+
+        o = InjectionOracle(fn, LabeledNatSetDom(2), LabeledNatSetDom(2))
+        r = extract_from_surplus(1, o, 40)
+        assert r.ok and queries == [(label, value) for value in r.values[:39] for label in (0, 1)]
 
     def test_surplus_probe_order(self):
         probes = []
