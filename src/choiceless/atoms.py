@@ -38,17 +38,17 @@ DENSE_ORDER = "dense_order"
 PAIR_MODEL = "pair_model"
 CATEGORICAL = "categorical"
 
-# The cap of every size, keyed by the setting it bounds (`labchecks.SETTINGS` key or CLI dest;
-# `types` and `level` bound sizes the library meets).  A guard beside the code it protects raises
-# `BudgetExceeded` past its row.  Times are at the cap unless a size is named (2 vCPUs, Python 3.11.7).
+# The cap of every size, keyed by the setting it bounds (`labchecks.SETTINGS` key or CLI dest; `types`
+# and `level` bound sizes the library meets).  A guard beside the code it protects raises `BudgetExceeded`
+# past its row.  Times are of a CLI process, at the cap unless a size is named (2 vCPUs, Python 3.11.7).
 CAPS = {
-    "max_support": 500,  # the counting check lists types up to it: 0.3 s; MemoryError at 4,000
-    "max_atoms": 16,  # the 2^16 subsets of a brute-force pool take about a second
-    "trials": 2_000,  # the refutation suite takes 0.3 s; 4 s at 20,000
-    "stream_length": 500,  # the extractors suite takes 2 s; 6.6 s at 1,000, 35 s and 534 MiB at 2,000
-    "budget": 200,  # the pair engine probes every pair of its sample: 2 s, 100 MiB; 30 s at 1,000
+    "max_support": 500,  # the counting check lists types up to it: 0.2 s; 1.6 s at 2,000, MemoryError at 4,000
+    "max_atoms": 16,  # the 2^16 subsets of a brute-force pool take 0.6 s
+    "trials": 2_000,  # the refutation suite takes 0.3 s; 2 s at 20,000
+    "stream_length": 500,  # the extractors suite takes 0.4 s; 1.2 s at 1,000, 5.1 s and 182 MiB at 2,000
+    "budget": 200,  # the pair engine probes every pair of its sample: 0.9 s, 114 MiB; 30 s at 1,000
     "support": 35,  # every engine answers in 0.1 s; past it the pair engine's bound passes 4,300 digits
-    "copies": 1_000,  # a surplus sweep walks n+1 labels: 0.2 s at -T 500; 13 s at 1,000,000
+    "copies": 1_000,  # a surplus sweep walks n+1 labels: 0.1 s at -T 500, also at 1,000,000
     "n": 14_000,  # count-supports, in 1-types: 2^14000, the largest count, has 4,215 digits
     "types": 2 ** 16,  # 1-types over one support: the homogeneous structure has 6,146 over 2 atoms
     "level": 8,  # levels of pair atoms

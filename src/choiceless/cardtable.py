@@ -142,12 +142,17 @@ class Contradiction(Exception):
         super().__init__(" with ".join(show_fact(f) for f in facts))
 
 
+# the relation that clashes with each one on the same pair, listed in name order
+_CLASHES = {"le": "nle", "nle": "le", "eq": "ne", "ne": "eq"}
+
+
 class Closure:
     """Least fixed point of the rule set over a finite term universe.  `trace`
     is the one ordered fact store, and bit masks over the terms in `CExpr.key`
     order index it: bit j of `out[rel][i]` and bit i of `into[rel][j]` are set
     iff (rel, terms[i], terms[j]) is a fact.  `put`, addressed by term rank,
-    is the one writer of both; `add` looks the ranks up and calls it."""
+    is the one writer of both and the one clash check; `add` looks the
+    ranks up and calls it."""
 
     def __init__(self, universe: Set[CExpr]):
         self.universe = universe
@@ -163,19 +168,29 @@ class Closure:
         self.rounds = 0
         self.contradiction_round: Optional[int] = None
 
-    def add(self, fact: Fact, rule: str, premises: Tuple[Fact, ...] = ()) -> bool:
+    def add(self, fact: Fact, rule: str, premises: Tuple[Fact, ...] = ()):
         rel, a, b = fact
-        return self.put(rel, self.rank[a], self.rank[b], rule, premises)
+        self.put(rel, self.rank[a], self.rank[b], rule, premises)
 
-    def put(self, rel: str, i: int, j: int, rule: str, premises: Tuple[Fact, ...] = ()) -> bool:
-        """Record (rel, terms[i], terms[j]) unless its bit is set; whether it was new."""
+    def put(self, rel: str, i: int, j: int, rule: str, premises: Tuple[Fact, ...] = ()):
+        """Record (rel, terms[i], terms[j]) unless its bit is set.  A new fact
+        that clashes with itself, ne(x, x), or with a recorded fact then
+        raises `Contradiction` with the clashing facts."""
         row = self.out[rel]
         if row[i] >> j & 1:
-            return False
+            return
         row[i] |= 1 << j
         self.into[rel][j] |= 1 << i
-        self.trace[rel, self.terms[i], self.terms[j]] = (rule, premises)
-        return True
+        a, b = self.terms[i], self.terms[j]
+        self.trace[rel, a, b] = (rule, premises)
+        if rel == "ne" and i == j:
+            clash = [(rel, a, b)]
+        elif rel in _CLASHES and self.out[_CLASHES[rel]][i] >> j & 1:
+            clash = sorted([(rel, a, b), (_CLASHES[rel], a, b)])
+        else:
+            return
+        self.contradiction_round = self.rounds
+        raise Contradiction(clash, self)
 
     def has(self, rel: str, a: CExpr, b: CExpr) -> bool:
         """Whether each component fact's bit is set (a term outside the universe has none)."""
@@ -231,8 +246,10 @@ def close(
     """Close a fact set under the rule pack.
 
     Axioms are (relation, lhs, rhs, label); strict relations expand into
-    their components.  Detecting an inconsistency stops the run and
-    records the clashing pair, replayable through the trace.
+    their components.  Axioms, schema instances and derived facts all go
+    through `Closure.put`, so a clash among axioms and schemas is met in
+    round 0.  Detecting an inconsistency stops the run and records the
+    clashing pair, replayable through the trace.
     """
     universe: Set[CExpr] = {BASE, ALEPH0}
     prepared: List[Tuple[Fact, str]] = []
@@ -243,10 +260,10 @@ def close(
     for t in extra_terms:
         universe |= subterms(t)
     cl = Closure(universe)
-    for f, label in prepared:
-        cl.add(f, f"axiom:{label}")
-    _add_schemas(cl)
     try:
+        for f, label in prepared:
+            cl.add(f, f"axiom:{label}")
+        _add_schemas(cl)
         _fixpoint(cl)
     except Contradiction as c:
         cl.contradiction = c.facts
@@ -351,13 +368,9 @@ def _fixpoint(cl: Closure):
     all pairs, and the trace is the same in every process.  A conclusion
     goes to `Closure.put` by the ranks of its terms; only the rules that
     look a term up with `_built` test its membership first, in `emit`."""
-    trace, terms, rank, out, into = cl.trace, cl.terms, cl.rank, cl.out, cl.into
+    trace, terms, rank, out, into, put = cl.trace, cl.terms, cl.rank, cl.out, cl.into, cl.put
     le, ne, eq, nle, nle_in = out["le"], out["ne"], out["eq"], out["nle"], into["nle"]
     powers = [rank.get(_built("pow", t)) for t in terms]
-
-    def put(rel, i, j, rule, premises):
-        if cl.put(rel, i, j, rule, premises):
-            _check_contra(cl, rel, i, j)
 
     def emit(rel, a, b, rule, premises):
         if a in rank and b in rank:
@@ -485,23 +498,6 @@ def _fixpoint(cl: Closure):
                     emit("ne", small, big, "surplus-copy-is-new", (f,))
                 emit("ne", b, _built("part", b.inner), "partitions-outgrow-subsets", (f,))
         changed = len(trace) > len(pos)
-
-
-# the relation that clashes with each one on the same pair, listed in name order
-_CLASHES = {"le": "nle", "nle": "le", "eq": "ne", "ne": "eq"}
-
-
-def _check_contra(cl: Closure, rel: str, i: int, j: int):
-    """Raise `Contradiction` if (rel, terms[i], terms[j]) clashes with itself or with a fact."""
-    if rel == "ne" and i == j:
-        clash = [(rel, cl.terms[i], cl.terms[j])]
-    elif rel in _CLASHES and cl.out[_CLASHES[rel]][i] >> j & 1:
-        a, b = cl.terms[i], cl.terms[j]
-        clash = sorted([(rel, a, b), (_CLASHES[rel], a, b)])
-    else:
-        return
-    cl.contradiction_round = cl.rounds
-    raise Contradiction(clash, cl)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,6 @@ from .refute import (
     WitnessInvalid,
     disjointify_finite,
     partition_to_edges,
-    refute_seq_to_power_fraenkel,
     rgs_partitions,
     seq_count,
     verify_witness,
@@ -676,7 +675,7 @@ def check_closure() -> List[dict]:
 
 def check_seq_counting() -> List[dict]:
     s, E, o = oracles.build_refute_oracle("seq-to-power", "atoms-of-input", 4, 0)
-    w = refute_seq_to_power_fraenkel(o)
+    w = oracles.REFUTE["seq-to-power"].run(o)
     details = getattr(w, "details", {})
     ok = (
         details.get("seq_count") == 65

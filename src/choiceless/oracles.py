@@ -172,12 +172,14 @@ def _nat_power_pool(structure, support):
 class RefuteSpec(NamedTuple):
     """A refutation engine.
 
-    `run(oracle, budget=...)` gives the engine's witness; only the pair
-    engine reads `budget`, its sample size.  `engine` reaches the engine
-    by its name in `refute` when called, never through a stored reference.
-    `structure` is the class of the universe the engine argues in, whose
-    `model` it refutes in; `run` refuses an oracle over another before
-    its first probe, and a scripted table over another is refused.
+    `run(oracle, budget=...)` is the one way to run it: it refuses an
+    oracle over another universe than `structure` before the first
+    probe, and gives the witness whose `Refuted` ends the run.  Only the
+    pair engine reads `budget`, its sample size.  `engine` reaches the
+    engine's body by its name in `refute` when called, never through a
+    stored reference.  `structure` is the class of the universe the
+    engine argues in, whose `model` it refutes in; a scripted table over
+    another is refused too.
     `universe(n)` gives a new structure of it and an n-atom support, and
     `oracles` names the built-in oracles over them.
     The built-in checks run every size in `sizes`; the CLI defaults to
@@ -209,7 +211,10 @@ class RefuteSpec(NamedTuple):
             raise StructureMismatch(
                 f"the engine argues over {self.structure.__name__}, not {type(oracle.structure).__name__}"
             )
-        return self.engine(oracle, **kw)
+        try:
+            return self.engine(oracle, **kw)
+        except Refuted as done:
+            return done.witness
 
 
 class ExtractSpec(NamedTuple):

@@ -1,16 +1,16 @@
 """Executable refutation engines and omega-sequence extractors.
 
-Each engine interrogates a purported supported injection through an
-oracle interface and either returns a contradiction witness that
-re-verifies against the query transcript, or streams provably distinct
-values.  Oracles are adversarial and lazy: a witness is a finite
-certificate that only ever cites probed values, so it is independent of
-the oracle's unqueried behaviour.
+Each refutation engine interrogates a purported supported injection
+through an oracle interface until a contradiction witness, verified
+against the query transcript, ends the run as `Refuted`; only
+`oracles.RefuteSpec.run` turns that into a result.  Each extractor
+streams provably distinct values.  Oracles are adversarial and lazy: a
+witness is a finite certificate that only ever cites probed values, so
+it is independent of the oracle's unqueried behaviour.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 from math import ceil, factorial, log2
@@ -279,20 +279,6 @@ def _checked(witness, oracle: InjectionOracle):
     return witness
 
 
-def refutation_engine(run):
-    """Make `run` a refutation engine: the witness whose `Refuted` ends
-    the run is the engine's result."""
-
-    @functools.wraps(run)
-    def engine(*args, **kwargs):
-        try:
-            return run(*args, **kwargs)
-        except Refuted as done:
-            return done.witness
-
-    return engine
-
-
 def _break(oracle: InjectionOracle, pi, x, *moved):
     """End the run with the verified equivariance break that cites pi at
     the input x, once pi has recorded, not built, the images of the
@@ -334,7 +320,6 @@ def seq_count(n: int) -> int:
 # engines over the bare atom set
 
 
-@refutation_engine
 def refute_fin_to_seq_fraenkel(oracle: InjectionOracle):
     """Break a purported injection finite-sets -> one-to-one sequences.
 
@@ -354,7 +339,6 @@ def refute_fin_to_seq_fraenkel(oracle: InjectionOracle):
     raise EngineBug("probe bound exhausted without witness")
 
 
-@refutation_engine
 def refute_fin_to_seqstar_fraenkel(oracle: InjectionOracle):
     """Break a purported injection finite-sets -> arbitrary sequences,
     probing two disjoint fresh pairs.  A value naming an atom outside the
@@ -384,7 +368,6 @@ def refute_fin_to_seqstar_fraenkel(oracle: InjectionOracle):
     _break(oracle, pi, x1, x1, y1)
 
 
-@refutation_engine
 def refute_seq_to_power_fraenkel(oracle: InjectionOracle):
     """Break a purported injection one-to-one-sequences -> power object.
 
@@ -411,7 +394,6 @@ def refute_seq_to_power_fraenkel(oracle: InjectionOracle):
     raise EngineBug("pigeonhole failed; engine or counting is wrong")
 
 
-@refutation_engine
 def refute_nat_to_power_fraenkel(oracle: InjectionOracle):
     """Break a purported injection of the naturals into the power object:
     naturals are fixed by every automorphism, so a value whose least
@@ -581,7 +563,6 @@ def extract_from_partition_injection(
 # pair-model engine
 
 
-@refutation_engine
 def refute_unordered_to_ordered_pairmodel(oracle: InjectionOracle, budget: int):
     """Break a purported injection unordered-pairs -> ordered-pairs over
     the pair-model atoms.

@@ -49,7 +49,6 @@ from choiceless.refute import (
     extract_seqstar_to_seq,
     oracle_key,
     partition_to_edges,
-    refute_seq_to_power_fraenkel,
     rgs_partitions,
     seq_count,
 )
@@ -259,7 +258,7 @@ def test_criterion_4_refutation_completeness():
 
 def test_criterion_5_seq_power_counting():
     s, E, o = oracles.build_refute_oracle("seq-to-power", "atoms-of-input", 4, 0)
-    w = refute_seq_to_power_fraenkel(o)
+    w = oracles.REFUTE["seq-to-power"].run(o)
     counts = w.details
     ok = (
         counts.get("seq_count") == 65

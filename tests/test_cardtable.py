@@ -71,12 +71,9 @@ def naive_fixpoint(cl):
     U = cl.universe
 
     def emit(fact, rule, premises):
-        rel, a, b = fact
-        if a not in U or b not in U:
-            return
-        added = cl.add(fact, rule, premises)
-        if added:
-            cardtable._check_contra(cl, rel, cl.rank[a], cl.rank[b])
+        _, a, b = fact
+        if a in U and b in U:
+            cl.add(fact, rule, premises)
 
     changed = True
     while changed:
@@ -356,6 +353,22 @@ class TestSemiNaiveClosure:
             unmapped += any(rule == "mutually-unmapped" for rule, _ in cl.trace.values())
         assert unmapped
 
+    @pytest.mark.parametrize(
+        "axioms,clash",
+        [
+            ([("nle", M, fin(M), "y")], [("le", M, fin(M)), ("nle", M, fin(M))]),
+            ([("ne", M, M, "y")], [("ne", M, M)]),
+            ([("le", M, power(M), "x"), ("nle", M, power(M), "y")], [("le", M, power(M)), ("nle", M, power(M))]),
+        ],
+        ids=["axiom-against-schema", "ne-with-itself", "axiom-against-axiom"],
+    )
+    def test_a_clash_among_axioms_and_schemas_is_met_in_round_0(self, axioms, clash):
+        # each clash is met before `_fixpoint` runs: with a schema, with itself, with another axiom
+        cl = assert_same_closure(lambda: close(axioms))
+        assert cl.contradiction == clash
+        assert (cl.rounds, cl.contradiction_round) == (0, 0)
+        assert all(f in cl.trace for f in clash) and cl.explain_contradiction()
+
     def test_closure_statistics(self):
         cl = forbidden_pattern_closure()
         assert (cl.rounds, cl.contradiction_round) == (2, 2)
@@ -580,7 +593,7 @@ def holds_between_by_lookup(cl, a, b):
 
 
 def clash_by_lookup(cl, fact):
-    """The clash `_check_contra` raises on for a fact, by fact-set lookups."""
+    """The clash `Closure.put` raises on for a fact, by fact-set lookups."""
     rel, a, b = fact
     if rel == "ne" and a == b:
         return [fact]
@@ -596,20 +609,26 @@ def clash_by_lookup(cl, fact):
 
 
 def clash_by_masks(cl, fact):
-    round_ = cl.contradiction_round
+    """The clash `Closure.put` raises on for the fact, put into a copy of
+    `cl` whose own bit for it is cleared; `cl` is left as it was."""
     rel, a, b = fact
+    i, j = cl.rank[a], cl.rank[b]
+    probe = copy.copy(cl)
+    probe.out = {**cl.out, rel: cl.out[rel][:]}
+    probe.into = {**cl.into, rel: cl.into[rel][:]}
+    probe.trace = {}
+    probe.out[rel][i] &= ~(1 << j)
     try:
-        cardtable._check_contra(cl, rel, cl.rank[a], cl.rank[b])
+        probe.put(rel, i, j, "probe")
     except Contradiction as c:
         return c.facts
-    finally:
-        cl.contradiction_round = round_
     return None
 
 
 def assert_masks_index_the_facts(cl, pairs):
     """The masks equal a rebuild from the facts, and `has`, `holds_between`
-    and `_check_contra` answer as the lookups they replaced, on the pairs."""
+    and the clash check of `Closure.put` answer as the lookups they
+    replaced, on the pairs."""
     rank, out, into = masks_by_rebuild(cl)
     assert cl.terms == list(rank) and cl.rank == rank
     assert cl.out == out and cl.into == into
@@ -875,6 +894,14 @@ class TestSummaryTable:
             assert cell["ok"], cell
         assert report["forbidden"]["contradiction"]
         assert report["forbidden"]["trace"]
+
+    def test_a_model_whose_axiom_contradicts_a_schema_is_inconsistent(self, monkeypatch):
+        # nle(m, Fin(m)) clashes with the singleton-map schema le(m, Fin(m))
+        axioms, extra = cardtable._MODELS["vs"]
+        monkeypatch.setitem(cardtable._MODELS, "vs", (axioms + [("nle", M, fin(M), "planted")], extra))
+        report = check_summary_table()
+        assert report["models"]["vs"]["consistent"] is False
+        assert not report["ok"]
 
     def test_forbidden_pattern_trace_replays(self):
         cl = forbidden_pattern_closure()

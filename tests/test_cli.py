@@ -140,6 +140,15 @@ TAMPERINGS = [
 ]
 
 
+def caught_witness(engine, o):
+    """The witness whose `Refuted` ends the engine body's run on o."""
+    try:
+        engine(o)
+    except refute.Refuted as done:
+        return done.witness
+    raise AssertionError("the engine ended without a witness")
+
+
 def engine_choices(command):
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     return next(a for a in sub.choices[command]._actions if a.dest == "engine").choices
@@ -212,6 +221,37 @@ def test_table_report_is_pinned(argv, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_TABLE[argv]
 
 
+def refute_and_extract_runs():
+    """`refute` of each engine on each built-in oracle at each of its
+    sizes, and `extract` of each extractor on each built-in oracle."""
+    for engine, spec in sorted(oracles.REFUTE.items()):
+        for name, size in itertools.product(spec.oracles, spec.sizes):
+            yield "refute", engine, "--oracle", name, "--support", str(size), "--seed", "0", "--json"
+    for engine, spec in sorted(oracles.EXTRACT.items()):
+        for name in spec.oracles:
+            yield "extract", engine, "--oracle", name, "--json"
+
+
+# sha256 over the runs above, each as its argv, exit code, stdout and, for
+# `refute`, the certificate `--emit-witness` writes: the engines' and
+# extractors' outputs, which `verify --suite all` only summarises
+PINNED_REFUTE = "ca85a35ab587070646922acbb8515c9c5f6cc19366103c967e7df4ad8758029d"
+
+
+def test_refute_and_extract_reports_are_pinned(tmp_path, capsys):
+    runs = list(refute_and_extract_runs())
+    assert len(runs) == 39
+    digest, wfile = hashlib.sha256(), tmp_path / "w.json"
+    for argv in runs:
+        emit = ("--emit-witness", str(wfile)) if argv[0] == "refute" else ()
+        code, out = run(capsys, *argv, *emit)
+        digest.update(f"{' '.join(argv)}\n{code}\n{out}".encode())
+        if emit:
+            digest.update(wfile.read_bytes())
+            wfile.unlink()
+    assert digest.hexdigest() == PINNED_REFUTE
+
+
 class TestVerify:
     def test_counting_suite_passes(self, capsys):
         code, out = run(capsys, "verify", "--suite", "mostowski-counting", "--max-support", "5")
@@ -236,7 +276,7 @@ class TestVerify:
         engine = refute.refute_fin_to_seq_fraenkel
 
         def wrong(o):
-            engine(o)
+            caught_witness(engine, o)
             x, y = o.transcript[0]
             return InjectivityCollapse(x, x, y)
 
@@ -251,7 +291,7 @@ class TestVerify:
         engine = refute.refute_fin_to_seq_fraenkel
 
         def reassigned(o):
-            w = engine(o)
+            w = caught_witness(engine, o)
             setattr(w, "x" if isinstance(w, EquivarianceBreak) else "x1", o.transcript[0][0])
             return w
 
@@ -267,7 +307,7 @@ class TestVerify:
         engine = refute.refute_fin_to_seq_fraenkel
 
         def reanswered(o):
-            w = engine(o)
+            w = caught_witness(engine, o)
             o.transcript.append((w.x if isinstance(w, EquivarianceBreak) else w.x1, 7))
             return w
 
@@ -283,7 +323,7 @@ class TestVerify:
         engine = refute.refute_fin_to_seq_fraenkel
 
         def identity(o):
-            w = engine(o)
+            w = caught_witness(engine, o)
             if isinstance(w, EquivarianceBreak):
                 for a in list(w.pi.pairs):
                     w.pi.pairs[a] = a
@@ -301,7 +341,7 @@ class TestVerify:
         engine = refute.refute_fin_to_seq_fraenkel
 
         def swapped(o):
-            w = engine(o)
+            w = caught_witness(engine, o)
             x = w.x if isinstance(w, EquivarianceBreak) else w.x1
             (k,) = [k for k, (q, _) in enumerate(o.transcript) if q is x]
             o.transcript[k] = (x, 7)
@@ -319,7 +359,7 @@ class TestVerify:
         engine = refute.refute_fin_to_seq_fraenkel
 
         def rejected(o):
-            engine(o)
+            caught_witness(engine, o)
             raise WitnessInvalid("cited map moves the declared support")
 
         monkeypatch.setattr(refute, "refute_fin_to_seq_fraenkel", rejected)
@@ -411,7 +451,7 @@ class TestRefuteCommand:
 
     def test_foreign_witness_rejected(self):
         s, E, o = oracles.build_refute_oracle("fin-to-seq", "sort", 0, 0)
-        refute.refute_fin_to_seq_fraenkel(o)
+        oracles.REFUTE["fin-to-seq"].run(o)
         with pytest.raises(WitnessInvalid, match="^unknown witness 'foreign'$"):
             refute.verify_witness("foreign", s, E, o.transcript)
 

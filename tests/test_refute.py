@@ -60,11 +60,6 @@ from choiceless.refute import (
     extract_seqstar_to_seq,
     oracle_key,
     partition_to_edges,
-    refute_fin_to_seq_fraenkel,
-    refute_fin_to_seqstar_fraenkel,
-    refute_nat_to_power_fraenkel,
-    refute_seq_to_power_fraenkel,
-    refute_unordered_to_ordered_pairmodel,
     rgs_partitions,
     seq_count,
     surjection_to_power_injection,
@@ -72,6 +67,11 @@ from choiceless.refute import (
     witness_to_json,
 )
 from choiceless.symsets import SupportedSubset, count_supported
+
+
+def run_engine(engine, oracle, **kw):
+    """The engine's witness, from `RefuteSpec.run` as the lab runs it."""
+    return oracles.REFUTE[engine].run(oracle, **kw)
 
 
 # every built-in refutation oracle at every built-in support size
@@ -214,21 +214,34 @@ def test_an_oracle_over_another_universe_is_refused_before_its_first_probe(engin
     assert o.transcript == []
 
 
+@pytest.mark.parametrize("engine", sorted(oracles.REFUTE))
+def test_an_engine_body_ends_in_refuted_and_run_gives_its_witness(engine):
+    # the body returns nothing of its own: its witness reaches a caller
+    # only through `run`, past the universe check
+    spec = oracles.REFUTE[engine]
+    name, size = next(iter(spec.oracles)), spec.sizes[-1]
+    o, twin = (oracles.build_refute_oracle(engine, name, size, 0)[2] for _ in range(2))
+    with pytest.raises(Refuted) as done:
+        spec.engine(o, budget=6)
+    w = spec.run(twin, budget=6)
+    assert witness_to_json(w, engine, twin) == witness_to_json(done.value.witness, engine, o)
+
+
 class TestFinToSeq:
     def test_sort_oracle_equivariance_break(self):
         s, E, o = oracles.build_refute_oracle("fin-to-seq", "sort", 0, 0)
-        w = refute_fin_to_seq_fraenkel(o)
+        w = run_engine("fin-to-seq", o)
         assert isinstance(w, EquivarianceBreak)
         assert verify_witness(w, s, E, o.transcript)
 
     def test_constant_oracle_collapse(self):
         s, E, o = oracles.build_refute_oracle("fin-to-seq", "const-empty", 0, 0)
-        w = refute_fin_to_seq_fraenkel(o)
+        w = run_engine("fin-to-seq", o)
         assert isinstance(w, InjectivityCollapse)
 
     def test_with_declared_support(self):
         s, E, o = oracles.build_refute_oracle("fin-to-seq", "sort", 3, 0)
-        w = refute_fin_to_seq_fraenkel(o)
+        w = run_engine("fin-to-seq", o)
         assert isinstance(w, EquivarianceBreak)
         assert w.pi.fixes_pointwise(E)
 
@@ -236,16 +249,16 @@ class TestFinToSeq:
 class TestFinToSeqstar:
     def test_constant_collapse(self):
         s, E, o = oracles.build_refute_oracle("fin-to-seqstar", "const-empty", 0, 0)
-        assert isinstance(refute_fin_to_seqstar_fraenkel(o), InjectivityCollapse)
+        assert isinstance(run_engine("fin-to-seqstar", o), InjectivityCollapse)
 
     def test_id_order_break(self):
         s, E, o = oracles.build_refute_oracle("fin-to-seqstar", "pair-id-order", 0, 0)
-        w = refute_fin_to_seqstar_fraenkel(o)
+        w = run_engine("fin-to-seqstar", o)
         assert isinstance(w, EquivarianceBreak)
 
     def test_support_only_fixed_value(self):
         s, E, o = oracles.build_refute_oracle("fin-to-seqstar", "support-only", 2, 0)
-        w = refute_fin_to_seqstar_fraenkel(o)
+        w = run_engine("fin-to-seqstar", o)
         assert isinstance(w, InjectivityCollapse)
 
     def test_two_distinct_support_values_pair_exchange(self):
@@ -260,7 +273,7 @@ class TestFinToSeqstar:
         o = InjectionOracle(
             fn, FinDom(AtomsDom()), SeqStarDom(), support=(e,), structure=s
         )
-        w = refute_fin_to_seqstar_fraenkel(o)
+        w = run_engine("fin-to-seqstar", o)
         assert isinstance(w, EquivarianceBreak)
         # the input moved to the other probed pair
         assert oracle_key(w.x) != oracle_key(o.transcript[1][0])
@@ -270,11 +283,11 @@ class TestSeqToPower:
     def test_requires_support_of_four(self):
         s, E, o = oracles.build_refute_oracle("seq-to-power", "const-empty", 3, 0)
         with pytest.raises(ValueError):
-            refute_seq_to_power_fraenkel(o)
+            run_engine("seq-to-power", o)
 
     def test_counting_details(self):
         s, E, o = oracles.build_refute_oracle("seq-to-power", "atoms-of-input", 4, 0)
-        w = refute_seq_to_power_fraenkel(o)
+        w = run_engine("seq-to-power", o)
         assert w.details == {"seq_count": 65, "supported_bound": 32}
         assert seq_count(4) == 65 == 1 + 4 + 12 + 24 + 24
 
@@ -290,48 +303,48 @@ class TestSeqToPower:
         from choiceless.constructions import PowDom
 
         o = InjectionOracle(fn, SeqDom(), PowDom(), support=E, structure=s)
-        w = refute_seq_to_power_fraenkel(o)
+        w = run_engine("seq-to-power", o)
         assert isinstance(w, EquivarianceBreak)
 
     def test_probe_bound_is_all_sequences(self):
         s, E, o = oracles.build_refute_oracle("seq-to-power", "random", 4, 1)
-        refute_seq_to_power_fraenkel(o)
+        run_engine("seq-to-power", o)
         assert len(o.transcript) <= 65
 
 
 class TestNatToPower:
     def test_first_n_atoms_escapes_at_one(self):
         s, E, o = oracles.build_refute_oracle("nat-to-power", "first-n-atoms", 0, 0)
-        w = refute_nat_to_power_fraenkel(o)
+        w = run_engine("nat-to-power", o)
         assert isinstance(w, EquivarianceBreak) and w.x == 1
 
     def test_constant_collapse_at_second_probe(self):
         s, E, o = oracles.build_refute_oracle("nat-to-power", "const-empty", 0, 0)
-        w = refute_nat_to_power_fraenkel(o)
+        w = run_engine("nat-to-power", o)
         assert isinstance(w, InjectivityCollapse)
         assert len(o.transcript) == 2
 
     def test_probe_bound(self):
         s, E, o = oracles.build_refute_oracle("nat-to-power", "random", 1, 3)
-        refute_nat_to_power_fraenkel(o)
+        run_engine("nat-to-power", o)
         assert len(o.transcript) <= 2 ** 2 + 1
 
 
 class TestPairModelEngine:
     def test_min_max_oracle_case_four(self):
         s, E, o = oracles.build_refute_oracle("unordered-to-ordered", "base-id-order", 0, 0)
-        w = refute_unordered_to_ordered_pairmodel(o, budget=6)
+        w = run_engine("unordered-to-ordered", o, budget=6)
         assert isinstance(w, EquivarianceBreak)
 
     def test_constant_collapse(self):
         s, E, o = oracles.build_refute_oracle("unordered-to-ordered", "const-pair", 0, 0)
         assert isinstance(
-            refute_unordered_to_ordered_pairmodel(o, budget=6), InjectivityCollapse
+            run_engine("unordered-to-ordered", o, budget=6), InjectivityCollapse
         )
 
     def test_decorated_bit_flip(self):
         s, E, o = oracles.build_refute_oracle("unordered-to-ordered", "decorated", 0, 0)
-        w = refute_unordered_to_ordered_pairmodel(o, budget=6)
+        w = run_engine("unordered-to-ordered", o, budget=6)
         assert isinstance(w, EquivarianceBreak)
         # the cited map flips a decorated atom while fixing the input pair
         moved = [a for a, b in w.pi.pairs.items() if a != b]
@@ -339,7 +352,7 @@ class TestPairModelEngine:
 
     def test_stray_base_swap(self):
         s, E, o = oracles.build_refute_oracle("unordered-to-ordered", "stray-per-pair", 0, 0)
-        w = refute_unordered_to_ordered_pairmodel(o, budget=6)
+        w = run_engine("unordered-to-ordered", o, budget=6)
         assert isinstance(w, EquivarianceBreak)
 
     def test_budget_exhaustion_is_reported_not_faked(self):
@@ -362,20 +375,20 @@ class TestPairModelEngine:
             PairDom(AtomsDom(), AtomsDom()),
             structure=s,
         )
-        w = refute_unordered_to_ordered_pairmodel(o, budget=3)
+        w = run_engine("unordered-to-ordered", o, budget=3)
         assert isinstance(w, BudgetExhausted)
         assert w.budget == 3 and w.needed > w.budget
 
     def test_a_budget_past_the_cap_is_refused_before_probing(self):
         s, E, o = oracles.build_refute_oracle("unordered-to-ordered", "base-id-order", 0, 0)
         with pytest.raises(BudgetExceeded, match="201 atoms exceeds the cap of 200"):
-            refute_unordered_to_ordered_pairmodel(o, budget=CAPS["budget"] + 1)
+            run_engine("unordered-to-ordered", o, budget=CAPS["budget"] + 1)
         assert len(o.transcript) == 0
 
     def test_negative_budget_rejected(self):
         s, E, o = oracles.build_refute_oracle("unordered-to-ordered", "base-id-order", 0, 0)
         with pytest.raises(ValueError):
-            refute_unordered_to_ordered_pairmodel(o, budget=-1)
+            run_engine("unordered-to-ordered", o, budget=-1)
         assert len(o.transcript) == 0
 
     def test_hostile_tables_always_sound(self):
@@ -405,7 +418,7 @@ class TestPairModelEngine:
                 support=tuple(E),
                 structure=s,
             )
-            w = refute_unordered_to_ordered_pairmodel(o, budget=rng.choice((4, 6)))
+            w = run_engine("unordered-to-ordered", o, budget=rng.choice((4, 6)))
             outcomes[type(w).__name__] += 1
         assert sum(outcomes.values()) == 60
 
@@ -421,7 +434,7 @@ class TestPairModelEngine:
             structure=s,
         )
         with pytest.raises(ValueError):
-            refute_unordered_to_ordered_pairmodel(o, budget=4)
+            run_engine("unordered-to-ordered", o, budget=4)
 
     def test_pinned_level_falls_back(self):
         # support contains a level-1 atom, so the level-1 bit is pinned and
@@ -442,7 +455,7 @@ class TestPairModelEngine:
             support=E,
             structure=s,
         )
-        w = refute_unordered_to_ordered_pairmodel(o, budget=6)
+        w = run_engine("unordered-to-ordered", o, budget=6)
         assert isinstance(w, (EquivarianceBreak, InjectivityCollapse))
 
 
@@ -455,7 +468,7 @@ class TestWitnessVerification:
 
     def test_cited_fields_are_read_only(self):
         s, E, o = oracles.build_refute_oracle("fin-to-seq", "sort", 1, 0)
-        w = refute_fin_to_seq_fraenkel(o)
+        w = run_engine("fin-to-seq", o)
         c = InjectivityCollapse(w.x, w.x, hftuple(()))
         assert o.vouches_for(w) and not o.vouches_for(c)
         for witness, field in [(w, "pi"), (w, "fixed"), (w, "x"), (c, "x1"), (c, "x2"), (c, "y")]:
@@ -471,7 +484,7 @@ class TestWitnessVerification:
 
     def test_fields_written_in_init_still_refuse_every_later_write(self):
         s, E, o = oracles.build_refute_oracle("fin-to-seq", "sort", 1, 0)
-        w = refute_fin_to_seq_fraenkel(o)
+        w = run_engine("fin-to-seq", o)
         x, y = o.transcript[0]
         c = InjectivityCollapse(x, x, y)
         b = EquivarianceBreak(w.pi, list(E), x)
@@ -493,7 +506,7 @@ class TestWitnessVerification:
     @pytest.mark.parametrize("oracle,kind", [("const-empty", "injectivity-collapse"), ("sort", "equivariance-break")])
     def test_copies_and_pickles_rebuild_a_witness_that_still_verifies(self, oracle, kind):
         s, E, o = oracles.build_refute_oracle("fin-to-seq", oracle, 1, 0)
-        w = refute_fin_to_seq_fraenkel(o)
+        w = run_engine("fin-to-seq", o)
         assert w.kind == kind
         w.details = {"kept": [1]}
         for rebuild in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
@@ -513,14 +526,14 @@ class TestWitnessVerification:
 
     def test_tampered_collapse_rejected(self):
         s, E, o = oracles.build_refute_oracle("fin-to-seq", "const-empty", 0, 0)
-        w = refute_fin_to_seq_fraenkel(o)
+        w = run_engine("fin-to-seq", o)
         tampered = InjectivityCollapse(w.x1, w.x1, w.y)
         with pytest.raises(WitnessInvalid):
             verify_witness(tampered, s, E, o.transcript)
 
     def test_unprobed_input_rejected(self):
         s, E, o = oracles.build_refute_oracle("fin-to-seq", "const-empty", 0, 0)
-        w = refute_fin_to_seq_fraenkel(o)
+        w = run_engine("fin-to-seq", o)
         ghost = hfset(s.fresh(2))
         tampered = InjectivityCollapse(ghost, w.x2, w.y)
         with pytest.raises(WitnessInvalid):
@@ -528,7 +541,7 @@ class TestWitnessVerification:
 
     def test_break_requires_support_fixing(self):
         s, E, o = oracles.build_refute_oracle("fin-to-seq", "sort", 2, 0)
-        w = refute_fin_to_seq_fraenkel(o)
+        w = run_engine("fin-to-seq", o)
         from choiceless.atoms import PartialAutomorphism
 
         pairs = dict(w.pi.pairs)
@@ -541,7 +554,7 @@ class TestWitnessVerification:
     def test_commuting_map_rejected(self):
         s = PureSetStructure(0)
         o = oracles.builtin_oracle("fin-to-seq", "sort", s)
-        w = refute_fin_to_seq_fraenkel(o)
+        w = run_engine("fin-to-seq", o)
         from choiceless.atoms import PartialAutomorphism
 
         identity = PartialAutomorphism({a: a for a in w.pi.pairs})
@@ -570,7 +583,7 @@ class TestWitnessVerification:
 
     def test_json_detects_tampering(self):
         s, E, o = oracles.build_refute_oracle("fin-to-seq", "sort", 0, 0)
-        w = refute_fin_to_seq_fraenkel(o)
+        w = run_engine("fin-to-seq", o)
         data = witness_to_json(w, "fin-to-seq", o)
         # drop the probed entry the witness cites
         data["transcript"] = []
@@ -742,9 +755,11 @@ class TestExhaustiveTables:
         run = oracles.REFUTE[engine].engine
 
         def leaf(o, **kw):
-            w = run(o, **kw)
-            leaves.append(w)
-            return w
+            try:
+                return run(o, **kw)
+            except Refuted as done:
+                leaves.append(done.witness)
+                raise
 
         monkeypatch.setattr(refute, "verify_witness", counted)
         monkeypatch.setattr(labchecks, "verify_witness", counted)
